@@ -23,7 +23,7 @@ from . import betti as betti_mod
 from . import graded_algebra as ga
 from . import hodge_discrete as hodge
 from . import poisson_mc
-from .errors import InvariantError
+from .errors import InvariantError, strict_int
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -125,7 +125,10 @@ def cmd_algebra_check(cfg: RunConfig) -> tuple[dict, int]:
         unknown = set(cfg.grid) - set(grid)
         if unknown:
             raise InputError(f"unknown grid keys {sorted(unknown)}")
-        grid.update({k: int(v) for k, v in cfg.grid.items()})
+        for key, value in cfg.grid.items():
+            grid[key] = strict_int(value, f"grid.{key}")
+            if grid[key] < 0:
+                raise InputError(f"grid.{key} must be non-negative, got {grid[key]}")
     rows = []
     mismatches = skipped = 0
 
@@ -158,8 +161,7 @@ def cmd_algebra_check(cfg: RunConfig) -> tuple[dict, int]:
     for beta_tail in betas:
         vector = betti_mod.BettiVector(d=d_max, beta=(0, *beta_tail))
         space = ga.GradedSpace(tuple((k, vector.beta[k]) for k in range(1, d_max + 1)))
-        for n in range(grid["betti_n_max"] + 1):
-            formula = betti_mod.config_betti(vector, n)
+        for n, formula in enumerate(betti_mod.config_betti_series(vector, grid["betti_n_max"])):
             row = {
                 "kind": "betti",
                 "beta": list(vector.beta),

@@ -1,4 +1,9 @@
-"""Shared exception types."""
+"""Shared exception types and the strict integer parse of JSON input."""
+
+import re
+from numbers import Integral
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class InvariantError(RuntimeError):
@@ -7,3 +12,17 @@ class InvariantError(RuntimeError):
     Reaching this is a bug (or a broken install), never a user input
     problem; the CLI maps it to exit code 1.
     """
+
+
+def strict_int(value, field: str) -> int:
+    """``value`` as an int, or a one-line ValueError naming ``field``.
+
+    Accepts integers and decimal-integer strings (reports emit exact integers
+    as strings).  Bools and every float, NaN and the infinities included, are
+    rejected rather than truncated.
+    """
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")

@@ -27,9 +27,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Mapping, Sequence
 
+from .betti import beta_super, truncated_product
 from .linalg import rank
 
 Letter = tuple[int, int]
@@ -218,17 +219,11 @@ def count_words(space: GradedSpace, m: int, n: int) -> int:
     """Number of length-m words of multidegree n (no enumeration)."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
-    degree_counts = Counter(space.letter_degree(L) for L in space.letters)
-    ways = [1] + [0] * n
-    for _ in range(m):
-        nxt = [0] * (n + 1)
-        for t, w in enumerate(ways):
-            if w:
-                for p, c in degree_counts.items():
-                    if t + p <= n:
-                        nxt[t + p] += w * c
-        ways = nxt
-    return ways[n]
+    letters_by_degree = [0] * (n + 1)
+    for p, dim in space.components:
+        if p <= n:
+            letters_by_degree[p] += dim
+    return truncated_product([letters_by_degree] * m, n)[n]
 
 
 def project(space: GradedSpace, word: Word) -> TensorVector:
@@ -305,13 +300,6 @@ def sym_component_dim_bruteforce(
     return total_rank
 
 
-def _power_dim(degree: int, dim: int, s: int) -> int:
-    """Dimension of the s-th wedge (odd degree) or symmetric (even) power."""
-    if s == 0:
-        return 1
-    return comb(dim, s) if degree % 2 else comb(dim + s - 1, s)
-
-
 def sym_component_dim_closed(space: GradedSpace, m: int, n: int) -> int:
     """Dimension of the projected (m, n) component in closed form.
 
@@ -334,7 +322,7 @@ def sym_component_dim_closed(space: GradedSpace, m: int, n: int) -> int:
         for s in range(left_m + 1):
             if p * s > left_n:
                 break
-            d = _power_dim(p, dim, s)
+            d = beta_super(dim, p, s) if s else 1
             if d:
                 assign(i + 1, left_m - s, left_n - p * s, prod * d)
 

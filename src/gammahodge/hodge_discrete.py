@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError
+from .errors import InvariantError, strict_int
 from .linalg import gram, is_psd, kron_sum, nullity, outer_gram, rank
 
 Simplex = tuple[int, ...]
@@ -57,8 +57,10 @@ class SimplicialComplex:
 def from_maximal(maximal) -> SimplicialComplex:
     """Face closure of the given maximal simplices, canonically ordered."""
     by_dim: dict[int, set[Simplex]] = {}
-    for simplex in maximal:
-        verts = tuple(int(v) for v in simplex)
+    for i, simplex in enumerate(maximal):
+        if not isinstance(simplex, (list, tuple)):
+            raise ValueError(f"maximal[{i}] must be a list of vertex ids, got {simplex!r}")
+        verts = tuple(strict_int(v, f"maximal[{i}][{j}]") for j, v in enumerate(simplex))
         if not verts:
             raise ValueError("empty simplex")
         if any(v < 0 for v in verts):

@@ -1,8 +1,8 @@
 """Configuration Betti formula, vanishing, convolution, fiber identity.
 
 Oracles here: subset/multiset counting by literal enumeration, polynomial
-convolution done by hand, and the graded-algebra brute-force rank sum for
-the central dimension identity.
+convolution done by hand, the closed-form sum over word lengths, and the
+graded-algebra brute-force rank sum for the central dimension identity.
 """
 
 import itertools
@@ -24,9 +24,14 @@ from gammahodge.betti import (
     kunneth_product,
     report_from_json,
     report_to_json,
+    truncated_product,
     vanishing_threshold,
 )
-from gammahodge.graded_algebra import GradedSpace, sym_component_dim_bruteforce
+from gammahodge.graded_algebra import (
+    GradedSpace,
+    sym_component_dim_bruteforce,
+    sym_component_dim_closed,
+)
 
 betti_vectors = st.integers(1, 4).flatmap(
     lambda d: st.tuples(
@@ -38,6 +43,24 @@ betti_vectors = st.integers(1, 4).flatmap(
 
 def algebra_space(vector):
     return GradedSpace(tuple((k, vector.beta[k]) for k in range(1, vector.d + 1)))
+
+
+def closed_form_b(vector, n):
+    """b_n as the closed-form algebra dimension summed over word lengths."""
+    space = algebra_space(vector)
+    return sum(sym_component_dim_closed(space, m, n) for m in range(n + 1))
+
+
+@st.composite
+def odd_only_vectors(draw, d_max=7, k0_max=60):
+    """Odd-only Betti vectors with d <= d_max and K_0 = sum k beta_k <= k0_max."""
+    d = draw(st.integers(1, d_max))
+    beta = [0] * (d + 1)
+    budget = k0_max
+    for k in range(1, d + 1, 2):
+        beta[k] = draw(st.integers(0, budget // k))
+        budget -= k * beta[k]
+    return BettiVector(d=d, beta=tuple(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +121,7 @@ def test_matches_bruteforce_algebra_dimensions():
 @given(vector=betti_vectors, n_max=st.integers(0, 10))
 def test_series_path_equals_enumeration(vector, n_max):
     series = config_betti_series(vector, n_max)
-    assert series == [config_betti(vector, n) for n in range(n_max + 1)]
+    assert series == [closed_form_b(vector, n) for n in range(n_max + 1)]
 
 
 @settings(max_examples=40)
@@ -109,6 +132,23 @@ def test_monotone_in_every_beta(vector, k, n):
     bumped[k] += 1
     bigger = BettiVector(d=vector.d, beta=tuple(bumped))
     assert config_betti(bigger, n) >= config_betti(vector, n)
+
+
+@settings(max_examples=60)
+@given(
+    factors=st.lists(st.lists(st.integers(-3, 3), max_size=6), max_size=4),
+    n_max=st.integers(0, 12),
+)
+def test_truncated_product_matches_literal_convolution(factors, n_max):
+    full = [1]
+    for factor in factors:
+        out = [0] * (len(full) + len(factor))
+        for i, a in enumerate(full):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        full = out
+    full += [0] * (n_max + 1)
+    assert truncated_product(factors, n_max) == full[: n_max + 1]
 
 
 def test_nonzero_beta0_warns():
@@ -164,6 +204,20 @@ def test_vanishing_sweep_odd_only(b1, b3):
     assert config_betti(vector, K0) == 1
     for n in range(K0 + 1, K0 + 5):
         assert config_betti(vector, n) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector=odd_only_vectors())
+def test_vanishing_block_of_odd_only_series(vector):
+    # what vanishing_threshold claims without evaluating anything
+    K0, valid = vanishing_threshold(vector)
+    assert valid
+    top = config_betti_series(vector, K0 + vector.d)
+    assert top[K0] == 1
+    assert top[K0 + 1 :] == [0] * vector.d
+    if K0 <= 12:
+        for n in range(K0, K0 + vector.d + 1):
+            assert top[n] == closed_form_b(vector, n)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +304,14 @@ def test_report_fields_and_vanishing_block():
     assert report.b[0] == 1
 
 
+def test_report_warns_once_on_nonzero_beta0():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = betti_report(BettiVector(d=1, beta=(1, 1)), 4)
+    assert [w.category for w in caught] == [InfiniteVolumeWarning]
+    assert report.b == (1, 1, 0, 0, 0)
+
+
 def test_report_json_round_trip():
     report = betti_report(BettiVector(d=3, beta=(0, 2, 0, 1)), 8)
     doc = report_to_json(report)
@@ -274,6 +336,10 @@ def test_vector_validation():
         BettiVector(d=1, beta=(0, -1))
     with pytest.raises(ValueError):
         BettiVector.from_json({"beta": [0, 1]})
+    with pytest.raises(ValueError, match=r"beta\[1\]"):
+        BettiVector(d=1, beta=(0, 1.0))
+    with pytest.raises(ValueError, match="beta must be a list"):
+        BettiVector.from_json({"d": 2, "beta": "010"})
 
 
 def test_vector_json_round_trip():

@@ -200,3 +200,30 @@ def test_pipeline_marked_path_matches_direct_convolution(capsys):
     )
     assert doc["b"] == direct["b"]
     assert doc["beta_source"]["mark_betti"] == ["1", "1"]
+
+
+# ---------------------------------------------------------------------------
+# strict integer input: never truncated, never a traceback
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("betti", "--input", '{"d":2,"beta":[0,2.7,0]}'), "beta[1]"),
+        (("betti", "--input", '{"d":1,"beta":[false,true]}'), "beta[0]"),
+        (("betti", "--input", '{"d":2.9,"beta":[0,1,0]}'), "d must"),
+        (("betti", "--input", '{"d":2,"beta":[0,Infinity,0]}'), "beta[1]"),
+        (("betti", "--input", '{"d":2,"beta":[0,NaN,0]}'), "beta[1]"),
+        (("algebra-check", "--grid", '{"l_max":Infinity}'), "grid.l_max"),
+        (("algebra-check", "--grid", '{"l_max":1.9}'), "grid.l_max"),
+        (("algebra-check", "--grid", '{"betti_n_max":-1}'), "grid.betti_n_max"),
+        (("simplicial", "--input", '{"maximal":[[0,1.5]]}'), "maximal[0][1]"),
+        (("simplicial", "--input", '{"maximal":["012"]}'), "maximal[0]"),
+        (("pipeline", "--input", '{"maximal":[[0,1],[1,true]]}'), "maximal[1][1]"),
+    ],
+)
+def test_non_integer_input_exits_2_naming_the_field(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert field in err
