@@ -235,24 +235,25 @@ def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:
 
 
 def cmd_simplicial(cfg: RunConfig) -> tuple[dict, int]:
+    if cfg.kron_probes < 0:
+        raise InputError(f"--kron-probes must be non-negative, got {cfg.kron_probes}")
     complex_ = hodge.load_complex(cfg.payload)
-    beta = hodge.betti_numbers(complex_)
-    decomposition = []
-    for k in range(complex_.max_dim + 1):
-        harmonic, exact, coexact = hodge.hodge_decomposition_dims(complex_, k)
-        decomposition.append(
-            {
-                "k": str(k),
-                "chain_dim": str(complex_.chain_dim(k)),
-                "harmonic": str(harmonic),
-                "exact": str(exact),
-                "coexact": str(coexact),
-            }
-        )
+    split = hodge.hodge_decomposition_dims(complex_)
+    decomposition = [
+        {
+            "k": str(k),
+            "chain_dim": str(complex_.chain_dim(k)),
+            "harmonic": str(harmonic),
+            "exact": str(exact),
+            "coexact": str(coexact),
+        }
+        for k, (harmonic, exact, coexact) in enumerate(split)
+    ]
     payload = {
         "num_vertices": str(complex_.num_vertices),
         "max_dim": str(complex_.max_dim),
-        "betti": [str(b) for b in beta],
+        # harmonic = beta_k: hodge_decomposition_dims checks the split fills C_k
+        "betti": [str(harmonic) for harmonic, _, _ in split],
         "decomposition": decomposition,
     }
     code = EXIT_OK

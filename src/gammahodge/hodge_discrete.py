@@ -79,6 +79,8 @@ def from_maximal(maximal) -> SimplicialComplex:
 
 def load_complex(document: dict) -> SimplicialComplex:
     """Parse {"maximal": [[v, ...], ...]} into a face-closed complex."""
+    if not isinstance(document, dict):
+        raise ValueError(f"a complex document must be a JSON object, got {document!r}")
     if "maximal" not in document:
         raise ValueError('complex document needs a "maximal" list')
     maximal = document["maximal"]
@@ -107,16 +109,17 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:
     return matrix
 
 
+def _boundary_ranks(K: SimplicialComplex) -> list[int]:
+    """Exact rank del_k for k = 0..max_dim + 1, each computed once."""
+    return [rank(boundary_matrix(K, k)) for k in range(K.max_dim + 2)]
+
+
 def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
     """beta_k = dim C_k - rank del_k - rank del_{k+1}, exact ranks."""
-    out = []
-    for k in range(K.max_dim + 1):
-        out.append(
-            K.chain_dim(k)
-            - rank(boundary_matrix(K, k))
-            - rank(boundary_matrix(K, k + 1))
-        )
-    return tuple(out)
+    ranks = _boundary_ranks(K)
+    return tuple(
+        K.chain_dim(k) - ranks[k] - ranks[k + 1] for k in range(K.max_dim + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -170,23 +173,23 @@ def hodge_laplacian(K: SimplicialComplex, k: int) -> SymMatrix:
     )
 
 
-def hodge_decomposition_dims(K: SimplicialComplex, k: int) -> tuple[int, int, int]:
-    """(harmonic, exact, coexact) dimensions of the k-chain space.
+def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int], ...]:
+    """(harmonic, exact, coexact) dimensions of C_k for every degree k.
 
-    harmonic = kernel dimension of the Laplacian, exact = rank of the
-    incoming differential (rank del_k), coexact = rank del_{k+1}.  The three
-    must add up to dim C_k with harmonic equal to beta_k; violations raise
-    InvariantError.
+    harmonic = kernel dimension of the Laplacian, exact = rank del_k,
+    coexact = rank del_{k+1}, each rank computed once.  The three must add
+    up to dim C_k, which is the statement harmonic = beta_k; a violation
+    raises InvariantError.
     """
-    nk = K.chain_dim(k)
-    harmonic = nk - rank(hodge_laplacian(K, k).entries)
-    exact = rank(boundary_matrix(K, k))
-    coexact = rank(boundary_matrix(K, k + 1))
-    if harmonic + exact + coexact != nk:
-        raise InvariantError(f"decomposition of C_{k} does not fill the space")
-    if harmonic != betti_numbers(K)[k]:
-        raise InvariantError(f"harmonic dimension != beta_{k}")
-    return harmonic, exact, coexact
+    ranks = _boundary_ranks(K)
+    out = []
+    for k in range(K.max_dim + 1):
+        nk = K.chain_dim(k)
+        harmonic = nk - rank(hodge_laplacian(K, k).entries)
+        if harmonic + ranks[k] + ranks[k + 1] != nk:
+            raise InvariantError(f"decomposition of C_{k} does not fill the space")
+        out.append((harmonic, ranks[k], ranks[k + 1]))
+    return tuple(out)
 
 
 def kron_sum_kernel_dim(A: SymMatrix, B: SymMatrix) -> tuple[int, int]:

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, strict_int
 
 RNG_SCHEME = "philox4x64-block16384-v1"
 STREAM_BLOCK = 16_384
@@ -74,8 +74,8 @@ class Window:
         lengths = tuple(float(x) for x in self.lengths)
         if not lengths:
             raise ValueError("window needs at least one axis")
-        if any(x <= 0 for x in lengths):
-            raise ValueError("window extents must be positive")
+        if not all(0 < x < math.inf for x in lengths):
+            raise ValueError(f"window lengths must be positive and finite, got {list(lengths)}")
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -88,6 +88,8 @@ class Window:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Window":
+        if not isinstance(doc, dict) or not isinstance(doc.get("lengths"), list):
+            raise ValueError(f"window.lengths must be a list of numbers, got window {doc!r}")
         win = cls(lengths=tuple(doc["lengths"]))
         if "dim" in doc and int(doc["dim"]) != win.dim:
             raise ValueError(
@@ -695,25 +697,26 @@ def run_check(spec: dict) -> McReport:
     try:
         name = spec["check"]
         window = Window.from_json(spec["window"])
-        samples = int(spec["samples"])
-        seed = int(spec["seed"])
+        samples = strict_int(spec["samples"], "samples")
+        seed = strict_int(spec["seed"], "seed")
+        f = spec["f"] if name in ("laplace", "local") else spec.get("f", {})
+        m = strict_int(spec["m"], "m") if name == "mecke" else None
     except KeyError as exc:
         raise ValueError(f"check spec is missing {exc}") from exc
     if name == "laplace":
-        return check_laplace(scalar_from_json(spec["f"]), window, samples, seed)
+        return check_laplace(scalar_from_json(f), window, samples, seed)
     if name == "local":
         return check_local_expansion(
-            functional_from_json(spec["f"]),
+            functional_from_json(f),
             window,
             samples,
             seed,
-            series_terms=int(spec.get("series_terms", 80)),
+            series_terms=strict_int(spec.get("series_terms", 80), "series_terms"),
         )
     if name == "mecke":
-        f = spec.get("f", {})
         phi = scalar_from_json(f["phi"]) if "phi" in f else None
         return check_mecke(
-            int(spec["m"]),
+            m,
             scalar_from_json(f.get("g", "indicator")),
             polynomial_from_json(f.get("h", "const")),
             phi,

@@ -125,6 +125,13 @@ def test_simplicial_invalid_complex_exits_2(capsys):
     assert code == EXIT_INPUT
 
 
+def test_simplicial_negative_kron_probes_exits_2(capsys):
+    code, out, err = run(capsys, "simplicial", "--input", HOLLOW, "--kron-probes", "-1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and "--kron-probes" in err
+
+
 # ---------------------------------------------------------------------------
 # poisson
 
@@ -156,6 +163,32 @@ def test_poisson_requires_seed(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ('{"check":"mecke","window":{"lengths":[1.0]}}', "'m'"),
+        ('{"check":"laplace","window":{"lengths":[1.0]}}', "'f'"),
+        ('{"check":"local","window":{"lengths":[1.0]}}', "'f'"),
+        ('{"check":"laplace","window":{"lengths":5},"f":"indicator"}', "lengths"),
+        ('{"check":"laplace","window":{"lengths":[NaN]},"f":"indicator"}', "lengths"),
+        ('{"check":"mecke","m":2.9,"window":{"lengths":[1.0]}}', "m must"),
+        ('{"check":"laplace","window":{"lengths":[1.0]},"f":"indicator","seed":1,'
+         '"samples":100.7}', "samples"),
+        ('{"check":"laplace","window":{"lengths":[1.0]},"f":"indicator","seed":1,'
+         '"samples":[1]}', "samples"),
+    ],
+)
+def test_poisson_malformed_spec_exits_2_naming_the_field(capsys, spec, field):
+    argv = ["poisson", "--input", spec]
+    if "samples" not in spec:
+        argv += ["--seed", "1", "--samples", "100"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert field in err
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -181,6 +214,16 @@ def test_pipeline_without_override_records_beta0(capsys):
 def test_pipeline_empty_complex(capsys):
     doc = run_json(capsys, "pipeline", "--input", '{"maximal": []}', "--n-max", "4")
     assert doc["b"] == ["1", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "doc", ['{"complex": 5}', '{"complex": {"maximal": [[0, 1]]}, "mark": 5}']
+)
+def test_pipeline_non_object_complex_exits_2(capsys, doc):
+    code, out, err = run(capsys, "pipeline", "--input", doc)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and "JSON object" in err
 
 
 def test_pipeline_marked_path_matches_direct_convolution(capsys):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammahodge import graded_algebra
 from gammahodge.graded_algebra import (
     DEFAULT_WORD_CAP,
     EnumerationCapError,
@@ -260,6 +261,22 @@ def test_scalar_component():
 @given(space=spaces, m=st.integers(0, 3), n=st.integers(0, 6))
 def test_blocked_bruteforce_equals_full_gram_rank(space, m, n):
     assert sym_component_dim_bruteforce(space, m, n) == rank(gram_matrix_sym(space, m, n))
+
+
+def test_bruteforce_projects_once_per_letter_multiset(monkeypatch):
+    # each multiset block is one orbit with image span{P(w0)}, so one
+    # projection per block decides its dimension
+    calls = []
+    monkeypatch.setattr(
+        graded_algebra, "project", lambda space, w: calls.append(w) or project(space, w)
+    )
+    space = GradedSpace(((1, 3), (2, 2)))
+    for m, n in ((3, 5), (4, 6), (3, 3)):
+        calls.clear()
+        multisets = {tuple(sorted(w)) for w in enumerate_words(space, m, n)}
+        assert len(multisets) < count_words(space, m, n)
+        assert sym_component_dim_bruteforce(space, m, n) == sym_component_dim_closed(space, m, n)
+        assert sorted(calls) == sorted(multisets)
 
 
 @settings(max_examples=50, deadline=None)

@@ -59,6 +59,9 @@ def test_window_validation_and_volume():
         Window(lengths=())
     with pytest.raises(ValueError):
         Window(lengths=(1.0, -2.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Window(lengths=(1.0, bad))
     with pytest.raises(ValueError):
         Window.from_json({"dim": 3, "lengths": [1.0, 2.0]})
 
