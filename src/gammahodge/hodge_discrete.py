@@ -109,14 +109,14 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:
     return matrix
 
 
-def _boundary_ranks(K: SimplicialComplex) -> list[int]:
-    """Exact rank del_k for k = 0..max_dim + 1, each computed once."""
-    return [rank(boundary_matrix(K, k)) for k in range(K.max_dim + 2)]
+def _boundaries(K: SimplicialComplex) -> list[list[list[int]]]:
+    """del_k for k = 0..max_dim + 1, each built once."""
+    return [boundary_matrix(K, k) for k in range(K.max_dim + 2)]
 
 
 def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
     """beta_k = dim C_k - rank del_k - rank del_{k+1}, exact ranks."""
-    ranks = _boundary_ranks(K)
+    ranks = [rank(d) for d in _boundaries(K)]
     return tuple(
         K.chain_dim(k) - ranks[k] - ranks[k + 1] for k in range(K.max_dim + 1)
     )
@@ -163,9 +163,11 @@ def hodge_laplacian(K: SimplicialComplex, k: int) -> SymMatrix:
     """
     if not 0 <= k <= K.max_dim:
         raise ValueError(f"degree {k} outside 0..{K.max_dim}")
-    nk = K.chain_dim(k)
-    up = boundary_matrix(K, k + 1)
-    down = boundary_matrix(K, k)
+    return _laplacian(boundary_matrix(K, k), boundary_matrix(K, k + 1), K.chain_dim(k))
+
+
+def _laplacian(down, up, nk: int) -> SymMatrix:
+    """up up^T + down^T down on the nk-dimensional chain space."""
     a = outer_gram(up)
     b = gram(down, nk)
     return SymMatrix.from_rows(
@@ -177,15 +179,16 @@ def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int]
     """(harmonic, exact, coexact) dimensions of C_k for every degree k.
 
     harmonic = kernel dimension of the Laplacian, exact = rank del_k,
-    coexact = rank del_{k+1}, each rank computed once.  The three must add
-    up to dim C_k, which is the statement harmonic = beta_k; a violation
-    raises InvariantError.
+    coexact = rank del_{k+1}, each boundary built and ranked once and shared
+    with the Laplacians.  The three must add up to dim C_k, which is the
+    statement harmonic = beta_k; a violation raises InvariantError.
     """
-    ranks = _boundary_ranks(K)
+    bounds = _boundaries(K)
+    ranks = [rank(d) for d in bounds]
     out = []
     for k in range(K.max_dim + 1):
         nk = K.chain_dim(k)
-        harmonic = nk - rank(hodge_laplacian(K, k).entries)
+        harmonic = nk - rank(_laplacian(bounds[k], bounds[k + 1], nk).entries)
         if harmonic + ranks[k] + ranks[k + 1] != nk:
             raise InvariantError(f"decomposition of C_{k} does not fill the space")
         out.append((harmonic, ranks[k], ranks[k + 1]))

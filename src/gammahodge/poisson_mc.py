@@ -23,15 +23,16 @@ value must agree with the closed form to 1e-10 relative before any sampling
 runs (ReferenceMismatchError otherwise).
 
 RNG scheme ``philox4x64-block16384-v1``: sample index i draws from the
-Philox4x64 counter stream keyed (seed, i // 16384).  Blocks are always
-generated whole, so the configuration at a given (seed, index) never
-depends on how many samples were requested, and per-block parallel
-generation merges bitwise identically with a serial run.
+Philox4x64 counter stream keyed (seed, i // 16384), all of a block's counts
+before its points, so the configuration at (seed, index) never depends on the
+sample count.  ``_blocks`` is the one reader: each check reduces one block at
+a time (memory O(one block)), bitwise equal to reducing the whole batch.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,10 +89,10 @@ class Window:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Window":
-        if not isinstance(doc, dict) or not isinstance(doc.get("lengths"), list):
-            raise ValueError(f"window.lengths must be a list of numbers, got window {doc!r}")
-        win = cls(lengths=tuple(doc["lengths"]))
-        if "dim" in doc and int(doc["dim"]) != win.dim:
+        if not isinstance(doc, dict):
+            raise ValueError(f"window must be an object with lengths, got {doc!r}")
+        win = cls(lengths=_reals(doc.get("lengths"), "window.lengths"))
+        if "dim" in doc and strict_int(doc["dim"], "window.dim") != win.dim:
             raise ValueError(
                 f"window dim {doc['dim']} does not match {win.dim} lengths"
             )
@@ -123,41 +124,38 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_blocks(window: Window, seed: int, n_samples: int):
-    """counts (n,), sample ids (total,), points (total, dim) for samples 0..n-1."""
+def _block(window: Window, seed: int, block: int, n: int):
+    """counts and points of a block's first n samples: the same bits for every n."""
+    g = _stream(seed, block)
+    counts = g.poisson(window.volume, size=STREAM_BLOCK)[:n]
+    return counts, g.random((int(counts.sum()), window.dim)) * np.asarray(window.lengths)
+
+
+def _blocks(window: Window, seed: int, n_samples: int):
+    """Yield counts, block-local sample ids and points of samples 0..n-1, block by block."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    lengths = np.asarray(window.lengths)
-    counts_parts = []
-    points_parts = []
-    n_blocks = -(-n_samples // STREAM_BLOCK)
-    for block in range(n_blocks):
-        g = _stream(seed, block)
-        c = g.poisson(window.volume, size=STREAM_BLOCK)
-        pts = g.random((int(c.sum()), window.dim)) * lengths
-        counts_parts.append(c)
-        points_parts.append(pts)
-    counts = np.concatenate(counts_parts)[:n_samples]
-    total = int(counts.sum())
-    points = np.concatenate(points_parts)[:total]
-    sample_ids = np.repeat(np.arange(n_samples), counts)
-    return counts, sample_ids, points
+    for start in range(0, n_samples, STREAM_BLOCK):
+        counts, points = _block(window, seed, start // STREAM_BLOCK, n_samples - start)
+        yield counts, np.repeat(np.arange(counts.size), counts), points
+
+
+def _per_sample(window: Window, seed: int, n_samples: int, per_block) -> np.ndarray:
+    """per_block(counts, sample_ids, points) of every block, joined along samples."""
+    return np.concatenate([per_block(*b) for b in _blocks(window, seed, n_samples)], axis=-1)
 
 
 def sample_configuration(window: Window, seed: int, index: int = 0) -> PointConfiguration:
     """Configuration number ``index`` of the stream for this seed.
 
     Count ~ Poisson(volume), points i.i.d. uniform in the box; bitwise
-    reproducible and identical to the batch path used by the checks.
+    reproducible and read from the same block draw as the checks.
     """
     if index < 0:
         raise ValueError("index must be non-negative")
     block, offset = divmod(index, STREAM_BLOCK)
-    g = _stream(seed, block)
-    counts = g.poisson(window.volume, size=STREAM_BLOCK)
-    upto = int(counts[: offset + 1].sum())
-    pts = g.random((upto, window.dim)) * np.asarray(window.lengths)
-    own = pts[upto - int(counts[offset]) :]
+    counts, points = _block(window, seed, block, offset + 1)
+    own = points[len(points) - int(counts[offset]) :]
     return PointConfiguration(
         window=window, points=tuple(tuple(float(x) for x in p) for p in own)
     )
@@ -195,6 +193,16 @@ class ScalarFunction:
             if value is not None:
                 object.__setattr__(self, name, tuple(float(x) for x in value))
         object.__setattr__(self, "scale", float(self.scale))
+        if self.kind == "box" and (
+            len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi))
+        ):
+            raise ValueError(f"box needs lo <= hi on every axis, got {self.lo}, {self.hi}")
+        if self.kind == "gaussian" and (
+            len(self.center) != len(self.width) or not all(w > 0 for w in self.width)
+        ):
+            raise ValueError(
+                f"gaussian needs one positive width per center axis, got {self.width}"
+            )
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -220,19 +228,19 @@ class ScalarFunction:
     def sup_norm(self) -> float:
         return abs(self.scale)
 
+    def _support_volume(self, window: Window) -> float:
+        lo, hi = self.support(window)
+        return math.prod(max(b - a, 0.0) for a, b in zip(lo, hi))
+
     def closed_form_integral(self, window: Window, power: int = 1) -> float | None:
         if self.kind == "gaussian":
             return None
-        lo, hi = self.support(window)
-        vol = math.prod(max(b - a, 0.0) for a, b in zip(lo, hi))
-        return self.scale**power * vol
+        return self.scale**power * self._support_volume(window)
 
     def closed_form_expm1_integral(self, window: Window) -> float | None:
         if self.kind == "gaussian":
             return None
-        lo, hi = self.support(window)
-        vol = math.prod(max(b - a, 0.0) for a, b in zip(lo, hi))
-        return math.expm1(self.scale) * vol
+        return math.expm1(self.scale) * self._support_volume(window)
 
 
 @dataclass(frozen=True)
@@ -432,10 +440,11 @@ def check_laplace(f: ScalarFunction, window: Window, samples: int, seed: int) ->
     """Exponential moment E[exp<f, gamma>] vs exp(integral of (e^f - 1))."""
     reference_exponent = integral_expm1(f, window)
     reference = math.exp(reference_exponent)
-    _, sample_ids, points = _sample_blocks(window, seed, samples)
-    sums = np.bincount(sample_ids, weights=f.evaluate(points), minlength=samples)
-    values = np.exp(sums)
-    estimate, std_error = _mc_stats(values)
+
+    def per_block(counts, sample_ids, points):
+        return np.exp(np.bincount(sample_ids, weights=f.evaluate(points), minlength=counts.size))
+
+    estimate, std_error = _mc_stats(_per_sample(window, seed, samples, per_block))
     return _make_report(
         "laplace", estimate, reference, std_error, samples, seed,
         extra=(("integral_expm1", reference_exponent),),
@@ -474,9 +483,14 @@ def _closed_form_mean(functional: LocalFunctional, window: Window) -> float:
     if functional.kind == "count_indicator":
         k = functional.k
         return math.exp(-v + k * math.log(v) - math.lgamma(k + 1))
-    c0, c1, c2 = functional.h.padded()
-    i1 = integral_of_power(functional.phi, window, 1)
-    i2 = integral_of_power(functional.phi, window, 2)
+    return _mean_of_poly(functional.h.padded(), functional.phi, window)
+
+
+def _mean_of_poly(coeffs, phi: ScalarFunction, window: Window) -> float:
+    """E[h(<phi, gamma>)] for h of degree <= 2 from the first two moments of <phi, gamma>."""
+    c0, c1, c2 = coeffs
+    i1 = integral_of_power(phi, window, 1)
+    i2 = integral_of_power(phi, window, 2)
     return c0 + c1 * i1 + c2 * (i2 + i1 * i1)
 
 
@@ -522,17 +536,15 @@ def check_local_expansion(
         )
     reference = _verified(series, closed, "local expansion series")
 
-    counts, sample_ids, points = _sample_blocks(window, seed, samples)
-    if functional.kind == "one":
-        values = np.ones(samples)
-    elif functional.kind == "count_indicator":
-        values = (counts == functional.k).astype(float)
-    else:
-        totals = np.bincount(
-            sample_ids, weights=functional.phi.evaluate(points), minlength=samples
-        )
-        values = functional.h(totals)
-    estimate, std_error = _mc_stats(values)
+    def per_block(counts, sample_ids, points):
+        if functional.kind == "one":
+            return np.ones(counts.size)
+        if functional.kind == "count_indicator":
+            return (counts == functional.k).astype(float)
+        phi_vals = functional.phi.evaluate(points)
+        return functional.h(np.bincount(sample_ids, weights=phi_vals, minlength=counts.size))
+
+    estimate, std_error = _mc_stats(_per_sample(window, seed, samples, per_block))
     return _make_report(
         "local", estimate, reference, std_error, samples, seed,
         extra=(("series_reference", series), ("tail_bound", tail)),
@@ -606,24 +618,22 @@ def check_mecke(
         phi = ScalarFunction(kind="indicator", scale=0.0)
 
     ig = integral_of_power(g, window, 1)
-    i1 = integral_of_power(phi, window, 1)
-    i2 = integral_of_power(phi, window, 2)
-    c0, c1, c2 = coeffs
-    mean_h = c0 + c1 * i1 + c2 * (i2 + i1 * i1)
-    reference = ig**m / math.factorial(m) * mean_h
+    reference = ig**m / math.factorial(m) * _mean_of_poly(coeffs, phi, window)
 
-    counts, sample_ids, points = _sample_blocks(window, seed, samples)
-    top = int(counts.max(initial=0))
-    if top > MAX_CONFIG_POINTS:
-        raise ConfigurationTooLarge(
-            f"a configuration has {top} points, above the subset-sum cap "
-            f"{MAX_CONFIG_POINTS}; shrink the window volume"
-        )
-    g_vals = g.evaluate(points)
-    phi_vals = phi.evaluate(points)
-    totals = np.bincount(sample_ids, weights=phi_vals, minlength=samples)
-    lhs_values = _subset_sums(m, g_vals, phi_vals, totals, sample_ids, samples, coeffs)
-    rhs_values = h(totals) * (ig**m / math.factorial(m))
+    def per_block(counts, sample_ids, points):
+        top = int(counts.max(initial=0))
+        if top > MAX_CONFIG_POINTS:
+            raise ConfigurationTooLarge(
+                f"a configuration has {top} points, above the subset-sum cap "
+                f"{MAX_CONFIG_POINTS}; shrink the window volume"
+            )
+        g_vals = g.evaluate(points)
+        phi_vals = phi.evaluate(points)
+        totals = np.bincount(sample_ids, weights=phi_vals, minlength=counts.size)
+        lhs = _subset_sums(m, g_vals, phi_vals, totals, sample_ids, counts.size, coeffs)
+        return np.stack([lhs, h(totals) * (ig**m / math.factorial(m))])
+
+    lhs_values, rhs_values = _per_sample(window, seed, samples, per_block)
     lhs, lhs_se = _mc_stats(lhs_values)
     rhs, rhs_se = _mc_stats(rhs_values)
     pooled = math.hypot(lhs_se, rhs_se)
@@ -650,44 +660,67 @@ _POLY_SHORTHAND = {
 }
 
 
-def scalar_from_json(spec) -> ScalarFunction:
+def _real(value, field: str) -> float:
+    """A finite JSON number as a float; bools, strings, NaN and infinities are rejected."""
+    finite = isinstance(value, (int, float)) and -sys.float_info.max <= value <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, field: str, size: int | None = None) -> tuple[float, ...]:
+    """A JSON list of finite numbers, with one entry per window axis when size is given."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list of numbers, got {value!r}")
+    if size is not None and len(value) != size:
+        raise ValueError(f"{field} needs one entry per window axis ({size}), got {len(value)}")
+    return tuple(_real(x, f"{field}[{i}]") for i, x in enumerate(value))
+
+
+def scalar_from_json(spec, field: str, dim: int) -> ScalarFunction:
     if isinstance(spec, str):
         try:
             return _SCALAR_SHORTHAND[spec]
         except KeyError:
-            raise ValueError(f"unknown scalar shorthand {spec!r}") from None
-    return ScalarFunction(
-        kind=spec["kind"],
-        scale=spec.get("scale", 1.0),
-        lo=tuple(spec["lo"]) if "lo" in spec else None,
-        hi=tuple(spec["hi"]) if "hi" in spec else None,
-        center=tuple(spec["center"]) if "center" in spec else None,
-        width=tuple(spec["width"]) if "width" in spec else None,
-    )
+            raise ValueError(f"unknown scalar shorthand {spec!r} for {field}") from None
+    if not isinstance(spec, dict):
+        raise ValueError(f"{field} must be a function object or shorthand name, got {spec!r}")
+    args = {"kind": spec.get("kind"), "scale": _real(spec.get("scale", 1.0), f"{field}.scale")}
+    for name in ("lo", "hi", "center", "width"):
+        if name in spec:
+            args[name] = _reals(spec[name], f"{field}.{name}", dim)
+    try:
+        return ScalarFunction(**args)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
-def polynomial_from_json(spec) -> Polynomial:
+def polynomial_from_json(spec, field: str) -> Polynomial:
     if isinstance(spec, str):
         try:
             return _POLY_SHORTHAND[spec]
         except KeyError:
-            raise ValueError(f"unknown polynomial shorthand {spec!r}") from None
-    return Polynomial(coeffs=tuple(spec["coeffs"]))
+            raise ValueError(f"unknown polynomial shorthand {spec!r} for {field}") from None
+    if not isinstance(spec, dict):
+        raise ValueError(f"{field} must be a coeffs object or shorthand name, got {spec!r}")
+    return Polynomial(coeffs=_reals(spec.get("coeffs"), f"{field}.coeffs"))
 
 
-def functional_from_json(spec) -> LocalFunctional:
+def functional_from_json(spec, field: str, dim: int) -> LocalFunctional:
     if isinstance(spec, str):
         if spec == "one":
             return LocalFunctional(kind="one")
-        raise ValueError(f"unknown functional shorthand {spec!r}")
-    kind = spec["kind"]
+        raise ValueError(f"unknown functional shorthand {spec!r} for {field}")
+    if not isinstance(spec, dict):
+        raise ValueError(f"{field} must be a functional object or \"one\", got {spec!r}")
+    kind = spec.get("kind")
     if kind == "count_indicator":
-        return LocalFunctional(kind=kind, k=int(spec["k"]))
+        return LocalFunctional(kind=kind, k=strict_int(spec.get("k"), f"{field}.k"))
     if kind == "poly_of_sum":
         return LocalFunctional(
             kind=kind,
-            phi=scalar_from_json(spec["phi"]),
-            h=polynomial_from_json(spec["h"]),
+            phi=scalar_from_json(spec.get("phi"), f"{field}.phi", dim),
+            h=polynomial_from_json(spec.get("h"), f"{field}.h"),
         )
     return LocalFunctional(kind=kind)
 
@@ -704,21 +737,23 @@ def run_check(spec: dict) -> McReport:
     except KeyError as exc:
         raise ValueError(f"check spec is missing {exc}") from exc
     if name == "laplace":
-        return check_laplace(scalar_from_json(f), window, samples, seed)
+        return check_laplace(scalar_from_json(f, "f", window.dim), window, samples, seed)
     if name == "local":
         return check_local_expansion(
-            functional_from_json(f),
+            functional_from_json(f, "f", window.dim),
             window,
             samples,
             seed,
             series_terms=strict_int(spec.get("series_terms", 80), "series_terms"),
         )
     if name == "mecke":
-        phi = scalar_from_json(f["phi"]) if "phi" in f else None
+        if not isinstance(f, dict):
+            raise ValueError(f"f must be an object of g, h and phi, got {f!r}")
+        phi = scalar_from_json(f["phi"], "f.phi", window.dim) if "phi" in f else None
         return check_mecke(
             m,
-            scalar_from_json(f.get("g", "indicator")),
-            polynomial_from_json(f.get("h", "const")),
+            scalar_from_json(f.get("g", "indicator"), "f.g", window.dim),
+            polynomial_from_json(f.get("h", "const"), "f.h"),
             phi,
             window,
             samples,

@@ -176,6 +176,25 @@ def test_poisson_requires_seed(capsys):
          '"samples":100.7}', "samples"),
         ('{"check":"laplace","window":{"lengths":[1.0]},"f":"indicator","seed":1,'
          '"samples":[1]}', "samples"),
+        ('{"check":"laplace","window":{"lengths":[1.0]},"f":5}', "f must"),
+        ('{"check":"mecke","m":1,"window":{"lengths":[1.0]},"f":5}', "f must"),
+        ('{"check":"local","window":{"lengths":[1.0]},"f":{"kind":"poly_of_sum",'
+         '"phi":"indicator","h":{"coeffs":5}}}', "f.h.coeffs"),
+        ('{"check":"mecke","m":1,"window":{"lengths":[1.0]},"f":{"h":{"coeffs":5}}}',
+         "f.h.coeffs"),
+        ('{"check":"laplace","window":{"dim":[1],"lengths":[1.0]},"f":"indicator"}',
+         "window.dim"),
+        ('{"check":"local","window":{"lengths":[1.0]},"f":{"kind":"count_indicator",'
+         '"k":2.5}}', "f.k"),
+        ('{"check":"laplace","window":{"lengths":[1.0, 1.0]},"f":{"kind":"box",'
+         '"lo":[0.8, 0.0],"hi":[0.2, 1.0]}}', "f: box needs lo <= hi"),
+        ('{"check":"laplace","window":{"lengths":[1.0, 1.0]},"f":{"kind":"gaussian",'
+         '"center":[0.5],"width":[0.3, 0.3]}}', "f.center"),
+        ('{"check":"mecke","m":1,"window":{"lengths":[1.0, 1.0]},"f":{"g":{"kind":'
+         '"gaussian","center":[0.5, 0.5],"width":[0.3]}}}', "f.g.width"),
+        ('{"check":"laplace","window":{"lengths":[true]},"f":"indicator"}', "window.lengths[0]"),
+        pytest.param('{"check":"laplace","window":{"lengths":[1.0]},"f":{"kind":"indicator",'
+                     '"scale":1' + "0" * 400 + "}}", "f.scale", id="scale-beyond-float"),
     ],
 )
 def test_poisson_malformed_spec_exits_2_naming_the_field(capsys, spec, field):

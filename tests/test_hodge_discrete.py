@@ -218,6 +218,21 @@ def test_each_exact_rank_is_computed_once(monkeypatch):
     assert len(calls) == K.max_dim + 2 == 4
 
 
+def test_each_boundary_is_built_once(monkeypatch):
+    calls = []
+    original = hodge_discrete.boundary_matrix
+
+    def counted(K, k):
+        calls.append(k)
+        return original(K, k)
+
+    monkeypatch.setattr(hodge_discrete, "boundary_matrix", counted)
+    K = catalog()["torus_7"]
+    hodge_decomposition_dims(K)
+    # del_0 .. del_{max_dim+1}, shared by the boundary ranks and the Laplacians
+    assert sorted(calls) == list(range(K.max_dim + 2)) == [0, 1, 2, 3]
+
+
 def test_harmonic_cycle_is_orthogonal_to_both_images():
     # hollow triangle, edges (0,1), (0,2), (1,2): the oriented cycle below
     # spans ker L_1 and must be orthogonal to every row of the vertex

@@ -2,24 +2,32 @@
 
 The subset-sum oracle is a literal itertools.combinations enumeration; the
 vectorized power-sum path must match it to near machine precision on every
-sampled configuration.
+sampled configuration.  The sampling oracle ``sample_blocks`` draws every
+block of a request before any reduction; the streamed checks must match it
+bitwise.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gammahodge import poisson_mc
 from gammahodge.poisson_mc import (
     ConfigurationTooLarge,
     LocalFunctional,
     Polynomial,
     QuadratureError,
+    STREAM_BLOCK,
     ScalarFunction,
     TailBoundError,
     Window,
-    _sample_blocks,
+    _blocks,
+    _make_report,
+    _mc_stats,
+    _stream,
     _subset_sums,
     check_laplace,
     check_local_expansion,
@@ -49,6 +57,27 @@ def subset_sum_oracle(m, g_vals, phi_vals, total, coeffs):
     return acc
 
 
+def sample_blocks(window, seed, n_samples):
+    """counts (n,), sample ids (total,), points (total, dim) for samples 0..n-1."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    lengths = np.asarray(window.lengths)
+    counts_parts = []
+    points_parts = []
+    n_blocks = -(-n_samples // STREAM_BLOCK)
+    for block in range(n_blocks):
+        g = _stream(seed, block)
+        c = g.poisson(window.volume, size=STREAM_BLOCK)
+        pts = g.random((int(c.sum()), window.dim)) * lengths
+        counts_parts.append(c)
+        points_parts.append(pts)
+    counts = np.concatenate(counts_parts)[:n_samples]
+    total = int(counts.sum())
+    points = np.concatenate(points_parts)[:total]
+    sample_ids = np.repeat(np.arange(n_samples), counts)
+    return counts, sample_ids, points
+
+
 # ---------------------------------------------------------------------------
 # windows and sampling
 
@@ -66,6 +95,19 @@ def test_window_validation_and_volume():
         Window.from_json({"dim": 3, "lengths": [1.0, 2.0]})
 
 
+def test_scalar_function_validation():
+    with pytest.raises(ValueError, match="lo <= hi"):
+        ScalarFunction(kind="box", lo=(0.5, 0.0), hi=(0.4, 1.0))
+    with pytest.raises(ValueError, match="lo <= hi"):
+        ScalarFunction(kind="box", lo=(0.0,), hi=(0.4, 1.0))
+    for width in ((0.3,), (0.3, 0.0), (0.3, -0.2)):
+        with pytest.raises(ValueError, match="positive width"):
+            ScalarFunction(kind="gaussian", center=(0.5, 0.5), width=width)
+    # a degenerate box is a legitimate zero-measure support
+    flat = ScalarFunction(kind="box", lo=(0.5, 0.0), hi=(0.5, 1.0))
+    assert flat.closed_form_integral(WINDOW) == 0.0
+
+
 def test_sampling_is_deterministic():
     a = sample_configuration(WINDOW, seed=42, index=7)
     b = sample_configuration(WINDOW, seed=42, index=7)
@@ -74,7 +116,7 @@ def test_sampling_is_deterministic():
 
 
 def test_single_configuration_matches_batch():
-    counts, ids, pts = _sample_blocks(WINDOW, 42, 50)
+    counts, ids, pts = sample_blocks(WINDOW, 42, 50)
     for index in (0, 3, 49):
         config = sample_configuration(WINDOW, 42, index)
         assert len(config) == counts[index]
@@ -82,15 +124,37 @@ def test_single_configuration_matches_batch():
 
 
 def test_points_stay_inside_the_window():
-    counts, _, pts = _sample_blocks(WINDOW, 9, 2000)
+    counts, _, pts = sample_blocks(WINDOW, 9, 2000)
     assert pts.shape[1] == 2
     assert np.all(pts >= 0.0)
     assert np.all(pts <= np.array(WINDOW.lengths))
 
 
+STREAM_SIZES = (2, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 40_000)
+
+
+@pytest.mark.parametrize("n", STREAM_SIZES)
+def test_streamed_blocks_merge_into_the_whole_batch(n):
+    counts, ids, pts = sample_blocks(WINDOW, 42, n)
+    parts = list(_blocks(WINDOW, 42, n))
+    assert len(parts) == -(-n // STREAM_BLOCK)
+    starts = np.arange(len(parts)) * STREAM_BLOCK
+    assert np.array_equal(np.concatenate([c for c, _, _ in parts]), counts)
+    assert np.array_equal(np.concatenate([i + s for (_, i, _), s in zip(parts, starts)]), ids)
+    assert np.array_equal(np.concatenate([p for _, _, p in parts]), pts)
+
+
+def test_single_configuration_matches_batch_across_a_block_boundary():
+    counts, ids, pts = sample_blocks(WINDOW, 42, STREAM_BLOCK + 2)
+    for index in (STREAM_BLOCK - 2, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1):
+        config = sample_configuration(WINDOW, 42, index)
+        assert len(config) == counts[index]
+        assert np.array_equal(np.asarray(config.points).reshape(-1, 2), pts[ids == index])
+
+
 def test_count_moments_in_three_sigma_bands():
     big = Window(lengths=(2.0, 2.0))
-    counts, _, _ = _sample_blocks(big, 123, 100_000)
+    counts, _, _ = sample_blocks(big, 123, 100_000)
     n = counts.size
     vol = big.volume
     mean = counts.mean()
@@ -241,7 +305,7 @@ def test_mecke_vectorized_sums_match_enumeration():
     h = Polynomial(coeffs=(0.5, -1.0, 0.25))
     coeffs = h.padded()
     n = 300
-    _, ids, pts = _sample_blocks(WINDOW, 11, n)
+    _, ids, pts = sample_blocks(WINDOW, 11, n)
     g_vals, phi_vals = g.evaluate(pts), phi.evaluate(pts)
     totals = np.bincount(ids, weights=phi_vals, minlength=n)
     for m in (1, 2, 3):
@@ -276,6 +340,78 @@ def test_mecke_aborts_on_huge_configurations():
     huge = Window(lengths=(30.0, 30.0, 3.0))
     with pytest.raises(ConfigurationTooLarge):
         check_mecke(1, INDICATOR, CONST, None, huge, 100, 1)
+
+
+# ---------------------------------------------------------------------------
+# streaming: every check reduces block by block, bitwise equal to the batch
+
+STREAM_G = ScalarFunction(kind="gaussian", center=(0.4, 1.0), width=(0.5, 0.8), scale=0.6)
+STREAM_PHI = ScalarFunction(kind="box", lo=(0.0, 0.5), hi=(0.8, 1.7), scale=0.7)
+STREAM_H = Polynomial(coeffs=(0.5, -1.0, 0.25))
+
+
+def run_streamed(check, n):
+    if check == "laplace":
+        return check_laplace(STREAM_G, WINDOW, n, 42)
+    if check == "local":
+        functional = LocalFunctional(kind="poly_of_sum", phi=STREAM_PHI, h=STREAM_H)
+        return check_local_expansion(functional, WINDOW, n, 42)
+    return check_mecke(3, STREAM_G, STREAM_H, STREAM_PHI, WINDOW, n, 42)
+
+
+def batch_values(check, n):
+    """Per-sample values of each check from the whole batch at once."""
+    _, ids, pts = sample_blocks(WINDOW, 42, n)
+    if check == "laplace":
+        return [np.exp(np.bincount(ids, weights=STREAM_G.evaluate(pts), minlength=n))]
+    phi_vals = STREAM_PHI.evaluate(pts)
+    totals = np.bincount(ids, weights=phi_vals, minlength=n)
+    if check == "local":
+        return [STREAM_H(totals)]
+    g_vals = STREAM_G.evaluate(pts)
+    lhs = _subset_sums(3, g_vals, phi_vals, totals, ids, n, STREAM_H.padded())
+    return [lhs, STREAM_H(totals) * (integral_of_power(STREAM_G, WINDOW, 1) ** 3 / 6)]
+
+
+@pytest.mark.parametrize("n", STREAM_SIZES)
+@pytest.mark.parametrize("check", ["laplace", "local", "mecke"])
+def test_streamed_checks_equal_the_whole_batch_bitwise(monkeypatch, check, n):
+    seen = []
+
+    def spy(values):
+        seen.append(np.array(values))
+        return _mc_stats(values)
+
+    monkeypatch.setattr(poisson_mc, "_mc_stats", spy)
+    report = run_streamed(check, n)
+    expected = batch_values(check, n)
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert np.array_equal(got, want)
+    # the reference and the series extras do not depend on the samples
+    estimate, std_error = _mc_stats(expected[0])
+    extra = report.extra
+    if check == "mecke":
+        rhs, rhs_se = _mc_stats(expected[1])
+        pooled = math.hypot(std_error, rhs_se)
+        extra = (("order", 3), ("rhs_estimate", rhs), ("rhs_std_error", rhs_se),
+                 ("pooled_std_error", pooled))
+    batch = _make_report(check, estimate, report.reference, std_error, n, 42, extra)
+    assert report_to_json(report) == report_to_json(batch)
+
+
+def test_mecke_memory_stays_at_one_block():
+    window = Window(lengths=(2.0, 2.0, 5.0))
+    check_mecke(3, INDICATOR, CONST, None, window, 100, 1)  # warm the quadrature caches
+    peaks = []
+    for blocks in (1, 6):
+        tracemalloc.start()
+        try:
+            check_mecke(3, INDICATOR, CONST, None, window, blocks * STREAM_BLOCK, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 # ---------------------------------------------------------------------------
