@@ -24,7 +24,7 @@ from .betti import (
     kunneth_product,
     vanishing_threshold,
 )
-from .errors import InvariantError
+from .errors import InvariantError, ResourceError
 from .graded_algebra import (
     EnumerationCapError,
     GradedSpace,
@@ -49,6 +49,8 @@ from .hodge_discrete import (
     hodge_laplacian,
     kron_sum_kernel_dim,
     load_complex,
+    sphere_boundary,
+    torus_grid,
 )
 from .poisson_mc import (
     LocalFunctional,

@@ -2,7 +2,8 @@
 
 Subcommands: betti, algebra-check, simplicial, poisson, pipeline.  Exit
 codes: 0 success, 1 internal invariant violation, 2 input error, 3 partial
-run (grid points skipped under the enumeration cap).  Exact integers are
+run (grid points skipped under the enumeration cap), 4 resource limit (the
+request would exceed a fixed work or memory budget).  Exact integers are
 emitted as decimal strings; Monte Carlo values as floats.  Output files are
 written atomically (temp file + rename).
 """
@@ -23,12 +24,13 @@ from . import betti as betti_mod
 from . import graded_algebra as ga
 from . import hodge_discrete as hodge
 from . import poisson_mc
-from .errors import InvariantError, strict_int
+from .errors import InvariantError, ResourceError, strict_int
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_INPUT = 2
 EXIT_PARTIAL = 3
+EXIT_RESOURCE = 4
 
 
 class InputError(ValueError):
@@ -398,6 +400,9 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except ResourceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -14,6 +14,14 @@ class InvariantError(RuntimeError):
     """
 
 
+class ResourceError(RuntimeError):
+    """A request would exceed a fixed work or memory limit of the library.
+
+    Raised before the work starts wherever the size is known in advance;
+    the CLI maps it to exit code 4.
+    """
+
+
 def strict_int(value, field: str) -> int:
     """``value`` as an int, or a one-line ValueError naming ``field``.
 

@@ -31,6 +31,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .betti import beta_super, truncated_product
+from .errors import ResourceError
 # Unused here; perfbench/tests/test_bench_trace.py reads graded_algebra.rank.
 from .linalg import rank  # noqa: F401
 
@@ -41,7 +42,7 @@ DEFAULT_WORD_CAP = 20_000
 WORD_CAP_ENV = "GAMMAHODGE_WORD_CAP"
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(ResourceError):
     """A word component is larger than the configured enumeration cap."""
 
 

@@ -6,6 +6,14 @@ k-chains into harmonic / exact / coexact dimensions, and the kernel count of
 Kronecker sums of positive-semidefinite matrices.  Everything is exact
 rational arithmetic; there are no floating-point eigensolvers here.
 
+Each boundary matrix is built once per report and read as its nonzeros:
+by column (the k+1 faces of each k-simplex) for its rank, and, for the
+Laplacians, by row (the k-simplices on each face) and by column (the faces
+of each coface).  The Laplacian is assembled as sparse integer rows from
+those pairs and ranked by the same sparse elimination as the boundaries, so
+its kernel stays an independent route to beta_k.  ``torus_grid`` and
+``sphere_boundary`` give complexes of any size with known homology.
+
 A finite complex is a surrogate: reduced L2-cohomology of a noncompact
 manifold and simplicial cohomology of a complex can genuinely differ, and
 this module makes no attempt to bridge that.  The complexes only supply
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, strict_int
-from .linalg import gram, is_psd, kron_sum, nullity, outer_gram, rank
+from .linalg import gram, is_psd, kron_sum, nullity, rank
 
 Simplex = tuple[int, ...]
 
@@ -109,14 +117,24 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:
     return matrix
 
 
-def _boundaries(K: SimplicialComplex) -> list[list[list[int]]]:
-    """del_k for k = 0..max_dim + 1, each built once."""
-    return [boundary_matrix(K, k) for k in range(K.max_dim + 2)]
+def _supports(matrix: list[list[int]], ncols: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Nonzeros of a boundary matrix, by row (per face) and by column (per simplex)."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return rows, cols
+
+
+def _boundaries(K: SimplicialComplex) -> list[tuple[list[dict[int, int]], list[dict[int, int]]]]:
+    """del_k for k = 0..max_dim + 1, each built once, as its row and column nonzeros."""
+    return [_supports(boundary_matrix(K, k), K.chain_dim(k)) for k in range(K.max_dim + 2)]
 
 
 def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
     """beta_k = dim C_k - rank del_k - rank del_{k+1}, exact ranks."""
-    ranks = [rank(d) for d in _boundaries(K)]
+    ranks = [rank(cols) for _, cols in _boundaries(K)]
     return tuple(
         K.chain_dim(k) - ranks[k] - ranks[k + 1] for k in range(K.max_dim + 1)
     )
@@ -163,16 +181,28 @@ def hodge_laplacian(K: SimplicialComplex, k: int) -> SymMatrix:
     """
     if not 0 <= k <= K.max_dim:
         raise ValueError(f"degree {k} outside 0..{K.max_dim}")
-    return _laplacian(boundary_matrix(K, k), boundary_matrix(K, k + 1), K.chain_dim(k))
-
-
-def _laplacian(down, up, nk: int) -> SymMatrix:
-    """up up^T + down^T down on the nk-dimensional chain space."""
-    a = outer_gram(up)
-    b = gram(down, nk)
+    nk = K.chain_dim(k)
+    down, _ = _supports(boundary_matrix(K, k), nk)
+    _, up = _supports(boundary_matrix(K, k + 1), K.chain_dim(k + 1))
     return SymMatrix.from_rows(
-        [[a[i][j] + b[i][j] for j in range(nk)] for i in range(nk)]
+        [[row.get(j, 0) for j in range(nk)] for row in _laplacian(down, up, nk)]
     )
+
+
+def _laplacian(down, up, nk: int) -> list[dict[int, int]]:
+    """up up^T + down^T down on the nk-dimensional chain space, as sparse int rows.
+
+    ``down`` holds the rows of del_k (the k-simplices on each shared face) and
+    ``up`` the columns of del_{k+1} (the faces of each coface), so every
+    entry is a sum over the pairs of k-simplices sharing a face or a coface.
+    """
+    out: list[dict[int, int]] = [{} for _ in range(nk)]
+    for support in itertools.chain(down, up):
+        for i, a in support.items():
+            row = out[i]
+            for j, b in support.items():
+                row[j] = row.get(j, 0) + a * b
+    return [{j: v for j, v in row.items() if v} for row in out]
 
 
 def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int], ...]:
@@ -180,15 +210,16 @@ def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int]
 
     harmonic = kernel dimension of the Laplacian, exact = rank del_k,
     coexact = rank del_{k+1}, each boundary built and ranked once and shared
-    with the Laplacians.  The three must add up to dim C_k, which is the
-    statement harmonic = beta_k; a violation raises InvariantError.
+    with the sparse Laplacian assembly.  The three must add up to dim C_k,
+    which is the statement harmonic = beta_k; a violation raises
+    InvariantError.
     """
     bounds = _boundaries(K)
-    ranks = [rank(d) for d in bounds]
+    ranks = [rank(cols) for _, cols in bounds]
     out = []
     for k in range(K.max_dim + 1):
         nk = K.chain_dim(k)
-        harmonic = nk - rank(_laplacian(bounds[k], bounds[k + 1], nk).entries)
+        harmonic = nk - rank(_laplacian(bounds[k][0], bounds[k + 1][1], nk))
         if harmonic + ranks[k] + ranks[k + 1] != nk:
             raise InvariantError(f"decomposition of C_{k} does not fill the space")
         out.append((harmonic, ranks[k], ranks[k + 1]))
@@ -231,3 +262,29 @@ def catalog() -> dict[str, SimplicialComplex]:
         ),
         "torus_7": from_maximal(torus),
     }
+
+
+def torus_grid(a: int, b: int) -> SimplicialComplex:
+    """The a x b periodic grid, each square cut along its diagonal: a torus.
+
+    a*b vertices, 3*a*b edges and 2*a*b triangles; both sides must be at
+    least 3 for the quotient to stay a simplicial complex.
+    """
+    if a < 3 or b < 3:
+        raise ValueError(f"a torus grid needs both sides at least 3, got {a} x {b}")
+
+    def v(i, j):
+        return (i % a) * b + j % b
+
+    squares = [(i, j) for i in range(a) for j in range(b)]
+    return from_maximal(
+        [[v(i, j), v(i + 1, j), v(i + 1, j + 1)] for i, j in squares]
+        + [[v(i, j), v(i, j + 1), v(i + 1, j + 1)] for i, j in squares]
+    )
+
+
+def sphere_boundary(n: int) -> SimplicialComplex:
+    """The boundary of the n-simplex, an (n-1)-sphere, for n >= 1."""
+    if n < 1:
+        raise ValueError(f"a simplex boundary needs n >= 1, got {n}")
+    return from_maximal(list(itertools.combinations(range(n + 1), n)))

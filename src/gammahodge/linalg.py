@@ -1,62 +1,96 @@
-"""Exact linear algebra over the rationals for small dense matrices.
+"""Exact linear algebra over the rationals.
 
-Matrices are plain sequences of rows holding ints or Fractions.  Ranks come
-from fraction-free (Bareiss) elimination after clearing denominators row by
-row, positive semidefiniteness is decided by exact symmetric elimination,
-and Kronecker sums are assembled entrywise.  No floating point anywhere.
+Matrices are plain sequences of rows holding ints or Fractions; ``rank``
+also takes rows given sparsely as ``{column: value}`` dicts.  Ranks come
+from one sparse fraction-free elimination with Markowitz pivots, so their
+cost follows the nonzeros, not the matrix area.  Positive semidefiniteness
+is decided by exact symmetric elimination, and Kronecker sums and Gram
+matrices are assembled entrywise.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = Sequence[Sequence]
+SparseRows = Sequence[dict]
 
 
-def _integer_rows(matrix: Matrix) -> list[list[int]]:
-    """Copy the matrix with each row scaled to integers (rank-preserving)."""
-    out = []
-    for row in matrix:
-        entries = [e if isinstance(e, int) else Fraction(e) for e in row]
-        denom = 1
-        for e in entries:
-            if isinstance(e, Fraction):
-                denom = denom * e.denominator // gcd(denom, e.denominator)
-        out.append([int(e * denom) for e in entries])
-    return out
+def _integer_row(row: dict) -> dict[int, int]:
+    """The row's nonzeros scaled to coprime integers (rank-preserving)."""
+    entries = {c: e if isinstance(e, int) else Fraction(e) for c, e in row.items() if e}
+    denominators = [e.denominator for e in entries.values() if isinstance(e, Fraction)]
+    if denominators:
+        denom = lcm(*denominators)
+        entries = {c: int(e * denom) for c, e in entries.items()}
+    content = gcd(*entries.values())
+    if content > 1:
+        entries = {c: e // content for c, e in entries.items()}
+    return entries
 
 
-def rank(matrix: Matrix) -> int:
-    """Exact rank over the rationals via fraction-free Gaussian elimination."""
-    rows = _integer_rows(matrix)
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
+def rank(matrix: Matrix | SparseRows) -> int:
+    """Exact rank over the rationals by sparse fraction-free elimination.
+
+    ``matrix`` is a list of dense rows or of ``{column: value}`` dicts; it is
+    not modified.  Each step pivots on the shortest remaining row, at its
+    entry of least magnitude, ties going to the sparsest column (Markowitz).
+    Every other row holding that column becomes ``p*row - f*pivot_row``
+    (p, f divided by their gcd) and is then divided by its content, which
+    curbs the growth of the integers; no division is ever inexact.
+    """
+    rows = {i: _integer_row(r if isinstance(r, dict) else dict(enumerate(r)))
+            for i, r in enumerate(matrix)}
+    cols: dict[int, set[int]] = {}
+    heap = []
+    for i, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(i)
+        if row:
+            heap.append((len(row), i))
+    heap.sort()
     r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        row_r = rows[r]
-        for i in range(r + 1, len(rows)):
-            row_i = rows[i]
-            factor = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
+    while heap:
+        length, i = heappop(heap)
+        pivot_row = rows.get(i)
+        if pivot_row is None or len(pivot_row) != length:
+            continue  # stale entry: the row changed or vanished after it was queued
+        del rows[i]
+        for c in pivot_row:
+            cols[c].discard(i)
+        c = min(pivot_row, key=lambda j: (abs(pivot_row[j]), len(cols[j])))
+        p = pivot_row.pop(c)
         r += 1
-        if r == len(rows):
-            break
+        for k in cols.pop(c):
+            row = rows[k]
+            f = row.pop(c)
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
+            for j, v in pivot_row.items():
+                w = row.get(j)
+                if w is None:
+                    row[j] = -b * v
+                    cols[j].add(k)
+                else:
+                    w -= b * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                        cols[j].discard(k)
+            if row:
+                content = gcd(*row.values())
+                if content > 1:
+                    row = {j: v // content for j, v in row.items()}
+                rows[k] = row
+                heappush(heap, (len(row), k))
+            else:
+                del rows[k]
     return r
 
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvariantError, strict_int
+from .errors import InvariantError, ResourceError, strict_int
 
 RNG_SCHEME = "philox4x64-block16384-v1"
 STREAM_BLOCK = 16_384
@@ -47,9 +47,12 @@ QUAD_REL_TOL = 1e-10
 SHORT_CIRCUIT_REL_TOL = 1e-10
 TAIL_REL_TOL = 1e-12
 MAX_CONFIG_POINTS = 1_000
+# Expected bytes of one block's points; the workloads this library targets
+# stay near 8 MB (16384 samples at volume 20 in three dimensions).
+MAX_BLOCK_BYTES = 256 * 2**20
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ResourceError):
     """Adaptive quadrature failed to reach its relative tolerance."""
 
 
@@ -57,7 +60,7 @@ class TailBoundError(ValueError):
     """The truncated series cannot meet the tail tolerance with these terms."""
 
 
-class ConfigurationTooLarge(RuntimeError):
+class ConfigurationTooLarge(ResourceError):
     """A sampled configuration exceeded the subset-enumeration point cap."""
 
 
@@ -125,7 +128,17 @@ def _stream(seed: int, block: int) -> np.random.Generator:
 
 
 def _block(window: Window, seed: int, block: int, n: int):
-    """counts and points of a block's first n samples: the same bits for every n."""
+    """counts and points of a block's first n samples: the same bits for every n.
+
+    Refuses with ResourceError, before drawing anything, when the block's
+    expected points would take more than MAX_BLOCK_BYTES.
+    """
+    expected = min(n, STREAM_BLOCK) * window.volume * window.dim * 8
+    if expected > MAX_BLOCK_BYTES:
+        raise ResourceError(
+            f"one sampling block would hold about {expected / 2**20:.3g} MiB of points, "
+            f"above the {MAX_BLOCK_BYTES // 2**20} MiB budget; shrink the window volume"
+        )
     g = _stream(seed, block)
     counts = g.poisson(window.volume, size=STREAM_BLOCK)[:n]
     return counts, g.random((int(counts.sum()), window.dim)) * np.asarray(window.lengths)

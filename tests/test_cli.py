@@ -1,14 +1,22 @@
 """CLI surfaces: subcommands, JSON round trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from gammahodge import betti
+import gammahodge
+from gammahodge import betti, poisson_mc
 from gammahodge.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PARTIAL,
+    EXIT_RESOURCE,
     main,
 )
 
@@ -206,6 +214,50 @@ def test_poisson_malformed_spec_exits_2_naming_the_field(capsys, spec, field):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert field in err
+
+
+def test_mecke_over_the_point_cap_exits_4_without_a_traceback():
+    spec = ('{"check":"mecke","m":1,"window":{"lengths":[30.0,30.0,3.0]},'
+            '"samples":100,"seed":1}')
+    src = str(Path(gammahodge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "gammahodge.cli", "poisson", "--input", spec],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_RESOURCE == 4
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+
+
+def test_sampling_budget_refuses_before_drawing(capsys):
+    # volume 1e6: one block of points would be about 250 GB
+    spec = ('{"check":"laplace","window":{"lengths":[1000.0,1000.0]},"samples":100000,'
+            '"seed":1,"f":{"kind":"indicator","scale":1e-7}}')
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        code, out, err = run(capsys, "poisson", "--input", spec)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "MiB" in err
+    assert elapsed < 1.0
+    assert peak < 2**20
+
+
+def test_sampling_budget_is_one_blocks_expected_points(capsys, monkeypatch):
+    # 100 samples at volume 3 in two dimensions: 100 * 3 * 2 * 8 = 4800 bytes
+    spec = ('{"check":"laplace","window":{"lengths":[1.5,2.0]},"samples":100,"seed":1,'
+            '"f":"indicator"}')
+    unlimited = run_json(capsys, "poisson", "--input", spec)
+    monkeypatch.setattr(poisson_mc, "MAX_BLOCK_BYTES", 4800)
+    assert run_json(capsys, "poisson", "--input", spec) == unlimited
+    monkeypatch.setattr(poisson_mc, "MAX_BLOCK_BYTES", 4799)
+    code, out, _ = run(capsys, "poisson", "--input", spec)
+    assert (code, out) == (EXIT_RESOURCE, "")
 
 
 # ---------------------------------------------------------------------------

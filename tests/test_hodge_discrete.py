@@ -2,7 +2,7 @@
 
 The independent oracle is a plain fraction Gauss-Jordan rank written here
 from scratch; every catalog Betti number and kernel count is re-derived
-through it, never only through the module's own Bareiss path.
+through it, never only through the module's own sparse elimination.
 """
 
 from fractions import Fraction
@@ -24,8 +24,10 @@ from gammahodge.hodge_discrete import (
     hodge_laplacian,
     kron_sum_kernel_dim,
     load_complex,
+    sphere_boundary,
+    torus_grid,
 )
-from gammahodge.linalg import is_psd, kron_sum
+from gammahodge.linalg import gram, is_psd, kron_sum, outer_gram
 
 
 def rref_rank(matrix):
@@ -147,6 +149,30 @@ def test_catalog_betti_numbers_against_oracle():
         assert betti_oracle(K) == expected[name]
 
 
+def test_twelve_by_twelve_torus_split():
+    K = torus_grid(12, 12)
+    assert [K.chain_dim(k) for k in range(3)] == [144, 432, 288]
+    assert hodge_decomposition_dims(K) == ((1, 0, 143), (2, 143, 287), (1, 287, 0))
+
+
+def test_torus_grids_and_sphere_boundaries():
+    for a, b in ((3, 3), (3, 4), (5, 4)):
+        K = torus_grid(a, b)
+        assert [K.chain_dim(k) for k in range(3)] == [a * b, 3 * a * b, 2 * a * b]
+        assert betti_numbers(K) == betti_oracle(K) == (1, 2, 1)
+    for n in range(2, 7):
+        K = sphere_boundary(n)
+        assert K.max_dim == n - 1
+        assert betti_numbers(K) == (1,) + (0,) * (n - 2) + (1,)
+    assert betti_numbers(sphere_boundary(1)) == (2,)
+    assert betti_oracle(sphere_boundary(4)) == (1, 0, 0, 1)
+    for bad in ((2, 5), (4, 1)):
+        with pytest.raises(ValueError):
+            torus_grid(*bad)
+    with pytest.raises(ValueError):
+        sphere_boundary(0)
+
+
 def test_disjoint_vertices_count_components():
     K = from_maximal([[0], [3]])
     assert betti_numbers(K) == (2,)
@@ -154,6 +180,17 @@ def test_disjoint_vertices_count_components():
 
 # ---------------------------------------------------------------------------
 # Laplacians and the decomposition
+
+def test_sparse_laplacian_equals_the_dense_gram_assembly():
+    complexes = list(catalog().values()) + [torus_grid(3, 3), torus_grid(3, 5), torus_grid(4, 4)]
+    for K in complexes:
+        for k in range(K.max_dim + 1):
+            nk = K.chain_dim(k)
+            down = gram(boundary_matrix(K, k), nk)
+            up = outer_gram(boundary_matrix(K, k + 1))
+            dense = [[down[i][j] + up[i][j] for j in range(nk)] for i in range(nk)]
+            assert hodge_laplacian(K, k).entries == tuple(map(tuple, dense))
+
 
 def test_laplacian_kernel_dims():
     hollow = catalog()["hollow_triangle"]

@@ -1,5 +1,6 @@
 """Exact rank / PSD / Kronecker-sum helpers against a from-scratch oracle."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,40 @@ int_matrices = st.integers(1, 5).flatmap(
 )
 
 
+@st.composite
+def sparse_matrices(draw, nonzero):
+    """Mostly-zero n x m matrices (n, m <= 15) with a zero row and a zero column.
+
+    Half of them are products through an inner dimension of 1..4, so their
+    rank is often below both sides.
+    """
+    n, m = draw(st.integers(1, 15)), draw(st.integers(1, 15))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), nonzero)
+
+    def block(rows, cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, 4))
+        left, right = block(n, inner), block(inner, m)
+        matrix = [[sum(x * right[t][j] for t, x in enumerate(row)) for j in range(m)]
+                  for row in left]
+    else:
+        matrix = block(n, m)
+    zero_row, zero_col = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+    matrix[zero_row] = [0] * m
+    for row in matrix:
+        row[zero_col] = 0
+    return matrix
+
+
+sparse_int_matrices = sparse_matrices(st.integers(-5, 5).filter(bool))
+sparse_fraction_matrices = sparse_matrices(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+)
+
+
 def test_rank_basics():
     assert rank([]) == 0
     assert rank([[0, 0], [0, 0]]) == 0
@@ -63,6 +98,40 @@ def test_rank_with_fractions():
 @given(m=int_matrices)
 def test_rank_matches_rref_oracle(m):
     assert rank(m) == rref_rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.one_of(sparse_int_matrices, sparse_fraction_matrices))
+def test_sparse_rank_matches_rref_oracle(m):
+    assert rank(m) == rref_rank(m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.one_of(sparse_int_matrices, sparse_fraction_matrices))
+def test_dict_rows_rank_as_their_dense_rows(m):
+    nonzeros = [{j: e for j, e in enumerate(row) if e} for row in m]
+    with_zeros = [dict(enumerate(row)) for row in m]
+    assert rank(nonzeros) == rank(with_zeros) == rank(m)
+
+
+def test_rank_through_large_intermediate_integers():
+    # Vandermonde rows x^0..x^13 for x = 1..14 eliminate through integers of
+    # hundreds of bits; a last row summing two others drops the rank by one.
+    vandermonde = [[x**k for k in range(14)] for x in range(1, 15)]
+    assert rank(vandermonde) == rref_rank(vandermonde) == 14
+    dependent = vandermonde[:-1] + [[a + 7 * b for a, b in zip(vandermonde[2], vandermonde[9])]]
+    assert rank(dependent) == rref_rank(dependent) == 13
+    hilbert = [[Fraction(1, i + j + 1) for j in range(12)] for i in range(12)]
+    assert rank(hilbert) == rref_rank(hilbert) == 12
+
+
+def test_rank_leaves_its_argument_unchanged():
+    dense = [[Fraction(1, 2), 0, 3], [1, 0, 6], [0, 0, 0], [2, 5, -1]]
+    sparse = [{0: 2, 2: -4}, {0: 1, 1: Fraction(3, 2)}, {}, {1: 3, 2: -2}]
+    for matrix in (dense, sparse):
+        before = copy.deepcopy(matrix)
+        rank(matrix)
+        assert matrix == before
 
 
 def test_nullity():
