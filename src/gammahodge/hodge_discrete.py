@@ -6,13 +6,17 @@ k-chains into harmonic / exact / coexact dimensions, and the kernel count of
 Kronecker sums of positive-semidefinite matrices.  Everything is exact
 rational arithmetic; there are no floating-point eigensolvers here.
 
-Each boundary matrix is built once per report and read as its nonzeros:
-by column (the k+1 faces of each k-simplex) for its rank, and, for the
-Laplacians, by row (the k-simplices on each face) and by column (the faces
-of each coface).  The Laplacian is assembled as sparse integer rows from
-those pairs and ranked by the same sparse elimination as the boundaries, so
-its kernel stays an independent route to beta_k.  ``torus_grid`` and
-``sphere_boundary`` give complexes of any size with known homology.
+Each boundary is built once per report, straight from the face index, as
+its nonzeros by row (the k-simplices on each face) and by column (the k+1
+faces of each k-simplex); no dense matrix is formed on the report path.
+Boundary ranks read the columns.  The harmonic dimension is dim C_k minus
+the rank of the stacked incidence matrix M_k, the columns of del_{k+1}
+followed by the rows of del_k: L_k = M_k^T M_k, so ker L_k = ker M_k, and
+it is ranked by the same sparse elimination.  The Laplacian itself, still
+assembled as sparse integer rows by ``hodge_laplacian``, is the tests'
+oracle for that kernel.  ``torus_grid`` and ``sphere_boundary`` give
+complexes of any size with known homology, and ``from_maximal`` refuses a
+closure over MAX_CLOSURE_FACES before building it.
 
 A finite complex is a surrogate: reduced L2-cohomology of a noncompact
 manifold and simplicial cohomology of a complex can genuinely differ, and
@@ -30,10 +34,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, strict_int
+from .errors import InvariantError, ResourceError, strict_int
 from .linalg import gram, is_psd, kron_sum, nullity, rank
 
 Simplex = tuple[int, ...]
+
+# Bound on sum(2^len(s) - 1) over the maximal simplices s of a complex, the
+# most faces its closure can hold: torus_grid(48, 48) needs 32,256, and one
+# 30-vertex simplex would need 2^30 - 1.
+MAX_CLOSURE_FACES = 100_000
 
 
 class PsdContractError(ValueError):
@@ -63,8 +72,13 @@ class SimplicialComplex:
 
 
 def from_maximal(maximal) -> SimplicialComplex:
-    """Face closure of the given maximal simplices, canonically ordered."""
-    by_dim: dict[int, set[Simplex]] = {}
+    """Face closure of the given maximal simplices, canonically ordered.
+
+    A simplex on r vertices has 2^r - 1 faces, so the closure is refused with
+    ResourceError, before any face is enumerated, when those counts summed
+    over the maximal simplices exceed MAX_CLOSURE_FACES.
+    """
+    tops: list[Simplex] = []
     for i, simplex in enumerate(maximal):
         if not isinstance(simplex, (list, tuple)):
             raise ValueError(f"maximal[{i}] must be a list of vertex ids, got {simplex!r}")
@@ -75,7 +89,14 @@ def from_maximal(maximal) -> SimplicialComplex:
             raise ValueError(f"negative vertex id in {simplex}")
         if len(set(verts)) != len(verts):
             raise ValueError(f"duplicate vertex in simplex {simplex}")
-        verts = tuple(sorted(verts))
+        tops.append(tuple(sorted(verts)))
+    faces = sum((1 << len(verts)) - 1 for verts in tops)
+    if faces > MAX_CLOSURE_FACES:
+        raise ResourceError(
+            f"the face closure may reach {faces} simplices, over the limit of {MAX_CLOSURE_FACES}"
+        )
+    by_dim: dict[int, set[Simplex]] = {}
+    for verts in tops:
         for r in range(1, len(verts) + 1):
             for face in itertools.combinations(verts, r):
                 by_dim.setdefault(r - 1, set()).add(face)
@@ -98,38 +119,43 @@ def load_complex(document: dict) -> SimplicialComplex:
 
 
 def boundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:
-    """Oriented boundary of k-chains as rows over the (k-1)-simplex basis.
+    """Oriented boundary of k-chains as dense rows over the (k-1)-simplex basis.
 
     k = 0 yields the empty (0 x V) matrix; k = max_dim + 1 yields rows of
-    length zero, so Laplacian assembly degrades gracefully at the ends.
+    length zero.  A densification of ``_sparse_boundary``, which holds the
+    sign convention; no report builds this matrix.
+    """
+    rows, cols = _sparse_boundary(K, k)
+    return [[row.get(j, 0) for j in range(len(cols))] for row in rows]
+
+
+def _sparse_boundary(K: SimplicialComplex, k: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """del_k as its nonzeros by row (per (k-1)-face) and by column (per k-simplex).
+
+    One pass over the k-simplices looks each face up in the face index, so
+    the cost and memory follow the (k+1) * dim C_k nonzeros.  Faces are
+    visited from the last dropped position to the first, which is ascending
+    face order, so every row and column dict lists its keys in ascending order.
     """
     if k < 0 or k > K.max_dim + 1:
         raise ValueError(f"degree {k} outside 0..{K.max_dim + 1}")
-    cols = K.simplices[k] if k <= K.max_dim else ()
-    rows = K.simplices[k - 1] if 1 <= k <= K.max_dim + 1 else ()
-    matrix = [[0] * len(cols) for _ in rows]
-    if rows:
-        index = {s: i for i, s in enumerate(rows)}
-        for j, simplex in enumerate(cols):
-            for pos in range(len(simplex)):
-                face = simplex[:pos] + simplex[pos + 1 :]
-                matrix[index[face]][j] = -1 if pos % 2 else 1
-    return matrix
-
-
-def _supports(matrix: list[list[int]], ncols: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """Nonzeros of a boundary matrix, by row (per face) and by column (per simplex)."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            cols[j][i] = v
+    simplices = K.simplices[k] if k <= K.max_dim else ()
+    faces = K.simplices[k - 1] if k >= 1 else ()
+    rows: list[dict[int, int]] = [{} for _ in faces]
+    cols: list[dict[int, int]] = [{} for _ in simplices]
+    if faces:
+        index = {s: i for i, s in enumerate(faces)}
+        for j, simplex in enumerate(simplices):
+            col = cols[j]
+            for pos in range(len(simplex) - 1, -1, -1):
+                i = index[simplex[:pos] + simplex[pos + 1 :]]
+                col[i] = rows[i][j] = -1 if pos % 2 else 1
     return rows, cols
 
 
 def _boundaries(K: SimplicialComplex) -> list[tuple[list[dict[int, int]], list[dict[int, int]]]]:
     """del_k for k = 0..max_dim + 1, each built once, as its row and column nonzeros."""
-    return [_supports(boundary_matrix(K, k), K.chain_dim(k)) for k in range(K.max_dim + 2)]
+    return [_sparse_boundary(K, k) for k in range(K.max_dim + 2)]
 
 
 def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
@@ -182,8 +208,8 @@ def hodge_laplacian(K: SimplicialComplex, k: int) -> SymMatrix:
     if not 0 <= k <= K.max_dim:
         raise ValueError(f"degree {k} outside 0..{K.max_dim}")
     nk = K.chain_dim(k)
-    down, _ = _supports(boundary_matrix(K, k), nk)
-    _, up = _supports(boundary_matrix(K, k + 1), K.chain_dim(k + 1))
+    down, _ = _sparse_boundary(K, k)
+    _, up = _sparse_boundary(K, k + 1)
     return SymMatrix.from_rows(
         [[row.get(j, 0) for j in range(nk)] for row in _laplacian(down, up, nk)]
     )
@@ -208,18 +234,22 @@ def _laplacian(down, up, nk: int) -> list[dict[int, int]]:
 def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int], ...]:
     """(harmonic, exact, coexact) dimensions of C_k for every degree k.
 
-    harmonic = kernel dimension of the Laplacian, exact = rank del_k,
-    coexact = rank del_{k+1}, each boundary built and ranked once and shared
-    with the sparse Laplacian assembly.  The three must add up to dim C_k,
-    which is the statement harmonic = beta_k; a violation raises
-    InvariantError.
+    exact = rank del_k and coexact = rank del_{k+1}, each boundary built and
+    ranked once.  harmonic = dim C_k - rank M_k for the stacked incidence
+    matrix M_k = [del_{k+1}^T ; del_k]: L_k = M_k^T M_k over the rationals,
+    so ker L_k = ker M_k (a chain is harmonic iff it is a cycle and a
+    cocycle).  The Laplacian is never formed here; ``hodge_laplacian`` is the
+    tests' oracle for this kernel.  The del_{k+1}^T rows go first, which
+    measured faster on torus_grid(24, 24) than the other order.  The three
+    must add up to dim C_k, which is the statement harmonic = beta_k; a
+    violation raises InvariantError.
     """
     bounds = _boundaries(K)
     ranks = [rank(cols) for _, cols in bounds]
     out = []
     for k in range(K.max_dim + 1):
         nk = K.chain_dim(k)
-        harmonic = nk - rank(_laplacian(bounds[k][0], bounds[k + 1][1], nk))
+        harmonic = nk - rank(bounds[k + 1][1] + bounds[k][0])
         if harmonic + ranks[k] + ranks[k + 1] != nk:
             raise InvariantError(f"decomposition of C_{k} does not fill the space")
         out.append((harmonic, ranks[k], ranks[k + 1]))

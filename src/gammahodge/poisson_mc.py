@@ -50,6 +50,8 @@ MAX_CONFIG_POINTS = 1_000
 # Expected bytes of one block's points; the workloads this library targets
 # stay near 8 MB (16384 samples at volume 20 in three dimensions).
 MAX_BLOCK_BYTES = 256 * 2**20
+# exp() of anything larger overflows a float, and JSON cannot carry inf.
+EXP_LIMIT = math.log(sys.float_info.max)
 
 
 class QuadratureError(ResourceError):
@@ -177,6 +179,15 @@ def sample_configuration(window: Window, seed: int, index: int = 0) -> PointConf
 # ---------------------------------------------------------------------------
 # test-function families
 
+def _erf_diff(x: float, y: float) -> float:
+    """erf(x) - erf(y) for x >= y, through erfc in the tails to avoid cancellation."""
+    if y >= 0:
+        return math.erfc(y) - math.erfc(x)
+    if x <= 0:
+        return math.erfc(-x) - math.erfc(-y)
+    return math.erf(x) - math.erf(y)
+
+
 @dataclass(frozen=True)
 class ScalarFunction:
     """Pointwise test function on the window.
@@ -245,10 +256,16 @@ class ScalarFunction:
         lo, hi = self.support(window)
         return math.prod(max(b - a, 0.0) for a, b in zip(lo, hi))
 
-    def closed_form_integral(self, window: Window, power: int = 1) -> float | None:
-        if self.kind == "gaussian":
-            return None
-        return self.scale**power * self._support_volume(window)
+    def closed_form_integral(self, window: Window, power: int = 1) -> float:
+        """integral of f^power over the window; a Gaussian separates into erf factors."""
+        if self.kind != "gaussian":
+            return self.scale**power * self._support_volume(window)
+        root = math.sqrt(power)
+        total = self.scale**power
+        for a, b, c, w in zip(*self.support(window), self.center, self.width):
+            erf_diff = _erf_diff(root * (b - c) / w, root * (a - c) / w)
+            total *= 0.5 * w * math.sqrt(math.pi / power) * erf_diff
+        return total
 
     def closed_form_expm1_integral(self, window: Window) -> float | None:
         if self.kind == "gaussian":
@@ -451,7 +468,14 @@ def _mc_stats(values: np.ndarray) -> tuple[float, float]:
 
 def check_laplace(f: ScalarFunction, window: Window, samples: int, seed: int) -> McReport:
     """Exponential moment E[exp<f, gamma>] vs exp(integral of (e^f - 1))."""
+    # e^f - 1 < e^scale pointwise, so below EXP_LIMIT no quadrature value overflows
+    if f.scale > EXP_LIMIT:
+        raise ResourceError(f"laplace needs f.scale at most {EXP_LIMIT:.6g}, got {f.scale!r}")
     reference_exponent = integral_expm1(f, window)
+    if reference_exponent > EXP_LIMIT:
+        raise ResourceError(
+            f"laplace reference exp({reference_exponent:.6g}) lies outside the float range"
+        )
     reference = math.exp(reference_exponent)
 
     def per_block(counts, sample_ids, points):

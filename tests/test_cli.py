@@ -14,6 +14,7 @@ import gammahodge
 from gammahodge import betti, poisson_mc
 from gammahodge.cli import (
     EXIT_INPUT,
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_RESOURCE,
@@ -140,6 +141,18 @@ def test_simplicial_negative_kron_probes_exits_2(capsys):
     assert err.count("\n") == 1 and "--kron-probes" in err
 
 
+def test_simplicial_closure_over_the_budget_exits_4_without_a_traceback():
+    # one 30-vertex simplex: 2^30 - 1 faces, refused before the closure starts
+    doc = json.dumps({"maximal": [list(range(30))]})
+    started = time.perf_counter()
+    done = run_subprocess("simplicial", "--input", doc)
+    assert time.perf_counter() - started < 1.0
+    assert done.returncode == EXIT_RESOURCE
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+
+
 # ---------------------------------------------------------------------------
 # poisson
 
@@ -216,13 +229,17 @@ def test_poisson_malformed_spec_exits_2_naming_the_field(capsys, spec, field):
     assert field in err
 
 
+def run_subprocess(*argv):
+    src = str(Path(gammahodge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "gammahodge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_mecke_over_the_point_cap_exits_4_without_a_traceback():
     spec = ('{"check":"mecke","m":1,"window":{"lengths":[30.0,30.0,3.0]},'
             '"samples":100,"seed":1}')
-    src = str(Path(gammahodge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-m", "gammahodge.cli", "poisson", "--input", spec],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = run_subprocess("poisson", "--input", spec)
     assert done.returncode == EXIT_RESOURCE == 4
     assert done.stdout == ""
     assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
@@ -258,6 +275,30 @@ def test_sampling_budget_is_one_blocks_expected_points(capsys, monkeypatch):
     monkeypatch.setattr(poisson_mc, "MAX_BLOCK_BYTES", 4799)
     code, out, _ = run(capsys, "poisson", "--input", spec)
     assert (code, out) == (EXIT_RESOURCE, "")
+
+
+@pytest.mark.parametrize("f, what", [
+    ('"indicator"', "exp(1.71828e+06)"),  # window volume 1e6: the exponent is (e - 1) * 1e6
+    ('{"kind":"indicator","scale":1000.0}', "f.scale"),
+])
+def test_laplace_reference_outside_float_range_exits_4(capsys, f, what):
+    spec = ('{"check":"laplace","window":{"lengths":[1000.0,1000.0]},"samples":100,'
+            '"seed":1,"f":%s}' % f)
+    code, out, err = run(capsys, "poisson", "--input", spec)
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and what in err
+
+
+def test_narrow_gaussian_reference_is_refused_not_returned(capsys):
+    # the quadrature misses a peak of width 0.01 (2.4e-40 against sqrt(pi) * 0.01),
+    # so the closed form must refuse that reference rather than let a reply carry it
+    spec = ('{"check":"mecke","m":1,"window":{"lengths":[2.0]},"samples":20000,"seed":1,'
+            '"f":{"g":{"kind":"gaussian","center":[1.0],"width":[0.01]},"h":"const"}}')
+    with pytest.raises(poisson_mc.ReferenceMismatchError, match="0.0177245"):
+        poisson_mc.run_check(json.loads(spec))
+    code, out, err = run(capsys, "poisson", "--input", spec)
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err.count("\n") == 1 and "closed form" in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from scratch; every catalog Betti number and kernel count is re-derived
 through it, never only through the module's own sparse elimination.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammahodge import hodge_discrete
-from gammahodge.errors import InvariantError
+from gammahodge.errors import InvariantError, ResourceError
 from gammahodge.hodge_discrete import (
     PsdContractError,
     SymMatrix,
@@ -27,7 +28,7 @@ from gammahodge.hodge_discrete import (
     sphere_boundary,
     torus_grid,
 )
-from gammahodge.linalg import gram, is_psd, kron_sum, outer_gram
+from gammahodge.linalg import gram, is_psd, kron_sum, outer_gram, rank
 
 
 def rref_rank(matrix):
@@ -173,6 +174,54 @@ def test_torus_grids_and_sphere_boundaries():
         sphere_boundary(0)
 
 
+def test_boundary_entries_follow_the_sign_convention():
+    # from scratch: column j of del_k holds (-1)^pos at the face dropping vertex pos
+    complexes = list(catalog().values()) + [torus_grid(3, 4), sphere_boundary(4)]
+    for K in complexes:
+        for k in range(K.max_dim + 2):
+            faces = list(K.simplices[k - 1]) if k >= 1 else []
+            simplices = list(K.simplices[k]) if k <= K.max_dim else []
+            expected = [[0] * len(simplices) for _ in faces]
+            for j, simplex in enumerate(simplices):
+                for pos in range(len(simplex) if faces else 0):
+                    expected[faces.index(simplex[:pos] + simplex[pos + 1 :])][j] = (-1) ** pos
+            assert boundary_matrix(K, k) == expected
+            rows, cols = hodge_discrete._sparse_boundary(K, k)
+            assert [dict(sorted(r.items())) for r in rows] == [
+                {j: v for j, v in enumerate(row) if v} for row in expected
+            ]
+            assert [dict(sorted(c.items())) for c in cols] == [
+                {i: expected[i][j] for i in range(len(faces)) if expected[i][j]}
+                for j in range(len(simplices))
+            ]
+    with pytest.raises(ValueError):
+        boundary_matrix(catalog()["solid_triangle"], 4)
+
+
+def test_boundaries_take_memory_in_proportion_to_their_nonzeros():
+    # a dense 1728 x 1152 del_2 of this torus alone takes 15.4 MiB as lists;
+    # all 6,912 boundary nonzeros, held by row and by column, need about 1.5 MiB
+    K = torus_grid(24, 24)
+    tracemalloc.start()
+    try:
+        bounds = hodge_discrete._boundaries(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(col) for _, cols in bounds for col in cols) == 2 * 1728 + 3 * 1152
+    assert peak < 4 * 2**20
+
+
+def test_closure_budget_is_checked_before_the_closure(monkeypatch):
+    assert torus_grid(48, 48).chain_dim(2) == 4608  # 4608 * 7 faces, under the limit
+    with pytest.raises(ResourceError):
+        from_maximal([list(range(30))])
+    monkeypatch.setattr(hodge_discrete, "MAX_CLOSURE_FACES", 7)
+    assert from_maximal([[0, 1, 2]]).chain_dim(1) == 3
+    with pytest.raises(ResourceError):
+        from_maximal([[0, 1, 2], [3]])
+
+
 def test_disjoint_vertices_count_components():
     K = from_maximal([[0], [3]])
     assert betti_numbers(K) == (2,)
@@ -217,6 +266,36 @@ def test_laplacian_kernel_equals_betti_everywhere():
             assert K.chain_dim(k) - rref_rank(L.entries) == beta[k]
 
 
+def _laplacian_rank(K, k):
+    """rank L_k from the sparse Laplacian assembly, the oracle for the stacked rank."""
+    nk = K.chain_dim(k)
+    down, _ = hodge_discrete._sparse_boundary(K, k)
+    _, up = hodge_discrete._sparse_boundary(K, k + 1)
+    return rank(hodge_discrete._laplacian(down, up, nk))
+
+
+ORACLE_COMPLEXES = (
+    list(catalog().values())
+    + [torus_grid(a, b) for a, b in ((3, 3), (3, 5), (4, 4), (8, 8), (12, 12))]
+    + [sphere_boundary(n) for n in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("K", ORACLE_COMPLEXES, ids=lambda K: str([len(s) for s in K.simplices]))
+def test_stacked_incidence_rank_equals_laplacian_rank(K):
+    bounds = hodge_discrete._boundaries(K)
+    split = hodge_decomposition_dims(K)
+    for k in range(K.max_dim + 1):
+        stacked = rank(bounds[k + 1][1] + bounds[k][0])
+        assert stacked == _laplacian_rank(K, k)
+        assert split[k][0] == K.chain_dim(k) - stacked
+
+
+def test_twenty_four_torus_split():
+    K = torus_grid(24, 24)
+    assert hodge_decomposition_dims(K) == ((1, 0, 575), (2, 575, 1151), (1, 1151, 0))
+
+
 def test_decomposition_dims():
     assert hodge_decomposition_dims(catalog()["hollow_triangle"])[1] == (1, 2, 0)
     assert hodge_decomposition_dims(catalog()["solid_triangle"])[1] == (0, 2, 1)
@@ -248,7 +327,7 @@ def test_each_exact_rank_is_computed_once(monkeypatch):
     monkeypatch.setattr(hodge_discrete, "rank", counted)
     K = catalog()["torus_7"]
     split = hodge_decomposition_dims(K)
-    # rank del_0 .. del_{max_dim+1} once each, then one Laplacian per degree
+    # rank del_0 .. del_{max_dim+1} once each, then one stacked incidence per degree
     assert len(calls) == 2 * K.max_dim + 3 == 7
     calls.clear()
     assert betti_numbers(K) == tuple(harmonic for harmonic, _, _ in split) == (1, 2, 1)
@@ -257,16 +336,16 @@ def test_each_exact_rank_is_computed_once(monkeypatch):
 
 def test_each_boundary_is_built_once(monkeypatch):
     calls = []
-    original = hodge_discrete.boundary_matrix
+    original = hodge_discrete._sparse_boundary
 
     def counted(K, k):
         calls.append(k)
         return original(K, k)
 
-    monkeypatch.setattr(hodge_discrete, "boundary_matrix", counted)
+    monkeypatch.setattr(hodge_discrete, "_sparse_boundary", counted)
     K = catalog()["torus_7"]
     hodge_decomposition_dims(K)
-    # del_0 .. del_{max_dim+1}, shared by the boundary ranks and the Laplacians
+    # del_0 .. del_{max_dim+1}, shared by the boundary ranks and the stacked ranks
     assert sorted(calls) == list(range(K.max_dim + 2)) == [0, 1, 2, 3]
 
 

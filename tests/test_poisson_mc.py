@@ -189,6 +189,31 @@ def test_integral_short_circuit_for_box_kind():
     assert integral_of_power(phi, WINDOW, 2) == pytest.approx(0.49 * 0.96, rel=1e-12)
 
 
+@pytest.mark.parametrize("center, width, lengths", [
+    ((0.5, 1.0), (0.4, 0.6), (1.0, 2.0)),
+    ((1.3,), (0.2,), (2.0,)),
+    ((5.0,), (0.5,), (2.0,)),  # a far tail: plain erf differences cancel to 0 here
+    ((-1.0, 0.5, 0.7), (0.6, 0.3, 2.0), (1.0, 1.0, 1.5)),
+])
+def test_gaussian_integral_closed_form_matches_quadrature(center, width, lengths):
+    g = ScalarFunction(kind="gaussian", center=center, width=width, scale=1.7)
+    window = Window(lengths=lengths)
+    for power in (1, 2, 3):
+        quad = gauss_legendre_box(lambda p: g.evaluate(p) ** power, (0.0,) * len(lengths), lengths)
+        closed = g.closed_form_integral(window, power)
+        assert closed > 0
+        assert closed == pytest.approx(quad, rel=1e-10)
+        assert integral_of_power(g, window, power) == closed
+
+
+def test_gaussian_integral_closed_form_on_the_whole_line():
+    # a window wide enough to hold the whole bump: integral = a^p w sqrt(pi / p)
+    g = ScalarFunction(kind="gaussian", center=(10.0,), width=(0.7,), scale=0.9)
+    for power in (1, 2):
+        expected = 0.9**power * 0.7 * math.sqrt(math.pi / power)
+        assert g.closed_form_integral(Window(lengths=(20.0,)), power) == pytest.approx(expected, rel=1e-14)
+
+
 def test_reference_mismatch_is_an_invariant_violation():
     from gammahodge.poisson_mc import ReferenceMismatchError, _verified
 
