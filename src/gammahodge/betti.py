@@ -240,12 +240,3 @@ def report_to_json(report: BettiReport) -> dict:
         doc["vanishing"] = {"K0": str(report.K0)}
     return doc
 
-
-def report_from_json(doc: dict) -> BettiReport:
-    vanishing = doc.get("vanishing")
-    return BettiReport(
-        input=BettiVector.from_json(doc["input"]),
-        n_max=int(doc["n_max"]),
-        b=tuple(int(v) for v in doc["b"]),
-        K0=int(vanishing["K0"]) if vanishing is not None else None,
-    )

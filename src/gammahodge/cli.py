@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -35,21 +35,6 @@ EXIT_RESOURCE = 4
 
 class InputError(ValueError):
     """Bad command-line input or malformed JSON document."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed CLI invocation."""
-
-    command: str
-    payload: dict | None
-    output: str | None
-    n_max: int
-    seed: int | None
-    samples: int | None
-    infinite_volume: bool
-    grid: dict | None
-    kron_probes: int
 
 
 def _read_json_source(source: str) -> dict:
@@ -91,9 +76,9 @@ def _emit(payload: dict, output: str | None) -> None:
         raise
 
 
-def cmd_betti(cfg: RunConfig) -> tuple[dict, int]:
-    vector = betti_mod.BettiVector.from_json(cfg.payload)
-    report = betti_mod.betti_report(vector, cfg.n_max)
+def cmd_betti(args: argparse.Namespace) -> tuple[dict, int]:
+    vector = betti_mod.BettiVector.from_json(_read_json_source(args.input))
+    report = betti_mod.betti_report(vector, args.n_max)
     return betti_mod.report_to_json(report), EXIT_OK
 
 
@@ -121,18 +106,34 @@ def _grid_spaces(grid: dict):
             yield ga.GradedSpace(comps)
 
 
-def cmd_algebra_check(cfg: RunConfig) -> tuple[dict, int]:
+def _compare(row: dict, expected: int, brute) -> dict:
+    """Fill in row's brute count and verdict, or skip it over the word cap; misses go to stderr."""
+    try:
+        value = brute()
+    except ga.EnumerationCapError as exc:
+        row["status"] = "skipped"
+        row["reason"] = str(exc)
+    else:
+        row["brute"] = str(value)
+        row["status"] = "ok" if value == expected else "mismatch"
+    if row["status"] != "ok":
+        label = row.get("space") or row.get("beta")
+        print(f"{row['status']:>8}  {row['kind']}  {label}  m={row.get('m', '-')} n={row['n']}",
+              file=sys.stderr)
+    return row
+
+
+def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
     grid = dict(_DEFAULT_GRID)
-    if cfg.grid:
-        unknown = set(cfg.grid) - set(grid)
-        if unknown:
-            raise InputError(f"unknown grid keys {sorted(unknown)}")
-        for key, value in cfg.grid.items():
-            grid[key] = strict_int(value, f"grid.{key}")
-            if grid[key] < 0:
-                raise InputError(f"grid.{key} must be non-negative, got {grid[key]}")
+    overrides = _read_json_source(args.grid) if args.grid else {}
+    unknown = set(overrides) - set(grid)
+    if unknown:
+        raise InputError(f"unknown grid keys {sorted(unknown)}")
+    for key, value in overrides.items():
+        grid[key] = strict_int(value, f"grid.{key}")
+        if grid[key] < 0:
+            raise InputError(f"grid.{key} must be non-negative, got {grid[key]}")
     rows = []
-    mismatches = skipped = 0
 
     for space in _grid_spaces(grid):
         for m in range(grid["m_max"] + 1):
@@ -145,18 +146,9 @@ def cmd_algebra_check(cfg: RunConfig) -> tuple[dict, int]:
                     "n": str(n),
                     "closed": str(closed),
                 }
-                try:
-                    brute = ga.sym_component_dim_bruteforce(space, m, n)
-                except ga.EnumerationCapError as exc:
-                    row["status"] = "skipped"
-                    row["reason"] = str(exc)
-                    skipped += 1
-                else:
-                    row["brute"] = str(brute)
-                    row["status"] = "ok" if brute == closed else "mismatch"
-                    if brute != closed:
-                        mismatches += 1
-                rows.append(row)
+                rows.append(_compare(
+                    row, closed, lambda: ga.sym_component_dim_bruteforce(space, m, n)
+                ))
 
     d_max = grid["betti_d_max"]
     betas = product(range(grid["betti_beta_max"] + 1), repeat=d_max)
@@ -170,35 +162,18 @@ def cmd_algebra_check(cfg: RunConfig) -> tuple[dict, int]:
                 "n": str(n),
                 "formula": str(formula),
             }
-            try:
-                brute = sum(
-                    ga.sym_component_dim_bruteforce(space, m, n) for m in range(n + 1)
-                )
-            except ga.EnumerationCapError as exc:
-                row["status"] = "skipped"
-                row["reason"] = str(exc)
-                skipped += 1
-            else:
-                row["brute"] = str(brute)
-                row["status"] = "ok" if brute == formula else "mismatch"
-                if brute != formula:
-                    mismatches += 1
-            rows.append(row)
+            rows.append(_compare(row, formula, lambda: sum(
+                ga.sym_component_dim_bruteforce(space, m, n) for m in range(n + 1)
+            )))
 
-    for row in rows:
-        if row["status"] != "ok":
-            label = row.get("space") or row.get("beta")
-            print(
-                f"{row['status']:>8}  {row['kind']}  {label}  "
-                f"m={row.get('m', '-')} n={row['n']}",
-                file=sys.stderr,
-            )
+    statuses = Counter(row["status"] for row in rows)
+    mismatches, skipped = statuses["mismatch"], statuses["skipped"]
     summary = {
         "instances": str(len(rows)),
-        "ok": str(len(rows) - mismatches - skipped),
+        "ok": str(statuses["ok"]),
         "mismatches": str(mismatches),
         "skipped": str(skipped),
-        "word_cap": str(ga.resolve_word_cap()),
+        "word_cap": str(ga.MAX_WORDS),
     }
     print(
         f"algebra-check: {summary['ok']}/{summary['instances']} ok, "
@@ -216,7 +191,6 @@ def cmd_algebra_check(cfg: RunConfig) -> tuple[dict, int]:
 def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     rows = []
-    all_equal = True
     for i in range(probes):
         sizes = rng.integers(1, 7, size=2)
         mats = []
@@ -224,7 +198,6 @@ def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:
             factor = rng.integers(-2, 3, size=(int(size) + 1, int(size)))
             mats.append(hodge.SymMatrix.from_gram(factor.tolist()))
         computed, predicted = hodge.kron_sum_kernel_dim(mats[0], mats[1])
-        all_equal = all_equal and computed == predicted
         rows.append(
             {
                 "probe": str(i),
@@ -233,13 +206,14 @@ def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:
                 "predicted": str(predicted),
             }
         )
-    return rows, all_equal
+    return rows, all(row["computed"] == row["predicted"] for row in rows)
 
 
-def cmd_simplicial(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.kron_probes < 0:
-        raise InputError(f"--kron-probes must be non-negative, got {cfg.kron_probes}")
-    complex_ = hodge.load_complex(cfg.payload)
+def cmd_simplicial(args: argparse.Namespace) -> tuple[dict, int]:
+    doc = _read_json_source(args.input)
+    if args.kron_probes < 0:
+        raise InputError(f"--kron-probes must be non-negative, got {args.kron_probes}")
+    complex_ = hodge.load_complex(doc)
     split = hodge.hodge_decomposition_dims(complex_)
     decomposition = [
         {
@@ -259,24 +233,20 @@ def cmd_simplicial(cfg: RunConfig) -> tuple[dict, int]:
         "decomposition": decomposition,
     }
     code = EXIT_OK
-    if cfg.kron_probes:
-        rows, all_equal = _kron_probe_rows(cfg.kron_probes, cfg.seed or 0)
+    if args.kron_probes:
+        rows, all_equal = _kron_probe_rows(args.kron_probes, args.seed or 0)
         payload["kron_probes"] = rows
         if not all_equal:
             code = EXIT_INVARIANT
     return payload, code
 
 
-def cmd_poisson(cfg: RunConfig) -> tuple[dict, int]:
-    spec = dict(cfg.payload)
-    if cfg.seed is not None:
-        spec["seed"] = cfg.seed
-    if cfg.samples is not None:
-        spec["samples"] = cfg.samples
-    if "seed" not in spec:
-        raise InputError("poisson checks need a seed (--seed or spec field)")
-    if "samples" not in spec:
-        raise InputError("poisson checks need a sample count (--samples or spec field)")
+def cmd_poisson(args: argparse.Namespace) -> tuple[dict, int]:
+    spec = _read_json_source(args.input)
+    if args.seed is not None:
+        spec["seed"] = args.seed
+    if args.samples is not None:
+        spec["samples"] = args.samples
     report = poisson_mc.run_check(spec)
     return poisson_mc.report_to_json(report), EXIT_OK
 
@@ -291,24 +261,24 @@ def _vector_from_complex(complex_: hodge.SimplicialComplex, zero_b0: bool) -> tu
     return betti_mod.BettiVector(d=len(beta) - 1, beta=tuple(beta)), raw
 
 
-def cmd_pipeline(cfg: RunConfig) -> tuple[dict, int]:
-    doc = cfg.payload
+def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, int]:
+    doc = _read_json_source(args.input)
     if "complex" in doc:
         base_doc, mark_doc = doc["complex"], doc.get("mark")
     else:
         base_doc, mark_doc = doc, None
     base = hodge.load_complex(base_doc)
-    vector, raw = _vector_from_complex(base, cfg.infinite_volume)
+    vector, raw = _vector_from_complex(base, args.infinite_volume)
     source = {
         "complex_betti": [str(b) for b in raw],
-        "infinite_volume_override": cfg.infinite_volume,
+        "infinite_volume_override": args.infinite_volume,
     }
     if mark_doc is not None:
         mark = hodge.load_complex(mark_doc)
         mark_vector, mark_raw = _vector_from_complex(mark, zero_b0=False)
         source["mark_betti"] = [str(b) for b in mark_raw]
         vector = betti_mod.kunneth_product(vector, mark_vector)
-    report = betti_mod.betti_report(vector, cfg.n_max)
+    report = betti_mod.betti_report(vector, args.n_max)
     payload = betti_mod.report_to_json(report)
     payload["beta_source"] = source
     return payload, EXIT_OK
@@ -321,8 +291,6 @@ _COMMANDS = {
     "poisson": cmd_poisson,
     "pipeline": cmd_pipeline,
 }
-
-_NEEDS_INPUT = {"betti", "simplicial", "poisson", "pipeline"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -368,45 +336,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    payload = None
-    if args.command in _NEEDS_INPUT:
-        payload = _read_json_source(args.input)
-    grid = None
-    if getattr(args, "grid", None):
-        grid_doc = _read_json_source(args.grid)
-        grid = grid_doc
-    return RunConfig(
-        command=args.command,
-        payload=payload,
-        output=getattr(args, "output", None),
-        n_max=getattr(args, "n_max", 10),
-        seed=getattr(args, "seed", None),
-        samples=getattr(args, "samples", None),
-        infinite_volume=getattr(args, "infinite_volume", False),
-        grid=grid,
-        kron_probes=getattr(args, "kron_probes", 0),
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        payload, code = _COMMANDS[cfg.command](cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        payload, code = _COMMANDS[args.command](args)
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except ValueError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(payload, cfg.output)
+    _emit(payload, args.output)
     return code
 
 

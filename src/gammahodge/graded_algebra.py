@@ -23,7 +23,6 @@ vector v is the statement that its projection is zero.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,18 +37,12 @@ from .linalg import rank  # noqa: F401
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 
-DEFAULT_WORD_CAP = 20_000
-WORD_CAP_ENV = "GAMMAHODGE_WORD_CAP"
+# Words a brute-force dimension check may enumerate per (m, n) component.
+MAX_WORDS = 20_000
 
 
 class EnumerationCapError(ResourceError):
-    """A word component is larger than the configured enumeration cap."""
-
-
-def resolve_word_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return int(cap)
-    return int(os.environ.get(WORD_CAP_ENV, DEFAULT_WORD_CAP))
+    """A word component has more than MAX_WORDS words."""
 
 
 @dataclass(frozen=True)
@@ -73,15 +66,8 @@ class GradedSpace:
                 raise ValueError(f"component dimension must be >= 0, got {d}")
         object.__setattr__(self, "components", comps)
 
-    @property
-    def num_components(self) -> int:
-        return len(self.components)
-
     def degree(self, component: int) -> int:
         return self.components[component][0]
-
-    def dim(self, component: int) -> int:
-        return self.components[component][1]
 
     @property
     def letters(self) -> tuple[Letter, ...]:
@@ -156,17 +142,11 @@ class TensorVector:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "TensorVector") -> "TensorVector":
         merged = dict(self.terms)
         for w, c in other.terms.items():
             merged[w] = merged.get(w, Fraction(0)) + c
         return TensorVector(merged)
-
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
-        return self + (-1) * other
 
     def __rmul__(self, scalar) -> "TensorVector":
         s = Fraction(scalar)
@@ -174,13 +154,6 @@ class TensorVector:
 
     def coefficient(self, word: Word) -> Fraction:
         return self.terms.get(word, Fraction(0))
-
-    def inner(self, other: "TensorVector") -> Fraction:
-        """Inner product, with distinct words orthonormal."""
-        a, b = self.terms, other.terms
-        if len(b) < len(a):
-            a, b = b, a
-        return sum((c * b[w] for w, c in a.items() if w in b), Fraction(0))
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{w}: {c}" for w, c in sorted(self.terms.items()))
@@ -271,22 +244,19 @@ def gram_matrix_sym(space: GradedSpace, m: int, n: int) -> list[list[Fraction]]:
     return out
 
 
-def sym_component_dim_bruteforce(
-    space: GradedSpace, m: int, n: int, cap: int | None = None
-) -> int:
+def sym_component_dim_bruteforce(space: GradedSpace, m: int, n: int) -> int:
     """Dimension of the projected (m, n) component, one projection per orbit.
 
     The words of one letter multiset form a single permutation orbit and
     P(sigma w) = +-P(w), so that block's image is span{P(w0)} for its sorted
     word w0: it contributes 1 if the signed average P(w0) is nonzero, else 0.
-    Components larger than the enumeration cap raise EnumerationCapError.
+    Components of more than MAX_WORDS words raise EnumerationCapError.
     """
-    cap = resolve_word_cap(cap)
     total = count_words(space, m, n)
-    if total > cap:
+    if total > MAX_WORDS:
         raise EnumerationCapError(
             f"component (m={m}, n={n}) has {total} words, over the enumeration "
-            f"cap {cap}; set {WORD_CAP_ENV} or pass cap= to raise it"
+            f"cap {MAX_WORDS}"
         )
     multisets = dict.fromkeys(tuple(sorted(w)) for w in enumerate_words(space, m, n))
     return sum(1 for w0 in multisets if project(space, w0))

@@ -192,11 +192,9 @@ class SymMatrix:
         return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
-    def from_gram(cls, factor, ncols: int | None = None) -> "SymMatrix":
+    def from_gram(cls, factor) -> "SymMatrix":
         """G^T G for an arbitrary factor G (always positive semidefinite)."""
-        if ncols is None:
-            ncols = len(factor[0]) if factor else 0
-        return cls.from_rows(gram(factor, ncols))
+        return cls.from_rows(gram(factor, len(factor[0]) if factor else 0))
 
 
 def hodge_laplacian(K: SimplicialComplex, k: int) -> SymMatrix:

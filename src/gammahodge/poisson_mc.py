@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +47,9 @@ QUAD_REL_TOL = 1e-10
 SHORT_CIRCUIT_REL_TOL = 1e-10
 TAIL_REL_TOL = 1e-12
 MAX_CONFIG_POINTS = 1_000
+MAX_SERIES_TERMS = 10_000  # volume v <= EXP_LIMIT needs about v + 10 sqrt(v) terms
+# Variates (a count, then dim coordinates per point) all blocks of a check may draw.
+MAX_DRAWS = 2**30
 # Expected bytes of one block's points; the workloads this library targets
 # stay near 8 MB (16384 samples at volume 20 in three dimensions).
 MAX_BLOCK_BYTES = 256 * 2**20
@@ -80,8 +83,8 @@ class Window:
         lengths = tuple(float(x) for x in self.lengths)
         if not lengths:
             raise ValueError("window needs at least one axis")
-        if not all(0 < x < math.inf for x in lengths):
-            raise ValueError(f"window lengths must be positive and finite, got {list(lengths)}")
+        if not all(0 < x < math.inf for x in lengths) or math.prod(lengths) == math.inf:
+            raise ValueError(f"window lengths must be positive, volume finite, got {list(lengths)}")
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -102,9 +105,6 @@ class Window:
                 f"window dim {doc['dim']} does not match {win.dim} lengths"
             )
         return win
-
-    def to_json(self) -> dict:
-        return {"dim": str(self.dim), "lengths": list(self.lengths)}
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ def _block(window: Window, seed: int, block: int, n: int):
     """counts and points of a block's first n samples: the same bits for every n.
 
     Refuses with ResourceError, before drawing anything, when the block's
-    expected points would take more than MAX_BLOCK_BYTES.
+    expected points would take more than MAX_BLOCK_BYTES, or when the n
+    samples from this block on would draw more than MAX_DRAWS variates.
     """
     expected = min(n, STREAM_BLOCK) * window.volume * window.dim * 8
     if expected > MAX_BLOCK_BYTES:
@@ -141,6 +142,8 @@ def _block(window: Window, seed: int, block: int, n: int):
             f"one sampling block would hold about {expected / 2**20:.3g} MiB of points, "
             f"above the {MAX_BLOCK_BYTES // 2**20} MiB budget; shrink the window volume"
         )
+    if n > MAX_DRAWS / (1 + window.volume * window.dim):
+        raise ResourceError(f"{n} samples would draw more than {MAX_DRAWS} variates")
     g = _stream(seed, block)
     counts = g.poisson(window.volume, size=STREAM_BLOCK)[:n]
     return counts, g.random((int(counts.sum()), window.dim)) * np.asarray(window.lengths)
@@ -238,7 +241,8 @@ class ScalarFunction:
             inside = np.all((pts >= lo) & (pts <= hi), axis=1)
             return self.scale * inside.astype(float)
         z = (pts - np.asarray(self.center)) / np.asarray(self.width)
-        return self.scale * np.exp(-np.sum(z * z, axis=1))
+        with np.errstate(over="ignore"):  # far from the center z * z may reach inf: exp(-inf) = 0
+            return self.scale * np.exp(-np.sum(z * z, axis=1))
 
     def support(self, window: Window) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Smallest box outside which the function vanishes, clipped to the window."""
@@ -248,9 +252,6 @@ class ScalarFunction:
             hi = tuple(min(max(b, 0.0), t) for b, t in zip(self.hi, top))
             return lo, hi
         return tuple(0.0 for _ in top), top
-
-    def sup_norm(self) -> float:
-        return abs(self.scale)
 
     def _support_volume(self, window: Window) -> float:
         lo, hi = self.support(window)
@@ -267,10 +268,31 @@ class ScalarFunction:
             total *= 0.5 * w * math.sqrt(math.pi / power) * erf_diff
         return total
 
-    def closed_form_expm1_integral(self, window: Window) -> float | None:
-        if self.kind == "gaussian":
-            return None
-        return math.expm1(self.scale) * self._support_volume(window)
+    def closed_form_expm1_integral(self, window: Window) -> float:
+        """integral of (e^f - 1) over the window; a Gaussian sums its power series.
+
+        That is sum_j a^j / j! * E_j, E_j the integral of exp(-j sum z^2), which falls
+        with j: the sum stops once the tail c_{j+1} E_j / (1 - |a| / (j + 2)) is below
+        its float resolution.  ResourceError refuses a scale whose alternating terms
+        could round by a tenth of the 1e-10 check.
+        """
+        if self.kind != "gaussian":
+            return math.expm1(self.scale) * self._support_volume(window)
+        a, eps, unit = abs(self.scale), sys.float_info.epsilon, replace(self, scale=1.0)
+        total = magnitude = 0.0
+        coefficient, j = 1.0, 0  # |a|^j / j!, grown by |a| / j: finite for |a| <= EXP_LIMIT
+        while a <= EXP_LIMIT:
+            j += 1
+            coefficient *= a / j
+            term = coefficient * unit.closed_form_integral(window, j)
+            total += -term if self.scale < 0 and j % 2 else term
+            magnitude += term
+            if j + 2 > a and term * a / (j + 1) <= eps * abs(total) * (1 - a / (j + 2)):
+                break
+        rounding = 4 * j * eps * magnitude
+        if a > EXP_LIMIT or rounding > 0.1 * SHORT_CIRCUIT_REL_TOL * max(abs(total), REL_FLOOR):
+            raise ResourceError(f"no e^f - 1 series verifies a gaussian of scale {self.scale!r}")
+        return total
 
 
 @dataclass(frozen=True)
@@ -282,26 +304,16 @@ class Polynomial:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
-    @property
-    def degree(self) -> int:
-        deg = -1
-        for i, c in enumerate(self.coeffs):
-            if c:
-                deg = i
-        return deg
-
     def __call__(self, t):
         out = np.zeros_like(np.asarray(t, dtype=float))
         for c in reversed(self.coeffs):
             out = out * t + c
         return out
 
-    def padded(self, upto: int = 3) -> tuple[float, ...]:
-        if len(self.coeffs) > upto:
-            if any(self.coeffs[upto:]):
-                raise ValueError(f"polynomial degree above {upto - 1} not supported")
-            return self.coeffs[:upto]
-        return self.coeffs + (0.0,) * (upto - len(self.coeffs))
+    def padded(self) -> tuple[float, float, float]:
+        if any(self.coeffs[3:]):
+            raise ValueError("polynomial degree above 2 not supported")
+        return (self.coeffs + (0.0, 0.0, 0.0))[:3]
 
 
 @dataclass(frozen=True)
@@ -320,8 +332,10 @@ class LocalFunctional:
     def __post_init__(self):
         if self.kind not in ("one", "count_indicator", "poly_of_sum"):
             raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind == "count_indicator" and (self.k is None or self.k < 0):
-            raise ValueError("count_indicator needs k >= 0")
+        if self.kind == "count_indicator" and (
+            self.k is None or not 0 <= self.k <= sys.float_info.max
+        ):
+            raise ValueError(f"count_indicator needs 0 <= k <= max float, got {self.k!r}")
         if self.kind == "poly_of_sum" and (self.phi is None or self.h is None):
             raise ValueError("poly_of_sum needs phi and h")
 
@@ -365,6 +379,16 @@ def gauss_legendre_box(fn, lo, hi, rel_tol: float = QUAD_REL_TOL) -> float:
     raise QuadratureError(f"no convergence to relative {rel_tol} over {lo}..{hi}")
 
 
+def _refuse_overflow(log_size: float, what: str) -> None:
+    """ResourceError, before the work, unless exp(log_size) lies inside the float range."""
+    if not log_size <= EXP_LIMIT:
+        raise ResourceError(f"{what} lies outside the float range: exp({log_size:.6g})")
+
+
+def _log_abs(x: float) -> float:
+    return math.log(abs(x)) if x else -math.inf
+
+
 def _verified(quad_value: float, closed: float | None, what: str) -> float:
     """Closed-form short circuit: quadrature must match any closed form."""
     if closed is None:
@@ -379,6 +403,8 @@ def _verified(quad_value: float, closed: float | None, what: str) -> float:
 @lru_cache(maxsize=None)
 def integral_of_power(fn: ScalarFunction, window: Window, power: int = 1) -> float:
     """integral of fn(x)^power over the window, quadrature checked vs closed form."""
+    room = math.log(max(window.volume, 2.0**window.dim))  # quadrature weights add up to 2^dim
+    _refuse_overflow(power * _log_abs(fn.scale) + room, f"integral {fn.kind}^{power}")
     lo, hi = fn.support(window)
     quad = gauss_legendre_box(lambda p: fn.evaluate(p) ** power, lo, hi)
     return _verified(quad, fn.closed_form_integral(window, power), f"integral {fn.kind}^{power}")
@@ -408,9 +434,6 @@ class McReport:
     samples: int
     seed: int
     extra: tuple[tuple[str, float], ...] = ()
-
-    def extra_dict(self) -> dict[str, float]:
-        return dict(self.extra)
 
 
 def _make_report(check, estimate, reference, std_error, samples, seed, extra=()):
@@ -442,20 +465,6 @@ def report_to_json(report: McReport) -> dict:
     }
 
 
-def report_from_json(doc: dict) -> McReport:
-    return McReport(
-        check=doc["check"],
-        estimate=float(doc["estimate"]),
-        reference=float(doc["reference"]),
-        abs_error=float(doc["abs_error"]),
-        rel_error=float(doc["rel_error"]),
-        std_error=float(doc["std_error"]),
-        samples=int(doc["samples"]),
-        seed=int(doc["seed"]),
-        extra=tuple((k, float(v)) for k, v in doc.get("extra", {}).items()),
-    )
-
-
 def _mc_stats(values: np.ndarray) -> tuple[float, float]:
     if values.size < 2:
         raise ValueError("need at least two samples for a standard error")
@@ -468,14 +477,10 @@ def _mc_stats(values: np.ndarray) -> tuple[float, float]:
 
 def check_laplace(f: ScalarFunction, window: Window, samples: int, seed: int) -> McReport:
     """Exponential moment E[exp<f, gamma>] vs exp(integral of (e^f - 1))."""
-    # e^f - 1 < e^scale pointwise, so below EXP_LIMIT no quadrature value overflows
-    if f.scale > EXP_LIMIT:
-        raise ResourceError(f"laplace needs f.scale at most {EXP_LIMIT:.6g}, got {f.scale!r}")
+    # e^f - 1 < e^scale pointwise, bounded like integral_of_power's powers
+    _refuse_overflow(f.scale + math.log(max(window.volume, 2.0**window.dim)), "laplace e^f.scale")
     reference_exponent = integral_expm1(f, window)
-    if reference_exponent > EXP_LIMIT:
-        raise ResourceError(
-            f"laplace reference exp({reference_exponent:.6g}) lies outside the float range"
-        )
+    _refuse_overflow(reference_exponent, "laplace reference")
     reference = math.exp(reference_exponent)
 
     def per_block(counts, sample_ids, points):
@@ -509,7 +514,7 @@ def _sup_bound(functional: LocalFunctional, n_pts: int) -> float:
     if functional.kind in ("one", "count_indicator"):
         return 1.0
     c0, c1, c2 = functional.h.padded()
-    s = functional.phi.sup_norm() * n_pts
+    s = abs(functional.phi.scale) * n_pts
     return abs(c0) + abs(c1) * s + abs(c2) * s * s
 
 
@@ -546,6 +551,9 @@ def check_local_expansion(
     1e-12 of the reference scale or TailBoundError is raised.
     """
     v = window.volume
+    if not 0 <= series_terms <= MAX_SERIES_TERMS:
+        raise ValueError(f"series_terms must lie in 0..{MAX_SERIES_TERMS}, got {series_terms}")
+    _refuse_overflow(v, "the local series weight 1 / e^-volume")
     pmf = math.exp(-v)
     series = 0.0
     for n_pts in range(series_terms + 1):
@@ -553,13 +561,14 @@ def check_local_expansion(
         pmf *= v / (n_pts + 1)
 
     closed = _closed_form_mean(functional, window)
+    # the standard error squares samples of about the reference's size
+    _refuse_overflow(2 * _log_abs(closed), "the local reference squared")
     tail = 0.0
     n_pts = series_terms + 1
-    term_pmf = pmf
     while True:
-        term = term_pmf * _sup_bound(functional, n_pts)
+        term = pmf * _sup_bound(functional, n_pts)
         tail += term
-        term_pmf *= v / (n_pts + 1)
+        pmf *= v / (n_pts + 1)
         n_pts += 1
         if n_pts > series_terms + 10 and n_pts > 2 * v and term < 1e-30:
             break
@@ -654,8 +663,11 @@ def check_mecke(
             raise ValueError("a non-constant h needs phi")
         phi = ScalarFunction(kind="indicator", scale=0.0)
 
+    _refuse_overflow(m * _log_abs(g.scale), "mecke g.scale^m")
     ig = integral_of_power(g, window, 1)
+    _refuse_overflow(m * _log_abs(ig), "mecke (integral of g)^m")
     reference = ig**m / math.factorial(m) * _mean_of_poly(coeffs, phi, window)
+    _refuse_overflow(2 * _log_abs(reference), "the mecke reference squared")
 
     def per_block(counts, sample_ids, points):
         top = int(counts.max(initial=0))
@@ -688,13 +700,17 @@ def check_mecke(
 # ---------------------------------------------------------------------------
 # JSON dispatch
 
-_SCALAR_SHORTHAND = {
-    "indicator": ScalarFunction(kind="indicator", scale=1.0),
+_SHORTHAND = {
+    "scalar": {"indicator": ScalarFunction(kind="indicator", scale=1.0)},
+    "polynomial": {"const": Polynomial(coeffs=(1.0,)), "linear": Polynomial(coeffs=(0.0, 1.0))},
+    "functional": {"one": LocalFunctional(kind="one")},
 }
-_POLY_SHORTHAND = {
-    "const": Polynomial(coeffs=(1.0,)),
-    "linear": Polynomial(coeffs=(0.0, 1.0)),
-}
+
+
+def _shorthand(family: str, name: str, field: str):
+    if name not in _SHORTHAND[family]:
+        raise ValueError(f"unknown {family} shorthand {name!r} for {field}")
+    return _SHORTHAND[family][name]
 
 
 def _real(value, field: str) -> float:
@@ -716,10 +732,7 @@ def _reals(value, field: str, size: int | None = None) -> tuple[float, ...]:
 
 def scalar_from_json(spec, field: str, dim: int) -> ScalarFunction:
     if isinstance(spec, str):
-        try:
-            return _SCALAR_SHORTHAND[spec]
-        except KeyError:
-            raise ValueError(f"unknown scalar shorthand {spec!r} for {field}") from None
+        return _shorthand("scalar", spec, field)
     if not isinstance(spec, dict):
         raise ValueError(f"{field} must be a function object or shorthand name, got {spec!r}")
     args = {"kind": spec.get("kind"), "scale": _real(spec.get("scale", 1.0), f"{field}.scale")}
@@ -734,10 +747,7 @@ def scalar_from_json(spec, field: str, dim: int) -> ScalarFunction:
 
 def polynomial_from_json(spec, field: str) -> Polynomial:
     if isinstance(spec, str):
-        try:
-            return _POLY_SHORTHAND[spec]
-        except KeyError:
-            raise ValueError(f"unknown polynomial shorthand {spec!r} for {field}") from None
+        return _shorthand("polynomial", spec, field)
     if not isinstance(spec, dict):
         raise ValueError(f"{field} must be a coeffs object or shorthand name, got {spec!r}")
     return Polynomial(coeffs=_reals(spec.get("coeffs"), f"{field}.coeffs"))
@@ -745,9 +755,7 @@ def polynomial_from_json(spec, field: str) -> Polynomial:
 
 def functional_from_json(spec, field: str, dim: int) -> LocalFunctional:
     if isinstance(spec, str):
-        if spec == "one":
-            return LocalFunctional(kind="one")
-        raise ValueError(f"unknown functional shorthand {spec!r} for {field}")
+        return _shorthand("functional", spec, field)
     if not isinstance(spec, dict):
         raise ValueError(f"{field} must be a functional object or \"one\", got {spec!r}")
     kind = spec.get("kind")

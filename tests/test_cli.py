@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gammahodge
-from gammahodge import betti, poisson_mc
+from gammahodge import betti, graded_algebra, poisson_mc
 from gammahodge.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -52,9 +52,8 @@ def test_betti_trivial_base(capsys):
 
 def test_betti_output_round_trips(capsys):
     doc = run_json(capsys, "betti", "--input", '{"d":3,"beta":[0,1,1,0]}', "--n-max", "6")
-    report = betti.report_from_json(doc)
-    assert betti.report_to_json(report) == doc
-    assert report.b == tuple(betti.config_betti(report.input, n) for n in range(7))
+    vector = betti.BettiVector.from_json(doc["input"])
+    assert doc["b"] == [str(betti.config_betti(vector, n)) for n in range(7)]
 
 
 def test_betti_malformed_json_exits_2(capsys):
@@ -93,7 +92,7 @@ def test_algebra_check_small_grid(capsys):
 
 
 def test_algebra_check_cap_skips_exit_3(capsys, monkeypatch):
-    monkeypatch.setenv("GAMMAHODGE_WORD_CAP", "2")
+    monkeypatch.setattr(graded_algebra, "MAX_WORDS", 2)
     grid = '{"l_max": 1, "degree_max": 1, "dim_max": 2, "m_max": 2, "n_max": 2, "betti_d_max": 1, "betti_beta_max": 1, "betti_n_max": 2}'
     code, out, _ = run(capsys, "algebra-check", "--grid", grid)
     assert code == EXIT_PARTIAL
@@ -287,6 +286,84 @@ def test_laplace_reference_outside_float_range_exits_4(capsys, f, what):
     code, out, err = run(capsys, "poisson", "--input", spec)
     assert (code, out) == (EXIT_RESOURCE, "")
     assert err.count("\n") == 1 and err.startswith("error: ") and what in err
+
+
+@pytest.mark.parametrize("spec, what", [
+    # g^3 of scale 1e200 leaves the float range
+    ('{"check":"mecke","m":3,"window":{"lengths":[1.0]},"samples":100,"seed":1,'
+     '"f":{"g":{"kind":"indicator","scale":1e200},"h":"const"}}', "mecke g.scale^m"),
+    # phi^2 of scale 1e200: refused before the quadrature, with no numpy RuntimeWarning
+    ('{"check":"local","window":{"lengths":[1.0]},"samples":100,"seed":1,"f":{"kind":'
+     '"poly_of_sum","phi":{"kind":"indicator","scale":1e200},"h":{"coeffs":[0,0,1]}}}',
+     "integral indicator^2"),
+])
+def test_scale_beyond_the_float_range_exits_4_before_the_quadrature(spec, what):
+    done = run_subprocess("poisson", "--input", spec)
+    assert done.returncode == EXIT_RESOURCE
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ") and what in done.stderr
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.parametrize("spec, code, what", [
+    ('{"check":"local","window":{"lengths":[1.0]},"f":"one","series_terms":-1}',
+     EXIT_INPUT, "series_terms"),
+    ('{"check":"local","window":{"lengths":[1.0]},"f":"one","series_terms":1000000}',
+     EXIT_INPUT, "series_terms"),
+    ('{"check":"local","window":{"lengths":[1000.0]},"f":"one"}', EXIT_RESOURCE, "e^-volume"),
+    ('{"check":"local","window":{"lengths":[1.0]},"f":{"kind":"count_indicator","k":1'
+     + "0" * 400 + "}}", EXIT_INPUT, "count_indicator"),
+    ('{"check":"local","window":{"lengths":[1.0]},"f":{"kind":"poly_of_sum",'
+     '"phi":"indicator","h":{"coeffs":[1e200]}}}', EXIT_RESOURCE, "local reference squared"),
+    # inf - inf: a NaN reference is refused like an infinite one
+    ('{"check":"local","window":{"lengths":[2.0]},"f":{"kind":"poly_of_sum","phi":'
+     '{"kind":"indicator","scale":10.0},"h":{"coeffs":[0,1e308,-1e308]}}}',
+     EXIT_RESOURCE, "exp(nan)"),
+    ('{"check":"mecke","m":1,"window":{"lengths":[1.0]},"f":{"h":{"coeffs":[1e200]}}}',
+     EXIT_RESOURCE, "mecke reference squared"),
+    ('{"check":"mecke","m":3,"window":{"lengths":[1e120]},"f":{"h":"const"}}',
+     EXIT_RESOURCE, "(integral of g)^m"),
+    ('{"check":"laplace","window":{"lengths":[1e200, 1e200]},"f":"indicator"}',
+     EXIT_INPUT, "volume finite"),
+    ('{"check":"laplace","window":{"lengths":[1.0]},"f":{"kind":"gaussian","center":[0.5],'
+     '"width":[0.3],"scale":-1e200}}', EXIT_RESOURCE, "no e^f - 1 series"),
+])
+def test_poisson_values_beyond_the_float_range_are_refused(capsys, spec, code, what):
+    code_seen, out, err = run(capsys, "poisson", "--input", spec, "--seed", "1", "--samples", "100")
+    assert (code_seen, out) == (code, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and what in err
+
+
+def test_sample_budget_counts_every_variate(capsys, monkeypatch):
+    # 100 samples at volume 3 in two dimensions: 100 * (1 + 3 * 2) = 700 variates
+    spec = ('{"check":"laplace","window":{"lengths":[1.5,2.0]},"samples":100,"seed":1,'
+            '"f":"indicator"}')
+    unlimited = run_json(capsys, "poisson", "--input", spec)
+    monkeypatch.setattr(poisson_mc, "MAX_DRAWS", 700)
+    assert run_json(capsys, "poisson", "--input", spec) == unlimited
+    monkeypatch.setattr(poisson_mc, "MAX_DRAWS", 699)
+    code, out, err = run(capsys, "poisson", "--input", spec)
+    assert (code, out) == (EXIT_RESOURCE, "") and "variates" in err
+
+
+def test_huge_sample_count_exits_4_at_once(capsys):
+    spec = ('{"check":"mecke","m":1,"window":{"lengths":[1.0]},"samples":1' + "0" * 30
+            + ',"seed":1}')
+    started = time.perf_counter()
+    code, out, err = run(capsys, "poisson", "--input", spec)
+    assert (code, out) == (EXIT_RESOURCE, "") and "variates" in err
+    assert time.perf_counter() - started < 1.0
+
+
+def test_narrow_gaussian_laplace_is_refused_not_returned(capsys):
+    # e^f - 1 of width 0.01: the quadrature reads 2.4e-40, the series 0.0261435
+    spec = ('{"check":"laplace","window":{"lengths":[2.0]},"samples":20000,"seed":1,'
+            '"f":{"kind":"gaussian","center":[1.0],"width":[0.01]}}')
+    with pytest.raises(poisson_mc.ReferenceMismatchError, match="0.0261435"):
+        poisson_mc.run_check(json.loads(spec))
+    code, out, err = run(capsys, "poisson", "--input", spec)
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err.count("\n") == 1 and "closed form" in err
 
 
 def test_narrow_gaussian_reference_is_refused_not_returned(capsys):

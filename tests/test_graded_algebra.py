@@ -14,18 +14,15 @@ from hypothesis import strategies as st
 
 from gammahodge import graded_algebra
 from gammahodge.graded_algebra import (
-    DEFAULT_WORD_CAP,
     EnumerationCapError,
     GradedSpace,
     TensorVector,
-    WORD_CAP_ENV,
     count_words,
     enumerate_words,
     gram_matrix_sym,
     project,
     project_vector,
     projected_norm_sq,
-    resolve_word_cap,
     super_sign,
     sym_component_dim_bruteforce,
     sym_component_dim_closed,
@@ -364,20 +361,11 @@ def test_norm_agrees_with_projection_inner_product():
 # ---------------------------------------------------------------------------
 # enumeration cap
 
-def test_cap_exceeded_raises_named_error():
+def test_cap_exceeded_raises_named_error(monkeypatch):
+    monkeypatch.setattr(graded_algebra, "MAX_WORDS", 3)
     space = GradedSpace(((1, 3),))
     with pytest.raises(EnumerationCapError, match="cap 3"):
-        sym_component_dim_bruteforce(space, 2, 2, cap=3)
-
-
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv(WORD_CAP_ENV, "5")
-    assert resolve_word_cap() == 5
-    space = GradedSpace(((1, 3),))
-    with pytest.raises(EnumerationCapError, match=WORD_CAP_ENV):
         sym_component_dim_bruteforce(space, 2, 2)
-    monkeypatch.delenv(WORD_CAP_ENV)
-    assert resolve_word_cap() == DEFAULT_WORD_CAP
 
 
 # ---------------------------------------------------------------------------

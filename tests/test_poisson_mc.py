@@ -10,11 +10,13 @@ bitwise.
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gammahodge import poisson_mc
+from gammahodge.errors import ResourceError
 from gammahodge.poisson_mc import (
     ConfigurationTooLarge,
     LocalFunctional,
@@ -33,8 +35,8 @@ from gammahodge.poisson_mc import (
     check_local_expansion,
     check_mecke,
     gauss_legendre_box,
+    integral_expm1,
     integral_of_power,
-    report_from_json,
     report_to_json,
     run_check,
     sample_configuration,
@@ -214,6 +216,53 @@ def test_gaussian_integral_closed_form_on_the_whole_line():
         assert g.closed_form_integral(Window(lengths=(20.0,)), power) == pytest.approx(expected, rel=1e-14)
 
 
+def test_gaussian_far_from_its_center_is_zero_without_a_warning():
+    f = ScalarFunction(kind="gaussian", center=(0.5, 1e200), width=(0.3, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.evaluate(np.array([[0.5, 0.0], [0.1, 1.0]])).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("center, width, lengths, scale", [
+    ((0.5, 1.0), (0.4, 0.6), (1.0, 2.0), 0.3),
+    ((1.3,), (0.2,), (2.0,), -1.0),
+    ((5.0,), (0.5,), (2.0,), 0.8),  # a far tail
+    ((-1.0, 0.5, 0.7), (0.6, 0.3, 2.0), (1.0, 1.0, 1.5), -0.4),
+    ((0.7, 1.2), (0.5, 0.9), (1.5, 2.0), 5.0),
+    ((0.7, 1.2), (0.5, 0.9), (1.5, 2.0), -6.0),
+])
+def test_gaussian_expm1_series_matches_quadrature(center, width, lengths, scale):
+    f = ScalarFunction(kind="gaussian", center=center, width=width, scale=scale)
+    window = Window(lengths=lengths)
+    quad = gauss_legendre_box(lambda p: np.expm1(f.evaluate(p)), (0.0,) * len(lengths), lengths)
+    closed = f.closed_form_expm1_integral(window)
+    assert closed == pytest.approx(quad, rel=1e-13)
+    assert integral_expm1(f, window) == closed
+
+
+def test_gaussian_expm1_series_on_a_narrow_bump():
+    # the whole bump of width 0.01 lies in the window: sum_j 0.01 sqrt(pi / j) / j!
+    f = ScalarFunction(kind="gaussian", center=(1.0,), width=(0.01,))
+    expected = math.fsum(0.01 * math.sqrt(math.pi / j) / math.factorial(j) for j in range(1, 40))
+    assert f.closed_form_expm1_integral(Window(lengths=(2.0,))) == pytest.approx(expected, rel=1e-15)
+    assert expected == pytest.approx(0.0261435, rel=1e-6)
+
+
+def test_gaussian_expm1_series_terms_stay_finite_up_to_the_exp_limit():
+    # |a|^j / j! reaches e^700 / sqrt(2 pi 700) and is never formed as a^j
+    f = ScalarFunction(kind="gaussian", center=(0.5,), width=(1e-300,), scale=700.0)
+    value = f.closed_form_expm1_integral(Window(lengths=(1.0,)))
+    assert math.isfinite(value) and value > 0
+
+
+@pytest.mark.parametrize("scale", [-10.0, -1e200, 1e200])
+def test_gaussian_expm1_series_refuses_what_it_cannot_verify(scale):
+    # -10 alternates with terms near e^10 / 10 against a sum near 1; +-1e200 overflow a^j / j!
+    f = ScalarFunction(kind="gaussian", center=(0.7,), width=(0.5,), scale=scale)
+    with pytest.raises(ResourceError, match="no e\\^f - 1 series"):
+        f.closed_form_expm1_integral(Window(lengths=(1.5,)))
+
+
 def test_reference_mismatch_is_an_invariant_violation():
     from gammahodge.poisson_mc import ReferenceMismatchError, _verified
 
@@ -270,7 +319,7 @@ def test_local_constant_functional_telescopes():
     report = check_local_expansion(LocalFunctional(kind="one"), WINDOW, 200, 3)
     assert report.estimate == 1.0
     assert report.reference == 1.0
-    assert abs(report.extra_dict()["series_reference"] - 1.0) < 1e-12
+    assert abs(dict(report.extra)["series_reference"] - 1.0) < 1e-12
 
 
 def test_local_linear_functional_is_campbell():
@@ -314,7 +363,7 @@ def test_mecke_order_two_pair_count():
     report = check_mecke(2, INDICATOR, CONST, None, WINDOW, 50_000, 42)
     assert report.reference == pytest.approx(WINDOW.volume**2 / 2, rel=1e-12)
     assert abs(report.estimate - report.reference) <= 4 * report.std_error
-    extra = report.extra_dict()
+    extra = dict(report.extra)
     assert abs(report.estimate - extra["rhs_estimate"]) <= 4 * extra["pooled_std_error"]
 
 
@@ -469,7 +518,6 @@ def test_report_json_round_trip():
     doc = report_to_json(report)
     assert doc["samples"] == "2000"
     assert doc["seed"] == "42"
-    assert report_from_json(doc) == report
 
 
 def test_rel_error_floor_avoids_blowup():
