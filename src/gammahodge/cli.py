@@ -18,8 +18,6 @@ import tempfile
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
-import numpy as np
-
 from . import betti as betti_mod
 from . import graded_algebra as ga
 from . import hodge_discrete as hodge
@@ -31,6 +29,8 @@ EXIT_INVARIANT = 1
 EXIT_INPUT = 2
 EXIT_PARTIAL = 3
 EXIT_RESOURCE = 4
+# Kronecker-sum probes one simplicial run may ask for.
+MAX_KRON_PROBES = 1_000
 
 
 class InputError(ValueError):
@@ -62,7 +62,13 @@ def _read_json_source(source: str) -> dict:
 def _emit(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if output is None:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader left early: send the unflushed rest to devnull so exit stays quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     directory = os.path.dirname(os.path.abspath(output))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -189,7 +195,7 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = poisson_mc._stream(seed, 0)
     rows = []
     for i in range(probes):
         sizes = rng.integers(1, 7, size=2)
@@ -213,6 +219,10 @@ def cmd_simplicial(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _read_json_source(args.input)
     if args.kron_probes < 0:
         raise InputError(f"--kron-probes must be non-negative, got {args.kron_probes}")
+    if args.kron_probes > MAX_KRON_PROBES:
+        raise ResourceError(
+            f"--kron-probes {args.kron_probes} is above the budget of {MAX_KRON_PROBES}"
+        )
     complex_ = hodge.load_complex(doc)
     split = hodge.hodge_decomposition_dims(complex_)
     decomposition = [

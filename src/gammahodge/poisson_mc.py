@@ -8,7 +8,8 @@ Monte Carlo estimate against an independently computed reference:
   exp(integral of (e^f - 1) over the window).
 * ``check_local_expansion``: the mean of a local functional F against the
   exponentially weighted series sum_n e^{-v} / n! * (integral of F over n
-  i.i.d. points), truncated with an analytic tail bound.
+  i.i.d. points), summed until an analytic bound on the dropped terms falls
+  below the tail tolerance and the float resolution of the sum.
 * ``check_mecke``: the expected sum of f(gamma, x_1..x_m) over m-point
   subsets of gamma against 1/m! times the expectation of the integral of f
   evaluated on the configuration augmented by the integration points.  The
@@ -47,7 +48,6 @@ QUAD_REL_TOL = 1e-10
 SHORT_CIRCUIT_REL_TOL = 1e-10
 TAIL_REL_TOL = 1e-12
 MAX_CONFIG_POINTS = 1_000
-MAX_SERIES_TERMS = 10_000  # volume v <= EXP_LIMIT needs about v + 10 sqrt(v) terms
 # Variates (a count, then dim coordinates per point) all blocks of a check may draw.
 MAX_DRAWS = 2**30
 # Expected bytes of one block's points; the workloads this library targets
@@ -59,10 +59,6 @@ EXP_LIMIT = math.log(sys.float_info.max)
 
 class QuadratureError(ResourceError):
     """Adaptive quadrature failed to reach its relative tolerance."""
-
-
-class TailBoundError(ValueError):
-    """The truncated series cannot meet the tail tolerance with these terms."""
 
 
 class ConfigurationTooLarge(ResourceError):
@@ -83,8 +79,10 @@ class Window:
         lengths = tuple(float(x) for x in self.lengths)
         if not lengths:
             raise ValueError("window needs at least one axis")
-        if not all(0 < x < math.inf for x in lengths) or math.prod(lengths) == math.inf:
-            raise ValueError(f"window lengths must be positive, volume finite, got {list(lengths)}")
+        if not all(0 < x < math.inf for x in lengths) or not 0 < math.prod(lengths) < math.inf:
+            raise ValueError(
+                f"window lengths must be positive, volume finite and above 0, got {list(lengths)}"
+            )
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -346,12 +344,12 @@ class LocalFunctional:
 _QUAD_LEVELS = {1: (8, 16, 32, 64, 128, 256, 512), 2: (8, 16, 32, 64, 128, 256), 3: (8, 16, 32, 64, 96)}
 
 
-def gauss_legendre_box(fn, lo, hi, rel_tol: float = QUAD_REL_TOL) -> float:
+def gauss_legendre_box(fn, lo, hi) -> float:
     """Adaptive tensor-product Gauss-Legendre integral of fn over [lo, hi].
 
     fn maps an (N, dim) array to (N,) values.  Node counts double per level
-    until two successive levels agree to rel_tol; failure to converge raises
-    QuadratureError.
+    until two successive levels agree to QUAD_REL_TOL; failure to converge
+    raises QuadratureError.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -371,12 +369,12 @@ def gauss_legendre_box(fn, lo, hi, rel_tol: float = QUAD_REL_TOL) -> float:
         for _ in range(dim - 1):
             weight = np.multiply.outer(weight, w)
         value = jacobian * float(np.dot(weight.ravel(), fn(pts)))
-        if previous is not None and abs(value - previous) <= rel_tol * max(
+        if previous is not None and abs(value - previous) <= QUAD_REL_TOL * max(
             abs(value), REL_FLOOR
         ):
             return value
         previous = value
-    raise QuadratureError(f"no convergence to relative {rel_tol} over {lo}..{hi}")
+    raise QuadratureError(f"no convergence to relative {QUAD_REL_TOL} over {lo}..{hi}")
 
 
 def _refuse_overflow(log_size: float, what: str) -> None:
@@ -389,10 +387,8 @@ def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x else -math.inf
 
 
-def _verified(quad_value: float, closed: float | None, what: str) -> float:
-    """Closed-form short circuit: quadrature must match any closed form."""
-    if closed is None:
-        return quad_value
+def _verified(quad_value: float, closed: float, what: str) -> float:
+    """Closed-form short circuit: the quadrature must match the closed form."""
     if abs(quad_value - closed) > SHORT_CIRCUIT_REL_TOL * max(abs(closed), REL_FLOOR):
         raise ReferenceMismatchError(
             f"{what}: quadrature {quad_value!r} vs closed form {closed!r}"
@@ -537,49 +533,39 @@ def _mean_of_poly(coeffs, phi: ScalarFunction, window: Window) -> float:
 
 
 def check_local_expansion(
-    functional: LocalFunctional,
-    window: Window,
-    samples: int,
-    seed: int,
-    series_terms: int = 80,
+    functional: LocalFunctional, window: Window, samples: int, seed: int
 ) -> McReport:
     """Mean of a local functional vs its fixed-count series expansion.
 
     The series is e^{-v} sum_n (1/n!) integral of F over n points, with the
     n-point integrals assembled from 1-point quadratures through the product
-    structure of the families.  The tail beyond series_terms must be below
-    1e-12 of the reference scale or TailBoundError is raised.
+    structure of the families.  A dropped term is at most b(n) = pmf(n) *
+    _sup_bound(n), and b(n+1) / b(n) <= r_n = v (n + 1) / n^2 for n >= 1,
+    which falls with n; so once r_N < 1 the terms from N on sum to at most
+    b(N) / (1 - r_N).  The sum stops at the first N where that bound is at
+    most 1e-12 of the reference scale and below half an ulp of the sum, so
+    every later term would round away and the sum is the float sum of all
+    of them; the pmf underflowing to 0 ends it at the latest.  A term
+    outside the float range is refused with ResourceError.
     """
     v = window.volume
-    if not 0 <= series_terms <= MAX_SERIES_TERMS:
-        raise ValueError(f"series_terms must lie in 0..{MAX_SERIES_TERMS}, got {series_terms}")
-    _refuse_overflow(v, "the local series weight 1 / e^-volume")
-    pmf = math.exp(-v)
-    series = 0.0
-    for n_pts in range(series_terms + 1):
-        series += pmf * _conditional_mean(functional, n_pts, window)
-        pmf *= v / (n_pts + 1)
-
     closed = _closed_form_mean(functional, window)
     # the standard error squares samples of about the reference's size
     _refuse_overflow(2 * _log_abs(closed), "the local reference squared")
-    tail = 0.0
-    n_pts = series_terms + 1
+    _refuse_overflow(v, "the local series weight 1 / e^-volume")
+    tolerance = TAIL_REL_TOL * max(abs(closed), REL_FLOOR)
+    pmf, series, n_pts = math.exp(-v), 0.0, 0
     while True:
-        term = pmf * _sup_bound(functional, n_pts)
-        tail += term
+        series += pmf * _conditional_mean(functional, n_pts, window)
         pmf *= v / (n_pts + 1)
         n_pts += 1
-        if n_pts > series_terms + 10 and n_pts > 2 * v and term < 1e-30:
+        bound = pmf * _sup_bound(functional, n_pts)
+        if not math.isfinite(series + bound):
+            raise ResourceError(f"local series term {n_pts} lies outside the float range")
+        ratio = v * (n_pts + 1) / n_pts**2
+        tail = bound / (1 - ratio) if ratio < 1 else math.inf
+        if tail <= tolerance and 2 * tail < math.ulp(series):
             break
-        if n_pts > series_terms + 100_000:
-            break
-    scale = max(abs(closed), REL_FLOOR)
-    if tail > TAIL_REL_TOL * scale:
-        raise TailBoundError(
-            f"series tail bound {tail:g} above {TAIL_REL_TOL:g} of the mean "
-            f"with series_terms={series_terms}"
-        )
     reference = _verified(series, closed, "local expansion series")
 
     def per_block(counts, sample_ids, points):
@@ -784,13 +770,8 @@ def run_check(spec: dict) -> McReport:
     if name == "laplace":
         return check_laplace(scalar_from_json(f, "f", window.dim), window, samples, seed)
     if name == "local":
-        return check_local_expansion(
-            functional_from_json(f, "f", window.dim),
-            window,
-            samples,
-            seed,
-            series_terms=strict_int(spec.get("series_terms", 80), "series_terms"),
-        )
+        functional = functional_from_json(f, "f", window.dim)
+        return check_local_expansion(functional, window, samples, seed)
     if name == "mecke":
         if not isinstance(f, dict):
             raise ValueError(f"f must be an object of g, h and phi, got {f!r}")

@@ -1,6 +1,7 @@
 """CLI surfaces: subcommands, JSON round trips, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gammahodge
-from gammahodge import betti, graded_algebra, poisson_mc
+from gammahodge import betti, cli, graded_algebra, poisson_mc
 from gammahodge.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -228,11 +229,59 @@ def test_poisson_malformed_spec_exits_2_naming_the_field(capsys, spec, field):
     assert field in err
 
 
-def run_subprocess(*argv):
+def cli_command(*argv):
     src = str(Path(gammahodge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "gammahodge.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return [sys.executable, "-m", "gammahodge.cli", *argv], env
+
+
+def run_subprocess(*argv, timeout=60):
+    command, env = cli_command(*argv)
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_reader_closing_the_pipe_early_keeps_the_exit_code_and_stderr_clean():
+    # about 180 KB of reply, well past the 64 KiB pipe buffer, so the write meets a closed pipe
+    command, env = cli_command("betti", "--input", '{"d":1,"beta":[0,1]}', "--n-max", "20000")
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(3) == b"{\n "
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == EXIT_OK
+    assert err == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_kron_probe_seed_outside_64_bits_exits_2_without_a_traceback(seed):
+    done = run_subprocess("simplicial", "--input", HOLLOW, "--kron-probes", "1", "--seed", seed)
+    assert done.returncode == EXIT_INPUT
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ") and "seed" in done.stderr
+
+
+def test_kron_probes_over_the_budget_exit_4_at_once():
+    started = time.perf_counter()
+    done = run_subprocess("simplicial", "--input", HOLLOW, "--kron-probes", str(10**9), timeout=10)
+    assert time.perf_counter() - started < 5.0
+    assert done.returncode == EXIT_RESOURCE
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+    assert "--kron-probes" in done.stderr
+
+
+def test_kron_probe_budget_is_inclusive_and_refuses_before_the_first_probe(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_KRON_PROBES", 2)
+    args = ("simplicial", "--input", HOLLOW, "--kron-probes")
+    assert len(run_json(capsys, *args, "2")["kron_probes"]) == 2
+
+    def probe(*_):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(cli.hodge, "kron_sum_kernel_dim", probe)
+    code, out, err = run(capsys, *args, "3")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.count("\n") == 1 and "budget of 2" in err
 
 
 def test_mecke_over_the_point_cap_exits_4_without_a_traceback():
@@ -306,10 +355,6 @@ def test_scale_beyond_the_float_range_exits_4_before_the_quadrature(spec, what):
 
 
 @pytest.mark.parametrize("spec, code, what", [
-    ('{"check":"local","window":{"lengths":[1.0]},"f":"one","series_terms":-1}',
-     EXIT_INPUT, "series_terms"),
-    ('{"check":"local","window":{"lengths":[1.0]},"f":"one","series_terms":1000000}',
-     EXIT_INPUT, "series_terms"),
     ('{"check":"local","window":{"lengths":[1000.0]},"f":"one"}', EXIT_RESOURCE, "e^-volume"),
     ('{"check":"local","window":{"lengths":[1.0]},"f":{"kind":"count_indicator","k":1'
      + "0" * 400 + "}}", EXIT_INPUT, "count_indicator"),
@@ -325,6 +370,9 @@ def test_scale_beyond_the_float_range_exits_4_before_the_quadrature(spec, what):
      EXIT_RESOURCE, "(integral of g)^m"),
     ('{"check":"laplace","window":{"lengths":[1e200, 1e200]},"f":"indicator"}',
      EXIT_INPUT, "volume finite"),
+    # a volume that underflows to 0 would divide by zero in the local series
+    ('{"check":"local","window":{"lengths":[1e-200, 1e-200]},"f":{"kind":"poly_of_sum",'
+     '"phi":"indicator","h":{"coeffs":[1,1,1]}}}', EXIT_INPUT, "above 0"),
     ('{"check":"laplace","window":{"lengths":[1.0]},"f":{"kind":"gaussian","center":[0.5],'
      '"width":[0.3],"scale":-1e200}}', EXIT_RESOURCE, "no e^f - 1 series"),
 ])
@@ -332,6 +380,22 @@ def test_poisson_values_beyond_the_float_range_are_refused(capsys, spec, code, w
     code_seen, out, err = run(capsys, "poisson", "--input", spec, "--seed", "1", "--samples", "100")
     assert (code_seen, out) == (code, "")
     assert err.count("\n") == 1 and err.startswith("error: ") and what in err
+
+
+@pytest.mark.parametrize("length", [1.0, 100.0, 700.0])
+@pytest.mark.parametrize("f, mean", [
+    ('"one"', lambda v: 1.0),  # at volume 100 this used to exit 2, its fixed 80 terms too few
+    ('{"kind":"count_indicator","k":3}', lambda v: math.exp(-v) * v**3 / 6),
+    ('{"kind":"poly_of_sum","phi":"indicator","h":{"coeffs":[0.5,-1,2]}}',
+     lambda v: 0.5 - v + 2 * (v + v * v)),
+])
+def test_local_series_serves_every_volume_inside_the_float_range(capsys, f, mean, length):
+    spec = ('{"check":"local","window":{"lengths":[%r]},"samples":100,"seed":1,"f":%s}'
+            % (length, f))
+    started = time.perf_counter()
+    doc = run_json(capsys, "poisson", "--input", spec)
+    assert time.perf_counter() - started < 1.0
+    assert doc["reference"] == pytest.approx(mean(length), rel=1e-12)
 
 
 def test_sample_budget_counts_every_variate(capsys, monkeypatch):

@@ -22,15 +22,18 @@ from gammahodge.poisson_mc import (
     LocalFunctional,
     Polynomial,
     QuadratureError,
+    REL_FLOOR,
     STREAM_BLOCK,
     ScalarFunction,
-    TailBoundError,
+    TAIL_REL_TOL,
     Window,
+    _conditional_mean,
     _blocks,
     _make_report,
     _mc_stats,
     _stream,
     _subset_sums,
+    _sup_bound,
     check_laplace,
     check_local_expansion,
     check_mecke,
@@ -267,7 +270,6 @@ def test_reference_mismatch_is_an_invariant_violation():
     from gammahodge.poisson_mc import ReferenceMismatchError, _verified
 
     assert _verified(1.0 + 1e-13, 1.0, "near") == 1.0
-    assert _verified(0.5, None, "no closed form") == 0.5
     with pytest.raises(ReferenceMismatchError):
         _verified(1.001, 1.0, "off")
 
@@ -339,9 +341,70 @@ def test_local_quadratic_functional():
     assert abs(report.estimate - report.reference) <= 4 * report.std_error
 
 
-def test_local_tail_bound_failure():
-    with pytest.raises(TailBoundError):
-        check_local_expansion(LocalFunctional(kind="one"), WINDOW, 100, 1, series_terms=1)
+SERIES_FUNCTIONALS = [
+    LocalFunctional(kind="one"),
+    LocalFunctional(kind="count_indicator", k=3),
+    LocalFunctional(kind="poly_of_sum", phi=ScalarFunction(kind="indicator", scale=0.5),
+                    h=Polynomial(coeffs=(0.5, -1.0, 2.0))),
+]
+
+
+def summed_terms(monkeypatch, functional, window):
+    """Report of a local check and N, the first series term it dropped (its last bound term)."""
+    seen = []
+
+    def spy(functional, n_pts):
+        seen.append(n_pts)
+        return _sup_bound(functional, n_pts)
+
+    monkeypatch.setattr(poisson_mc, "_sup_bound", spy)
+    return check_local_expansion(functional, window, 10, 1), seen[-1]
+
+
+def pmf_terms(volume, count):
+    pmf = math.exp(-volume)
+    for n_pts in range(count):
+        yield n_pts, pmf
+        pmf *= volume / (n_pts + 1)
+
+
+@pytest.mark.parametrize("volume", [1.0, 100.0, 700.0])
+@pytest.mark.parametrize("functional", SERIES_FUNCTIONALS, ids=lambda f: f.kind)
+def test_local_series_sizes_itself_and_bounds_what_it_drops(monkeypatch, functional, volume):
+    report, first_dropped = summed_terms(monkeypatch, functional, Window(lengths=(volume,)))
+    tail = dict(report.extra)["tail_bound"]
+    assert tail <= TAIL_REL_TOL * max(abs(report.reference), REL_FLOOR)
+    # the dropped bound terms, summed one by one over 3000 of them
+    brute = sum(pmf * _sup_bound(functional, n_pts)
+                for n_pts, pmf in pmf_terms(volume, first_dropped + 3000) if n_pts >= first_dropped)
+    assert tail >= brute
+
+
+def gaussian_sum(window):
+    phi = ScalarFunction(kind="gaussian", scale=0.8, center=tuple(0.4 * x for x in window.lengths),
+                         width=tuple(0.5 * x for x in window.lengths))
+    return LocalFunctional(kind="poly_of_sum", phi=phi, h=Polynomial(coeffs=(0.3, 0.7, -0.4)))
+
+
+@pytest.mark.parametrize("lengths", [(14.0,), (19.4,), (1.2, 1.7), (4.0, 5.0), (2.0, 2.5, 4.0)])
+@pytest.mark.parametrize("make", [lambda w, f=f: f for f in SERIES_FUNCTIONALS] + [gaussian_sum],
+                         ids=["one", "count_indicator", "poly_of_sum", "gaussian_sum"])
+def test_local_series_equals_the_fixed_81_term_sum_at_workload_volumes(make, lengths):
+    window = Window(lengths=lengths)
+    functional = make(window)
+    fixed = 0.0
+    for n_pts, pmf in pmf_terms(window.volume, 81):
+        fixed += pmf * _conditional_mean(functional, n_pts, window)
+    report = check_local_expansion(functional, window, 10, 1)
+    assert dict(report.extra)["series_reference"] == fixed
+
+
+@pytest.mark.parametrize("h", [(2.0**1023, -(2.0**1023)), (2.0**1023, 0.0, -(2.0**1022))])
+def test_local_series_term_outside_the_float_range_is_refused(h):
+    # the reference is exactly 0, but the series' n and n^2 terms overflow at n = 1 or 2
+    functional = LocalFunctional(kind="poly_of_sum", phi=INDICATOR, h=Polynomial(coeffs=h))
+    with pytest.raises(ResourceError, match="local series term"):
+        check_local_expansion(functional, Window(lengths=(1.0,)), 10, 1)
 
 
 # ---------------------------------------------------------------------------
