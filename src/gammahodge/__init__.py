@@ -28,7 +28,6 @@ from .errors import InvariantError, ResourceError
 from .graded_algebra import (
     EnumerationCapError,
     GradedSpace,
-    TensorVector,
     enumerate_words,
     gram_matrix_sym,
     project,

@@ -2,7 +2,7 @@
 
 Subcommands: betti, algebra-check, simplicial, poisson, pipeline.  Exit
 codes: 0 success, 1 internal invariant violation, 2 input error, 3 partial
-run (grid points skipped under the enumeration cap), 4 resource limit (the
+run (grid points skipped over a brute-force budget), 4 resource limit (the
 request would exceed a fixed work or memory budget).  Exact integers are
 emitted as decimal strings; Monte Carlo values as floats.  Output files are
 written atomically (temp file + rename).
@@ -35,6 +35,17 @@ MAX_KRON_PROBES = 1_000
 
 class InputError(ValueError):
     """Bad command-line input or malformed JSON document."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise a usage error as InputError, for main's one line (argv may hold newlines)."""
+        raise InputError(" ".join(message.splitlines()))
+
+
+def integer(text: str) -> int:
+    """argparse type of the integer flags: strict_int's rule, so '1_0' and ' 3' are refused."""
+    return strict_int(text, "flag")
 
 
 def _read_json_source(source: str) -> dict:
@@ -113,7 +124,7 @@ def _grid_spaces(grid: dict):
 
 
 def _compare(row: dict, expected: int, brute) -> dict:
-    """Fill in row's brute count and verdict, or skip it over the word cap; misses go to stderr."""
+    """Fill in row's brute count and verdict, or skip it over a budget; misses go to stderr."""
     try:
         value = brute()
     except ga.EnumerationCapError as exc:
@@ -304,7 +315,7 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gammahodge",
         description="Configuration-space Betti numbers and the checks behind them.",
     )
@@ -320,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="b_0..b_n from a Betti vector document")
     common(p)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=integer, default=10)
 
     p = sub.add_parser("algebra-check", help="closed-form vs brute-force dimension sweep")
     common(p, with_input=False)
@@ -328,18 +339,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplicial", help="Betti numbers + Hodge split of a complex")
     common(p)
-    p.add_argument("--kron-probes", type=int, default=0,
+    p.add_argument("--kron-probes", type=integer, default=0,
                    help="also run this many random PSD Kronecker-sum kernel probes")
-    p.add_argument("--seed", type=int, help="seed for the probes")
+    p.add_argument("--seed", type=integer, help="seed for the probes")
 
     p = sub.add_parser("poisson", help="run one Monte Carlo identity check")
     common(p)
-    p.add_argument("--seed", type=int, help="override the spec's seed")
-    p.add_argument("--samples", type=int, help="override the spec's sample count")
+    p.add_argument("--seed", type=integer, help="override the spec's seed")
+    p.add_argument("--samples", type=integer, help="override the spec's sample count")
 
     p = sub.add_parser("pipeline", help="complex -> Betti vector -> configuration b_n")
     common(p)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=integer, default=10)
     p.add_argument("--infinite-volume", action="store_true",
                    help="zero out beta_0 before the configuration formula (recorded)")
 
@@ -347,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload, code = _COMMANDS[args.command](args)
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

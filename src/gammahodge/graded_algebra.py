@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .betti import beta_super, truncated_product
 from .errors import ResourceError
@@ -39,10 +39,12 @@ Word = tuple[Letter, ...]
 
 # Words a brute-force dimension check may enumerate per (m, n) component.
 MAX_WORDS = 20_000
+# Projector permutations (m! per letter multiset) it may run per component.
+MAX_PERMUTATIONS = 10_000
 
 
 class EnumerationCapError(ResourceError):
-    """A word component has more than MAX_WORDS words."""
+    """A word component is over MAX_WORDS words or MAX_PERMUTATIONS permutations."""
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,6 @@ class GradedSpace:
             if d < 0:
                 raise ValueError(f"component dimension must be >= 0, got {d}")
         object.__setattr__(self, "components", comps)
-
-    def degree(self, component: int) -> int:
-        return self.components[component][0]
 
     @property
     def letters(self) -> tuple[Letter, ...]:
@@ -112,54 +111,6 @@ def super_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
     return _sign_unchecked(perm, degrees)
 
 
-class TensorVector:
-    """Finite exact-rational combination of equal-length words.
-
-    Zero coefficients are dropped on construction, so equality of the term
-    maps is equality of vectors.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Word, Fraction] | Iterable[tuple[Word, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Word, Fraction] = {}
-        for word, coeff in items:
-            c = acc.get(word, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[word] = c
-            else:
-                acc.pop(word, None)
-        if len({len(w) for w in acc}) > 1:
-            raise ValueError("terms mix words of different lengths")
-        self.terms = acc
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        merged = dict(self.terms)
-        for w, c in other.terms.items():
-            merged[w] = merged.get(w, Fraction(0)) + c
-        return TensorVector(merged)
-
-    def __rmul__(self, scalar) -> "TensorVector":
-        s = Fraction(scalar)
-        return TensorVector({w: s * c for w, c in self.terms.items()})
-
-    def coefficient(self, word: Word) -> Fraction:
-        return self.terms.get(word, Fraction(0))
-
-    def __repr__(self) -> str:
-        inside = ", ".join(f"{w}: {c}" for w, c in sorted(self.terms.items()))
-        return f"TensorVector({{{inside}}})"
-
-
 def enumerate_words(space: GradedSpace, m: int, n: int) -> list[Word]:
     """All length-m words of multidegree n, in lexicographic letter order."""
     if m < 0 or n < 0:
@@ -201,12 +152,12 @@ def count_words(space: GradedSpace, m: int, n: int) -> int:
     return truncated_product([letters_by_degree] * m, n)[n]
 
 
-def project(space: GradedSpace, word: Word) -> TensorVector:
+def project(space: GradedSpace, word: Word) -> dict[Word, Fraction]:
     """Apply the super-symmetrizing projector to a basis word.
 
-    Averages the m! letter permutations with their graded signs; identical
-    result words are merged, so full cancellation is possible (a repeated
-    odd-degree letter projects to zero).
+    Averages the m! letter permutations with their graded signs into the
+    nonzero {word: coefficient} terms; full cancellation is possible (a
+    repeated odd-degree letter projects to {}).
     """
     m = len(word)
     degrees = tuple(space.letter_degree(L) for L in word)
@@ -216,16 +167,16 @@ def project(space: GradedSpace, word: Word) -> TensorVector:
         permuted = tuple(word[p] for p in perm)
         acc[permuted] = acc.get(permuted, 0) + s
     budget = factorial(m)
-    return TensorVector({w: Fraction(c, budget) for w, c in acc.items() if c})
+    return {w: Fraction(c, budget) for w, c in acc.items() if c}
 
 
-def project_vector(space: GradedSpace, vec: TensorVector) -> TensorVector:
-    """Linear extension of the projector to rational word combinations."""
+def project_vector(space: GradedSpace, vec: dict[Word, Fraction]) -> dict[Word, Fraction]:
+    """Linear extension of the projector to {word: coefficient} combinations."""
     acc: dict[Word, Fraction] = {}
-    for word, coeff in vec.terms.items():
-        for w, c in project(space, word).terms.items():
-            acc[w] = acc.get(w, Fraction(0)) + coeff * c
-    return TensorVector(acc)
+    for word, coeff in vec.items():
+        for w, c in project(space, word).items():
+            acc[w] = acc.get(w, 0) + coeff * c
+    return {w: c for w, c in acc.items() if c}
 
 
 def gram_matrix_sym(space: GradedSpace, m: int, n: int) -> list[list[Fraction]]:
@@ -239,7 +190,7 @@ def gram_matrix_sym(space: GradedSpace, m: int, n: int) -> list[list[Fraction]]:
     out = [[Fraction(0)] * len(words) for _ in words]
     for a, w in enumerate(words):
         row = out[a]
-        for w2, c in project(space, w).terms.items():
+        for w2, c in project(space, w).items():
             row[index[w2]] = c
     return out
 
@@ -250,7 +201,8 @@ def sym_component_dim_bruteforce(space: GradedSpace, m: int, n: int) -> int:
     The words of one letter multiset form a single permutation orbit and
     P(sigma w) = +-P(w), so that block's image is span{P(w0)} for its sorted
     word w0: it contributes 1 if the signed average P(w0) is nonzero, else 0.
-    Components of more than MAX_WORDS words raise EnumerationCapError.
+    Components over MAX_WORDS words or MAX_PERMUTATIONS permutations (m! per
+    multiset) raise EnumerationCapError before any projection.
     """
     total = count_words(space, m, n)
     if total > MAX_WORDS:
@@ -259,6 +211,12 @@ def sym_component_dim_bruteforce(space: GradedSpace, m: int, n: int) -> int:
             f"cap {MAX_WORDS}"
         )
     multisets = dict.fromkeys(tuple(sorted(w)) for w in enumerate_words(space, m, n))
+    perms = len(multisets) * factorial(m)
+    if perms > MAX_PERMUTATIONS:
+        raise EnumerationCapError(
+            f"component (m={m}, n={n}) needs {len(multisets)} letter multisets x {m}! = "
+            f"{perms} projector permutations, over the permutation budget {MAX_PERMUTATIONS}"
+        )
     return sum(1 for w0 in multisets if project(space, w0))
 
 
@@ -312,11 +270,11 @@ def projected_norm_sq(space: GradedSpace, word: Word) -> Fraction:
         if c1 > c2 or (c1 == c2 and b1 > b2):
             raise ValueError(f"word {word} is not block-sorted")
     result = Fraction(1, factorial(m))
-    for component, block in itertools.groupby(word, key=lambda L: L[0]):
+    for _, block in itertools.groupby(word, key=lambda L: L[0]):
         letters = list(block)
         r = len(letters)
         multiplicities = Counter(letters)
-        if space.degree(component) % 2:
+        if space.letter_degree(letters[0]) % 2:
             if any(v > 1 for v in multiplicities.values()):
                 return Fraction(0)
             norm_sq = Fraction(1, factorial(r))

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -74,24 +74,24 @@ class Window:
     """Axis-aligned box [0, L_1] x ... x [0, L_dim] with unit intensity."""
 
     lengths: tuple[float, ...]
+    # the product in axis order, the same bits as float(np.prod(lengths))
+    volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = tuple(float(x) for x in self.lengths)
         if not lengths:
             raise ValueError("window needs at least one axis")
-        if not all(0 < x < math.inf for x in lengths) or not 0 < math.prod(lengths) < math.inf:
+        volume = math.prod(lengths)
+        if not all(0 < x < math.inf for x in lengths) or not 0 < volume < math.inf:
             raise ValueError(
                 f"window lengths must be positive, volume finite and above 0, got {list(lengths)}"
             )
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "volume", volume)
 
     @property
     def dim(self) -> int:
         return len(self.lengths)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
 
     @classmethod
     def from_json(cls, doc: dict) -> "Window":

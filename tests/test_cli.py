@@ -102,6 +102,23 @@ def test_algebra_check_cap_skips_exit_3(capsys, monkeypatch):
     assert any(row["status"] == "skipped" for row in doc["rows"])
 
 
+def test_algebra_check_permutation_budget_skips_exit_3_at_once():
+    # one odd letter: the (m, m) component is one multiset of m! permutations,
+    # 3.6 million at m = 10; rows over the budget are skipped, never started
+    grid = ('{"l_max":1,"degree_max":1,"dim_max":1,"m_max":10,"n_max":10,'
+            '"betti_d_max":1,"betti_beta_max":0,"betti_n_max":0}')
+    started = time.perf_counter()
+    done = run_subprocess("algebra-check", "--grid", grid, timeout=20)
+    assert time.perf_counter() - started < 1.0
+    assert done.returncode == EXIT_PARTIAL
+    doc = json.loads(done.stdout)
+    skipped = [row for row in doc["rows"] if row["status"] == "skipped"]
+    assert {row["m"] for row in skipped} >= {"9", "10"}
+    assert all("permutation budget" in row["reason"] for row in skipped)
+    assert doc["summary"]["skipped"] == str(len(skipped))
+    assert doc["summary"]["word_cap"] == str(graded_algebra.MAX_WORDS)
+
+
 def test_algebra_check_rejects_unknown_grid_keys(capsys):
     code, _, err = run(capsys, "algebra-check", "--grid", '{"bogus": 3}')
     assert code == EXIT_INPUT
@@ -515,6 +532,13 @@ def test_pipeline_marked_path_matches_direct_convolution(capsys):
         (("simplicial", "--input", '{"maximal":[[0,1.5]]}'), "maximal[0][1]"),
         (("simplicial", "--input", '{"maximal":["012"]}'), "maximal[0]"),
         (("pipeline", "--input", '{"maximal":[[0,1],[1,true]]}'), "maximal[1][1]"),
+        # integer flags follow the same rule: int() would read "1_0" as 10 and " 3" as 3
+        (("simplicial", "--input", HOLLOW, "--seed", "x"), "--seed: invalid integer"),
+        (("simplicial", "--input", HOLLOW, "--kron-probes", "1.0"), "--kron-probes: invalid integer"),
+        (("betti", "--input", '{"d":1,"beta":[0,1]}', "--n-max", "1_0"), "--n-max: invalid integer"),
+        (("pipeline", "--input", HOLLOW, "--n-max", " 3"), "--n-max: invalid integer"),
+        (("poisson", "--input", POISSON_SPEC, "--samples", "2e3"), "--samples: invalid integer"),
+        (("poisson", "--input", POISSON_SPEC, "--seed", "+1"), "--seed: invalid integer"),
     ],
 )
 def test_non_integer_input_exits_2_naming_the_field(capsys, argv, field):
@@ -523,3 +547,32 @@ def test_non_integer_input_exits_2_naming_the_field(capsys, argv, field):
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simplicial", "--input", HOLLOW, "--seed", "x"),
+        ("betti", "--input", '{"d":1,"beta":[0,1]}', "--n-max", "1_0"),
+        ("betti", "--input", '{"d":1,"beta":[0,1]}', "--n-max"),
+        ("betti", "--input", '{"d":1,"beta":[0,1]}', "stray\nword"),
+        ("betti",),
+        ("bogus",),
+        (),
+    ],
+)
+def test_usage_errors_are_one_error_line_and_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    done = run_subprocess(*argv)
+    assert done.returncode == EXIT_INPUT
+    assert (done.stdout, done.stderr) == (out, err)
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gammahodge betti")

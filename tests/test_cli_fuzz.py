@@ -1,4 +1,4 @@
-"""Fuzz of cli.main: any JSON document ends in a clean exit, never a traceback.
+"""Fuzz of cli.main: any JSON document or integer flag text ends in a clean exit.
 
 Every run must exit 0 (success), 2 (input error), 3 (partial run) or 4
 (resource limit).  A failure prints exactly one ``error:`` line and nothing on
@@ -40,6 +40,8 @@ def sometimes_odd(plain):
 REAL = sometimes_odd([0.3, 1.0, 2.0, 3])
 INTEGER = sometimes_odd([2, 3, 100])
 SMALL = st.one_of(st.integers(-1, 2), st.sampled_from([1.5, "2", "x", True, None]))
+# an integer flag's argv text: small integers or anything at all ("1_0", " 3", "x", "")
+FLAG_TEXT = st.one_of(st.integers(-1, 2).map(str), st.text())
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -130,26 +132,26 @@ def complex_doc(draw):
 
 
 @FUZZ
-@given(d=SMALL, beta=st.lists(SMALL, max_size=4), n_max=st.integers(-1, 2))
+@given(d=SMALL, beta=st.lists(SMALL, max_size=4), n_max=FLAG_TEXT)
 def test_betti_documents_exit_cleanly(d, beta, n_max):
-    assert_clean("betti", "--input", json.dumps({"d": d, "beta": beta}), "--n-max", str(n_max))
+    assert_clean("betti", "--input", json.dumps({"d": d, "beta": beta}), "--n-max", n_max)
 
 
 @FUZZ
 @given(doc=complex_doc(),
        probes=st.one_of(st.integers(-1, 2), st.sampled_from([MAX_KRON_PROBES + 1, 10**9])),
-       seed=INTEGER.filter(lambda x: type(x) is int))  # argparse itself rejects the rest
+       seed=st.one_of(INTEGER.map(str), st.text()))
 def test_simplicial_documents_exit_cleanly(doc, probes, seed):
     assert_clean("simplicial", "--input", json.dumps(doc),
-                 "--kron-probes", str(probes), "--seed", str(seed))
+                 "--kron-probes", str(probes), "--seed", seed)
 
 
 @FUZZ
 @given(base=complex_doc(), mark=st.one_of(st.none(), complex_doc()),
-       infinite=st.booleans(), n_max=st.integers(-1, 2))
+       infinite=st.booleans(), n_max=FLAG_TEXT)
 def test_pipeline_documents_exit_cleanly(base, mark, infinite, n_max):
     doc = base if mark is None else {"complex": base, "mark": mark}
-    argv = ["pipeline", "--input", json.dumps(doc), "--n-max", str(n_max)]
+    argv = ["pipeline", "--input", json.dumps(doc), "--n-max", n_max]
     assert_clean(*argv, *(["--infinite-volume"] if infinite else []))
 
 

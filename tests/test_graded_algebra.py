@@ -16,7 +16,6 @@ from gammahodge import graded_algebra
 from gammahodge.graded_algebra import (
     EnumerationCapError,
     GradedSpace,
-    TensorVector,
     count_words,
     enumerate_words,
     gram_matrix_sym,
@@ -129,18 +128,27 @@ def test_enumerated_words_are_homogeneous(space, m, n):
 def test_project_single_letter_is_identity():
     space = GradedSpace(((3, 2),))
     w = ((0, 1),)
-    assert project(space, w) == TensorVector({w: Fraction(1)})
+    assert project(space, w) == {w: Fraction(1)}
 
 
 def test_project_repeated_odd_letter_vanishes():
     space = GradedSpace(((1, 1),))
-    assert not project(space, ((0, 0), (0, 0)))
+    assert project(space, ((0, 0), (0, 0))) == {}
+    assert project(space, ((0, 0),) * 3) == {}
+
+
+def test_project_returns_only_nonzero_coefficients():
+    space = GradedSpace(((1, 2), (2, 1)))
+    for w in words_of(space, max_m=4):
+        p = project(space, w)
+        assert all(c != 0 for c in p.values())
+        assert all(isinstance(c, Fraction) and len(v) == len(w) for v, c in p.items())
 
 
 def test_project_mixed_pair_two_term_expansion():
     space = GradedSpace(((1, 1), (2, 1)))
     e, f = (0, 0), (1, 0)
-    expected = TensorVector({(e, f): Fraction(1, 2), (f, e): Fraction(1, 2)})
+    expected = {(e, f): Fraction(1, 2), (f, e): Fraction(1, 2)}
     assert project(space, (e, f)) == expected
 
 
@@ -150,10 +158,9 @@ def test_project_two_letter_oracle():
     for a in space.letters:
         for b in space.letters:
             sign = super_sign((1, 0), (space.letter_degree(a), space.letter_degree(b)))
-            direct = TensorVector(
-                {(a, b): Fraction(1, 2)}
-            ) + Fraction(sign, 2) * TensorVector({(b, a): Fraction(1)})
-            assert project(space, (a, b)) == direct
+            direct = {(a, b): Fraction(1, 2)}
+            direct[(b, a)] = direct.get((b, a), 0) + Fraction(sign, 2)
+            assert project(space, (a, b)) == {v: c for v, c in direct.items() if c}
 
 
 @settings(max_examples=25, deadline=None)
@@ -173,7 +180,7 @@ def test_projector_is_self_adjoint(space):
             projections = {w: project(space, w) for w in words}
             for u in words:
                 for v in words:
-                    assert projections[u].coefficient(v) == projections[v].coefficient(u)
+                    assert projections[u].get(v, 0) == projections[v].get(u, 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,7 +192,8 @@ def test_graded_commutation_adjacent_transposition(space):
             sign = (-1) ** (degrees[r] * degrees[r + 1])
             swapped = list(w)
             swapped[r], swapped[r + 1] = swapped[r + 1], swapped[r]
-            assert project(space, w) == sign * project(space, tuple(swapped))
+            swapped_p = project(space, tuple(swapped))
+            assert project(space, w) == {v: sign * c for v, c in swapped_p.items()}
 
 
 @given(
@@ -197,7 +205,8 @@ def test_graded_commutation_general_permutation(perm, letters):
     w = tuple(letters)
     degrees = [space.letter_degree(L) for L in w]
     permuted = tuple(w[p] for p in perm)
-    assert project(space, permuted) == super_sign(perm, degrees) * project(space, w)
+    sign = super_sign(perm, degrees)
+    assert project(space, permuted) == {v: sign * c for v, c in project(space, w).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +339,7 @@ def test_norm_even_repeated_letter():
     space = GradedSpace(((2, 1),))
     w = ((0, 0), (0, 0))
     assert projected_norm_sq(space, w) == 1
-    assert project(space, w).coefficient(w) == 1
+    assert project(space, w).get(w, 0) == 1
 
 
 def test_norm_odd_repeated_letter_is_zero():
@@ -355,7 +364,7 @@ def test_norm_agrees_with_projection_inner_product():
                 for w in enumerate_words(space, m, n):
                     if tuple(sorted(w)) != w:
                         continue
-                    assert projected_norm_sq(space, w) == project(space, w).coefficient(w)
+                    assert projected_norm_sq(space, w) == project(space, w).get(w, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +375,29 @@ def test_cap_exceeded_raises_named_error(monkeypatch):
     space = GradedSpace(((1, 3),))
     with pytest.raises(EnumerationCapError, match="cap 3"):
         sym_component_dim_bruteforce(space, 2, 2)
+
+
+def test_permutation_budget_refuses_before_projecting(monkeypatch):
+    # one multiset of 7 letters needs 7! = 5040 permutations
+    space = GradedSpace(((1, 1),))
+    monkeypatch.setattr(graded_algebra, "MAX_PERMUTATIONS", 5040)
+    assert sym_component_dim_bruteforce(space, 7, 7) == 0
+    monkeypatch.setattr(graded_algebra, "MAX_PERMUTATIONS", 5039)
+
+    def no_projection(*args):
+        raise AssertionError("projected over the budget")
+
+    monkeypatch.setattr(graded_algebra, "project", no_projection)
+    with pytest.raises(EnumerationCapError, match=r"x 7! = 5040 .* permutation budget 5039"):
+        sym_component_dim_bruteforce(space, 7, 7)
+
+
+def test_permutation_budget_counts_every_multiset():
+    # two letters of degree 1: the m = 7 words of degree 7 fall into 8 multisets
+    space = GradedSpace(((1, 2),))
+    with pytest.raises(EnumerationCapError, match=r"8 letter multisets x 7!"):
+        sym_component_dim_bruteforce(space, 7, 7)
+    assert sym_component_dim_bruteforce(space, 5, 5) == sym_component_dim_closed(space, 5, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,20 @@ def test_window_validation_and_volume():
         Window.from_json({"dim": 3, "lengths": [1.0, 2.0]})
 
 
+def test_window_volume_is_fixed_at_construction_with_numpy_bits(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
+    windows = [
+        Window(lengths=tuple(10.0 ** rng.uniform(-3, 3, size=dim)))
+        for dim in (1, 2, 3)
+        for _ in range(2000)
+    ]
+    monkeypatch.setattr(np, "prod", None)  # a read must not recompute the product
+    volumes = [w.volume for w in windows]
+    monkeypatch.undo()
+    assert volumes == [float(np.prod(w.lengths)) for w in windows]
+    assert Window(lengths=(1.0, 2.0)) == WINDOW and repr(WINDOW) == "Window(lengths=(1.0, 2.0))"
+
+
 def test_scalar_function_validation():
     with pytest.raises(ValueError, match="lo <= hi"):
         ScalarFunction(kind="box", lo=(0.5, 0.0), hi=(0.4, 1.0))
