@@ -27,8 +27,8 @@ def main() -> None:
     for beta in itertools.product(range(args.beta_max + 1), repeat=args.d):
         vector = BettiVector(d=args.d, beta=(0, *beta))
         report = betti_report(vector, args.n_max)
-        cells = [str(vector.beta)] + [str(v) for v in report.b]
-        cells.append(str(report.K0) if report.K0 is not None else "-")
+        cells = [str(vector.beta)] + report["b"]
+        cells.append(report.get("vanishing", {}).get("K0", "-"))
         print("  ".join(f"{c:>8}" for c in cells))
 
 

@@ -59,11 +59,11 @@ def main() -> None:
         worst = 0.0
         for seed in range(args.seeds):
             report = fn(seed, args.samples)
-            deviation = abs(report.estimate - report.reference)
-            if deviation <= 3 * report.std_error:
+            deviation = abs(report["estimate"] - report["reference"])
+            if deviation <= 3 * report["std_error"]:
                 hits += 1
-            if report.std_error:
-                worst = max(worst, deviation / report.std_error)
+            if report["std_error"]:
+                worst = max(worst, deviation / report["std_error"])
         print(
             f"{name:>20}: {hits}/{args.seeds} inside 3 sigma "
             f"(worst deviation {worst:.2f} sigma)"

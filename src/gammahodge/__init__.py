@@ -13,7 +13,6 @@ Modules:
 """
 
 from .betti import (
-    BettiReport,
     BettiVector,
     InfiniteVolumeWarning,
     beta_super,
@@ -40,7 +39,6 @@ from .graded_algebra import (
 from .hodge_discrete import (
     PsdContractError,
     SimplicialComplex,
-    SymMatrix,
     betti_numbers,
     boundary_matrix,
     catalog,
@@ -53,8 +51,6 @@ from .hodge_discrete import (
 )
 from .poisson_mc import (
     LocalFunctional,
-    McReport,
-    PointConfiguration,
     Polynomial,
     ScalarFunction,
     Window,

@@ -11,8 +11,10 @@ whose x^{s k} coefficients are the per-degree power counts
     C(beta_k, s)          for odd k   (wedge powers),
     C(beta_k + s - 1, s)  for even k  (symmetric powers).
 
-That truncated series is the only production route to b_n.  b_0 is 1, the
-scalar component.  beta_0 is ignored by the formula, which
+That truncated series is the only production route to b_n; it is refused
+with ResourceError, before any work, when its multiply-adds would pass
+MAX_SERIES_WORK.  betti_report returns the CLI reply itself, a plain dict.
+b_0 is 1, the scalar component.  beta_0 is ignored by the formula, which
 presumes an infinite-volume base; a nonzero beta_0 input triggers
 InfiniteVolumeWarning, never an error, because product-space pipelines
 legitimately carry beta_0 = 1 on a compact factor.
@@ -31,7 +33,14 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import InvariantError, strict_int
+from .errors import InvariantError, ResourceError, strict_int
+
+# Bound on F * (n_max + 1)^2, the multiply-adds of config_betti_series for F
+# nonzero factors (F counted as 1 when there are none: the reply still holds
+# n_max + 1 coefficients).  The slowest shapes measured at the bound, forty
+# beta_k = 6 at n_max 865 and ten beta_k = 9 at n_max 1730, took 0.7-0.8 s
+# on a 2-core Xeon VM.
+MAX_SERIES_WORK = 3 * 10**7
 
 
 class InfiniteVolumeWarning(UserWarning):
@@ -66,9 +75,6 @@ class BettiVector:
         if not isinstance(beta, list):
             raise ValueError(f"beta must be a list of integers, got {beta!r}")
         return cls(d=d, beta=tuple(beta))
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "beta": list(self.beta)}
 
 
 def _warn_if_finite_volume(betti: BettiVector) -> None:
@@ -131,15 +137,21 @@ def config_betti_series(betti: BettiVector, n_max: int) -> list[int]:
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    # a factor of degree k > n_max is 1 modulo x^(n_max + 1)
+    degrees = [k for k in range(1, min(betti.d, n_max) + 1) if betti.beta[k]]
+    work = max(len(degrees), 1) * (n_max + 1) ** 2
+    if work > MAX_SERIES_WORK:
+        raise ResourceError(
+            f"the series to n_max = {n_max} over {len(degrees)} nonzero beta_k needs about "
+            f"{work:.3g} multiply-adds, over the budget of {MAX_SERIES_WORK:.3g}"
+        )
     _warn_if_finite_volume(betti)
     factors = []
-    for k in range(1, betti.d + 1):
-        b = betti.beta[k]
-        if b:
-            factor = [1] + [0] * n_max
-            for s in range(1, n_max // k + 1):
-                factor[s * k] = beta_super(b, k, s)
-            factors.append(factor)
+    for k in degrees:
+        factor = [1] + [0] * n_max
+        for s in range(1, n_max // k + 1):
+            factor[s * k] = beta_super(betti.beta[k], k, s)
+        factors.append(factor)
     return truncated_product(factors, n_max)
 
 
@@ -202,41 +214,24 @@ def fiber_decomposition_check(N: int, d: int, n: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class BettiReport:
-    """b_0..b_{n_max} plus the vanishing threshold block when it applies."""
+def betti_report(betti: BettiVector, n_max: int) -> dict:
+    """The betti reply: b_0..b_{n_max} from one series, plus the vanishing block.
 
-    input: BettiVector
-    n_max: int
-    b: tuple[int, ...]
-    K0: int | None
-
-    def __post_init__(self):
-        if self.b[0] != 1:
-            raise InvariantError("b_0 must be 1")
-        if any(v < 0 for v in self.b):
-            raise InvariantError("negative Betti number in report")
-
-
-def betti_report(betti: BettiVector, n_max: int) -> BettiReport:
-    """b_0..b_{n_max} from one series evaluation, plus the vanishing block.
-
+    Exact integers are decimal strings; the input echo keeps JSON integers.
     Costs follow n_max alone: the threshold K_0 is read off beta, never
     confirmed by evaluating b_n up to K_0 (the test suite confirms it).
     """
-    b = tuple(config_betti_series(betti, n_max))
-    K0, valid = vanishing_threshold(betti)
-    return BettiReport(input=betti, n_max=n_max, b=b, K0=K0 if valid else None)
-
-
-def report_to_json(report: BettiReport) -> dict:
-    """JSON document with exact integers as decimal strings."""
+    b = config_betti_series(betti, n_max)
+    if b[0] != 1:
+        raise InvariantError("b_0 must be 1")
+    if any(v < 0 for v in b):
+        raise InvariantError("negative Betti number in report")
     doc = {
-        "input": report.input.to_json(),
-        "n_max": str(report.n_max),
-        "b": [str(v) for v in report.b],
+        "input": {"d": betti.d, "beta": list(betti.beta)},
+        "n_max": str(n_max),
+        "b": [str(v) for v in b],
     }
-    if report.K0 is not None:
-        doc["vanishing"] = {"K0": str(report.K0)}
+    K0, valid = vanishing_threshold(betti)
+    if valid:
+        doc["vanishing"] = {"K0": str(K0)}
     return doc
-

@@ -3,9 +3,10 @@
 Subcommands: betti, algebra-check, simplicial, poisson, pipeline.  Exit
 codes: 0 success, 1 internal invariant violation, 2 input error, 3 partial
 run (grid points skipped over a brute-force budget), 4 resource limit (the
-request would exceed a fixed work or memory budget).  Exact integers are
-emitted as decimal strings; Monte Carlo values as floats.  Output files are
-written atomically (temp file + rename).
+request would exceed a fixed work or memory budget).  Each warning is one
+``warning:`` line on stderr.  Exact integers are emitted as decimal strings;
+Monte Carlo values as floats.  Output files are written atomically (temp
+file + rename).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
@@ -23,6 +25,7 @@ from . import graded_algebra as ga
 from . import hodge_discrete as hodge
 from . import poisson_mc
 from .errors import InvariantError, ResourceError, strict_int
+from .linalg import gram
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -95,8 +98,7 @@ def _emit(payload: dict, output: str | None) -> None:
 
 def cmd_betti(args: argparse.Namespace) -> tuple[dict, int]:
     vector = betti_mod.BettiVector.from_json(_read_json_source(args.input))
-    report = betti_mod.betti_report(vector, args.n_max)
-    return betti_mod.report_to_json(report), EXIT_OK
+    return betti_mod.betti_report(vector, args.n_max), EXIT_OK
 
 
 _DEFAULT_GRID = {
@@ -213,7 +215,7 @@ def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:
         mats = []
         for size in sizes:
             factor = rng.integers(-2, 3, size=(int(size) + 1, int(size)))
-            mats.append(hodge.SymMatrix.from_gram(factor.tolist()))
+            mats.append(gram(factor.tolist(), int(size)))
         computed, predicted = hodge.kron_sum_kernel_dim(mats[0], mats[1])
         rows.append(
             {
@@ -268,8 +270,7 @@ def cmd_poisson(args: argparse.Namespace) -> tuple[dict, int]:
         spec["seed"] = args.seed
     if args.samples is not None:
         spec["samples"] = args.samples
-    report = poisson_mc.run_check(spec)
-    return poisson_mc.report_to_json(report), EXIT_OK
+    return poisson_mc.run_check(spec), EXIT_OK
 
 
 def _vector_from_complex(complex_: hodge.SimplicialComplex, zero_b0: bool) -> tuple[betti_mod.BettiVector, list[int]]:
@@ -299,8 +300,7 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, int]:
         mark_vector, mark_raw = _vector_from_complex(mark, zero_b0=False)
         source["mark_betti"] = [str(b) for b in mark_raw]
         vector = betti_mod.kunneth_product(vector, mark_vector)
-    report = betti_mod.betti_report(vector, args.n_max)
-    payload = betti_mod.report_to_json(report)
+    payload = betti_mod.betti_report(vector, args.n_max)
     payload["beta_source"] = source
     return payload, EXIT_OK
 
@@ -357,19 +357,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as one stderr line, with no source path or code line."""
+    text = " ".join(str(message).splitlines())
+    return f"warning: {category.__name__}: {text}\n"
+
+
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        payload, code = _COMMANDS[args.command](args)
-    except InvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ValueError as exc:  # InputError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # catch_warnings empties the once-per-location registries as it enters, so
+    # each call shows its own warnings, and restores the filters as it leaves
+    with warnings.catch_warnings():
+        formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
+        try:
+            args = _build_parser().parse_args(argv)
+            payload, code = _COMMANDS[args.command](args)
+        except InvariantError as exc:
+            print(f"internal invariant violated: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
+        except ResourceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
+        except ValueError as exc:  # InputError included
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        finally:
+            warnings.formatwarning = formatwarning
     _emit(payload, args.output)
     return code
 

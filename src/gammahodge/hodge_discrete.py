@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantError, ResourceError, strict_int
-from .linalg import gram, is_psd, kron_sum, nullity, rank
+from .linalg import Matrix, is_psd, kron_sum, nullity, rank
 
 Simplex = tuple[int, ...]
 
@@ -166,39 +165,8 @@ def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Square matrix with exact rational entries, symmetric by construction."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in self.entries)
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            for j in range(i):
-                if row[j] != rows[j][i]:
-                    raise ValueError("matrix is not symmetric")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def from_rows(cls, rows) -> "SymMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @classmethod
-    def from_gram(cls, factor) -> "SymMatrix":
-        """G^T G for an arbitrary factor G (always positive semidefinite)."""
-        return cls.from_rows(gram(factor, len(factor[0]) if factor else 0))
-
-
-def hodge_laplacian(K: SimplicialComplex, k: int) -> SymMatrix:
-    """Combinatorial Hodge Laplacian on k-chains.
+def hodge_laplacian(K: SimplicialComplex, k: int) -> list[list[int]]:
+    """Combinatorial Hodge Laplacian on k-chains, as dense integer rows.
 
     del_{k+1} del_{k+1}^T + del_k^T del_k: symmetric, positive semidefinite,
     and its kernel dimension is the k-th Betti number.
@@ -208,9 +176,7 @@ def hodge_laplacian(K: SimplicialComplex, k: int) -> SymMatrix:
     nk = K.chain_dim(k)
     down, _ = _sparse_boundary(K, k)
     _, up = _sparse_boundary(K, k + 1)
-    return SymMatrix.from_rows(
-        [[row.get(j, 0) for j in range(nk)] for row in _laplacian(down, up, nk)]
-    )
+    return [[row.get(j, 0) for j in range(nk)] for row in _laplacian(down, up, nk)]
 
 
 def _laplacian(down, up, nk: int) -> list[dict[int, int]]:
@@ -254,19 +220,20 @@ def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int]
     return tuple(out)
 
 
-def kron_sum_kernel_dim(A: SymMatrix, B: SymMatrix) -> tuple[int, int]:
+def kron_sum_kernel_dim(A: Matrix, B: Matrix) -> tuple[int, int]:
     """(computed, predicted) kernel dimensions of the Kronecker sum of A, B.
 
-    computed is the exact nullity of A (x) I + I (x) B; predicted is
-    nullity(A) * nullity(B), which matches whenever both matrices are
-    positive semidefinite.  Non-PSD input raises PsdContractError since the
-    prediction is not claimed there.
+    A and B are square symmetric matrices given by rows.  computed is the
+    exact nullity of A (x) I + I (x) B; predicted is nullity(A) * nullity(B),
+    which matches whenever both matrices are positive semidefinite.  A
+    non-square or non-symmetric input raises ValueError, and a non-PSD one
+    PsdContractError, since the prediction is not claimed there.
     """
     for name, M in (("A", A), ("B", B)):
-        if not is_psd(M.entries):
+        if not is_psd(M):
             raise PsdContractError(f"matrix {name} is not positive semidefinite")
-    computed = nullity(kron_sum(A.entries, B.entries))
-    predicted = nullity(A.entries) * nullity(B.entries)
+    computed = nullity(kron_sum(A, B))
+    predicted = nullity(A) * nullity(B)
     return computed, predicted
 
 

@@ -2,7 +2,8 @@
 
 The process has unit intensity on a box window, so the point count is
 Poisson(volume) and points are i.i.d. uniform.  Three checks compare a
-Monte Carlo estimate against an independently computed reference:
+Monte Carlo estimate against an independently computed reference, each
+returning its JSON reply as a plain dict:
 
 * ``check_laplace``: the exponential moment E[exp<f, gamma>] against
   exp(integral of (e^f - 1) over the window).
@@ -105,17 +106,6 @@ class Window:
         return win
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
-    """One sampled configuration: a finite point set inside the window."""
-
-    window: Window
-    points: tuple[tuple[float, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -161,8 +151,10 @@ def _per_sample(window: Window, seed: int, n_samples: int, per_block) -> np.ndar
     return np.concatenate([per_block(*b) for b in _blocks(window, seed, n_samples)], axis=-1)
 
 
-def sample_configuration(window: Window, seed: int, index: int = 0) -> PointConfiguration:
-    """Configuration number ``index`` of the stream for this seed.
+def sample_configuration(
+    window: Window, seed: int, index: int = 0
+) -> tuple[tuple[float, ...], ...]:
+    """The points of configuration number ``index`` of the stream for this seed.
 
     Count ~ Poisson(volume), points i.i.d. uniform in the box; bitwise
     reproducible and read from the same block draw as the checks.
@@ -172,9 +164,7 @@ def sample_configuration(window: Window, seed: int, index: int = 0) -> PointConf
     block, offset = divmod(index, STREAM_BLOCK)
     counts, points = _block(window, seed, block, offset + 1)
     own = points[len(points) - int(counts[offset]) :]
-    return PointConfiguration(
-        window=window, points=tuple(tuple(float(x) for x in p) for p in own)
-    )
+    return tuple(tuple(float(x) for x in p) for p in own)
 
 
 # ---------------------------------------------------------------------------
@@ -415,49 +405,21 @@ def integral_expm1(fn: ScalarFunction, window: Window) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reports
+# replies
 
-@dataclass(frozen=True)
-class McReport:
-    """Outcome of one Monte Carlo check against its reference value."""
-
-    check: str
-    estimate: float
-    reference: float
-    abs_error: float
-    rel_error: float
-    std_error: float
-    samples: int
-    seed: int
-    extra: tuple[tuple[str, float], ...] = ()
-
-
-def _make_report(check, estimate, reference, std_error, samples, seed, extra=()):
+def _reply(check, estimate, reference, std_error, samples, seed, extra) -> dict:
+    """A check's JSON reply: floats, with the exact integers as decimal strings."""
     abs_error = abs(estimate - reference)
-    return McReport(
-        check=check,
-        estimate=float(estimate),
-        reference=float(reference),
-        abs_error=float(abs_error),
-        rel_error=float(abs_error / max(abs(reference), REL_FLOOR)),
-        std_error=float(std_error),
-        samples=int(samples),
-        seed=int(seed),
-        extra=tuple((k, float(v)) for k, v in extra),
-    )
-
-
-def report_to_json(report: McReport) -> dict:
     return {
-        "check": report.check,
-        "estimate": report.estimate,
-        "reference": report.reference,
-        "abs_error": report.abs_error,
-        "rel_error": report.rel_error,
-        "std_error": report.std_error,
-        "samples": str(report.samples),
-        "seed": str(report.seed),
-        "extra": {k: v for k, v in report.extra},
+        "check": check,
+        "estimate": float(estimate),
+        "reference": float(reference),
+        "abs_error": float(abs_error),
+        "rel_error": float(abs_error / max(abs(reference), REL_FLOOR)),
+        "std_error": float(std_error),
+        "samples": str(int(samples)),
+        "seed": str(int(seed)),
+        "extra": {k: float(v) for k, v in extra.items()},
     }
 
 
@@ -471,7 +433,7 @@ def _mc_stats(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # the three checks
 
-def check_laplace(f: ScalarFunction, window: Window, samples: int, seed: int) -> McReport:
+def check_laplace(f: ScalarFunction, window: Window, samples: int, seed: int) -> dict:
     """Exponential moment E[exp<f, gamma>] vs exp(integral of (e^f - 1))."""
     # e^f - 1 < e^scale pointwise, bounded like integral_of_power's powers
     _refuse_overflow(f.scale + math.log(max(window.volume, 2.0**window.dim)), "laplace e^f.scale")
@@ -483,9 +445,9 @@ def check_laplace(f: ScalarFunction, window: Window, samples: int, seed: int) ->
         return np.exp(np.bincount(sample_ids, weights=f.evaluate(points), minlength=counts.size))
 
     estimate, std_error = _mc_stats(_per_sample(window, seed, samples, per_block))
-    return _make_report(
+    return _reply(
         "laplace", estimate, reference, std_error, samples, seed,
-        extra=(("integral_expm1", reference_exponent),),
+        {"integral_expm1": reference_exponent},
     )
 
 
@@ -534,7 +496,7 @@ def _mean_of_poly(coeffs, phi: ScalarFunction, window: Window) -> float:
 
 def check_local_expansion(
     functional: LocalFunctional, window: Window, samples: int, seed: int
-) -> McReport:
+) -> dict:
     """Mean of a local functional vs its fixed-count series expansion.
 
     The series is e^{-v} sum_n (1/n!) integral of F over n points, with the
@@ -577,9 +539,9 @@ def check_local_expansion(
         return functional.h(np.bincount(sample_ids, weights=phi_vals, minlength=counts.size))
 
     estimate, std_error = _mc_stats(_per_sample(window, seed, samples, per_block))
-    return _make_report(
+    return _reply(
         "local", estimate, reference, std_error, samples, seed,
-        extra=(("series_reference", series), ("tail_bound", tail)),
+        {"series_reference": series, "tail_bound": tail},
     )
 
 
@@ -628,7 +590,7 @@ def check_mecke(
     window: Window,
     samples: int,
     seed: int,
-) -> McReport:
+) -> dict:
     """Subset-sum side vs augmented side of the m-point Poisson identity.
 
     Built-in family f(gamma, xs) = prod_i g(x_i) * h(<phi, gamma \\ xs>).
@@ -672,14 +634,9 @@ def check_mecke(
     lhs, lhs_se = _mc_stats(lhs_values)
     rhs, rhs_se = _mc_stats(rhs_values)
     pooled = math.hypot(lhs_se, rhs_se)
-    return _make_report(
+    return _reply(
         "mecke", lhs, reference, lhs_se, samples, seed,
-        extra=(
-            ("order", m),
-            ("rhs_estimate", rhs),
-            ("rhs_std_error", rhs_se),
-            ("pooled_std_error", pooled),
-        ),
+        {"order": m, "rhs_estimate": rhs, "rhs_std_error": rhs_se, "pooled_std_error": pooled},
     )
 
 
@@ -756,7 +713,7 @@ def functional_from_json(spec, field: str, dim: int) -> LocalFunctional:
     return LocalFunctional(kind=kind)
 
 
-def run_check(spec: dict) -> McReport:
+def run_check(spec: dict) -> dict:
     """Dispatch a JSON check specification to the matching check function."""
     try:
         name = spec["check"]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gammahodge import betti
 from gammahodge.betti import (
     BettiVector,
     InfiniteVolumeWarning,
@@ -22,10 +23,10 @@ from gammahodge.betti import (
     config_betti_series,
     fiber_decomposition_check,
     kunneth_product,
-    report_to_json,
     truncated_product,
     vanishing_threshold,
 )
+from gammahodge.errors import ResourceError
 from gammahodge.graded_algebra import (
     GradedSpace,
     sym_component_dim_bruteforce,
@@ -163,6 +164,26 @@ def test_nonzero_beta0_warns():
         ]
 
 
+def test_series_budget_counts_factors_up_to_n_max_and_is_inclusive(monkeypatch):
+    # beta_3 is skipped at n_max 2: its factor is 1 modulo x^3
+    vector = BettiVector(d=3, beta=(0, 1, 1, 7))
+    monkeypatch.setattr(betti, "MAX_SERIES_WORK", 2 * 3**2)
+    assert config_betti_series(vector, 2) == [1, 1, 1]
+    monkeypatch.setattr(betti, "MAX_SERIES_WORK", 2 * 3**2 - 1)
+    with pytest.raises(ResourceError, match="over 2 nonzero beta_k"):
+        config_betti_series(vector, 2)
+
+
+def test_series_budget_refuses_before_warning(monkeypatch):
+    monkeypatch.setattr(betti, "MAX_SERIES_WORK", 10)
+    # no factor at all still counts as one: the reply holds n_max + 1 coefficients
+    assert config_betti_series(BettiVector(d=1, beta=(0, 0)), 2) == [1, 0, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceError):
+            config_betti_series(BettiVector(d=1, beta=(1, 0)), 3)
+
+
 # ---------------------------------------------------------------------------
 # vanishing threshold
 
@@ -296,11 +317,11 @@ def test_fiber_validation():
 
 def test_report_fields_and_vanishing_block():
     report = betti_report(BettiVector(d=2, beta=(0, 3, 0)), 5)
-    assert report.b == (1, 3, 3, 1, 0, 0)
-    assert report.K0 == 3
+    assert report["b"] == ["1", "3", "3", "1", "0", "0"]
+    assert report["vanishing"]["K0"] == "3"
     report = betti_report(BettiVector(d=2, beta=(0, 1, 1)), 4)
-    assert report.K0 is None
-    assert report.b[0] == 1
+    assert "vanishing" not in report
+    assert report["b"][0] == "1"
 
 
 def test_report_warns_once_on_nonzero_beta0():
@@ -308,19 +329,18 @@ def test_report_warns_once_on_nonzero_beta0():
         warnings.simplefilter("always")
         report = betti_report(BettiVector(d=1, beta=(1, 1)), 4)
     assert [w.category for w in caught] == [InfiniteVolumeWarning]
-    assert report.b == (1, 1, 0, 0, 0)
+    assert report["b"] == ["1", "1", "0", "0", "0"]
 
 
 def test_report_json_round_trip():
-    report = betti_report(BettiVector(d=3, beta=(0, 2, 0, 1)), 8)
-    doc = report_to_json(report)
-    assert doc["b"] == [str(v) for v in report.b]
+    vector = BettiVector(d=3, beta=(0, 2, 0, 1))
+    doc = betti_report(vector, 8)
+    assert doc["b"] == [str(v) for v in config_betti_series(vector, 8)]
     assert all(isinstance(v, str) for v in doc["b"])
 
 
 def test_report_json_round_trip_without_vanishing():
-    report = betti_report(BettiVector(d=2, beta=(0, 1, 2)), 4)
-    doc = report_to_json(report)
+    doc = betti_report(BettiVector(d=2, beta=(0, 1, 2)), 4)
     assert "vanishing" not in doc
 
 
@@ -341,6 +361,6 @@ def test_vector_validation():
 
 def test_vector_json_round_trip():
     vector = BettiVector(d=3, beta=(0, 2, 0, 1))
-    assert BettiVector.from_json(vector.to_json()) == vector
+    assert BettiVector.from_json(betti_report(vector, 0)["input"]) == vector
     # decimal strings are accepted on input too
     assert BettiVector.from_json({"d": "3", "beta": ["0", "2", "0", "1"]}) == vector

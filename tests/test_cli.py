@@ -57,6 +57,19 @@ def test_betti_output_round_trips(capsys):
     assert doc["b"] == [str(betti.config_betti(vector, n)) for n in range(7)]
 
 
+@pytest.mark.parametrize("vector, n_max", [
+    ('{"d":3,"beta":[0,2,1,3]}', "100000"),
+    ('{"d":2,"beta":[0,2,1]}', "99999999"),
+])
+def test_n_max_over_the_series_budget_exits_4_at_once(vector, n_max):
+    start = time.perf_counter()
+    done = run_subprocess("betti", "--input", vector, "--n-max", n_max, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == EXIT_RESOURCE
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "budget" in done.stderr
+
+
 def test_betti_malformed_json_exits_2(capsys):
     code, _, err = run(capsys, "betti", "--input", '{"d": 2, "beta": [0, 3')
     assert code == EXIT_INPUT
@@ -258,8 +271,8 @@ def run_subprocess(*argv, timeout=60):
 
 
 def test_reader_closing_the_pipe_early_keeps_the_exit_code_and_stderr_clean():
-    # about 180 KB of reply, well past the 64 KiB pipe buffer, so the write meets a closed pipe
-    command, env = cli_command("betti", "--input", '{"d":1,"beta":[0,1]}', "--n-max", "20000")
+    # about 220 KB of reply, well past the 64 KiB pipe buffer, so the write meets a closed pipe
+    command, env = cli_command("betti", "--input", '{"d":1,"beta":[0,1000]}', "--n-max", "1000")
     with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         assert proc.stdout.read(3) == b"{\n "
         proc.stdout.close()
@@ -481,6 +494,42 @@ def test_pipeline_without_override_records_beta0(capsys):
     assert doc["b"] == ["1", "1", "0", "0"]
 
 
+def test_pipeline_n_max_over_the_series_budget_exits_4(capsys):
+    code, out, err = run(capsys, "pipeline", "--input", HOLLOW, "--n-max", "99999999")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "--input", '{"d":2,"beta":[1,2,1]}'),
+    ("pipeline", "--input", HOLLOW),
+])
+def test_a_warning_is_one_stderr_line_without_path_or_source(argv):
+    done = run_subprocess(*argv)
+    assert done.returncode == EXIT_OK
+    assert done.stderr.startswith("warning: InfiniteVolumeWarning: beta_0 = 1 != 0: ")
+    assert done.stderr.count("\n") == 1
+
+
+def test_every_call_prints_its_warning_and_leaves_the_warnings_state_as_it_was():
+    # outside pytest, whose own recorder would take the warnings before they print
+    script = "\n".join([
+        "import sys, warnings",
+        "from gammahodge import cli",
+        "state = lambda: (list(warnings.filters), warnings.showwarning, warnings.formatwarning)",
+        "before = state()",
+        "codes = [cli.main(['betti', '--input', '{\"d\":2,\"beta\":[1,2,1]}']) for _ in range(2)]",
+        "print(codes, before == state(), file=sys.stderr)",
+    ])
+    _, env = cli_command()
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    lines = done.stderr.splitlines()
+    assert len(lines) == 3, done.stderr
+    assert all(line.startswith("warning: InfiniteVolumeWarning: ") for line in lines[:2])
+    assert lines[2] == "[0, 0] True"
+
+
 def test_pipeline_empty_complex(capsys):
     doc = run_json(capsys, "pipeline", "--input", '{"maximal": []}', "--n-max", "4")
     assert doc["b"] == ["1", "0", "0", "0", "0"]
@@ -576,3 +625,33 @@ def test_help_still_prints_usage_and_exits_0(capsys):
         main(["betti", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: gammahodge betti")
+
+
+# ---------------------------------------------------------------------------
+# exact reply text, recorded before the report types gave way to plain dicts:
+# key order, indentation and integers as decimal strings
+
+REPLIES = Path(__file__).resolve().parent / "replies"
+REPLY_CASES = {
+    "betti_vanishing": ("betti", "--input", '{"d": 2, "beta": [0, 3, 0]}', "--n-max", "5"),
+    "betti_no_vanishing": ("betti", "--input", '{"d": 3, "beta": [0, 2, 1, 3]}', "--n-max", "8"),
+    "pipeline_mark_infinite_volume": (
+        "pipeline", "--input",
+        json.dumps({"complex": json.loads(HOLLOW), "mark": json.loads(HOLLOW)}),
+        "--infinite-volume", "--n-max", "4",
+    ),
+    "simplicial": (
+        "simplicial", "--input", '{"maximal": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}',
+    ),
+    "algebra_check": ("algebra-check", "--grid", json.dumps({
+        "l_max": 1, "degree_max": 2, "dim_max": 1, "m_max": 1, "n_max": 2,
+        "betti_d_max": 1, "betti_beta_max": 1, "betti_n_max": 2,
+    })),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLY_CASES))
+def test_reply_text_is_unchanged(capsys, name):
+    code, out, _ = run(capsys, *REPLY_CASES[name])
+    assert code == EXIT_OK
+    assert out == (REPLIES / f"{name}.json").read_text()

@@ -29,8 +29,8 @@ from gammahodge.poisson_mc import (
     Window,
     _conditional_mean,
     _blocks,
-    _make_report,
     _mc_stats,
+    _reply,
     _stream,
     _subset_sums,
     _sup_bound,
@@ -40,7 +40,6 @@ from gammahodge.poisson_mc import (
     gauss_legendre_box,
     integral_expm1,
     integral_of_power,
-    report_to_json,
     run_check,
     sample_configuration,
 )
@@ -139,7 +138,7 @@ def test_single_configuration_matches_batch():
     for index in (0, 3, 49):
         config = sample_configuration(WINDOW, 42, index)
         assert len(config) == counts[index]
-        assert np.array_equal(np.asarray(config.points).reshape(-1, 2), pts[ids == index])
+        assert np.array_equal(np.asarray(config).reshape(-1, 2), pts[ids == index])
 
 
 def test_points_stay_inside_the_window():
@@ -168,7 +167,7 @@ def test_single_configuration_matches_batch_across_a_block_boundary():
     for index in (STREAM_BLOCK - 2, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1):
         config = sample_configuration(WINDOW, 42, index)
         assert len(config) == counts[index]
-        assert np.array_equal(np.asarray(config.points).reshape(-1, 2), pts[ids == index])
+        assert np.array_equal(np.asarray(config).reshape(-1, 2), pts[ids == index])
 
 
 def test_count_moments_in_three_sigma_bands():
@@ -294,23 +293,23 @@ def test_reference_mismatch_is_an_invariant_violation():
 def test_laplace_constant_step():
     f = ScalarFunction(kind="indicator", scale=0.3)
     report = check_laplace(f, WINDOW, 20_000, 42)
-    assert report.reference == pytest.approx(math.exp(2 * (math.exp(0.3) - 1)), rel=1e-12)
-    assert abs(report.estimate - report.reference) <= 4 * report.std_error
+    assert report["reference"] == pytest.approx(math.exp(2 * (math.exp(0.3) - 1)), rel=1e-12)
+    assert abs(report["estimate"] - report["reference"]) <= 4 * report["std_error"]
 
 
 def test_laplace_zero_function_is_exact():
     f = ScalarFunction(kind="indicator", scale=0.0)
     report = check_laplace(f, WINDOW, 500, 7)
-    assert report.estimate == 1.0
-    assert report.reference == 1.0
-    assert report.rel_error == 0.0
+    assert report["estimate"] == 1.0
+    assert report["reference"] == 1.0
+    assert report["rel_error"] == 0.0
 
 
 def test_laplace_negative_step():
     f = ScalarFunction(kind="indicator", scale=-1.0)
     report = check_laplace(f, WINDOW, 20_000, 5)
-    assert report.reference == pytest.approx(math.exp(2 * (math.exp(-1.0) - 1)), rel=1e-12)
-    assert abs(report.estimate - report.reference) <= 4 * report.std_error
+    assert report["reference"] == pytest.approx(math.exp(2 * (math.exp(-1.0) - 1)), rel=1e-12)
+    assert abs(report["estimate"] - report["reference"]) <= 4 * report["std_error"]
 
 
 def test_laplace_is_bitwise_deterministic():
@@ -327,22 +326,22 @@ def test_local_count_indicator_matches_pmf():
             LocalFunctional(kind="count_indicator", k=k), WINDOW, 20_000, 42
         )
         pmf = math.exp(-2.0) * 2.0**k / math.factorial(k)
-        assert report.reference == pytest.approx(pmf, rel=1e-12)
-        assert abs(report.estimate - report.reference) <= 4 * max(report.std_error, 1e-4)
+        assert report["reference"] == pytest.approx(pmf, rel=1e-12)
+        assert abs(report["estimate"] - report["reference"]) <= 4 * max(report["std_error"], 1e-4)
 
 
 def test_local_constant_functional_telescopes():
     report = check_local_expansion(LocalFunctional(kind="one"), WINDOW, 200, 3)
-    assert report.estimate == 1.0
-    assert report.reference == 1.0
-    assert abs(dict(report.extra)["series_reference"] - 1.0) < 1e-12
+    assert report["estimate"] == 1.0
+    assert report["reference"] == 1.0
+    assert abs(report["extra"]["series_reference"] - 1.0) < 1e-12
 
 
 def test_local_linear_functional_is_campbell():
     functional = LocalFunctional(kind="poly_of_sum", phi=INDICATOR, h=LINEAR)
     report = check_local_expansion(functional, WINDOW, 50_000, 42)
-    assert report.reference == pytest.approx(WINDOW.volume, rel=1e-12)
-    assert abs(report.estimate - report.reference) <= 4 * report.std_error
+    assert report["reference"] == pytest.approx(WINDOW.volume, rel=1e-12)
+    assert abs(report["estimate"] - report["reference"]) <= 4 * report["std_error"]
 
 
 def test_local_quadratic_functional():
@@ -351,8 +350,8 @@ def test_local_quadratic_functional():
     functional = LocalFunctional(kind="poly_of_sum", phi=phi, h=h)
     report = check_local_expansion(functional, WINDOW, 50_000, 42)
     # moments of <phi, gamma>: mean 1, variance 1 for this unit sub-box
-    assert report.reference == pytest.approx(0.5 + 1.0 + 2.0 * 2.0, rel=1e-12)
-    assert abs(report.estimate - report.reference) <= 4 * report.std_error
+    assert report["reference"] == pytest.approx(0.5 + 1.0 + 2.0 * 2.0, rel=1e-12)
+    assert abs(report["estimate"] - report["reference"]) <= 4 * report["std_error"]
 
 
 SERIES_FUNCTIONALS = [
@@ -386,8 +385,8 @@ def pmf_terms(volume, count):
 @pytest.mark.parametrize("functional", SERIES_FUNCTIONALS, ids=lambda f: f.kind)
 def test_local_series_sizes_itself_and_bounds_what_it_drops(monkeypatch, functional, volume):
     report, first_dropped = summed_terms(monkeypatch, functional, Window(lengths=(volume,)))
-    tail = dict(report.extra)["tail_bound"]
-    assert tail <= TAIL_REL_TOL * max(abs(report.reference), REL_FLOOR)
+    tail = report["extra"]["tail_bound"]
+    assert tail <= TAIL_REL_TOL * max(abs(report["reference"]), REL_FLOOR)
     # the dropped bound terms, summed one by one over 3000 of them
     brute = sum(pmf * _sup_bound(functional, n_pts)
                 for n_pts, pmf in pmf_terms(volume, first_dropped + 3000) if n_pts >= first_dropped)
@@ -410,7 +409,7 @@ def test_local_series_equals_the_fixed_81_term_sum_at_workload_volumes(make, len
     for n_pts, pmf in pmf_terms(window.volume, 81):
         fixed += pmf * _conditional_mean(functional, n_pts, window)
     report = check_local_expansion(functional, window, 10, 1)
-    assert dict(report.extra)["series_reference"] == fixed
+    assert report["extra"]["series_reference"] == fixed
 
 
 @pytest.mark.parametrize("h", [(2.0**1023, -(2.0**1023)), (2.0**1023, 0.0, -(2.0**1022))])
@@ -426,28 +425,28 @@ def test_local_series_term_outside_the_float_range_is_refused(h):
 
 def test_mecke_order_one_mean_measure():
     report = check_mecke(1, INDICATOR, CONST, None, WINDOW, 20_000, 42)
-    assert report.reference == pytest.approx(WINDOW.volume, rel=1e-12)
-    assert abs(report.estimate - report.reference) <= 4 * report.std_error
+    assert report["reference"] == pytest.approx(WINDOW.volume, rel=1e-12)
+    assert abs(report["estimate"] - report["reference"]) <= 4 * report["std_error"]
 
 
 def test_mecke_order_one_factorial_moment():
     report = check_mecke(1, INDICATOR, LINEAR, INDICATOR, WINDOW, 50_000, 42)
-    assert report.reference == pytest.approx(WINDOW.volume**2, rel=1e-12)
-    assert abs(report.estimate - report.reference) <= 4 * report.std_error
+    assert report["reference"] == pytest.approx(WINDOW.volume**2, rel=1e-12)
+    assert abs(report["estimate"] - report["reference"]) <= 4 * report["std_error"]
 
 
 def test_mecke_order_two_pair_count():
     report = check_mecke(2, INDICATOR, CONST, None, WINDOW, 50_000, 42)
-    assert report.reference == pytest.approx(WINDOW.volume**2 / 2, rel=1e-12)
-    assert abs(report.estimate - report.reference) <= 4 * report.std_error
-    extra = dict(report.extra)
-    assert abs(report.estimate - extra["rhs_estimate"]) <= 4 * extra["pooled_std_error"]
+    assert report["reference"] == pytest.approx(WINDOW.volume**2 / 2, rel=1e-12)
+    assert abs(report["estimate"] - report["reference"]) <= 4 * report["std_error"]
+    extra = report["extra"]
+    assert abs(report["estimate"] - extra["rhs_estimate"]) <= 4 * extra["pooled_std_error"]
 
 
 def test_mecke_order_three_triple_count():
     report = check_mecke(3, INDICATOR, CONST, None, WINDOW, 50_000, 42)
-    assert report.reference == pytest.approx(WINDOW.volume**3 / 6, rel=1e-12)
-    assert abs(report.estimate - report.reference) <= 4 * report.std_error
+    assert report["reference"] == pytest.approx(WINDOW.volume**3 / 6, rel=1e-12)
+    assert abs(report["estimate"] - report["reference"]) <= 4 * report["std_error"]
 
 
 def test_mecke_vectorized_sums_match_enumeration():
@@ -474,8 +473,8 @@ def test_mecke_reduces_to_campbell_for_constant_h():
     local = check_local_expansion(
         LocalFunctional(kind="poly_of_sum", phi=INDICATOR, h=LINEAR), WINDOW, 30_000, 22
     )
-    pooled = math.hypot(mecke.std_error, local.std_error)
-    assert abs(mecke.estimate - local.estimate) <= 3 * pooled
+    pooled = math.hypot(mecke["std_error"], local["std_error"])
+    assert abs(mecke["estimate"] - local["estimate"]) <= 3 * pooled
 
 
 def test_mecke_validation():
@@ -541,14 +540,14 @@ def test_streamed_checks_equal_the_whole_batch_bitwise(monkeypatch, check, n):
         assert np.array_equal(got, want)
     # the reference and the series extras do not depend on the samples
     estimate, std_error = _mc_stats(expected[0])
-    extra = report.extra
+    extra = report["extra"]
     if check == "mecke":
         rhs, rhs_se = _mc_stats(expected[1])
         pooled = math.hypot(std_error, rhs_se)
-        extra = (("order", 3), ("rhs_estimate", rhs), ("rhs_std_error", rhs_se),
-                 ("pooled_std_error", pooled))
-    batch = _make_report(check, estimate, report.reference, std_error, n, 42, extra)
-    assert report_to_json(report) == report_to_json(batch)
+        extra = {"order": 3, "rhs_estimate": rhs, "rhs_std_error": rhs_se,
+                 "pooled_std_error": pooled}
+    batch = _reply(check, estimate, report["reference"], std_error, n, 42, extra)
+    assert report == batch
 
 
 def test_mecke_memory_stays_at_one_block():
@@ -578,8 +577,8 @@ def test_run_check_dispatch_and_shorthand():
         "f": {"g": "indicator", "h": "const"},
     }
     report = run_check(spec)
-    assert report.check == "mecke"
-    assert report.samples == 2000
+    assert report["check"] == "mecke"
+    assert report["samples"] == "2000"
     assert report == run_check(spec)
 
 
@@ -591,8 +590,7 @@ def test_run_check_validation():
 
 
 def test_report_json_round_trip():
-    report = check_mecke(2, INDICATOR, CONST, None, WINDOW, 2_000, 42)
-    doc = report_to_json(report)
+    doc = check_mecke(2, INDICATOR, CONST, None, WINDOW, 2_000, 42)
     assert doc["samples"] == "2000"
     assert doc["seed"] == "42"
 
@@ -601,5 +599,5 @@ def test_rel_error_floor_avoids_blowup():
     # zero-mean functional: reference 0, rel_error uses the documented floor
     functional = LocalFunctional(kind="poly_of_sum", phi=INDICATOR, h=Polynomial(coeffs=(0.0,)))
     report = check_local_expansion(functional, WINDOW, 200, 5)
-    assert report.reference == 0.0
-    assert report.rel_error == 0.0
+    assert report["reference"] == 0.0
+    assert report["rel_error"] == 0.0
