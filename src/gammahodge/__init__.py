@@ -10,7 +10,13 @@ Modules:
   Laplacians, the harmonic/exact/coexact split, Kronecker-sum kernels.
 * ``poisson_mc``: seeded Monte Carlo checks of Poisson identities.
 * ``cli``: the ``gammahodge`` command.
+
+``poisson_mc`` is the one module that needs numpy, so importing this package
+does not load it: ``gammahodge.poisson_mc`` and the names re-exported from
+it (``Window``, ``run_check``, ...) load it on first access.
 """
+
+from importlib import import_module as _import_module
 
 from .betti import (
     BettiVector,
@@ -49,18 +55,34 @@ from .hodge_discrete import (
     sphere_boundary,
     torus_grid,
 )
-from .poisson_mc import (
-    LocalFunctional,
-    Polynomial,
-    ScalarFunction,
-    Window,
-    check_laplace,
-    check_local_expansion,
-    check_mecke,
-    run_check,
-    sample_configuration,
+
+# poisson_mc and the names re-exported from it, loaded on first access
+_LAZY = (
+    "poisson_mc",
+    "LocalFunctional",
+    "Polynomial",
+    "ScalarFunction",
+    "Window",
+    "check_laplace",
+    "check_local_expansion",
+    "check_mecke",
+    "run_check",
+    "sample_configuration",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import poisson_mc, and numpy with it, the first time one of _LAZY is read."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not "from . import": that reads the attribute first and would land here again
+    module = _import_module(".poisson_mc", __name__)
+    return module if name == "poisson_mc" else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

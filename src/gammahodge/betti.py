@@ -13,7 +13,9 @@ whose x^{s k} coefficients are the per-degree power counts
 
 That truncated series is the only production route to b_n; it is refused
 with ResourceError, before any work, when its multiply-adds would pass
-MAX_SERIES_WORK.  betti_report returns the CLI reply itself, a plain dict.
+MAX_SERIES_WORK.  betti_report returns the CLI reply itself, a plain dict,
+and refuses with ResourceError a b_n past Python's integer-string digit
+limit, before the series when a lower bound already shows it.
 b_0 is 1, the scalar component.  beta_0 is ignored by the formula, which
 presumes an infinite-volume base; a nonzero beta_0 input triggers
 InfiniteVolumeWarning, never an error, because product-space pipelines
@@ -28,9 +30,10 @@ block that vanishing_threshold reports.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
-from math import comb
+from math import comb, lgamma, log
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, ResourceError, strict_int
@@ -214,22 +217,64 @@ def fiber_decomposition_check(N: int, d: int, n: int) -> tuple[int, int]:
     return lhs, rhs
 
 
+def _log10_lower_bound(betti: BettiVector, n_max: int) -> float:
+    """A lower bound on log10 max(b_0..b_{n_max}), from the single factors.
+
+    Every factor has non-negative coefficients and constant term 1, so
+    b_{sk} >= beta_super(beta_k, k, s) for s <= n_max / k.  That is C(n, r)
+    with n = beta_k (odd k, r = s up to beta_k / 2, where C(n, r) peaks) or
+    n = beta_k + s - 1 (even k, r = s); and C(n, r) >= (n - r + 1)^r / r!,
+    whose log needs no lgamma of n, so no cancellation however large n is.
+    """
+    best = 0.0
+    for k in range(1, min(betti.d, n_max) + 1):
+        beta_k = betti.beta[k]
+        if not beta_k:
+            continue
+        if k % 2:
+            r = min(n_max // k, (beta_k + 1) // 2)
+            n = beta_k
+        else:
+            r = n_max // k
+            n = beta_k + r - 1
+        best = max(best, r * log(n - r + 1) - lgamma(r + 1))
+    return best / log(10)
+
+
+def _too_many_digits(digits: str, limit: int) -> ResourceError:
+    return ResourceError(
+        f"a Betti number in the reply has {digits} decimal digits, over Python's limit of "
+        f"{limit} for an integer string (sys.set_int_max_str_digits)"
+    )
+
+
 def betti_report(betti: BettiVector, n_max: int) -> dict:
     """The betti reply: b_0..b_{n_max} from one series, plus the vanishing block.
 
     Exact integers are decimal strings; the input echo keeps JSON integers.
     Costs follow n_max alone: the threshold K_0 is read off beta, never
     confirmed by evaluating b_n up to K_0 (the test suite confirms it).
+    A b_n past Python's integer-string digit limit is a ResourceError: before
+    the series when _log10_lower_bound already passes the limit (with one
+    digit to spare for float rounding), else when the reply is written.
     """
+    # 0 means no limit, as on Pythons before 3.10.7, which lack the call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and _log10_lower_bound(betti, n_max) > limit + 1:
+        raise _too_many_digits(f"at least {limit + 1}", limit)
     b = config_betti_series(betti, n_max)
     if b[0] != 1:
         raise InvariantError("b_0 must be 1")
     if any(v < 0 for v in b):
         raise InvariantError("negative Betti number in report")
+    try:
+        decimals = [str(v) for v in b]
+    except ValueError:
+        raise _too_many_digits(f"more than {limit}", limit) from None
     doc = {
         "input": {"d": betti.d, "beta": list(betti.beta)},
         "n_max": str(n_max),
-        "b": [str(v) for v in b],
+        "b": decimals,
     }
     K0, valid = vanishing_threshold(betti)
     if valid:

@@ -23,7 +23,6 @@ from itertools import combinations_with_replacement, product
 from . import betti as betti_mod
 from . import graded_algebra as ga
 from . import hodge_discrete as hodge
-from . import poisson_mc
 from .errors import InvariantError, ResourceError, strict_int
 from .linalg import gram
 
@@ -208,6 +207,8 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:
+    from . import poisson_mc  # numpy, loaded only by the probes and the poisson command
+
     rng = poisson_mc._stream(seed, 0)
     rows = []
     for i in range(probes):
@@ -265,6 +266,8 @@ def cmd_simplicial(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_poisson(args: argparse.Namespace) -> tuple[dict, int]:
+    from . import poisson_mc
+
     spec = _read_json_source(args.input)
     if args.seed is not None:
         spec["seed"] = args.seed

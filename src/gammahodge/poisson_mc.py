@@ -714,7 +714,13 @@ def functional_from_json(spec, field: str, dim: int) -> LocalFunctional:
 
 
 def run_check(spec: dict) -> dict:
-    """Dispatch a JSON check specification to the matching check function."""
+    """Dispatch a JSON check specification to the matching check function.
+
+    Each check starts with empty quadrature caches, so a long-lived caller's
+    memory stays bounded and every check costs what it would in a fresh process.
+    """
+    integral_of_power.cache_clear()
+    integral_expm1.cache_clear()
     try:
         name = spec["check"]
         window = Window.from_json(spec["window"])

@@ -6,6 +6,7 @@ graded-algebra brute-force rank sum for the central dimension identity.
 """
 
 import itertools
+import math
 import warnings
 from math import comb
 
@@ -182,6 +183,28 @@ def test_series_budget_refuses_before_warning(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ResourceError):
             config_betti_series(BettiVector(d=1, beta=(1, 0)), 3)
+
+
+@settings(max_examples=80)
+@given(
+    beta=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 10**15)), min_size=1, max_size=4),
+    n_max=st.integers(0, 30),
+)
+def test_digit_lower_bound_never_passes_the_largest_b_n(beta, n_max):
+    vector = BettiVector(d=len(beta), beta=(0, *beta))
+    largest = max(config_betti_series(vector, n_max))
+    assert betti._log10_lower_bound(vector, n_max) <= math.log10(largest) + 1e-9
+
+
+def test_reply_over_the_digit_limit_is_refused_before_the_series_and_the_warning(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("the series ran")
+
+    monkeypatch.setattr(betti, "config_betti_series", no_series)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceError, match="decimal digits, over Python's limit"):
+            betti_report(BettiVector(d=2, beta=(1, 0, 10**9)), 1400)
 
 
 # ---------------------------------------------------------------------------

@@ -57,17 +57,35 @@ def test_betti_output_round_trips(capsys):
     assert doc["b"] == [str(betti.config_betti(vector, n)) for n in range(7)]
 
 
-@pytest.mark.parametrize("vector, n_max", [
-    ('{"d":3,"beta":[0,2,1,3]}', "100000"),
-    ('{"d":2,"beta":[0,2,1]}', "99999999"),
+@pytest.mark.parametrize("vector, n_max, reason", [
+    ('{"d":3,"beta":[0,2,1,3]}', "100000", "budget"),
+    ('{"d":2,"beta":[0,2,1]}', "99999999", "budget"),
+    # under the series budget, but a reply integer would pass 4,300 digits
+    ('{"d":2,"beta":[0,1000000000,1000000000]}', "1000", "decimal digits"),
+    ('{"d":2,"beta":[0,0,1000000000]}', "1400", "decimal digits"),
 ])
-def test_n_max_over_the_series_budget_exits_4_at_once(vector, n_max):
+def test_oversized_betti_request_exits_4_at_once(vector, n_max, reason):
     start = time.perf_counter()
     done = run_subprocess("betti", "--input", vector, "--n-max", n_max, timeout=30)
     assert time.perf_counter() - start < 5
     assert done.returncode == EXIT_RESOURCE
     assert done.stdout == ""
-    assert done.stderr.count("\n") == 1 and "budget" in done.stderr
+    assert done.stderr.count("\n") == 1 and reason in done.stderr
+
+
+def run_subprocess_at_digit_limit(limit, *argv):
+    command, env = cli_command(*argv)
+    command[1:1] = ["-X", f"int_max_str_digits={limit}"]
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_digit_limit_met_while_writing_the_reply_exits_4():
+    # b_800 = C(2400, 800) has 662 digits; the bound before the series reads 587
+    done = run_subprocess_at_digit_limit(640, "betti", "--input", '{"d":1,"beta":[0,2400]}',
+                                         "--n-max", "800")
+    assert done.returncode == EXIT_RESOURCE
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "more than 640 decimal digits" in done.stderr
 
 
 def test_betti_malformed_json_exits_2(capsys):
@@ -655,3 +673,74 @@ def test_reply_text_is_unchanged(capsys, name):
     code, out, _ = run(capsys, *REPLY_CASES[name])
     assert code == EXIT_OK
     assert out == (REPLIES / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(REPLY_CASES) if name.startswith("betti")])
+def test_recorded_betti_replies_pass_the_smallest_digit_limit(name):
+    done = run_subprocess_at_digit_limit(640, *REPLY_CASES[name])
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == (REPLIES / f"{name}.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# cold start: numpy is loaded by the poisson command and the Kronecker probes alone
+
+PUBLIC_NAMES = {
+    "BettiVector", "EnumerationCapError", "GradedSpace", "InfiniteVolumeWarning",
+    "InvariantError", "LocalFunctional", "Polynomial", "PsdContractError", "ResourceError",
+    "ScalarFunction", "SimplicialComplex", "Window", "beta_super", "betti", "betti_numbers",
+    "betti_report", "boundary_matrix", "catalog", "check_laplace", "check_local_expansion",
+    "check_mecke", "config_betti", "config_betti_series", "enumerate_words", "errors",
+    "fiber_decomposition_check", "graded_algebra", "gram_matrix_sym", "hodge_decomposition_dims",
+    "hodge_discrete", "hodge_laplacian", "kron_sum_kernel_dim", "kunneth_product", "linalg",
+    "load_complex", "poisson_mc", "project", "project_vector", "projected_norm_sq", "run_check",
+    "sample_configuration", "sphere_boundary", "super_sign", "sym_component_dim_bruteforce",
+    "sym_component_dim_closed", "torus_grid", "vanishing_threshold",
+}
+
+
+def numpy_loaded_after(*commands):
+    """In a fresh interpreter: [code, numpy loaded] after the import, then after each command."""
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "import gammahodge, gammahodge.cli",
+        "seen = [[0, 'numpy' in sys.modules]]",
+        f"for argv in {list(commands)!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        seen.append([gammahodge.cli.main(list(argv)), 'numpy' in sys.modules])",
+        "print(json.dumps(seen))",
+    ])
+    _, env = cli_command()
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_exact_commands_never_load_numpy():
+    seen = numpy_loaded_after(
+        ("betti", "--input", '{"d":2,"beta":[0,3,1]}', "--n-max", "8"),
+        REPLY_CASES["algebra_check"],
+        ("simplicial", "--input", HOLLOW),
+        ("pipeline", "--input", HOLLOW, "--n-max", "4"),
+    )
+    assert seen == [[EXIT_OK, False]] * 5
+
+
+@pytest.mark.parametrize("argv", [
+    ("poisson", "--input", POISSON_SPEC, "--samples", "100"),
+    ("simplicial", "--input", HOLLOW, "--kron-probes", "1"),
+])
+def test_poisson_and_kron_probes_load_numpy(argv):
+    assert numpy_loaded_after(argv) == [[EXIT_OK, False], [EXIT_OK, True]]
+
+
+def test_public_names_are_unchanged_and_all_resolve():
+    assert set(gammahodge.__all__) == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(gammahodge))
+    for name in PUBLIC_NAMES:
+        assert getattr(gammahodge, name) is not None
+    assert gammahodge.Window is poisson_mc.Window
+    assert gammahodge.run_check is poisson_mc.run_check
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gammahodge.no_such_name

@@ -582,6 +582,20 @@ def test_run_check_dispatch_and_shorthand():
     assert report == run_check(spec)
 
 
+def test_each_run_check_starts_with_empty_quadrature_caches():
+    first = {"check": "laplace", "window": {"lengths": [1.0, 2.0]}, "samples": 100, "seed": 1,
+             "f": {"kind": "gaussian", "center": [0.5, 1.0], "width": [0.3, 0.4], "scale": 0.5}}
+    second = {"check": "mecke", "m": 2, "window": {"lengths": [2.0, 3.0]}, "samples": 100,
+              "seed": 1, "f": {"g": "indicator", "h": "const"}}
+    caches = (integral_of_power, integral_expm1)
+    run_check(second)
+    alone = [cache.cache_info().currsize for cache in caches]
+    run_check(first)
+    assert integral_expm1.cache_info().currsize > alone[1]
+    run_check(second)
+    assert [cache.cache_info().currsize for cache in caches] == alone
+
+
 def test_run_check_validation():
     with pytest.raises(ValueError):
         run_check({"check": "nope", "window": {"lengths": [1.0]}, "samples": 10, "seed": 1})
