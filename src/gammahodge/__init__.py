@@ -5,7 +5,7 @@ Modules:
 * ``graded_algebra``: supercommutative tensor algebra over graded
   generators, with projector Gram ranks and closed-form dimension counts.
 * ``betti``: the configuration-space Betti formula, vanishing threshold,
-  product (convolution) rule, and the fiber dimension identity.
+  product (convolution) rule.
 * ``hodge_discrete``: simplicial Betti numbers, combinatorial Hodge
   Laplacians, the harmonic/exact/coexact split, Kronecker-sum kernels.
 * ``poisson_mc``: seeded Monte Carlo checks of Poisson identities.
@@ -25,7 +25,6 @@ from .betti import (
     betti_report,
     config_betti,
     config_betti_series,
-    fiber_decomposition_check,
     kunneth_product,
     vanishing_threshold,
 )
@@ -34,11 +33,7 @@ from .graded_algebra import (
     EnumerationCapError,
     GradedSpace,
     enumerate_words,
-    gram_matrix_sym,
     project,
-    project_vector,
-    projected_norm_sq,
-    super_sign,
     sym_component_dim_bruteforce,
     sym_component_dim_closed,
 )

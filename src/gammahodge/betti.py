@@ -13,9 +13,8 @@ whose x^{s k} coefficients are the per-degree power counts
 
 That truncated series is the only production route to b_n; it is refused
 with ResourceError, before any work, when its multiply-adds would pass
-MAX_SERIES_WORK.  betti_report returns the CLI reply itself, a plain dict,
-and refuses with ResourceError a b_n past Python's integer-string digit
-limit, before the series when a lower bound already shows it.
+MAX_SERIES_WORK, and when a coefficient would pass Python's integer-string
+digit limit.  betti_report returns the CLI reply itself, a plain dict.
 b_0 is 1, the scalar component.  beta_0 is ignored by the formula, which
 presumes an infinite-volume base; a nonzero beta_0 input triggers
 InfiniteVolumeWarning, never an error, because product-space pipelines
@@ -33,7 +32,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from math import comb, lgamma, log
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, ResourceError, strict_int
@@ -136,7 +135,11 @@ def config_betti_series(betti: BettiVector, n_max: int) -> list[int]:
 
     Coefficients of prod_{k odd} (1 + x^k)^{beta_k} * prod_{k even}
     (1 - x^k)^{-beta_k} truncated at degree n_max, the x^{s k} coefficient of
-    each factor being beta_super(beta_k, k, s).
+    each factor being beta_super(beta_k, k, s).  A coefficient of 10**limit or
+    more, limit being Python's integer-string digit limit, is a ResourceError,
+    checked on each factor before the product and then on the product: every
+    factor has non-negative coefficients and constant term 1, so none of its
+    coefficients exceeds some b_n.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -148,14 +151,35 @@ def config_betti_series(betti: BettiVector, n_max: int) -> list[int]:
             f"the series to n_max = {n_max} over {len(degrees)} nonzero beta_k needs about "
             f"{work:.3g} multiply-adds, over the budget of {MAX_SERIES_WORK:.3g}"
         )
-    _warn_if_finite_volume(betti)
+    # 0 means no limit, as on Pythons before 3.10.7, which lack the call
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     factors = []
     for k in degrees:
+        beta_k = betti.beta[k]
         factor = [1] + [0] * n_max
-        for s in range(1, n_max // k + 1):
-            factor[s * k] = beta_super(betti.beta[k], k, s)
+        # C(n, s) = C(n, s - 1) * (n - s + 1) / s, exact in integers, with
+        # n = beta_k for odd k (0 past s = beta_k), n = beta_k + s - 1 for even k
+        top = min(n_max // k, beta_k) if k % 2 else n_max // k
+        c = 1
+        for s in range(1, top + 1):
+            c = c * (beta_k - s + 1 if k % 2 else beta_k + s - 1) // s
+            factor[s * k] = c
+        _refuse_digits(max(factor), limit)
         factors.append(factor)
-    return truncated_product(factors, n_max)
+    _warn_if_finite_volume(betti)
+    b = truncated_product(factors, n_max)
+    _refuse_digits(max(b), limit)
+    return b
+
+
+def _refuse_digits(value: int, limit: int) -> None:
+    # value >= 10**limit has more than limit * log2(10) > limit * 3.32 bits; the
+    # bit test spares building 10**limit, which costs as much as a small request
+    if limit and value.bit_length() > limit * 3.32 and value >= 10**limit:
+        raise ResourceError(
+            f"a Betti number in the reply has more than {limit} decimal digits, over "
+            f"Python's limit of {limit} for an integer string (sys.set_int_max_str_digits)"
+        )
 
 
 def vanishing_threshold(betti: BettiVector) -> tuple[int, bool]:
@@ -196,85 +220,23 @@ def kunneth_product(betti_x: BettiVector, betti_m: BettiVector) -> BettiVector:
     return BettiVector(d=d, beta=tuple(beta))
 
 
-def fiber_decomposition_check(N: int, d: int, n: int) -> tuple[int, int]:
-    """Both sides of the fiber dimension identity for an N-point configuration.
-
-    lhs: dim of the n-th wedge power of a direct sum of N copies of R^d,
-    C(N*d, n).  rhs: group the wedge by which points carry positive degree,
-    C(N, m) times the weighted count of ordered degree tuples summing to n.
-    Returns (lhs, rhs) for the caller to compare.
-    """
-    if N < 1 or d < 1:
-        raise ValueError("need N >= 1 and d >= 1")
-    if not 0 <= n <= N * d:
-        raise ValueError("need 0 <= n <= N*d")
-    lhs = comb(N * d, n)
-    weights = [0] + [comb(d, k) for k in range(1, d + 1)]
-    rhs = sum(
-        comb(N, m) * truncated_product([weights] * m, n)[n]
-        for m in range(min(n, N) + 1)
-    )
-    return lhs, rhs
-
-
-def _log10_lower_bound(betti: BettiVector, n_max: int) -> float:
-    """A lower bound on log10 max(b_0..b_{n_max}), from the single factors.
-
-    Every factor has non-negative coefficients and constant term 1, so
-    b_{sk} >= beta_super(beta_k, k, s) for s <= n_max / k.  That is C(n, r)
-    with n = beta_k (odd k, r = s up to beta_k / 2, where C(n, r) peaks) or
-    n = beta_k + s - 1 (even k, r = s); and C(n, r) >= (n - r + 1)^r / r!,
-    whose log needs no lgamma of n, so no cancellation however large n is.
-    """
-    best = 0.0
-    for k in range(1, min(betti.d, n_max) + 1):
-        beta_k = betti.beta[k]
-        if not beta_k:
-            continue
-        if k % 2:
-            r = min(n_max // k, (beta_k + 1) // 2)
-            n = beta_k
-        else:
-            r = n_max // k
-            n = beta_k + r - 1
-        best = max(best, r * log(n - r + 1) - lgamma(r + 1))
-    return best / log(10)
-
-
-def _too_many_digits(digits: str, limit: int) -> ResourceError:
-    return ResourceError(
-        f"a Betti number in the reply has {digits} decimal digits, over Python's limit of "
-        f"{limit} for an integer string (sys.set_int_max_str_digits)"
-    )
-
-
 def betti_report(betti: BettiVector, n_max: int) -> dict:
     """The betti reply: b_0..b_{n_max} from one series, plus the vanishing block.
 
     Exact integers are decimal strings; the input echo keeps JSON integers.
     Costs follow n_max alone: the threshold K_0 is read off beta, never
-    confirmed by evaluating b_n up to K_0 (the test suite confirms it).
-    A b_n past Python's integer-string digit limit is a ResourceError: before
-    the series when _log10_lower_bound already passes the limit (with one
-    digit to spare for float rounding), else when the reply is written.
+    confirmed by evaluating b_n up to K_0 (the test suite confirms it).  A b_n
+    past Python's integer-string digit limit is refused by the series itself.
     """
-    # 0 means no limit, as on Pythons before 3.10.7, which lack the call
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and _log10_lower_bound(betti, n_max) > limit + 1:
-        raise _too_many_digits(f"at least {limit + 1}", limit)
     b = config_betti_series(betti, n_max)
     if b[0] != 1:
         raise InvariantError("b_0 must be 1")
     if any(v < 0 for v in b):
         raise InvariantError("negative Betti number in report")
-    try:
-        decimals = [str(v) for v in b]
-    except ValueError:
-        raise _too_many_digits(f"more than {limit}", limit) from None
     doc = {
         "input": {"d": betti.d, "beta": list(betti.beta)},
         "n_max": str(n_max),
-        "b": decimals,
+        "b": [str(v) for v in b],
     }
     K0, valid = vanishing_threshold(betti)
     if valid:

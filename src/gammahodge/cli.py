@@ -19,6 +19,7 @@ import tempfile
 import warnings
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from . import betti as betti_mod
 from . import graded_algebra as ga
@@ -33,6 +34,8 @@ EXIT_PARTIAL = 3
 EXIT_RESOURCE = 4
 # Kronecker-sum probes one simplicial run may ask for.
 MAX_KRON_PROBES = 1_000
+# Rows one algebra-check sweep may hold.
+MAX_GRID_ROWS = 6_000
 
 
 class InputError(ValueError):
@@ -124,6 +127,23 @@ def _grid_spaces(grid: dict):
             yield ga.GradedSpace(comps)
 
 
+def _grid_rows(grid: dict) -> int:
+    """The sweep's row count: exact up to MAX_GRID_ROWS, and over it whenever the count is.
+
+    The spaces, multisets of 1..l_max of the P = degree_max * dim_max pairs,
+    number sum_s C(P + s - 1, s) = C(P + l_max, l_max) - 1, with
+    (m_max + 1)(n_max + 1) rows each; then (betti_beta_max + 1)^betti_d_max
+    vectors have betti_n_max + 1 rows each.  Inputs are clamped where the
+    count already passes the budget, so a huge one costs nothing.
+    """
+    cap = MAX_GRID_ROWS + 1
+    pairs = min(grid["degree_max"] * grid["dim_max"], cap)
+    sizes = min(grid["l_max"], cap)
+    vectors = min(grid["betti_beta_max"] + 1, cap) ** min(grid["betti_d_max"], cap.bit_length())
+    return ((comb(pairs + sizes, sizes) - 1) * (grid["m_max"] + 1) * (grid["n_max"] + 1)
+            + vectors * (grid["betti_n_max"] + 1))
+
+
 def _compare(row: dict, expected: int, brute) -> dict:
     """Fill in row's brute count and verdict, or skip it over a budget; misses go to stderr."""
     try:
@@ -151,6 +171,8 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
         grid[key] = strict_int(value, f"grid.{key}")
         if grid[key] < 0:
             raise InputError(f"grid.{key} must be non-negative, got {grid[key]}")
+    if _grid_rows(grid) > MAX_GRID_ROWS:
+        raise ResourceError(f"the grid has more than {MAX_GRID_ROWS} rows, the budget of one sweep")
     rows = []
 
     for space in _grid_spaces(grid):

@@ -23,14 +23,13 @@ vector v is the statement that its projection is zero.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
 from .betti import beta_super, truncated_product
-from .errors import ResourceError
+from .errors import ResourceError, strict_int
 # Unused here; perfbench/tests/test_bench_trace.py reads graded_algebra.rank.
 from .linalg import rank  # noqa: F401
 
@@ -58,7 +57,10 @@ class GradedSpace:
     components: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        comps = tuple((int(p), int(d)) for p, d in self.components)
+        comps = tuple(
+            (strict_int(p, f"components[{i}].degree"), strict_int(d, f"components[{i}].dim"))
+            for i, (p, d) in enumerate(self.components)
+        )
         if not comps:
             raise ValueError("a graded space needs at least one component")
         for p, d in comps:
@@ -79,11 +81,13 @@ class GradedSpace:
     def letter_degree(self, letter: Letter) -> int:
         return self.components[letter[0]][0]
 
-    def multidegree(self, word: Word) -> int:
-        return sum(self.components[c][0] for c, _ in word)
-
 
 def _sign_unchecked(perm: Sequence[int], degrees: Sequence[int]) -> int:
+    """Graded sign of perm, a permutation of range(len(degrees)).
+
+    ``perm[k]`` is the source position of the letter landing in slot k; the
+    sign flips once per inversion pair whose two letters both have odd degree.
+    """
     sign = 1
     m = len(perm)
     for k in range(m):
@@ -95,20 +99,6 @@ def _sign_unchecked(perm: Sequence[int], degrees: Sequence[int]) -> int:
             if pk > pr and degrees[pr] % 2:
                 sign = -sign
     return sign
-
-
-def super_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
-    """Graded sign of a permutation acting on letters with the given degrees.
-
-    ``perm[k]`` is the source position of the letter landing in slot k; the
-    sign flips once per inversion pair whose two letters both have odd
-    degree.  The empty inversion set gives +1.
-    """
-    if len(perm) != len(degrees):
-        raise ValueError("perm and degrees must have the same length")
-    if sorted(perm) != list(range(len(perm))):
-        raise ValueError("perm is not a permutation of range(m)")
-    return _sign_unchecked(perm, degrees)
 
 
 def enumerate_words(space: GradedSpace, m: int, n: int) -> list[Word]:
@@ -170,31 +160,6 @@ def project(space: GradedSpace, word: Word) -> dict[Word, Fraction]:
     return {w: Fraction(c, budget) for w, c in acc.items() if c}
 
 
-def project_vector(space: GradedSpace, vec: dict[Word, Fraction]) -> dict[Word, Fraction]:
-    """Linear extension of the projector to {word: coefficient} combinations."""
-    acc: dict[Word, Fraction] = {}
-    for word, coeff in vec.items():
-        for w, c in project(space, word).items():
-            acc[w] = acc.get(w, 0) + coeff * c
-    return {w: c for w, c in acc.items() if c}
-
-
-def gram_matrix_sym(space: GradedSpace, m: int, n: int) -> list[list[Fraction]]:
-    """Matrix of <P w_a, w_b> over enumerate_words(space, m, n).
-
-    Symmetric with rational entries; since the projector is idempotent and
-    self-adjoint the matrix equals its own square in this basis.
-    """
-    words = enumerate_words(space, m, n)
-    index = {w: i for i, w in enumerate(words)}
-    out = [[Fraction(0)] * len(words) for _ in words]
-    for a, w in enumerate(words):
-        row = out[a]
-        for w2, c in project(space, w).items():
-            row[index[w2]] = c
-    return out
-
-
 def sym_component_dim_bruteforce(space: GradedSpace, m: int, n: int) -> int:
     """Dimension of the projected (m, n) component, one projection per orbit.
 
@@ -248,40 +213,3 @@ def sym_component_dim_closed(space: GradedSpace, m: int, n: int) -> int:
 
     assign(0, m, n, 1)
     return total
-
-
-def projected_norm_sq(space: GradedSpace, word: Word) -> Fraction:
-    """Squared norm of the projected word, for block-sorted words.
-
-    Block-sorted means letters grouped by component in increasing component
-    order with non-decreasing basis indices inside each block; anything else
-    raises ValueError.  A repeated letter in an odd-degree block returns 0.
-
-    Convention: a wedge monomial of r distinct orthonormal vectors has
-    squared norm 1/r!, a symmetric monomial (product of multiplicity
-    factorials)/r!.  The value is then
-
-        (prod_j r_j!) / m!  *  prod_j (squared norm of block j's monomial)
-
-    and agrees exactly with <P w, w>.
-    """
-    m = len(word)
-    for (c1, b1), (c2, b2) in zip(word, word[1:]):
-        if c1 > c2 or (c1 == c2 and b1 > b2):
-            raise ValueError(f"word {word} is not block-sorted")
-    result = Fraction(1, factorial(m))
-    for _, block in itertools.groupby(word, key=lambda L: L[0]):
-        letters = list(block)
-        r = len(letters)
-        multiplicities = Counter(letters)
-        if space.letter_degree(letters[0]) % 2:
-            if any(v > 1 for v in multiplicities.values()):
-                return Fraction(0)
-            norm_sq = Fraction(1, factorial(r))
-        else:
-            repeats = 1
-            for v in multiplicities.values():
-                repeats *= factorial(v)
-            norm_sq = Fraction(repeats, factorial(r))
-        result *= factorial(r) * norm_sq
-    return result

@@ -320,10 +320,11 @@ class LocalFunctional:
     def __post_init__(self):
         if self.kind not in ("one", "count_indicator", "poly_of_sum"):
             raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind == "count_indicator" and (
-            self.k is None or not 0 <= self.k <= sys.float_info.max
-        ):
-            raise ValueError(f"count_indicator needs 0 <= k <= max float, got {self.k!r}")
+        if self.kind == "count_indicator":
+            k = strict_int(self.k, "k")
+            if not 0 <= k <= sys.float_info.max:
+                raise ValueError(f"count_indicator needs 0 <= k <= max float, got {k!r}")
+            object.__setattr__(self, "k", k)
         if self.kind == "poly_of_sum" and (self.phi is None or self.h is None):
             raise ValueError("poly_of_sum needs phi and h")
 

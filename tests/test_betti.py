@@ -6,7 +6,7 @@ graded-algebra brute-force rank sum for the central dimension identity.
 """
 
 import itertools
-import math
+import sys
 import warnings
 from math import comb
 
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formula_oracles import fiber_decomposition_check
 from gammahodge import betti
 from gammahodge.betti import (
     BettiVector,
@@ -22,7 +23,6 @@ from gammahodge.betti import (
     betti_report,
     config_betti,
     config_betti_series,
-    fiber_decomposition_check,
     kunneth_product,
     truncated_product,
     vanishing_threshold,
@@ -187,20 +187,34 @@ def test_series_budget_refuses_before_warning(monkeypatch):
 
 @settings(max_examples=80)
 @given(
-    beta=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 10**15)), min_size=1, max_size=4),
+    beta_k=st.one_of(st.integers(0, 40), st.integers(0, 10**15)),
+    k=st.integers(1, 4),
     n_max=st.integers(0, 30),
 )
-def test_digit_lower_bound_never_passes_the_largest_b_n(beta, n_max):
-    vector = BettiVector(d=len(beta), beta=(0, *beta))
-    largest = max(config_betti_series(vector, n_max))
-    assert betti._log10_lower_bound(vector, n_max) <= math.log10(largest) + 1e-9
+def test_series_factor_coefficients_are_beta_super(beta_k, k, n_max):
+    # with one nonzero beta_k the series is that factor alone, whose ratio
+    # recurrence must give every C(n, s) that comb gives
+    beta = [0] * (k + 1)
+    beta[k] = beta_k
+    series = config_betti_series(BettiVector(d=k, beta=tuple(beta)), n_max)
+    assert series == [1] + [
+        0 if n % k else beta_super(beta_k, k, n // k) for n in range(1, n_max + 1)
+    ]
 
 
-def test_reply_over_the_digit_limit_is_refused_before_the_series_and_the_warning(monkeypatch):
-    def no_series(*args):
-        raise AssertionError("the series ran")
+def test_digit_limit_is_exact_at_a_power_of_ten():
+    limit = sys.get_int_max_str_digits()
+    # b_1 = beta_1: 10**limit - 1 has limit digits, 10**limit one more
+    assert len(betti_report(BettiVector(d=1, beta=(0, 10**limit - 1)), 1)["b"][1]) == limit
+    with pytest.raises(ResourceError, match=f"more than {limit} decimal digits"):
+        betti_report(BettiVector(d=1, beta=(0, 10**limit)), 1)
 
-    monkeypatch.setattr(betti, "config_betti_series", no_series)
+
+def test_reply_over_the_digit_limit_is_refused_before_the_product_and_the_warning(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("the product ran")
+
+    monkeypatch.setattr(betti, "truncated_product", no_product)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ResourceError, match="decimal digits, over Python's limit"):

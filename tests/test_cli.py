@@ -57,16 +57,20 @@ def test_betti_output_round_trips(capsys):
     assert doc["b"] == [str(betti.config_betti(vector, n)) for n in range(7)]
 
 
-@pytest.mark.parametrize("vector, n_max, reason", [
-    ('{"d":3,"beta":[0,2,1,3]}', "100000", "budget"),
-    ('{"d":2,"beta":[0,2,1]}', "99999999", "budget"),
+@pytest.mark.parametrize("argv, reason", [
+    (("betti", "--input", '{"d":3,"beta":[0,2,1,3]}', "--n-max", "100000"), "budget"),
+    (("betti", "--input", '{"d":2,"beta":[0,2,1]}', "--n-max", "99999999"), "budget"),
     # under the series budget, but a reply integer would pass 4,300 digits
-    ('{"d":2,"beta":[0,1000000000,1000000000]}', "1000", "decimal digits"),
-    ('{"d":2,"beta":[0,0,1000000000]}', "1400", "decimal digits"),
+    (("betti", "--input", '{"d":2,"beta":[0,1000000000,1000000000]}', "--n-max", "1000"),
+     "decimal digits"),
+    (("betti", "--input", '{"d":2,"beta":[0,0,1000000000]}', "--n-max", "1400"),
+     "decimal digits"),
+    # about 2.5e13 rows: 7.1e11 graded spaces of 35 (m, n) components each
+    (("algebra-check", "--grid", '{"l_max":9,"degree_max":9,"dim_max":9}'), "rows"),
 ])
-def test_oversized_betti_request_exits_4_at_once(vector, n_max, reason):
+def test_oversized_request_exits_4_at_once(argv, reason):
     start = time.perf_counter()
-    done = run_subprocess("betti", "--input", vector, "--n-max", n_max, timeout=30)
+    done = run_subprocess(*argv, timeout=30)
     assert time.perf_counter() - start < 5
     assert done.returncode == EXIT_RESOURCE
     assert done.stdout == ""
@@ -79,13 +83,33 @@ def run_subprocess_at_digit_limit(limit, *argv):
     return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
 
 
-def test_digit_limit_met_while_writing_the_reply_exits_4():
-    # b_800 = C(2400, 800) has 662 digits; the bound before the series reads 587
-    done = run_subprocess_at_digit_limit(640, "betti", "--input", '{"d":1,"beta":[0,2400]}',
-                                         "--n-max", "800")
-    assert done.returncode == EXIT_RESOURCE
-    assert done.stdout == ""
-    assert done.stderr.count("\n") == 1 and "more than 640 decimal digits" in done.stderr
+@pytest.mark.parametrize("beta, n_max, code", [
+    # one factor: max b_n = C(2400, 733) has 640 digits, C(2400, 734) has 641
+    ([0, 2400], 733, EXIT_OK),
+    ([0, 2400], 734, EXIT_RESOURCE),
+    ([0, 2400], 800, EXIT_RESOURCE),
+    # factor coefficients reach 610 digits at most; the product's reach 640, then 641
+    ([0, 2400, 0, 2400], 654, EXIT_OK),
+    ([0, 2400, 0, 2400], 655, EXIT_RESOURCE),
+])
+def test_digit_limit_is_exact(beta, n_max, code):
+    vector = json.dumps({"d": len(beta) - 1, "beta": beta})
+    done = run_subprocess_at_digit_limit(640, "betti", "--input", vector, "--n-max", str(n_max))
+    assert done.returncode == code, done.stderr
+    if code == EXIT_OK:
+        assert max(len(b) for b in json.loads(done.stdout)["b"]) == 640
+    else:
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1 and "more than 640 decimal digits" in done.stderr
+
+
+def test_a_reply_near_the_digit_limit_takes_seconds_not_tens():
+    # 5,477 coefficients of up to 4,066 digits; comb called afresh for each took 10 s
+    start = time.perf_counter()
+    done = run_subprocess("betti", "--input", '{"d":1,"beta":[0,14000]}', "--n-max", "5476")
+    assert time.perf_counter() - start < 5
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["b"][5476] == str(math.comb(14000, 5476))
 
 
 def test_betti_malformed_json_exits_2(capsys):
@@ -148,6 +172,18 @@ def test_algebra_check_permutation_budget_skips_exit_3_at_once():
     assert all("permutation budget" in row["reason"] for row in skipped)
     assert doc["summary"]["skipped"] == str(len(skipped))
     assert doc["summary"]["word_cap"] == str(graded_algebra.MAX_WORDS)
+
+
+def test_grid_row_budget_counts_the_rows_before_the_first_and_is_inclusive(capsys, monkeypatch):
+    grid = '{"l_max": 2, "degree_max": 2, "dim_max": 1, "m_max": 3, "n_max": 4, "betti_d_max": 2, "betti_beta_max": 1, "betti_n_max": 3}'
+    rows = int(run_json(capsys, "algebra-check", "--grid", grid)["summary"]["instances"])
+    monkeypatch.setattr(cli, "MAX_GRID_ROWS", rows)
+    assert run_json(capsys, "algebra-check", "--grid", grid)["summary"]["instances"] == str(rows)
+    monkeypatch.setattr(cli, "MAX_GRID_ROWS", rows - 1)
+    monkeypatch.setattr(graded_algebra, "sym_component_dim_closed", None)
+    code, out, err = run(capsys, "algebra-check", "--grid", grid)
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == f"error: the grid has more than {rows - 1} rows, the budget of one sweep\n"
 
 
 def test_algebra_check_rejects_unknown_grid_keys(capsys):
@@ -691,10 +727,9 @@ PUBLIC_NAMES = {
     "ScalarFunction", "SimplicialComplex", "Window", "beta_super", "betti", "betti_numbers",
     "betti_report", "boundary_matrix", "catalog", "check_laplace", "check_local_expansion",
     "check_mecke", "config_betti", "config_betti_series", "enumerate_words", "errors",
-    "fiber_decomposition_check", "graded_algebra", "gram_matrix_sym", "hodge_decomposition_dims",
-    "hodge_discrete", "hodge_laplacian", "kron_sum_kernel_dim", "kunneth_product", "linalg",
-    "load_complex", "poisson_mc", "project", "project_vector", "projected_norm_sq", "run_check",
-    "sample_configuration", "sphere_boundary", "super_sign", "sym_component_dim_bruteforce",
+    "graded_algebra", "hodge_decomposition_dims", "hodge_discrete", "hodge_laplacian",
+    "kron_sum_kernel_dim", "kunneth_product", "linalg", "load_complex", "poisson_mc", "project",
+    "run_check", "sample_configuration", "sphere_boundary", "sym_component_dim_bruteforce",
     "sym_component_dim_closed", "torus_grid", "vanishing_threshold",
 }
 

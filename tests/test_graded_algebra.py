@@ -12,17 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formula_oracles import gram_matrix_sym, project_vector, projected_norm_sq
 from gammahodge import graded_algebra
 from gammahodge.graded_algebra import (
     EnumerationCapError,
     GradedSpace,
+    _sign_unchecked,
     count_words,
     enumerate_words,
-    gram_matrix_sym,
     project,
-    project_vector,
-    projected_norm_sq,
-    super_sign,
     sym_component_dim_bruteforce,
     sym_component_dim_closed,
 )
@@ -51,34 +49,27 @@ def words_of(space, max_m=3):
 
 
 # ---------------------------------------------------------------------------
-# super_sign
+# the graded sign project runs
 
-def test_super_sign_identity_is_plus_one():
-    assert super_sign((0, 1, 2), (1, 2, 3)) == 1
-    assert super_sign((), ()) == 1
-
-
-def test_super_sign_transposition_odd_odd():
-    assert super_sign((1, 0), (1, 1)) == -1
+def test_sign_identity_is_plus_one():
+    assert _sign_unchecked((0, 1, 2), (1, 2, 3)) == 1
+    assert _sign_unchecked((), ()) == 1
 
 
-def test_super_sign_transposition_even_odd():
-    assert super_sign((1, 0), (2, 1)) == 1
+def test_sign_transposition_odd_odd():
+    assert _sign_unchecked((1, 0), (1, 1)) == -1
 
 
-def test_super_sign_rejects_bad_input():
-    with pytest.raises(ValueError):
-        super_sign((0, 1), (1,))
-    with pytest.raises(ValueError):
-        super_sign((0, 0), (1, 1))
+def test_sign_transposition_even_odd():
+    assert _sign_unchecked((1, 0), (2, 1)) == 1
 
 
 @given(
     perm=st.permutations(range(5)),
     degrees=st.lists(st.integers(1, 4), min_size=5, max_size=5),
 )
-def test_super_sign_matches_inversion_count_oracle(perm, degrees):
-    assert super_sign(perm, degrees) == sign_oracle(perm, degrees)
+def test_sign_matches_inversion_count_oracle(perm, degrees):
+    assert _sign_unchecked(perm, degrees) == sign_oracle(perm, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +110,7 @@ def test_count_words_matches_enumeration(space, m, n):
 def test_enumerated_words_are_homogeneous(space, m, n):
     for w in enumerate_words(space, m, n):
         assert len(w) == m
-        assert space.multidegree(w) == n
+        assert sum(space.letter_degree(L) for L in w) == n
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +148,7 @@ def test_project_two_letter_oracle():
     space = GradedSpace(((1, 2), (2, 1)))
     for a in space.letters:
         for b in space.letters:
-            sign = super_sign((1, 0), (space.letter_degree(a), space.letter_degree(b)))
+            sign = _sign_unchecked((1, 0), (space.letter_degree(a), space.letter_degree(b)))
             direct = {(a, b): Fraction(1, 2)}
             direct[(b, a)] = direct.get((b, a), 0) + Fraction(sign, 2)
             assert project(space, (a, b)) == {v: c for v, c in direct.items() if c}
@@ -205,7 +196,7 @@ def test_graded_commutation_general_permutation(perm, letters):
     w = tuple(letters)
     degrees = [space.letter_degree(L) for L in w]
     permuted = tuple(w[p] for p in perm)
-    sign = super_sign(perm, degrees)
+    sign = _sign_unchecked(perm, degrees)
     assert project(space, permuted) == {v: sign * c for v, c in project(space, w).items()}
 
 
@@ -410,6 +401,18 @@ def test_space_validation():
         GradedSpace(((0, 2),))
     with pytest.raises(ValueError):
         GradedSpace(((1, -1),))
+
+
+@pytest.mark.parametrize("components, field", [
+    (((2.7, 1),), r"components\[0\]\.degree"),
+    (((1, 2), (True, 1.9)), r"components\[1\]\.degree"),
+    (((1, 1.9),), r"components\[0\]\.dim"),
+    (((1, False),), r"components\[0\]\.dim"),
+])
+def test_space_refuses_non_integers_naming_the_field(components, field):
+    # 2.7 and True were truncated to 2 and 1 before
+    with pytest.raises(ValueError, match=field):
+        GradedSpace(components)
 
 
 def test_zero_dimensional_component_contributes_no_letters():

@@ -486,6 +486,14 @@ def test_mecke_validation():
         check_mecke(1, INDICATOR, Polynomial(coeffs=(0, 0, 0, 1.0)), INDICATOR, WINDOW, 100, 1)
 
 
+@pytest.mark.parametrize("k", [2.5, True, None, "2.5"])
+def test_count_indicator_needs_an_integer_k(k):
+    # k = 2.5 was accepted and only failed the reference check, as exit 1
+    with pytest.raises(ValueError, match="k must be an integer"):
+        LocalFunctional(kind="count_indicator", k=k)
+    assert LocalFunctional(kind="count_indicator", k="3").k == 3
+
+
 def test_mecke_aborts_on_huge_configurations():
     huge = Window(lengths=(30.0, 30.0, 3.0))
     with pytest.raises(ConfigurationTooLarge):
