@@ -13,7 +13,7 @@ whose x^{s k} coefficients are the per-degree power counts
 
 That truncated series is the only production route to b_n; it is refused
 with ResourceError, before any work, when its multiply-adds would pass
-MAX_SERIES_WORK, and when a coefficient would pass Python's integer-string
+MAX_SERIES_WORK, and as soon as a coefficient passes Python's integer-string
 digit limit.  betti_report returns the CLI reply itself, a plain dict.
 b_0 is 1, the scalar component.  beta_0 is ignored by the formula, which
 presumes an infinite-volume base; a nonzero beta_0 input triggers
@@ -137,9 +137,9 @@ def config_betti_series(betti: BettiVector, n_max: int) -> list[int]:
     (1 - x^k)^{-beta_k} truncated at degree n_max, the x^{s k} coefficient of
     each factor being beta_super(beta_k, k, s).  A coefficient of 10**limit or
     more, limit being Python's integer-string digit limit, is a ResourceError,
-    checked on each factor before the product and then on the product: every
-    factor has non-negative coefficients and constant term 1, so none of its
-    coefficients exceeds some b_n.
+    checked on each factor coefficient as the recurrence makes it, then on
+    the product: every factor has non-negative coefficients and constant
+    term 1, so none of its coefficients exceeds some b_n.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -163,8 +163,8 @@ def config_betti_series(betti: BettiVector, n_max: int) -> list[int]:
         c = 1
         for s in range(1, top + 1):
             c = c * (beta_k - s + 1 if k % 2 else beta_k + s - 1) // s
+            _refuse_digits(c, limit)
             factor[s * k] = c
-        _refuse_digits(max(factor), limit)
         factors.append(factor)
     _warn_if_finite_volume(betti)
     b = truncated_product(factors, n_max)

@@ -34,7 +34,7 @@ EXIT_PARTIAL = 3
 EXIT_RESOURCE = 4
 # Kronecker-sum probes one simplicial run may ask for.
 MAX_KRON_PROBES = 1_000
-# Rows one algebra-check sweep may hold.
+# Rows one algebra-check sweep may hold, and Betti degrees one grid vector may have.
 MAX_GRID_ROWS = 6_000
 
 
@@ -173,6 +173,10 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
             raise InputError(f"grid.{key} must be non-negative, got {grid[key]}")
     if _grid_rows(grid) > MAX_GRID_ROWS:
         raise ResourceError(f"the grid has more than {MAX_GRID_ROWS} rows, the budget of one sweep")
+    # every Betti vector holds betti_d_max entries, even when betti_beta_max = 0 makes one row set
+    if grid["betti_d_max"] > MAX_GRID_ROWS:
+        raise ResourceError(f"grid.betti_d_max = {grid['betti_d_max']} is over the budget of "
+                            f"{MAX_GRID_ROWS} Betti degrees")
     rows = []
 
     for space in _grid_spaces(grid):

@@ -65,8 +65,16 @@ def test_betti_output_round_trips(capsys):
      "decimal digits"),
     (("betti", "--input", '{"d":2,"beta":[0,0,1000000000]}', "--n-max", "1400"),
      "decimal digits"),
+    # C(beta_1, 2) already passes the limit; the rest of the factor is never built
+    (("betti", "--input", '{"d":1,"beta":[0,1%s]}' % ("0" * 100), "--n-max", "5476"),
+     "decimal digits"),
+    (("betti", "--input", '{"d":1,"beta":[0,1%s]}' % ("0" * 4299), "--n-max", "5476"),
+     "decimal digits"),
     # about 2.5e13 rows: 7.1e11 graded spaces of 35 (m, n) components each
     (("algebra-check", "--grid", '{"l_max":9,"degree_max":9,"dim_max":9}'), "rows"),
+    # one Betti vector, but of 10^9 entries
+    (("algebra-check", "--grid", '{"betti_beta_max":0,"betti_d_max":1000000000}'),
+     "Betti degrees"),
 ])
 def test_oversized_request_exits_4_at_once(argv, reason):
     start = time.perf_counter()
