@@ -21,7 +21,6 @@ from importlib import import_module as _import_module
 from .betti import (
     BettiVector,
     InfiniteVolumeWarning,
-    beta_super,
     betti_report,
     config_betti,
     config_betti_series,
@@ -36,6 +35,7 @@ from .graded_algebra import (
     project,
     sym_component_dim_bruteforce,
     sym_component_dim_closed,
+    sym_component_dims,
 )
 from .hodge_discrete import (
     PsdContractError,

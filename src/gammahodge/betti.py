@@ -11,20 +11,18 @@ whose x^{s k} coefficients are the per-degree power counts
     C(beta_k, s)          for odd k   (wedge powers),
     C(beta_k + s - 1, s)  for even k  (symmetric powers).
 
-That truncated series is the only production route to b_n; it is refused
-with ResourceError, before any work, when its multiply-adds would pass
-MAX_SERIES_WORK, and as soon as a coefficient passes Python's integer-string
-digit limit.  betti_report returns the CLI reply itself, a plain dict.
-b_0 is 1, the scalar component.  beta_0 is ignored by the formula, which
+_power_factor builds such a factor and truncated_product multiplies them:
+the package's one kernel for exact counts (b_n, the graded-algebra closed
+form, word counts, the Kunneth product).  The series is the only route to
+b_n.  It is refused with ResourceError, before any work, when its
+multiply-adds would pass MAX_SERIES_WORK, and as soon as a coefficient passes
+Python's integer-string digit limit.  betti_report returns the CLI reply
+itself, a plain dict.  b_0 is 1.  beta_0 is ignored by the formula, which
 presumes an infinite-volume base; a nonzero beta_0 input triggers
 InfiniteVolumeWarning, never an error, because product-space pipelines
-legitimately carry beta_0 = 1 on a compact factor.
-
-The same numbers arise as dimensions of the graded algebra with degrees
-p(i) = i and component dims beta_i.  The CLI's algebra-check command checks
-the series against the projector brute force; the test suite checks it
-against the closed-form sum over word lengths and confirms the vanishing
-block that vanishing_threshold reports.
+legitimately carry beta_0 = 1 on a compact factor.  algebra-check checks the
+series against the projector brute force; the tests check the power counts
+against math.comb and confirm the vanishing block of vanishing_threshold.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from math import comb
+from decimal import Decimal
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, ResourceError, strict_int
@@ -43,6 +41,8 @@ from .errors import InvariantError, ResourceError, strict_int
 # beta_k = 6 at n_max 865 and ten beta_k = 9 at n_max 1730, took 0.7-0.8 s
 # on a 2-core Xeon VM.
 MAX_SERIES_WORK = 3 * 10**7
+# Python's integer-string digit limit, read at each call; 0 (none) before 3.10.7
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class InfiniteVolumeWarning(UserWarning):
@@ -89,19 +89,6 @@ def _warn_if_finite_volume(betti: BettiVector) -> None:
         )
 
 
-def beta_super(beta_k: int, k: int, s: int) -> int:
-    """Dimension of the s-th power of a beta_k-dimensional degree-k space.
-
-    Wedge power C(beta_k, s) for odd k, symmetric power C(beta_k + s - 1, s)
-    for even k.
-    """
-    if s < 1 or k < 1:
-        raise ValueError("need s >= 1 and k >= 1")
-    if beta_k < 0:
-        raise ValueError("beta_k must be non-negative")
-    return comb(beta_k, s) if k % 2 else comb(beta_k + s - 1, s)
-
-
 def truncated_product(factors: Iterable[Sequence[int]], n_max: int) -> list[int]:
     """Coefficients 0..n_max of the product of the given polynomials.
 
@@ -131,15 +118,12 @@ def config_betti(betti: BettiVector, n: int) -> int:
 
 
 def config_betti_series(betti: BettiVector, n_max: int) -> list[int]:
-    """b_0..b_{n_max} via the product generating function.
+    """b_0..b_{n_max}: the series truncated at n_max, one _power_factor per beta_k.
 
-    Coefficients of prod_{k odd} (1 + x^k)^{beta_k} * prod_{k even}
-    (1 - x^k)^{-beta_k} truncated at degree n_max, the x^{s k} coefficient of
-    each factor being beta_super(beta_k, k, s).  A coefficient of 10**limit or
-    more, limit being Python's integer-string digit limit, is a ResourceError,
-    checked on each factor coefficient as the recurrence makes it, then on
-    the product: every factor has non-negative coefficients and constant
-    term 1, so none of its coefficients exceeds some b_n.
+    A coefficient of 10**limit or more (Python's integer-string digit limit)
+    is a ResourceError: a factor's as it is made, then the product's.  No
+    factor coefficient exceeds some b_n: every factor has non-negative
+    coefficients and constant term 1.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -149,27 +133,31 @@ def config_betti_series(betti: BettiVector, n_max: int) -> list[int]:
     if work > MAX_SERIES_WORK:
         raise ResourceError(
             f"the series to n_max = {n_max} over {len(degrees)} nonzero beta_k needs about "
-            f"{work:.3g} multiply-adds, over the budget of {MAX_SERIES_WORK:.3g}"
+            # Decimal, not float: the work of a 400-digit n_max overflows a float
+            f"{Decimal(work):.3g} multiply-adds, over the budget of {Decimal(MAX_SERIES_WORK):.3g}"
         )
-    # 0 means no limit, as on Pythons before 3.10.7, which lack the call
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    factors = []
-    for k in degrees:
-        beta_k = betti.beta[k]
-        factor = [1] + [0] * n_max
-        # C(n, s) = C(n, s - 1) * (n - s + 1) / s, exact in integers, with
-        # n = beta_k for odd k (0 past s = beta_k), n = beta_k + s - 1 for even k
-        top = min(n_max // k, beta_k) if k % 2 else n_max // k
-        c = 1
-        for s in range(1, top + 1):
-            c = c * (beta_k - s + 1 if k % 2 else beta_k + s - 1) // s
-            _refuse_digits(c, limit)
-            factor[s * k] = c
-        factors.append(factor)
+    limit = _digit_limit()
+    factors = [_power_factor(betti.beta[k], k % 2, k, n_max, limit) for k in degrees]
     _warn_if_finite_volume(betti)
     b = truncated_product(factors, n_max)
     _refuse_digits(max(b), limit)
     return b
+
+
+def _power_factor(dim: int, odd: int, spacing: int, n_max: int, limit: int) -> list[int]:
+    """Coefficients 0..n_max of (1 + x^spacing)^dim if odd, else (1 - x^spacing)^-dim.
+
+    The x^(spacing s) term C(dim, s), or C(dim + s - 1, s), comes exactly from the
+    last by C(n, s) = C(n, s - 1) (n - s + 1) / s and is digit-checked as it is made.
+    """
+    factor = [1] + [0] * n_max
+    top = min(n_max // spacing, dim) if odd else n_max // spacing
+    c = 1
+    for s in range(1, top + 1):
+        c = c * (dim - s + 1 if odd else dim + s - 1) // s
+        _refuse_digits(c, limit)
+        factor[s * spacing] = c
+    return factor
 
 
 def _refuse_digits(value: int, limit: int) -> None:
@@ -177,7 +165,7 @@ def _refuse_digits(value: int, limit: int) -> None:
     # bit test spares building 10**limit, which costs as much as a small request
     if limit and value.bit_length() > limit * 3.32 and value >= 10**limit:
         raise ResourceError(
-            f"a Betti number in the reply has more than {limit} decimal digits, over "
+            f"an integer in the reply has more than {limit} decimal digits, over "
             f"Python's limit of {limit} for an integer string (sys.set_int_max_str_digits)"
         )
 
@@ -213,11 +201,7 @@ def kunneth_product(betti_x: BettiVector, betti_m: BettiVector) -> BettiVector:
             stacklevel=2,
         )
     d = betti_x.d + betti_m.d
-    beta = [0] * (d + 1)
-    for i, bi in enumerate(betti_x.beta):
-        for j, bj in enumerate(betti_m.beta):
-            beta[i + j] += bi * bj
-    return BettiVector(d=d, beta=tuple(beta))
+    return BettiVector(d=d, beta=tuple(truncated_product([betti_x.beta, betti_m.beta], d)))
 
 
 def betti_report(betti: BettiVector, n_max: int) -> dict:
@@ -226,7 +210,8 @@ def betti_report(betti: BettiVector, n_max: int) -> dict:
     Exact integers are decimal strings; the input echo keeps JSON integers.
     Costs follow n_max alone: the threshold K_0 is read off beta, never
     confirmed by evaluating b_n up to K_0 (the test suite confirms it).  A b_n
-    past Python's integer-string digit limit is refused by the series itself.
+    past Python's integer-string digit limit is refused by the series itself,
+    and K_0 by the same check before it is written.
     """
     b = config_betti_series(betti, n_max)
     if b[0] != 1:
@@ -240,5 +225,6 @@ def betti_report(betti: BettiVector, n_max: int) -> dict:
     }
     K0, valid = vanishing_threshold(betti)
     if valid:
+        _refuse_digits(K0, _digit_limit())
         doc["vanishing"] = {"K0": str(K0)}
     return doc

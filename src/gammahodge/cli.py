@@ -180,9 +180,8 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
     rows = []
 
     for space in _grid_spaces(grid):
-        for m in range(grid["m_max"] + 1):
-            for n in range(grid["n_max"] + 1):
-                closed = ga.sym_component_dim_closed(space, m, n)
+        for m, closed_row in enumerate(ga.sym_component_dims(space, grid["m_max"], grid["n_max"])):
+            for n, closed in enumerate(closed_row):
                 row = {
                     "kind": "dims",
                     "space": [[p, d] for p, d in space.components],

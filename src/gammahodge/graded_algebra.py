@@ -12,8 +12,9 @@ graded sign
 so odd-degree letters anticommute and every other pair commutes.  All
 arithmetic is exact (ints and fractions.Fraction).  Component dimensions are
 available through two independent routes, the projector applied to one word
-per letter multiset and the closed-form count by wedge/symmetric powers;
-their agreement is the module's central invariant.
+per letter multiset and the closed-form count by wedge/symmetric powers,
+read off the generating-function kernel of betti; their agreement is the
+module's central invariant.
 
 Letters are (component, basis_index) pairs, both 0-based; a word is a tuple
 of letters.  The quotient ideal is never materialized: membership of a
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .betti import beta_super, truncated_product
+from .betti import _digit_limit, _power_factor, truncated_product
 from .errors import ResourceError, strict_int
 # Unused here; perfbench/tests/test_bench_trace.py reads graded_algebra.rank.
 from .linalg import rank  # noqa: F401
@@ -135,6 +136,10 @@ def count_words(space: GradedSpace, m: int, n: int) -> int:
     """Number of length-m words of multidegree n (no enumeration)."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
+    degrees = [p for p, dim in space.components if dim]
+    # no length-m word reaches degree n: skip the m-fold product
+    if not degrees or not m * min(degrees) <= n <= m * max(degrees):
+        return int(m == n == 0)
     letters_by_degree = [0] * (n + 1)
     for p, dim in space.components:
         if p <= n:
@@ -185,31 +190,27 @@ def sym_component_dim_bruteforce(space: GradedSpace, m: int, n: int) -> int:
     return sum(1 for w0 in multisets if project(space, w0))
 
 
-def sym_component_dim_closed(space: GradedSpace, m: int, n: int) -> int:
-    """Dimension of the projected (m, n) component in closed form.
+def sym_component_dims(space: GradedSpace, m_max: int, n_max: int) -> list[list[int]]:
+    """Closed-form dimensions of the projected (m, n) components, as rows dims[m][n].
 
-    Sums, over multiplicity vectors (s_1..s_l) with sum m and degree-weighted
-    sum n, the product of per-component power dimensions: C(dim, s) for odd
-    degree, C(dim + s - 1, s) for even degree.
+    The t^m x^n coefficients of prod (1 + t x^p)^dim (odd p), (1 - t x^p)^-dim
+    (even p), from one truncated_product in x with t = x^B: a word of length
+    m <= m_top has degree <= m_top * max p < B, so (m, n) sits alone at
+    x^(m B + n).  Rows past n_max are zero (every degree is >= 1).
     """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
-    comps = space.components
-    total = 0
+    if m_max < 0 or n_max < 0:
+        raise ValueError("the m and n bounds must be non-negative")
+    m_top = min(m_max, n_max)
+    B = max(n_max, m_top * max(p for p, _ in space.components)) + 1
+    degree = m_top * B + n_max
+    limit = _digit_limit()
+    series = truncated_product(
+        [_power_factor(dim, p % 2, B + p, degree, limit) for p, dim in space.components], degree
+    )
+    return [series[m * B : m * B + n_max + 1] if m <= m_top else [0] * (n_max + 1)
+            for m in range(m_max + 1)]
 
-    def assign(i: int, left_m: int, left_n: int, prod: int) -> None:
-        nonlocal total
-        if i == len(comps):
-            if left_m == 0 and left_n == 0:
-                total += prod
-            return
-        p, dim = comps[i]
-        for s in range(left_m + 1):
-            if p * s > left_n:
-                break
-            d = beta_super(dim, p, s) if s else 1
-            if d:
-                assign(i + 1, left_m - s, left_n - p * s, prod * d)
 
-    assign(0, m, n, 1)
-    return total
+def sym_component_dim_closed(space: GradedSpace, m: int, n: int) -> int:
+    """Dimension of the projected (m, n) component: one entry of sym_component_dims."""
+    return sym_component_dims(space, m, n)[m][n]

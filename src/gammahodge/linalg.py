@@ -165,14 +165,5 @@ def gram(rows: Matrix, ncols: int) -> list[list]:
 
 
 def outer_gram(rows: Matrix) -> list[list]:
-    """G G^T for G given by rows (works for zero-length rows)."""
-    n = len(rows)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            s = 0
-            for x, y in zip(rows[i], rows[j]):
-                s += x * y
-            out[i][j] = s
-            out[j][i] = s
-    return out
+    """G G^T for G given by rows (works for zero-length rows): the gram of G^T."""
+    return gram(list(zip(*rows)), len(rows))

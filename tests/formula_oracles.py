@@ -1,5 +1,7 @@
 """Formula code the library itself never runs, kept as the tests' oracles.
 
+beta_super is the power count by math.comb, the oracle for the ratio
+recurrence of betti._power_factor that the series and the closed form share;
 gram_matrix_sym is the full Gram matrix behind the per-orbit shortcut of
 sym_component_dim_bruteforce; project_vector extends the projector linearly,
 for its idempotence; projected_norm_sq is the README's norm convention, to be
@@ -14,6 +16,19 @@ from math import comb, factorial
 
 from gammahodge.betti import truncated_product
 from gammahodge.graded_algebra import GradedSpace, Word, enumerate_words, project
+
+
+def beta_super(beta_k: int, k: int, s: int) -> int:
+    """Dimension of the s-th power of a beta_k-dimensional degree-k space.
+
+    Wedge power C(beta_k, s) for odd k, symmetric power C(beta_k + s - 1, s)
+    for even k.
+    """
+    if s < 1 or k < 1:
+        raise ValueError("need s >= 1 and k >= 1")
+    if beta_k < 0:
+        raise ValueError("beta_k must be non-negative")
+    return comb(beta_k, s) if k % 2 else comb(beta_k + s - 1, s)
 
 
 def project_vector(space: GradedSpace, vec: dict[Word, Fraction]) -> dict[Word, Fraction]:

@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formula_oracles import fiber_decomposition_check
+from formula_oracles import beta_super, fiber_decomposition_check
 from gammahodge import betti
 from gammahodge.betti import (
     BettiVector,
     InfiniteVolumeWarning,
-    beta_super,
     betti_report,
     config_betti,
     config_betti_series,

@@ -75,6 +75,11 @@ def test_betti_output_round_trips(capsys):
     # one Betti vector, but of 10^9 entries
     (("algebra-check", "--grid", '{"betti_beta_max":0,"betti_d_max":1000000000}'),
      "Betti degrees"),
+    # the work of a 400-digit n_max is past the float range (an OverflowError before)
+    (("betti", "--input", '{"d":1,"beta":[0,1]}', "--n-max", "1" + "0" * 399), "budget"),
+    # b_1 = N has 4,300 digits and passes; K_0 = 4N has 4,301 (exit 2 before)
+    (("betti", "--input", '{"d":3,"beta":[0,%s,0,%s]}' % ("9" * 4300, "9" * 4300),
+      "--n-max", "1"), "decimal digits"),
 ])
 def test_oversized_request_exits_4_at_once(argv, reason):
     start = time.perf_counter()
@@ -182,13 +187,27 @@ def test_algebra_check_permutation_budget_skips_exit_3_at_once():
     assert doc["summary"]["word_cap"] == str(graded_algebra.MAX_WORDS)
 
 
+def test_betti_rows_of_a_long_series_take_seconds():
+    # 904 rows up to n = 300: each row sums the brute force over word lengths
+    # m <= n, and count_words skips every m no length-m word can reach; the
+    # full m-fold products made this grid run past 120 s
+    grid = ('{"l_max":1,"degree_max":1,"dim_max":1,"m_max":0,"n_max":0,'
+            '"betti_d_max":1,"betti_beta_max":2,"betti_n_max":300}')
+    started = time.perf_counter()
+    done = run_subprocess("algebra-check", "--grid", grid, timeout=120)
+    assert time.perf_counter() - started < 30
+    assert done.returncode == EXIT_PARTIAL
+    summary = json.loads(done.stdout)["summary"]
+    assert summary["instances"] == "904" and summary["mismatches"] == "0"
+
+
 def test_grid_row_budget_counts_the_rows_before_the_first_and_is_inclusive(capsys, monkeypatch):
     grid = '{"l_max": 2, "degree_max": 2, "dim_max": 1, "m_max": 3, "n_max": 4, "betti_d_max": 2, "betti_beta_max": 1, "betti_n_max": 3}'
     rows = int(run_json(capsys, "algebra-check", "--grid", grid)["summary"]["instances"])
     monkeypatch.setattr(cli, "MAX_GRID_ROWS", rows)
     assert run_json(capsys, "algebra-check", "--grid", grid)["summary"]["instances"] == str(rows)
     monkeypatch.setattr(cli, "MAX_GRID_ROWS", rows - 1)
-    monkeypatch.setattr(graded_algebra, "sym_component_dim_closed", None)
+    monkeypatch.setattr(graded_algebra, "sym_component_dims", None)
     code, out, err = run(capsys, "algebra-check", "--grid", grid)
     assert code == EXIT_RESOURCE and out == ""
     assert err == f"error: the grid has more than {rows - 1} rows, the budget of one sweep\n"
@@ -732,13 +751,13 @@ def test_recorded_betti_replies_pass_the_smallest_digit_limit(name):
 PUBLIC_NAMES = {
     "BettiVector", "EnumerationCapError", "GradedSpace", "InfiniteVolumeWarning",
     "InvariantError", "LocalFunctional", "Polynomial", "PsdContractError", "ResourceError",
-    "ScalarFunction", "SimplicialComplex", "Window", "beta_super", "betti", "betti_numbers",
+    "ScalarFunction", "SimplicialComplex", "Window", "betti", "betti_numbers",
     "betti_report", "boundary_matrix", "catalog", "check_laplace", "check_local_expansion",
     "check_mecke", "config_betti", "config_betti_series", "enumerate_words", "errors",
     "graded_algebra", "hodge_decomposition_dims", "hodge_discrete", "hodge_laplacian",
     "kron_sum_kernel_dim", "kunneth_product", "linalg", "load_complex", "poisson_mc", "project",
     "run_check", "sample_configuration", "sphere_boundary", "sym_component_dim_bruteforce",
-    "sym_component_dim_closed", "torus_grid", "vanishing_threshold",
+    "sym_component_dim_closed", "sym_component_dims", "torus_grid", "vanishing_threshold",
 }
 
 

@@ -23,6 +23,7 @@ from gammahodge.graded_algebra import (
     project,
     sym_component_dim_bruteforce,
     sym_component_dim_closed,
+    sym_component_dims,
 )
 from gammahodge.linalg import rank
 
@@ -103,6 +104,20 @@ def test_enumerate_impossible_multidegree():
 @given(space=spaces, m=st.integers(0, 3), n=st.integers(0, 8))
 def test_count_words_matches_enumeration(space, m, n):
     assert count_words(space, m, n) == len(enumerate_words(space, m, n))
+
+
+def test_count_words_skips_the_product_when_no_word_reaches_the_degree(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("the product ran")
+
+    monkeypatch.setattr(graded_algebra, "truncated_product", no_product)
+    space = GradedSpace(((2, 1), (3, 0), (5, 2)))
+    # nonzero components have degrees 2 and 5: length-3 words reach 6..15
+    assert count_words(space, 3, 5) == count_words(space, 3, 16) == 0
+    assert count_words(space, 0, 1) == 0
+    empty = GradedSpace(((1, 0), (4, 0)))
+    assert count_words(empty, 0, 0) == 1
+    assert count_words(empty, 2, 4) == count_words(empty, 0, 3) == 0
 
 
 @settings(max_examples=40)
@@ -296,6 +311,39 @@ def test_closed_equals_bruteforce_full_grid():
                     assert sym_component_dim_closed(space, m, n) == (
                         sym_component_dim_bruteforce(space, m, n)
                     ), (comps, m, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(space=spaces, m_max=st.integers(0, 5), n_max=st.integers(0, 8))
+def test_sym_component_dims_table_equals_bruteforce(space, m_max, n_max):
+    dims = sym_component_dims(space, m_max, n_max)
+    assert len(dims) == m_max + 1
+    for m, row in enumerate(dims):
+        assert len(row) == n_max + 1
+        for n, value in enumerate(row):
+            try:
+                assert value == sym_component_dim_bruteforce(space, m, n), (m, n)
+            except EnumerationCapError:
+                pass
+
+
+def test_sym_component_dims_keeps_long_words_of_high_degree_apart():
+    # length-3 words of degree-4 letters reach degree 12, far past n_max = 2;
+    # a spacing of n_max + 1 alone would fold them onto low (m, n) entries
+    space = GradedSpace(((1, 1), (4, 2)))
+    dims = sym_component_dims(space, 4, 2)
+    assert dims == [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    assert sym_component_dims(GradedSpace(((2, 1),)), 3, 6) == [
+        [1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1]
+    ]
+    assert sym_component_dims(GradedSpace(((3, 2),)), 2, 6)[2] == [0, 0, 0, 0, 0, 0, 1]
+
+
+def test_sym_component_dims_refuses_negative_sizes():
+    with pytest.raises(ValueError):
+        sym_component_dims(GradedSpace(((1, 1),)), -1, 0)
+    with pytest.raises(ValueError):
+        sym_component_dims(GradedSpace(((1, 1),)), 0, -1)
 
 
 @given(
