@@ -14,9 +14,10 @@ whose x^{s k} coefficients are the per-degree power counts
 _power_factor builds such a factor and truncated_product multiplies them:
 the package's one kernel for exact counts (b_n, the graded-algebra closed
 form, word counts, the Kunneth product).  The series is the only route to
-b_n.  It is refused with ResourceError, before any work, when its
-multiply-adds would pass MAX_SERIES_WORK, and as soon as a coefficient passes
-Python's integer-string digit limit.  betti_report returns the CLI reply
+b_n.  It is refused with ResourceError when its multiply-adds would pass
+MAX_SERIES_WORK: counted before any work, then weighted by operand size from
+the built factors before their product.  It is refused as soon as a
+coefficient passes Python's integer-string digit limit too.  betti_report returns the CLI reply
 itself, a plain dict.  b_0 is 1.  beta_0 is ignored by the formula, which
 presumes an infinite-volume base; a nonzero beta_0 input triggers
 InfiniteVolumeWarning, never an error, because product-space pipelines
@@ -35,12 +36,16 @@ from typing import Iterable, Sequence
 
 from .errors import InvariantError, ResourceError, strict_int
 
-# Bound on F * (n_max + 1)^2, the multiply-adds of config_betti_series for F
+# Bound on the work of config_betti_series: F * (n_max + 1)^2 loop steps for F
 # nonzero factors (F counted as 1 when there are none: the reply still holds
-# n_max + 1 coefficients).  The slowest shapes measured at the bound, forty
-# beta_k = 6 at n_max 865 and ten beta_k = 9 at n_max 1730, took 0.7-0.8 s
-# on a 2-core Xeon VM.
+# n_max + 1 coefficients), plus b * c // BIT_PRODUCT_PER_STEP more for each
+# multiply-add of a b-bit by a c-bit integer.  The slowest shapes measured at
+# the bound, forty beta_k = 6 at n_max 865 and ten beta_k = 9 at n_max 1730,
+# took 0.7-0.8 s on a 2-core Xeon VM; their operands weigh nothing extra.
+# beta = [0, 14000, 0, 14000] weighs 2.5e7 at n_max 1000 and took 0.36 s; at
+# n_max 3000 it weighs 1.0e9 and took 19-22 s.
 MAX_SERIES_WORK = 3 * 10**7
+BIT_PRODUCT_PER_STEP = 2**15
 # Python's integer-string digit limit, read at each call; 0 (none) before 3.10.7
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
@@ -130,14 +135,21 @@ def config_betti_series(betti: BettiVector, n_max: int) -> list[int]:
     # a factor of degree k > n_max is 1 modulo x^(n_max + 1)
     degrees = [k for k in range(1, min(betti.d, n_max) + 1) if betti.beta[k]]
     work = max(len(degrees), 1) * (n_max + 1) ** 2
-    if work > MAX_SERIES_WORK:
-        raise ResourceError(
-            f"the series to n_max = {n_max} over {len(degrees)} nonzero beta_k needs about "
-            # Decimal, not float: the work of a 400-digit n_max overflows a float
-            f"{Decimal(work):.3g} multiply-adds, over the budget of {Decimal(MAX_SERIES_WORK):.3g}"
-        )
+    _refuse_work(work, n_max, len(degrees))
     limit = _digit_limit()
     factors = [_power_factor(betti.beta[k], k % 2, k, n_max, limit) for k in degrees]
+    # factor[j] multiplies the n_max + 1 - j running-product coefficients of degree
+    # at most n_max - j, each of at most `bits` bits: they are non-negative and at
+    # most the product of the earlier factors' coefficient sums
+    bits = 0
+    for factor in factors:
+        if bits * max(factor).bit_length() >= BIT_PRODUCT_PER_STEP:  # else every weight is 0
+            work += sum(
+                (n_max + 1 - j) * (bits * c.bit_length() // BIT_PRODUCT_PER_STEP)
+                for j, c in enumerate(factor) if c
+            )
+        bits += sum(factor).bit_length()
+    _refuse_work(work, n_max, len(degrees))
     _warn_if_finite_volume(betti)
     b = truncated_product(factors, n_max)
     _refuse_digits(max(b), limit)
@@ -158,6 +170,16 @@ def _power_factor(dim: int, odd: int, spacing: int, n_max: int, limit: int) -> l
         _refuse_digits(c, limit)
         factor[s * spacing] = c
     return factor
+
+
+def _refuse_work(work: int, n_max: int, n_factors: int) -> None:
+    if work > MAX_SERIES_WORK:
+        raise ResourceError(
+            f"the series to n_max = {n_max} over {n_factors} nonzero beta_k needs about "
+            # Decimal, not float: the work of a 400-digit n_max overflows a float
+            f"{Decimal(work):.3g} multiply-adds, weighted by operand size, over the budget "
+            f"of {Decimal(MAX_SERIES_WORK):.3g}"
+        )
 
 
 def _refuse_digits(value: int, limit: int) -> None:

@@ -16,10 +16,13 @@ returning its JSON reply as a plain dict:
   evaluated on the configuration augmented by the integration points.  The
   built-in family is f(gamma, xs) = prod_i g(x_i) * h(<phi, gamma \\ xs>),
   so the augmented side collapses to h(<phi, gamma>) * (integral g)^m / m!.
+  The subset side needs no enumeration: the subset sum is the elementary
+  symmetric polynomial e_m of the point weights g e^{-t phi} in R[t]/(t^3),
+  which Newton's identities build from per-sample power sums (_subset_sums).
 
 Test functions are a closed world: window/box indicator steps, Gaussian
 bumps truncated to the window, and polynomials of <phi, gamma> of degree at
-most two.  Every reference is then available in closed form or through
+most two (a Polynomial holds exactly three coefficients).  Every reference is then available in closed form or through
 convergent tensor-product Gauss-Legendre quadrature, and the quadrature
 value must agree with the closed form to 1e-10 relative before any sampling
 runs (ReferenceMismatchError otherwise).
@@ -37,6 +40,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -233,7 +237,16 @@ class ScalarFunction:
             return self.scale * np.exp(-np.sum(z * z, axis=1))
 
     def support(self, window: Window) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Smallest box outside which the function vanishes, clipped to the window."""
+        """Smallest box outside which the function vanishes, clipped to the window.
+
+        ValueError unless a box's lo/hi or a Gaussian's center/width has one entry
+        per window axis: zip would silently drop or skip the axes that differ.
+        """
+        axes = self.lo if self.kind == "box" else self.center
+        if axes is not None and len(axes) != window.dim:
+            raise ValueError(
+                f"{self.kind} function has {len(axes)} axes, the window has {window.dim}"
+            )
         top = window.lengths
         if self.kind == "box":
             lo = tuple(min(max(a, 0.0), t) for a, t in zip(self.lo, top))
@@ -285,23 +298,20 @@ class ScalarFunction:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """h(t) = coeffs[0] + coeffs[1] t + ... (degree <= 2 where consumed)."""
+    """h(t) = coeffs[0] + coeffs[1] t + coeffs[2] t^2: three floats, zero-padded."""
 
-    coeffs: tuple[float, ...]
+    coeffs: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if any(coeffs[3:]):
+            raise ValueError("polynomial degree above 2 not supported")
+        object.__setattr__(self, "coeffs", (coeffs + (0.0, 0.0, 0.0))[:3])
 
     def __call__(self, t):
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        for c in reversed(self.coeffs):
-            out = out * t + c
-        return out
-
-    def padded(self) -> tuple[float, float, float]:
-        if any(self.coeffs[3:]):
-            raise ValueError("polynomial degree above 2 not supported")
-        return (self.coeffs + (0.0, 0.0, 0.0))[:3]
+        c0, c1, c2 = self.coeffs
+        t = np.asarray(t, dtype=float)
+        return c0 + t * (c1 + t * c2)
 
 
 @dataclass(frozen=True)
@@ -458,7 +468,7 @@ def _conditional_mean(functional: LocalFunctional, n_pts: int, window: Window) -
         return 1.0
     if functional.kind == "count_indicator":
         return 1.0 if n_pts == functional.k else 0.0
-    c0, c1, c2 = functional.h.padded()
+    c0, c1, c2 = functional.h.coeffs
     v = window.volume
     i1 = integral_of_power(functional.phi, window, 1)
     i2 = integral_of_power(functional.phi, window, 2)
@@ -472,7 +482,7 @@ def _conditional_mean(functional: LocalFunctional, n_pts: int, window: Window) -
 def _sup_bound(functional: LocalFunctional, n_pts: int) -> float:
     if functional.kind in ("one", "count_indicator"):
         return 1.0
-    c0, c1, c2 = functional.h.padded()
+    c0, c1, c2 = functional.h.coeffs
     s = abs(functional.phi.scale) * n_pts
     return abs(c0) + abs(c1) * s + abs(c2) * s * s
 
@@ -484,12 +494,12 @@ def _closed_form_mean(functional: LocalFunctional, window: Window) -> float:
     if functional.kind == "count_indicator":
         k = functional.k
         return math.exp(-v + k * math.log(v) - math.lgamma(k + 1))
-    return _mean_of_poly(functional.h.padded(), functional.phi, window)
+    return _mean_of_poly(functional.h, functional.phi, window)
 
 
-def _mean_of_poly(coeffs, phi: ScalarFunction, window: Window) -> float:
-    """E[h(<phi, gamma>)] for h of degree <= 2 from the first two moments of <phi, gamma>."""
-    c0, c1, c2 = coeffs
+def _mean_of_poly(h: Polynomial, phi: ScalarFunction, window: Window) -> float:
+    """E[h(<phi, gamma>)] from the first two moments of <phi, gamma>."""
+    c0, c1, c2 = h.coeffs
     i1 = integral_of_power(phi, window, 1)
     i2 = integral_of_power(phi, window, 2)
     return c0 + c1 * i1 + c2 * (i2 + i1 * i1)
@@ -549,38 +559,25 @@ def check_local_expansion(
 def _subset_sums(m, g, phi, totals, sample_ids, n_samples, coeffs):
     """Per-sample sums over m-point subsets of prod g * h(S - sum phi).
 
-    Expanded into per-sample power sums (h has degree <= 2, g is a product
-    over the subset), so the whole batch reduces to bincounts.
+    Each point weighs g e^{-t phi} in R[t]/(t^3), so the subset sum is e_m of the
+    weights read at (prod g) (1, -Phi, Phi^2 / 2), Phi the subset's phi sum.
+    Newton's identities j e_j = sum_{k=1..j} (-1)^{k-1} e_{j-k} p_k build it from
+    the power sums p_k = (sum g^k, -k sum g^k phi, k^2/2 sum g^k phi^2), and
+    h(S - Phi), of degree <= 2, is read off e_m's three coefficients.
     """
-    c0, c1, c2 = coeffs
-    S = totals
-
     def red(weights):
         return np.bincount(sample_ids, weights=weights, minlength=n_samples)
 
-    A0, A1, A2 = red(g), red(g * phi), red(g * phi * phi)
-    if m == 1:
-        return c0 * A0 + c1 * (S * A0 - A1) + c2 * (S * S * A0 - 2 * S * A1 + A2)
-    g2 = g * g
-    B0, B1, B2 = red(g2), red(g2 * phi), red(g2 * phi * phi)
-    if m == 2:
-        P0 = (A0 * A0 - B0) / 2
-        P1 = A1 * A0 - B1
-        P2a = A2 * A0 - B2
-        P2b = (A1 * A1 - B2) / 2
-        return (
-            c0 * P0
-            + c1 * (S * P0 - P1)
-            + c2 * (S * S * P0 - 2 * S * P1 + P2a + 2 * P2b)
-        )
-    g3 = g2 * g
-    C0, C1, C2 = red(g3), red(g3 * phi), red(g3 * phi * phi)
-    T0 = (A0**3 - 3 * B0 * A0 + 2 * C0) / 6
-    T1 = (A1 * A0 * A0 - 2 * B1 * A0 - B0 * A1 + 2 * C1) / 2
-    T2a = (A2 * A0 * A0 - 2 * B2 * A0 - B0 * A2 + 2 * C2) / 2
-    T2b = (A1 * A1 * A0 - B2 * A0 - 2 * B1 * A1 + 2 * C2) / 2
-    T2 = T2a + 2 * T2b
-    return c0 * T0 + c1 * (S * T0 - T1) + c2 * (S * S * T0 - 2 * S * T1 + T2)
+    q, e = [], []  # q_k = (-1)^{k-1} p_k and e_1..e_{j-1}; e_0 = 1 stays implicit
+    for j, gk in enumerate(accumulate(repeat(g, m), np.multiply), 1):
+        sign, gk_phi = (-1) ** (j - 1), gk * phi
+        q.append((sign * red(gk), -sign * j * red(gk_phi), sign * j * j / 2 * red(gk_phi * phi)))
+        acc = q[-1]
+        for (a0, a1, a2), (b0, b1, b2) in zip(e, reversed(q[:-1])):  # e_{j-k} q_k, k < j
+            acc = (acc[0] + a0 * b0, acc[1] + a0 * b1 + a1 * b0, acc[2] + a0 * b2 + a1 * b1 + a2 * b0)
+        e.append(tuple(x / j for x in acc))
+    (E0, E1, E2), (c0, c1, c2), S = e[-1], coeffs, totals
+    return c0 * E0 + c1 * (S * E0 + E1) + c2 * (S * S * E0 + 2 * S * E1 + 2 * E2)
 
 
 def check_mecke(
@@ -606,16 +603,15 @@ def check_mecke(
     """
     if m not in (1, 2, 3):
         raise ValueError("subset order m must be 1, 2 or 3")
-    coeffs = h.padded()
     if phi is None:
-        if any(coeffs[1:]):
+        if any(h.coeffs[1:]):
             raise ValueError("a non-constant h needs phi")
         phi = ScalarFunction(kind="indicator", scale=0.0)
 
     _refuse_overflow(m * _log_abs(g.scale), "mecke g.scale^m")
     ig = integral_of_power(g, window, 1)
     _refuse_overflow(m * _log_abs(ig), "mecke (integral of g)^m")
-    reference = ig**m / math.factorial(m) * _mean_of_poly(coeffs, phi, window)
+    reference = ig**m / math.factorial(m) * _mean_of_poly(h, phi, window)
     _refuse_overflow(2 * _log_abs(reference), "the mecke reference squared")
 
     def per_block(counts, sample_ids, points):
@@ -628,7 +624,7 @@ def check_mecke(
         g_vals = g.evaluate(points)
         phi_vals = phi.evaluate(points)
         totals = np.bincount(sample_ids, weights=phi_vals, minlength=counts.size)
-        lhs = _subset_sums(m, g_vals, phi_vals, totals, sample_ids, counts.size, coeffs)
+        lhs = _subset_sums(m, g_vals, phi_vals, totals, sample_ids, counts.size, h.coeffs)
         return np.stack([lhs, h(totals) * (ig**m / math.factorial(m))])
 
     lhs_values, rhs_values = _per_sample(window, seed, samples, per_block)

@@ -174,6 +174,24 @@ def test_series_budget_counts_factors_up_to_n_max_and_is_inclusive(monkeypatch):
         config_betti_series(vector, 2)
 
 
+@pytest.mark.parametrize("beta, n_max, served", [
+    # the shapes the budget was sized on: small operands weigh nothing extra
+    ([0] + [6] * 40, 865, True),
+    ([0] + [9] * 10, 1730, True),
+    # thousand-digit operands: 0.36 s at n_max 1000, 1.4 s at 1500
+    ([0, 14000, 0, 14000], 1000, True),
+    ([0, 14000, 0, 14000], 1500, False),
+])
+def test_series_budget_weighs_operand_sizes(monkeypatch, beta, n_max, served):
+    monkeypatch.setattr(betti, "truncated_product", lambda factors, n: [1] + [0] * n)
+    vector = BettiVector(d=len(beta) - 1, beta=tuple(beta))
+    if served:
+        config_betti_series(vector, n_max)
+    else:
+        with pytest.raises(ResourceError, match="weighted by operand size"):
+            config_betti_series(vector, n_max)
+
+
 def test_series_budget_refuses_before_warning(monkeypatch):
     monkeypatch.setattr(betti, "MAX_SERIES_WORK", 10)
     # no factor at all still counts as one: the reply holds n_max + 1 coefficients

@@ -77,6 +77,9 @@ def test_betti_output_round_trips(capsys):
      "Betti degrees"),
     # the work of a 400-digit n_max is past the float range (an OverflowError before)
     (("betti", "--input", '{"d":1,"beta":[0,1]}', "--n-max", "1" + "0" * 399), "budget"),
+    # under F * (n_max + 1)^2, but 1.5 million products of thousand-digit integers
+    # (about 20 s before the work was weighted by operand size)
+    (("betti", "--input", '{"d":3,"beta":[0,14000,0,14000]}', "--n-max", "3000"), "budget"),
     # b_1 = N has 4,300 digits and passes; K_0 = 4N has 4,301 (exit 2 before)
     (("betti", "--input", '{"d":3,"beta":[0,%s,0,%s]}' % ("9" * 4300, "9" * 4300),
       "--n-max", "1"), "decimal digits"),

@@ -449,22 +449,46 @@ def test_mecke_order_three_triple_count():
     assert abs(report["estimate"] - report["reference"]) <= 4 * report["std_error"]
 
 
-def test_mecke_vectorized_sums_match_enumeration():
-    g = ScalarFunction(kind="gaussian", center=(0.4, 1.0), width=(0.5, 0.8), scale=1.3)
-    phi = ScalarFunction(kind="box", lo=(0.0, 0.5), hi=(0.8, 1.7), scale=0.7)
-    h = Polynomial(coeffs=(0.5, -1.0, 0.25))
-    coeffs = h.padded()
+@pytest.mark.parametrize("g, phi, h, window", [
+    (ScalarFunction(kind="gaussian", center=(0.4, 1.0), width=(0.5, 0.8), scale=1.3),
+     ScalarFunction(kind="box", lo=(0.0, 0.5), hi=(0.8, 1.7), scale=0.7),
+     Polynomial(coeffs=(0.5, -1.0, 0.25)), WINDOW),
+    # a negative Gaussian phi, and a volume of 0.72: most samples hold fewer than m points
+    (ScalarFunction(kind="box", lo=(0.1, 0.0), hi=(0.7, 0.6), scale=2.4),
+     ScalarFunction(kind="gaussian", center=(0.3, 0.5), width=(0.4, 0.3), scale=-1.6),
+     Polynomial(coeffs=(-0.3, 0.8, -1.1)), Window(lengths=(0.8, 0.9))),
+])
+def test_mecke_vectorized_sums_match_enumeration(g, phi, h, window):
     n = 300
-    _, ids, pts = sample_blocks(WINDOW, 11, n)
+    counts, ids, pts = sample_blocks(window, 11, n)
     g_vals, phi_vals = g.evaluate(pts), phi.evaluate(pts)
     totals = np.bincount(ids, weights=phi_vals, minlength=n)
     for m in (1, 2, 3):
-        fast = _subset_sums(m, g_vals, phi_vals, totals, ids, n, coeffs)
+        fast = _subset_sums(m, g_vals, phi_vals, totals, ids, n, h.coeffs)
         for s in range(n):
             slow = subset_sum_oracle(
-                m, g_vals[ids == s], phi_vals[ids == s], totals[s], coeffs
+                m, g_vals[ids == s], phi_vals[ids == s], totals[s], h.coeffs
             )
             assert fast[s] == pytest.approx(slow, rel=1e-9, abs=1e-9)
+    if window != WINDOW:
+        assert np.mean(counts < 2) > 0.5 and np.mean(counts < 3) > 0.8
+
+
+@pytest.mark.parametrize("check", ["laplace", "local", "mecke"])
+@pytest.mark.parametrize("f", [
+    ScalarFunction(kind="box", lo=(0.0,), hi=(0.5,), scale=0.5),
+    ScalarFunction(kind="gaussian", center=(0.5,), width=(0.3,), scale=0.5),
+])
+def test_a_function_on_other_axes_than_the_window_is_refused(check, f):
+    # zip over the axes would otherwise drop the window's second axis unchecked
+    with pytest.raises(ValueError, match="has 1 axes, the window has 2"):
+        if check == "laplace":
+            check_laplace(f, WINDOW, 100, 1)
+        elif check == "local":
+            functional = LocalFunctional(kind="poly_of_sum", phi=f, h=LINEAR)
+            check_local_expansion(functional, WINDOW, 100, 1)
+        else:
+            check_mecke(1, f, CONST, None, WINDOW, 100, 1)
 
 
 def test_mecke_reduces_to_campbell_for_constant_h():
@@ -482,8 +506,10 @@ def test_mecke_validation():
         check_mecke(4, INDICATOR, CONST, None, WINDOW, 100, 1)
     with pytest.raises(ValueError):
         check_mecke(1, INDICATOR, LINEAR, None, WINDOW, 100, 1)
-    with pytest.raises(ValueError):
-        check_mecke(1, INDICATOR, Polynomial(coeffs=(0, 0, 0, 1.0)), INDICATOR, WINDOW, 100, 1)
+    with pytest.raises(ValueError, match="degree above 2"):
+        Polynomial(coeffs=(0, 0, 0, 1.0))  # at construction, before any check reads it
+    assert Polynomial(coeffs=(1, 2, 3, 0.0)).coeffs == (1.0, 2.0, 3.0)
+    assert Polynomial(coeffs=()).coeffs == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("k", [2.5, True, None, "2.5"])
@@ -527,7 +553,7 @@ def batch_values(check, n):
     if check == "local":
         return [STREAM_H(totals)]
     g_vals = STREAM_G.evaluate(pts)
-    lhs = _subset_sums(3, g_vals, phi_vals, totals, ids, n, STREAM_H.padded())
+    lhs = _subset_sums(3, g_vals, phi_vals, totals, ids, n, STREAM_H.coeffs)
     return [lhs, STREAM_H(totals) * (integral_of_power(STREAM_G, WINDOW, 1) ** 3 / 6)]
 
 
