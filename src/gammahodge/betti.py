@@ -17,13 +17,14 @@ form, word counts, the Kunneth product).  The series is the only route to
 b_n.  It is refused with ResourceError when its multiply-adds would pass
 MAX_SERIES_WORK: counted before any work, then weighted by operand size from
 the built factors before their product.  It is refused as soon as a
-coefficient passes Python's integer-string digit limit too.  betti_report returns the CLI reply
-itself, a plain dict.  b_0 is 1.  beta_0 is ignored by the formula, which
-presumes an infinite-volume base; a nonzero beta_0 input triggers
-InfiniteVolumeWarning, never an error, because product-space pipelines
-legitimately carry beta_0 = 1 on a compact factor.  algebra-check checks the
-series against the projector brute force; the tests check the power counts
-against math.comb and confirm the vanishing block of vanishing_threshold.
+coefficient passes Python's integer-string digit limit too.  betti_report
+returns the CLI reply itself, a plain dict.  b_0 is 1.  beta_0 is ignored by
+the formula, which presumes an infinite-volume base; a nonzero beta_0 input
+triggers InfiniteVolumeWarning, never an error, because product-space
+pipelines legitimately carry beta_0 = 1 on a compact factor.  algebra-check
+checks the series against the projector brute force; the tests check the
+power counts against math.comb and confirm the vanishing block of
+vanishing_threshold.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ faces of each k-simplex); no dense matrix is formed on the report path.
 Boundary ranks read the columns.  The harmonic dimension is dim C_k minus
 the rank of the stacked incidence matrix M_k, the columns of del_{k+1}
 followed by the rows of del_k: L_k = M_k^T M_k, so ker L_k = ker M_k, and
-it is ranked by the same sparse elimination.  The Laplacian itself, still
-assembled as sparse integer rows by ``hodge_laplacian``, is the tests'
+it is ranked by the same sparse elimination.  ``hodge_laplacian`` is
+literally M_k^T M_k, ``linalg.gram`` of those same rows, and is the tests'
 oracle for that kernel.  ``torus_grid`` and ``sphere_boundary`` give
 complexes of any size with known homology, and ``from_maximal`` refuses a
 closure over MAX_CLOSURE_FACES before building it.
@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantError, ResourceError, strict_int
-from .linalg import Matrix, is_psd, kron_sum, nullity, rank
+from .linalg import Matrix, gram, is_psd, kron_sum, nullity, rank
 
 Simplex = tuple[int, ...]
 
@@ -166,33 +166,14 @@ def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
 
 
 def hodge_laplacian(K: SimplicialComplex, k: int) -> list[list[int]]:
-    """Combinatorial Hodge Laplacian on k-chains, as dense integer rows.
+    """Combinatorial Hodge Laplacian del_{k+1} del_{k+1}^T + del_k^T del_k, dense int rows.
 
-    del_{k+1} del_{k+1}^T + del_k^T del_k: symmetric, positive semidefinite,
-    and its kernel dimension is the k-th Betti number.
+    It is ``gram`` of M_k, the rows ``hodge_decomposition_dims`` ranks: symmetric,
+    positive semidefinite, and its kernel dimension is beta_k (Eckmann, 1944).
     """
     if not 0 <= k <= K.max_dim:
         raise ValueError(f"degree {k} outside 0..{K.max_dim}")
-    nk = K.chain_dim(k)
-    down, _ = _sparse_boundary(K, k)
-    _, up = _sparse_boundary(K, k + 1)
-    return [[row.get(j, 0) for j in range(nk)] for row in _laplacian(down, up, nk)]
-
-
-def _laplacian(down, up, nk: int) -> list[dict[int, int]]:
-    """up up^T + down^T down on the nk-dimensional chain space, as sparse int rows.
-
-    ``down`` holds the rows of del_k (the k-simplices on each shared face) and
-    ``up`` the columns of del_{k+1} (the faces of each coface), so every
-    entry is a sum over the pairs of k-simplices sharing a face or a coface.
-    """
-    out: list[dict[int, int]] = [{} for _ in range(nk)]
-    for support in itertools.chain(down, up):
-        for i, a in support.items():
-            row = out[i]
-            for j, b in support.items():
-                row[j] = row.get(j, 0) + a * b
-    return [{j: v for j, v in row.items() if v} for row in out]
+    return gram(_sparse_boundary(K, k + 1)[1] + _sparse_boundary(K, k)[0], K.chain_dim(k))
 
 
 def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int], ...]:

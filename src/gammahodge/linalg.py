@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain sequences of rows holding ints or Fractions; ``rank``
-also takes rows given sparsely as ``{column: value}`` dicts.  Ranks come
-from one sparse fraction-free elimination with Markowitz pivots, so their
-cost follows the nonzeros, not the matrix area.  Positive semidefiniteness
-is decided by exact symmetric elimination, and Kronecker sums and Gram
-matrices are assembled entrywise.  No floating point anywhere.
+and ``gram``, the one G^T G kernel, also take sparse ``{column: value}``
+rows, while ``nullity`` needs dense rows to know the column count.  Ranks
+come from one sparse fraction-free elimination with Markowitz pivots, so
+their cost follows the nonzeros, not the matrix area; so does ``gram``'s.
+Positive semidefiniteness is decided by exact symmetric elimination, and
+Kronecker sums are assembled entrywise.  No floating point.
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ def rank(matrix: Matrix | SparseRows) -> int:
 
 
 def nullity(matrix: Matrix) -> int:
+    """Column count minus rank.  Dense rows only: a dict row has no column count."""
+    if any(isinstance(row, dict) for row in matrix):
+        raise ValueError("nullity needs dense rows: a dict row has no column count")
     ncols = len(matrix[0]) if matrix else 0
     return ncols - rank(matrix)
 
@@ -152,15 +156,21 @@ def kron_sum(a: Matrix, b: Matrix) -> list[list]:
     return out
 
 
-def gram(rows: Matrix, ncols: int) -> list[list]:
-    """G^T G for G given by rows of length ncols (works for zero rows)."""
+def gram(rows: Matrix | SparseRows, ncols: int) -> list[list]:
+    """G^T G for G given by ncols-column rows, dense or ``{column: value}`` as in ``rank``.
+
+    Only each row's nonzero products are summed; a column outside range(ncols) raises.
+    """
     out = [[0] * ncols for _ in range(ncols)]
+    columns = set(range(ncols))
     for row in rows:
-        for i in range(ncols):
-            ri = row[i]
-            if ri:
-                for j in range(ncols):
-                    out[i][j] += ri * row[j]
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        if not (row.keys() <= columns if isinstance(row, dict) else len(row) <= ncols):
+            raise ValueError(f"row {row!r} has a column outside 0..{ncols - 1}")
+        entries = [(c, e) for c, e in items if e]
+        for i, a in entries:
+            for j, b in entries:
+                out[i][j] += a * b
     return out
 
 

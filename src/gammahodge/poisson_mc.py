@@ -22,10 +22,11 @@ returning its JSON reply as a plain dict:
 
 Test functions are a closed world: window/box indicator steps, Gaussian
 bumps truncated to the window, and polynomials of <phi, gamma> of degree at
-most two (a Polynomial holds exactly three coefficients).  Every reference is then available in closed form or through
-convergent tensor-product Gauss-Legendre quadrature, and the quadrature
-value must agree with the closed form to 1e-10 relative before any sampling
-runs (ReferenceMismatchError otherwise).
+most two (a Polynomial holds exactly three coefficients).  Every reference
+is then available in closed form or through convergent tensor-product
+Gauss-Legendre quadrature, and the quadrature value must agree with the
+closed form to 1e-10 relative before any sampling runs
+(ReferenceMismatchError otherwise).
 
 RNG scheme ``philox4x64-block16384-v1``: sample index i draws from the
 Philox4x64 counter stream keyed (seed, i // 16384), all of a block's counts
@@ -183,6 +184,9 @@ def _erf_diff(x: float, y: float) -> float:
     return math.erf(x) - math.erf(y)
 
 
+_KIND_FIELDS = {"indicator": (), "box": ("lo", "hi"), "gaussian": ("center", "width")}
+
+
 @dataclass(frozen=True)
 class ScalarFunction:
     """Pointwise test function on the window.
@@ -190,7 +194,8 @@ class ScalarFunction:
     kinds: "indicator" (scale on the whole window), "box" (scale on
     [lo, hi] clipped to the window), "gaussian"
     (scale * exp(-sum ((x_i - center_i) / width_i)^2), truncated to the
-    window).
+    window).  Each kind needs exactly its axis fields in _KIND_FIELDS; a
+    missing one, or one another kind uses, raises ValueError naming it.
     """
 
     kind: str
@@ -201,14 +206,13 @@ class ScalarFunction:
     width: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("indicator", "box", "gaussian"):
+        if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
             raise ValueError(f"unknown scalar function kind {self.kind!r}")
-        if self.kind == "box" and (self.lo is None or self.hi is None):
-            raise ValueError("box function needs lo and hi")
-        if self.kind == "gaussian" and (self.center is None or self.width is None):
-            raise ValueError("gaussian function needs center and width")
         for name in ("lo", "hi", "center", "width"):
             value = getattr(self, name)
+            if (value is None) == (name in _KIND_FIELDS[self.kind]):
+                verb = "needs" if value is None else "takes no"
+                raise ValueError(f"{self.kind} function {verb} {name}")
             if value is not None:
                 object.__setattr__(self, name, tuple(float(x) for x in value))
         object.__setattr__(self, "scale", float(self.scale))
@@ -690,7 +694,11 @@ def polynomial_from_json(spec, field: str) -> Polynomial:
         return _shorthand("polynomial", spec, field)
     if not isinstance(spec, dict):
         raise ValueError(f"{field} must be a coeffs object or shorthand name, got {spec!r}")
-    return Polynomial(coeffs=_reals(spec.get("coeffs"), f"{field}.coeffs"))
+    coeffs = _reals(spec.get("coeffs"), f"{field}.coeffs")
+    try:
+        return Polynomial(coeffs=coeffs)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 def functional_from_json(spec, field: str, dim: int) -> LocalFunctional:

@@ -298,6 +298,26 @@ def test_poisson_requires_seed(capsys):
     assert "seed" in err
 
 
+def _foreign_axis_field_cases():
+    """A scalar with an axis field of another kind, as laplace f, local phi and mecke g."""
+    own = {"indicator": {}, "box": {"lo": [0.2], "hi": [0.5]},
+           "gaussian": {"center": [0.5], "width": [0.3]}}
+    for kind, axes in own.items():
+        for name in ("lo", "hi", "center", "width"):
+            if name in axes:
+                continue
+            scalar = {"kind": kind, "scale": 0.3, **axes, name: [0.5]}
+            for field, spec in (
+                ("f", {"check": "laplace", "f": scalar}),
+                ("f.phi", {"check": "local", "f": {"kind": "poly_of_sum", "phi": scalar,
+                                                    "h": "linear"}}),
+                ("f.g", {"check": "mecke", "m": 1, "f": {"g": scalar, "h": "const"}}),
+            ):
+                spec["window"] = {"lengths": [2.0]}
+                yield pytest.param(json.dumps(spec), f"{field}: {kind} function takes no {name}",
+                                   id=f"{spec['check']}-{kind}-with-{name}")
+
+
 @pytest.mark.parametrize(
     "spec, field",
     [
@@ -330,6 +350,12 @@ def test_poisson_requires_seed(capsys):
         ('{"check":"laplace","window":{"lengths":[true]},"f":"indicator"}', "window.lengths[0]"),
         pytest.param('{"check":"laplace","window":{"lengths":[1.0]},"f":{"kind":"indicator",'
                      '"scale":1' + "0" * 400 + "}}", "f.scale", id="scale-beyond-float"),
+        ('{"check":"local","window":{"lengths":[1.0]},"f":{"kind":"poly_of_sum",'
+         '"phi":"indicator","h":{"coeffs":[0, 0, 0, 1]}}}',
+         "f.h: polynomial degree above 2"),
+        ('{"check":"mecke","m":1,"window":{"lengths":[1.0]},"f":{"h":{"coeffs":[0, 0, 0, 1]}}}',
+         "f.h: polynomial degree above 2"),
+        *_foreign_axis_field_cases(),
     ],
 )
 def test_poisson_malformed_spec_exits_2_naming_the_field(capsys, spec, field):

@@ -27,7 +27,7 @@ from gammahodge.hodge_discrete import (
     sphere_boundary,
     torus_grid,
 )
-from gammahodge.linalg import gram, is_psd, kron_sum, outer_gram, rank
+from gammahodge.linalg import gram, is_psd, kron_sum, rank
 
 
 def rref_rank(matrix):
@@ -229,15 +229,20 @@ def test_disjoint_vertices_count_components():
 # ---------------------------------------------------------------------------
 # Laplacians and the decomposition
 
-def test_sparse_laplacian_equals_the_dense_gram_assembly():
+def test_laplacian_equals_the_explicit_boundary_products():
+    """L_k against del_k^T del_k + del_{k+1} del_{k+1}^T, multiplied out entry by entry."""
     complexes = list(catalog().values()) + [torus_grid(3, 3), torus_grid(3, 5), torus_grid(4, 4)]
     for K in complexes:
         for k in range(K.max_dim + 1):
             nk = K.chain_dim(k)
-            down = gram(boundary_matrix(K, k), nk)
-            up = outer_gram(boundary_matrix(K, k + 1))
-            dense = [[down[i][j] + up[i][j] for j in range(nk)] for i in range(nk)]
-            assert hodge_laplacian(K, k) == dense
+            down = boundary_matrix(K, k)  # (k-1)-faces x k-simplices
+            up = boundary_matrix(K, k + 1)  # k-simplices x (k+1)-simplices
+            expected = [
+                [sum(row[i] * row[j] for row in down) + sum(a * b for a, b in zip(up[i], up[j]))
+                 for j in range(nk)]
+                for i in range(nk)
+            ]
+            assert hodge_laplacian(K, k) == expected
 
 
 def test_laplacian_kernel_dims():
@@ -266,11 +271,8 @@ def test_laplacian_kernel_equals_betti_everywhere():
 
 
 def _laplacian_rank(K, k):
-    """rank L_k from the sparse Laplacian assembly, the oracle for the stacked rank."""
-    nk = K.chain_dim(k)
-    down, _ = hodge_discrete._sparse_boundary(K, k)
-    _, up = hodge_discrete._sparse_boundary(K, k + 1)
-    return rank(hodge_discrete._laplacian(down, up, nk))
+    """rank L_k, the oracle for the stacked rank."""
+    return rank(hodge_laplacian(K, k))
 
 
 ORACLE_COMPLEXES = (

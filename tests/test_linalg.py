@@ -77,6 +77,9 @@ sparse_int_matrices = sparse_matrices(st.integers(-5, 5).filter(bool))
 sparse_fraction_matrices = sparse_matrices(
     st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
 )
+sparse_mixed_matrices = sparse_matrices(st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+).filter(bool))
 
 
 def test_rank_basics():
@@ -137,6 +140,47 @@ def test_rank_leaves_its_argument_unchanged():
 def test_nullity():
     assert nullity([[1, 2, 3]]) == 2
     assert nullity([]) == 0
+
+
+def test_nullity_refuses_dict_rows():
+    # A dict row's length is its nonzero count, not the column count: this
+    # read as 2 - 3 = -1 before dict rows were refused.
+    with pytest.raises(ValueError, match="dense rows"):
+        nullity([{0: 1}, {5: 2}])
+    with pytest.raises(ValueError, match="dense rows"):
+        nullity([[1, 0, 0], {2: 1}])
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.one_of(sparse_int_matrices, sparse_mixed_matrices))
+def test_gram_is_the_explicit_product(m):
+    ncols = len(m[0])
+    expected = [[sum(row[i] * row[j] for row in m) for j in range(ncols)] for i in range(ncols)]
+    assert gram(m, ncols) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.one_of(sparse_int_matrices, sparse_fraction_matrices, sparse_mixed_matrices),
+       empty=st.integers(0, 3))
+def test_gram_of_dict_rows_equals_gram_of_their_dense_rows(m, empty):
+    ncols = len(m[0])
+    dense = m + [[0] * ncols] * empty
+    nonzeros = [{j: e for j, e in enumerate(row) if e} for row in dense]
+    with_zeros = [dict(enumerate(row)) for row in dense]
+    assert {} in nonzeros
+    assert gram(nonzeros, ncols) == gram(with_zeros, ncols) == gram(dense, ncols)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 3]],          # a dense row longer than ncols
+    [[1, 2, 0]],          # even when the extra entry is zero
+    [{0: 1, 2: 1}],
+    [{2: 0}],
+    [{-1: 1}],
+])
+def test_gram_refuses_a_column_outside_the_range(rows):
+    with pytest.raises(ValueError, match="column outside"):
+        gram(rows, 2)
 
 
 @settings(max_examples=80)

@@ -126,6 +126,29 @@ def test_scalar_function_validation():
     assert flat.closed_form_integral(WINDOW) == 0.0
 
 
+# One valid 1-D set of axis fields per kind, and every field another kind uses.
+KIND_AXES = {"indicator": {}, "box": {"lo": (0.2,), "hi": (0.5,)},
+             "gaussian": {"center": (0.5,), "width": (0.3,)}}
+FOREIGN_FIELDS = [(kind, name) for kind, own in KIND_AXES.items()
+                  for name in ("lo", "hi", "center", "width") if name not in own]
+
+
+@pytest.mark.parametrize("kind, name", FOREIGN_FIELDS)
+def test_a_field_of_another_kind_is_refused(kind, name):
+    # An indicator with lo/hi once read the whole window: laplace on [2.0]
+    # gave exp(expm1(0.3) * 2) = 2.0132 where the box [0.2, 0.5] gives 1.1107.
+    axes = dict(KIND_AXES[kind], **{name: (0.5,)})
+    with pytest.raises(ValueError, match=f"^{kind} function takes no {name}$"):
+        ScalarFunction(kind=kind, scale=0.3, **axes)
+
+
+@pytest.mark.parametrize("kind, name", [(k, n) for k, own in KIND_AXES.items() for n in own])
+def test_a_missing_field_of_the_kind_is_refused(kind, name):
+    axes = {n: v for n, v in KIND_AXES[kind].items() if n != name}
+    with pytest.raises(ValueError, match=f"^{kind} function needs {name}$"):
+        ScalarFunction(kind=kind, **axes)
+
+
 def test_sampling_is_deterministic():
     a = sample_configuration(WINDOW, seed=42, index=7)
     b = sample_configuration(WINDOW, seed=42, index=7)
