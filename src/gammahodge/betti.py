@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Sequence
 
-from .errors import InvariantError, ResourceError, strict_int
+from .errors import InvariantError, ResourceError, fields, strict_int
 
 # Bound on the work of config_betti_series: F * (n_max + 1)^2 loop steps for F
 # nonzero factors (F counted as 1 when there are none: the reply still holds
@@ -76,13 +76,10 @@ class BettiVector:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BettiVector":
-        try:
-            d, beta = doc["d"], doc["beta"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"Betti vector document needs 'd' and 'beta': {exc}") from exc
-        if not isinstance(beta, list):
-            raise ValueError(f"beta must be a list of integers, got {beta!r}")
-        return cls(d=d, beta=tuple(beta))
+        doc = fields(doc, "Betti vector", ("d", "beta"))
+        if not isinstance(doc["beta"], list):
+            raise ValueError(f"beta must be a list of integers, got {doc['beta']!r}")
+        return cls(d=doc["d"], beta=tuple(doc["beta"]))
 
 
 def _warn_if_finite_volume(betti: BettiVector) -> None:

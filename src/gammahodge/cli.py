@@ -24,7 +24,7 @@ from math import comb
 from . import betti as betti_mod
 from . import graded_algebra as ga
 from . import hodge_discrete as hodge
-from .errors import InvariantError, ResourceError, strict_int
+from .errors import InvariantError, ResourceError, fields, strict_int
 from .linalg import gram
 
 EXIT_OK = 0
@@ -163,10 +163,7 @@ def _compare(row: dict, expected: int, brute) -> dict:
 
 def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
     grid = dict(_DEFAULT_GRID)
-    overrides = _read_json_source(args.grid) if args.grid else {}
-    unknown = set(overrides) - set(grid)
-    if unknown:
-        raise InputError(f"unknown grid keys {sorted(unknown)}")
+    overrides = fields(_read_json_source(args.grid), "grid", optional=grid) if args.grid else {}
     for key, value in overrides.items():
         grid[key] = strict_int(value, f"grid.{key}")
         if grid[key] < 0:
@@ -314,6 +311,7 @@ def _vector_from_complex(complex_: hodge.SimplicialComplex, zero_b0: bool) -> tu
 def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _read_json_source(args.input)
     if "complex" in doc:
+        doc = fields(doc, "pipeline input", ("complex",), ("mark",))
         base_doc, mark_doc = doc["complex"], doc.get("mark")
     else:
         base_doc, mark_doc = doc, None
@@ -324,7 +322,7 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, int]:
         "infinite_volume_override": args.infinite_volume,
     }
     if mark_doc is not None:
-        mark = hodge.load_complex(mark_doc)
+        mark = hodge.load_complex(mark_doc, "mark")
         mark_vector, mark_raw = _vector_from_complex(mark, zero_b0=False)
         source["mark_betti"] = [str(b) for b in mark_raw]
         vector = betti_mod.kunneth_product(vector, mark_vector)

@@ -1,4 +1,4 @@
-"""Shared exception types and the strict integer parse of JSON input."""
+"""Shared exception types and the strict readers of JSON input: its keys and integers."""
 
 import re
 from numbers import Integral
@@ -34,3 +34,18 @@ def strict_int(value, field: str) -> int:
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
     raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
+def fields(doc, where: str, required=(), optional=()) -> dict:
+    """``doc`` if it is a JSON object with every ``required`` key and no key outside
+    ``required`` and ``optional``, else a one-line ValueError naming ``where``: a
+    misspelt key is refused, never read as its default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{where} needs key {key!r}")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where} takes no key {key!r}")
+    return doc

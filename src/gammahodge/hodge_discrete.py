@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvariantError, ResourceError, strict_int
+from .errors import InvariantError, ResourceError, fields, strict_int
 from .linalg import Matrix, gram, is_psd, kron_sum, nullity, rank
 
 Simplex = tuple[int, ...]
@@ -105,15 +105,11 @@ def from_maximal(maximal) -> SimplicialComplex:
     )
 
 
-def load_complex(document: dict) -> SimplicialComplex:
-    """Parse {"maximal": [[v, ...], ...]} into a face-closed complex."""
-    if not isinstance(document, dict):
-        raise ValueError(f"a complex document must be a JSON object, got {document!r}")
-    if "maximal" not in document:
-        raise ValueError('complex document needs a "maximal" list')
-    maximal = document["maximal"]
+def load_complex(document: dict, where: str = "complex") -> SimplicialComplex:
+    """Parse {"maximal": [[v, ...], ...]} into a face-closed complex; errors name ``where``."""
+    maximal = fields(document, where, ("maximal",))["maximal"]
     if not isinstance(maximal, list):
-        raise ValueError('"maximal" must be a list of vertex lists')
+        raise ValueError(f"{where}.maximal must be a list of vertex lists, got {maximal!r}")
     return from_maximal(maximal)
 
 

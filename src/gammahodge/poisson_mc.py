@@ -45,7 +45,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .errors import InvariantError, ResourceError, strict_int
+from .errors import InvariantError, ResourceError, fields, strict_int
 
 RNG_SCHEME = "philox4x64-block16384-v1"
 STREAM_BLOCK = 16_384
@@ -101,13 +101,10 @@ class Window:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Window":
-        if not isinstance(doc, dict):
-            raise ValueError(f"window must be an object with lengths, got {doc!r}")
-        win = cls(lengths=_reals(doc.get("lengths"), "window.lengths"))
+        doc = fields(doc, "window", ("lengths",), ("dim",))
+        win = cls(lengths=_reals(doc["lengths"], "window.lengths"))
         if "dim" in doc and strict_int(doc["dim"], "window.dim") != win.dim:
-            raise ValueError(
-                f"window dim {doc['dim']} does not match {win.dim} lengths"
-            )
+            raise ValueError(f"window dim {doc['dim']} does not match {win.dim} lengths")
         return win
 
 
@@ -122,12 +119,13 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block(window: Window, seed: int, block: int, n: int):
+def _block(window: Window, seed: int, block: int, n: int, max_points: float = math.inf):
     """counts and points of a block's first n samples: the same bits for every n.
 
     Refuses with ResourceError, before drawing anything, when the block's
-    expected points would take more than MAX_BLOCK_BYTES, or when the n
-    samples from this block on would draw more than MAX_DRAWS variates.
+    expected points would take more than MAX_BLOCK_BYTES, or the n samples
+    from this block on more than MAX_DRAWS variates; and after the counts,
+    before the points, when a count passes max_points (ConfigurationTooLarge).
     """
     expected = min(n, STREAM_BLOCK) * window.volume * window.dim * 8
     if expected > MAX_BLOCK_BYTES:
@@ -139,21 +137,26 @@ def _block(window: Window, seed: int, block: int, n: int):
         raise ResourceError(f"{n} samples would draw more than {MAX_DRAWS} variates")
     g = _stream(seed, block)
     counts = g.poisson(window.volume, size=STREAM_BLOCK)[:n]
+    if counts.max(initial=0) > max_points:
+        raise ConfigurationTooLarge(f"a configuration has {counts.max()} points, above the "
+                                    f"subset-sum cap {max_points}; shrink the window volume")
     return counts, g.random((int(counts.sum()), window.dim)) * np.asarray(window.lengths)
 
 
-def _blocks(window: Window, seed: int, n_samples: int):
+def _blocks(window: Window, seed: int, n_samples: int, max_points: float = math.inf):
     """Yield counts, block-local sample ids and points of samples 0..n-1, block by block."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     for start in range(0, n_samples, STREAM_BLOCK):
-        counts, points = _block(window, seed, start // STREAM_BLOCK, n_samples - start)
+        counts, points = _block(window, seed, start // STREAM_BLOCK, n_samples - start, max_points)
         yield counts, np.repeat(np.arange(counts.size), counts), points
 
 
-def _per_sample(window: Window, seed: int, n_samples: int, per_block) -> np.ndarray:
+def _per_sample(window: Window, seed: int, n_samples: int, per_block,
+                max_points: float = math.inf) -> np.ndarray:
     """per_block(counts, sample_ids, points) of every block, joined along samples."""
-    return np.concatenate([per_block(*b) for b in _blocks(window, seed, n_samples)], axis=-1)
+    blocks = _blocks(window, seed, n_samples, max_points)
+    return np.concatenate([per_block(*b) for b in blocks], axis=-1)
 
 
 def sample_configuration(
@@ -619,19 +622,13 @@ def check_mecke(
     _refuse_overflow(2 * _log_abs(reference), "the mecke reference squared")
 
     def per_block(counts, sample_ids, points):
-        top = int(counts.max(initial=0))
-        if top > MAX_CONFIG_POINTS:
-            raise ConfigurationTooLarge(
-                f"a configuration has {top} points, above the subset-sum cap "
-                f"{MAX_CONFIG_POINTS}; shrink the window volume"
-            )
         g_vals = g.evaluate(points)
         phi_vals = phi.evaluate(points)
         totals = np.bincount(sample_ids, weights=phi_vals, minlength=counts.size)
         lhs = _subset_sums(m, g_vals, phi_vals, totals, sample_ids, counts.size, h.coeffs)
         return np.stack([lhs, h(totals) * (ig**m / math.factorial(m))])
 
-    lhs_values, rhs_values = _per_sample(window, seed, samples, per_block)
+    lhs_values, rhs_values = _per_sample(window, seed, samples, per_block, MAX_CONFIG_POINTS)
     lhs, lhs_se = _mc_stats(lhs_values)
     rhs, rhs_se = _mc_stats(rhs_values)
     pooled = math.hypot(lhs_se, rhs_se)
@@ -677,9 +674,8 @@ def _reals(value, field: str, size: int | None = None) -> tuple[float, ...]:
 def scalar_from_json(spec, field: str, dim: int) -> ScalarFunction:
     if isinstance(spec, str):
         return _shorthand("scalar", spec, field)
-    if not isinstance(spec, dict):
-        raise ValueError(f"{field} must be a function object or shorthand name, got {spec!r}")
-    args = {"kind": spec.get("kind"), "scale": _real(spec.get("scale", 1.0), f"{field}.scale")}
+    spec = fields(spec, field, ("kind",), ("scale", "lo", "hi", "center", "width"))
+    args = {"kind": spec["kind"], "scale": _real(spec.get("scale", 1.0), f"{field}.scale")}
     for name in ("lo", "hi", "center", "width"):
         if name in spec:
             args[name] = _reals(spec[name], f"{field}.{name}", dim)
@@ -692,9 +688,7 @@ def scalar_from_json(spec, field: str, dim: int) -> ScalarFunction:
 def polynomial_from_json(spec, field: str) -> Polynomial:
     if isinstance(spec, str):
         return _shorthand("polynomial", spec, field)
-    if not isinstance(spec, dict):
-        raise ValueError(f"{field} must be a coeffs object or shorthand name, got {spec!r}")
-    coeffs = _reals(spec.get("coeffs"), f"{field}.coeffs")
+    coeffs = _reals(fields(spec, field, ("coeffs",))["coeffs"], f"{field}.coeffs")
     try:
         return Polynomial(coeffs=coeffs)
     except ValueError as exc:
@@ -704,18 +698,20 @@ def polynomial_from_json(spec, field: str) -> Polynomial:
 def functional_from_json(spec, field: str, dim: int) -> LocalFunctional:
     if isinstance(spec, str):
         return _shorthand("functional", spec, field)
-    if not isinstance(spec, dict):
-        raise ValueError(f"{field} must be a functional object or \"one\", got {spec!r}")
-    kind = spec.get("kind")
+    kind = fields(spec, field, ("kind",), ("k", "phi", "h"))["kind"]
     if kind == "count_indicator":
-        return LocalFunctional(kind=kind, k=strict_int(spec.get("k"), f"{field}.k"))
+        k = fields(spec, field, ("kind", "k"))["k"]
+        return LocalFunctional(kind=kind, k=strict_int(k, f"{field}.k"))
     if kind == "poly_of_sum":
+        fields(spec, field, ("kind", "phi", "h"))
         return LocalFunctional(
             kind=kind,
-            phi=scalar_from_json(spec.get("phi"), f"{field}.phi", dim),
-            h=polynomial_from_json(spec.get("h"), f"{field}.h"),
+            phi=scalar_from_json(spec["phi"], f"{field}.phi", dim),
+            h=polynomial_from_json(spec["h"], f"{field}.h"),
         )
-    return LocalFunctional(kind=kind)
+    functional = LocalFunctional(kind=kind)  # an unknown kind is named before its keys
+    fields(spec, field, ("kind",))
+    return functional
 
 
 def run_check(spec: dict) -> dict:
@@ -726,31 +722,29 @@ def run_check(spec: dict) -> dict:
     """
     integral_of_power.cache_clear()
     integral_expm1.cache_clear()
-    try:
-        name = spec["check"]
-        window = Window.from_json(spec["window"])
-        samples = strict_int(spec["samples"], "samples")
-        seed = strict_int(spec["seed"], "seed")
-        f = spec["f"] if name in ("laplace", "local") else spec.get("f", {})
-        m = strict_int(spec["m"], "m") if name == "mecke" else None
-    except KeyError as exc:
-        raise ValueError(f"check spec is missing {exc}") from exc
+    name = fields(spec, "check spec", ("check",), ("window", "samples", "seed", "f", "m"))["check"]
+    if name not in ("laplace", "local", "mecke"):
+        raise ValueError(f"unknown check {name!r}")
+    mecke = name == "mecke"
+    fields(spec, "check spec", ("check", "window", "samples", "seed", "m" if mecke else "f"),
+           ("f",) if mecke else ())
+    window = Window.from_json(spec["window"])
+    samples = strict_int(spec["samples"], "samples")
+    seed = strict_int(spec["seed"], "seed")
     if name == "laplace":
-        return check_laplace(scalar_from_json(f, "f", window.dim), window, samples, seed)
+        return check_laplace(scalar_from_json(spec["f"], "f", window.dim), window, samples, seed)
     if name == "local":
-        functional = functional_from_json(f, "f", window.dim)
+        functional = functional_from_json(spec["f"], "f", window.dim)
         return check_local_expansion(functional, window, samples, seed)
-    if name == "mecke":
-        if not isinstance(f, dict):
-            raise ValueError(f"f must be an object of g, h and phi, got {f!r}")
-        phi = scalar_from_json(f["phi"], "f.phi", window.dim) if "phi" in f else None
-        return check_mecke(
-            m,
-            scalar_from_json(f.get("g", "indicator"), "f.g", window.dim),
-            polynomial_from_json(f.get("h", "const"), "f.h"),
-            phi,
-            window,
-            samples,
-            seed,
-        )
-    raise ValueError(f"unknown check {name!r}")
+    m = strict_int(spec["m"], "m")
+    f = fields(spec.get("f", {}), "f", optional=("g", "h", "phi"))
+    phi = scalar_from_json(f["phi"], "f.phi", window.dim) if "phi" in f else None
+    return check_mecke(
+        m,
+        scalar_from_json(f.get("g", "indicator"), "f.g", window.dim),
+        polynomial_from_json(f.get("h", "const"), "f.h"),
+        phi,
+        window,
+        samples,
+        seed,
+    )

@@ -1,12 +1,13 @@
 """Fuzz of cli.main: any JSON document or integer flag text ends in a clean exit.
 
 Every run must exit 0 (success), 2 (input error), 3 (partial run) or 4
-(resource limit).  A failure prints exactly one ``error:`` line and nothing on
-stdout; a reply is strict JSON (no NaN or Infinity); no run raises a numpy
-RuntimeWarning.  Exit 1 is reserved for a broken invariant.  The one input
-that may reach it is a Gaussian too narrow for the quadrature: its closed
-form then disagrees, and the check refuses the reference (exit 1, one line)
-rather than return a wrong one.
+(resource limit), and a document holding an unknown key gets no reply.  A
+failure prints exactly one ``error:`` line and nothing on stdout; a reply is
+strict JSON (no NaN or Infinity); no run raises a numpy RuntimeWarning.
+Exit 1 is reserved for a broken invariant.  The one input that may reach it
+is a Gaussian too narrow for the quadrature: its closed form then disagrees,
+and the check refuses the reference (exit 1, one line) rather than return a
+wrong one.
 """
 
 import io
@@ -42,6 +43,8 @@ INTEGER = sometimes_odd([2, 3, 100])
 SMALL = st.one_of(st.integers(-1, 2), st.sampled_from([1.5, "2", "x", True, None]))
 # an integer flag's argv text: small integers or anything at all ("1_0", " 3", "x", "")
 FLAG_TEXT = st.one_of(st.integers(-1, 2).map(str), st.text())
+# an unknown key, added to a document object with chance 1/6; the reader must refuse it
+STRAY = st.integers(0, 5).map(lambda i: {"bogus": 1} if i == 0 else {})
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -69,6 +72,8 @@ def assert_clean(*argv):
         assert out == "" and err.count("\n") == 1, (argv, err)
         return
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_PARTIAL, EXIT_RESOURCE), (argv, code, err)
+    if '"bogus"' in argv[2]:  # the document: an unknown key never gets a reply
+        assert code in (EXIT_INPUT, EXIT_RESOURCE), (argv, code, err)
     if code in (EXIT_INPUT, EXIT_RESOURCE):
         assert out == "", argv
         assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
@@ -87,7 +92,7 @@ def scalar(draw, dim):
     kind = draw(st.sampled_from(["indicator", "box", "gaussian", "shorthand"]))
     if kind == "shorthand":
         return "indicator"
-    spec = {"kind": kind, "scale": draw(REAL)}
+    spec = {"kind": kind, "scale": draw(REAL), **draw(STRAY)}
     if kind == "box":
         spec.update(lo=draw(reals(dim)), hi=draw(reals(dim)))
     if kind == "gaussian":
@@ -100,22 +105,23 @@ def poisson_spec(draw):
     dim = draw(st.integers(1, 3))
     spec = {
         "check": draw(st.sampled_from(["laplace", "local", "mecke"])),
-        "window": {"lengths": draw(reals(dim))},
+        "window": {"lengths": draw(reals(dim)), **draw(STRAY)},
         "samples": draw(INTEGER),
         "seed": draw(INTEGER),
+        **draw(STRAY),
     }
-    h = {"coeffs": draw(st.lists(REAL, min_size=1, max_size=3))}
+    h = {"coeffs": draw(st.lists(REAL, min_size=1, max_size=3)), **draw(STRAY)}
     if spec["check"] == "laplace":
         spec["f"] = draw(scalar(dim))
     elif spec["check"] == "local":
         spec["f"] = draw(st.sampled_from([
             "one",
-            {"kind": "count_indicator", "k": draw(INTEGER)},
-            {"kind": "poly_of_sum", "phi": draw(scalar(dim)), "h": h},
+            {"kind": "count_indicator", "k": draw(INTEGER), **draw(STRAY)},
+            {"kind": "poly_of_sum", "phi": draw(scalar(dim)), "h": h, **draw(STRAY)},
         ]))
     else:
         spec["m"] = draw(INTEGER)
-        spec["f"] = {"g": draw(scalar(dim)), "phi": draw(scalar(dim)), "h": h}
+        spec["f"] = {"g": draw(scalar(dim)), "phi": draw(scalar(dim)), "h": h, **draw(STRAY)}
     return spec
 
 
@@ -128,13 +134,14 @@ def test_poisson_specs_exit_cleanly(spec):
 @st.composite
 def complex_doc(draw):
     vertex = st.one_of(st.integers(0, 3), SMALL)
-    return {"maximal": draw(st.lists(st.lists(vertex, max_size=3), max_size=3))}
+    return {"maximal": draw(st.lists(st.lists(vertex, max_size=3), max_size=3)), **draw(STRAY)}
 
 
 @FUZZ
-@given(d=SMALL, beta=st.lists(SMALL, max_size=4), n_max=FLAG_TEXT)
-def test_betti_documents_exit_cleanly(d, beta, n_max):
-    assert_clean("betti", "--input", json.dumps({"d": d, "beta": beta}), "--n-max", n_max)
+@given(d=SMALL, beta=st.lists(SMALL, max_size=4), stray=STRAY, n_max=FLAG_TEXT)
+def test_betti_documents_exit_cleanly(d, beta, stray, n_max):
+    doc = json.dumps({"d": d, "beta": beta, **stray})
+    assert_clean("betti", "--input", doc, "--n-max", n_max)
 
 
 @FUZZ
@@ -148,9 +155,9 @@ def test_simplicial_documents_exit_cleanly(doc, probes, seed):
 
 @FUZZ
 @given(base=complex_doc(), mark=st.one_of(st.none(), complex_doc()),
-       infinite=st.booleans(), n_max=FLAG_TEXT)
-def test_pipeline_documents_exit_cleanly(base, mark, infinite, n_max):
-    doc = base if mark is None else {"complex": base, "mark": mark}
+       stray=STRAY, infinite=st.booleans(), n_max=FLAG_TEXT)
+def test_pipeline_documents_exit_cleanly(base, mark, stray, infinite, n_max):
+    doc = base if mark is None else {"complex": base, "mark": mark, **stray}
     argv = ["pipeline", "--input", json.dumps(doc), "--n-max", n_max]
     assert_clean(*argv, *(["--infinite-volume"] if infinite else []))
 

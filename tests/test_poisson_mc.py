@@ -549,6 +549,34 @@ def test_mecke_aborts_on_huge_configurations():
         check_mecke(1, INDICATOR, CONST, None, huge, 100, 1)
 
 
+def test_mecke_point_cap_refuses_before_the_points_are_drawn(monkeypatch):
+    # a volume-1900 line: one block's points would take about 250 MB, its counts 128 KiB
+    drawn = []
+
+    class Spy:
+        def __init__(self, seed, block):
+            self.g = stream(seed, block)
+
+        def poisson(self, *args, **kwargs):
+            return self.g.poisson(*args, **kwargs)
+
+        def random(self, *args, **kwargs):
+            drawn.append(args)
+            return self.g.random(*args, **kwargs)
+
+    stream = poisson_mc._stream
+    monkeypatch.setattr(poisson_mc, "_stream", Spy)
+    spec = {"check": "mecke", "m": 3, "window": {"lengths": [1900.0]}, "samples": STREAM_BLOCK,
+            "seed": 1, "f": {"g": "indicator"}}
+    message = r"^a configuration has \d+ points, above the subset-sum cap 1000; shrink the"
+    with pytest.raises(ConfigurationTooLarge, match=message):
+        run_check(spec)
+    assert drawn == []
+    # the cap is the mecke check's alone: laplace draws the points of the same samples
+    check_laplace(ScalarFunction(kind="indicator", scale=0.0), Window(lengths=(1900.0,)), 2, 1)
+    assert len(drawn) == 1
+
+
 # ---------------------------------------------------------------------------
 # streaming: every check reduces block by block, bitwise equal to the batch
 
