@@ -40,9 +40,12 @@ from .errors import InvariantError, ResourceError, fields, strict_int
 # Bound on the work of config_betti_series: F * (n_max + 1)^2 loop steps for F
 # nonzero factors (F counted as 1 when there are none: the reply still holds
 # n_max + 1 coefficients), plus b * c // BIT_PRODUCT_PER_STEP more for each
-# multiply-add of a b-bit by a c-bit integer.  The slowest shapes measured at
-# the bound, forty beta_k = 6 at n_max 865 and ten beta_k = 9 at n_max 1730,
-# took 0.7-0.8 s on a 2-core Xeon VM; their operands weigh nothing extra.
+# multiply-add of a b-bit by a c-bit integer.  The count is dense, while
+# truncated_product steps only through nonzero terms, so it over-counts a factor
+# spaced k apart.  The slowest shapes measured at the bound, forty beta_k = 6 at
+# n_max 865 and ten beta_k = 9 at n_max 1730, took 0.6-0.8 s on a 2-core Xeon
+# VM with a dense product and take 0.06-0.11 s and 0.11-0.21 s with the sparse
+# one; their operands weigh nothing extra.
 # beta = [0, 14000, 0, 14000] weighs 2.5e7 at n_max 1000 and took 0.36 s; at
 # n_max 3000 it weighs 1.0e9 and took 19-22 s.
 MAX_SERIES_WORK = 3 * 10**7
@@ -96,16 +99,21 @@ def truncated_product(factors: Iterable[Sequence[int]], n_max: int) -> list[int]
     """Coefficients 0..n_max of the product of the given polynomials.
 
     Each factor is a coefficient list, constant term first; terms above
-    degree n_max are dropped.  The empty product is 1.
+    degree n_max are dropped.  The empty product is 1.  Each factor's nonzero
+    terms are listed once, so a factor nonzero only at multiples of k costs
+    about 1/k of a dense one.
     """
     poly = [1] + [0] * n_max
     for factor in factors:
+        terms = [(j, fj) for j, fj in enumerate(factor[: n_max + 1]) if fj]
         out = [0] * (n_max + 1)
         for i, ci in enumerate(poly):
             if ci:
-                for j, fj in enumerate(factor[: n_max - i + 1]):
-                    if fj:
-                        out[i + j] += ci * fj
+                top = n_max - i
+                for j, fj in terms:
+                    if j > top:
+                        break
+                    out[i + j] += ci * fj
         poly = out
     return poly
 

@@ -6,7 +6,9 @@ run (grid points skipped over a brute-force budget), 4 resource limit (the
 request would exceed a fixed work or memory budget).  Each warning is one
 ``warning:`` line on stderr.  Exact integers are emitted as decimal strings;
 Monte Carlo values as floats.  Output files are written atomically (temp
-file + rename).
+file + rename).  The argument parser is built once per process, by the first
+``main`` call, and reused; ``main`` is reentrant, and every call parses
+afresh from the parser's defaults.
 """
 
 from __future__ import annotations
@@ -312,17 +314,16 @@ def cmd_pipeline(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _read_json_source(args.input)
     if "complex" in doc:
         doc = fields(doc, "pipeline input", ("complex",), ("mark",))
-        base_doc, mark_doc = doc["complex"], doc.get("mark")
     else:
-        base_doc, mark_doc = doc, None
-    base = hodge.load_complex(base_doc)
+        doc = {"complex": doc}
+    base = hodge.load_complex(doc["complex"])
     vector, raw = _vector_from_complex(base, args.infinite_volume)
     source = {
         "complex_betti": [str(b) for b in raw],
         "infinite_volume_override": args.infinite_volume,
     }
-    if mark_doc is not None:
-        mark = hodge.load_complex(mark_doc, "mark")
+    if "mark" in doc:  # by presence: "mark": null is refused, never read as no mark
+        mark = hodge.load_complex(doc["mark"], "mark")
         mark_vector, mark_raw = _vector_from_complex(mark, zero_b0=False)
         source["mark_betti"] = [str(b) for b in mark_raw]
         vector = betti_mod.kunneth_product(vector, mark_vector)
@@ -389,13 +390,22 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
     return f"warning: {category.__name__}: {text}\n"
 
 
+# Built by the first main call rather than at import, so an import builds
+# nothing, and reused by every later call: it holds no request data, so unlike
+# a result cache it has nothing to clear between requests.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _PARSER
     # catch_warnings empties the once-per-location registries as it enters, so
     # each call shows its own warnings, and restores the filters as it leaves
     with warnings.catch_warnings():
         formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
         try:
-            args = _build_parser().parse_args(argv)
+            if _PARSER is None:
+                _PARSER = _build_parser()
+            args = _PARSER.parse_args(argv)
             payload, code = _COMMANDS[args.command](args)
         except InvariantError as exc:
             print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -134,9 +134,20 @@ def test_monotone_in_every_beta(vector, k, n):
     assert config_betti(bigger, n) >= config_betti(vector, n)
 
 
-@settings(max_examples=60)
+# shaped like _power_factor output: nonzero only at multiples of a spacing, and
+# often longer than n_max + 1, so the kernel's stop at degree n_max is exercised
+spaced_factors = st.builds(
+    lambda spacing, values: [v if j % spacing == 0 else 0 for j, v in enumerate(values)],
+    st.integers(1, 5), st.lists(st.integers(-3, 3), max_size=30),
+)
+
+
+@settings(max_examples=120)
 @given(
-    factors=st.lists(st.lists(st.integers(-3, 3), max_size=6), max_size=4),
+    factors=st.lists(
+        st.one_of(st.lists(st.integers(-3, 3), max_size=6), spaced_factors, st.just([])),
+        max_size=4,
+    ),
     n_max=st.integers(0, 12),
 )
 def test_truncated_product_matches_literal_convolution(factors, n_max):

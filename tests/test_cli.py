@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -736,6 +737,95 @@ def test_help_still_prints_usage_and_exits_0(capsys):
         main(["betti", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: gammahodge betti")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: built by the first main call, reused by every later one
+
+def run_any(capsys, *argv):
+    """run, with --help's SystemExit read as its exit code and the warnings it
+    raised (pytest's recorder takes them before they reach stderr) as a list."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, [str(w.message) for w in caught]
+
+
+def first_call(capsys, monkeypatch, *argv):
+    """The reply of a call that builds the parser afresh."""
+    monkeypatch.setattr(cli, "_PARSER", None)
+    return run_any(capsys, *argv)
+
+
+@pytest.mark.parametrize("flagged, plain, default", [
+    (("simplicial", "--input", HOLLOW, "--kron-probes", "2", "--seed", "7"),
+     ("simplicial", "--input", HOLLOW), lambda doc: "kron_probes" not in doc),
+    (("pipeline", "--input", HOLLOW, "--infinite-volume"), ("pipeline", "--input", HOLLOW),
+     lambda doc: doc["beta_source"]["infinite_volume_override"] is False),
+    (("betti", "--input", '{"d":2,"beta":[0,3,1]}', "--n-max", "3"),
+     ("betti", "--input", '{"d":2,"beta":[0,3,1]}'), lambda doc: doc["n_max"] == "10"),
+    (("poisson", "--input", POISSON_SPEC, "--seed", "5"), ("poisson", "--input", POISSON_SPEC),
+     lambda doc: doc["seed"] == "42"),
+], ids=["kron-probes", "infinite-volume", "n-max", "seed"])
+def test_a_flag_of_one_call_leaves_no_trace_in_the_next(capsys, monkeypatch, flagged, plain,
+                                                          default):
+    fresh = first_call(capsys, monkeypatch, *plain)
+    assert fresh[0] == EXIT_OK and default(json.loads(fresh[1]))
+    flagged_reply = run_any(capsys, *flagged)
+    assert flagged_reply[0] == EXIT_OK and not default(json.loads(flagged_reply[1]))
+    assert run_any(capsys, *plain) == fresh
+
+
+@pytest.mark.parametrize("before, code", [
+    (("betti", "--input", '{"d":1,"beta":[0,1]}', "--n-max", "1_0"), EXIT_INPUT),
+    (("betti", "--n-max", "3"), EXIT_INPUT),
+    (("pipeline", "--input", HOLLOW, "--infinite-volume", "--n-max"), EXIT_INPUT),
+    (("bogus",), EXIT_INPUT),
+    (("betti", "--help"), EXIT_OK),
+    (("--help",), EXIT_OK),
+])
+def test_a_usage_error_or_help_leaves_the_next_call_as_a_first_call(capsys, monkeypatch, before,
+                                                                     code):
+    valid = ("pipeline", "--input", HOLLOW, "--n-max", "5")
+    fresh = first_call(capsys, monkeypatch, *valid)
+    assert fresh[0] == EXIT_OK and len(fresh[3]) == 1  # beta_0 = 1 warns on every call
+    assert first_call(capsys, monkeypatch, *before)[0] == code
+    assert run_any(capsys, *valid) == fresh
+
+
+def test_the_parser_is_built_once_over_many_calls(capsys, monkeypatch):
+    builds = []
+
+    def build():
+        builds.append(None)
+        return build_parser()
+
+    build_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", build)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for n_max in "0123":
+        code, _, _ = run(capsys, "betti", "--input", '{"d":1,"beta":[0,2]}', "--n-max", n_max)
+        assert code == EXIT_OK
+    assert run_any(capsys, "bogus")[0] == EXIT_INPUT
+    assert run_any(capsys, "betti", "--help")[0] == EXIT_OK
+    assert run(capsys, "simplicial", "--input", HOLLOW)[0] == EXIT_OK
+    assert len(builds) == 1
+
+
+def test_main_is_reentrant(capsys, monkeypatch):
+    inner = ("simplicial", "--input", HOLLOW)
+    outer = ("betti", "--input", '{"d":2,"beta":[0,3,0]}', "--n-max", "5")
+    alone = [run(capsys, *argv) for argv in (inner, outer)]
+
+    def nested(args):
+        assert main(list(inner)) == EXIT_OK
+        return cli.cmd_betti(args)
+
+    monkeypatch.setitem(cli._COMMANDS, "betti", nested)
+    assert run(capsys, *outer) == (EXIT_OK, alone[0][1] + alone[1][1], "")
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,9 @@ CASES = [
     # a mark beside "maximal" is not read as a Kunneth factor: the document is a complex
     pytest.param("pipeline", {**COMPLEX, "mark": COMPLEX}, "complex takes no key 'mark'",
                  id="pipeline-mark-beside-maximal"),
+    # a null mark is refused like a null in every other object slot, not read as no mark
+    pytest.param("pipeline", {**PIPELINE, "mark": None}, "mark must be a JSON object, got None",
+                 id="pipeline-mark-null"),
     pytest.param("poisson", {**LAPLACE, "f": {"kind": "indicator", "scael": 0.3}},
                  "f takes no key 'scael'", id="laplace-scael"),
     pytest.param("poisson", {**MECKE, "f": {"hh": "linear"}}, "f takes no key 'hh'",
