@@ -31,7 +31,6 @@ from .errors import InvariantError, ResourceError
 from .graded_algebra import (
     EnumerationCapError,
     GradedSpace,
-    enumerate_words,
     project,
     sym_component_dim_bruteforce,
     sym_component_dim_closed,

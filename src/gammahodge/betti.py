@@ -37,17 +37,15 @@ from typing import Iterable, Sequence
 
 from .errors import InvariantError, ResourceError, fields, strict_int
 
-# Bound on the work of config_betti_series: F * (n_max + 1)^2 loop steps for F
-# nonzero factors (F counted as 1 when there are none: the reply still holds
-# n_max + 1 coefficients), plus b * c // BIT_PRODUCT_PER_STEP more for each
-# multiply-add of a b-bit by a c-bit integer.  The count is dense, while
-# truncated_product steps only through nonzero terms, so it over-counts a factor
-# spaced k apart.  The slowest shapes measured at the bound, forty beta_k = 6 at
-# n_max 865 and ten beta_k = 9 at n_max 1730, took 0.6-0.8 s on a 2-core Xeon
-# VM with a dense product and take 0.06-0.11 s and 0.11-0.21 s with the sparse
-# one; their operands weigh nothing extra.
-# beta = [0, 14000, 0, 14000] weighs 2.5e7 at n_max 1000 and took 0.36 s; at
-# n_max 3000 it weighs 1.0e9 and took 19-22 s.
+# Bound on the work of config_betti_series: the steps truncated_product takes
+# through each factor of degree k, _sparse_steps(k, n_max) (no factor counts as
+# one of degree 1: the reply still holds n_max + 1 coefficients), plus
+# b * c // BIT_PRODUCT_PER_STEP more for each multiply-add of a b-bit by a c-bit
+# integer.  The slowest shapes measured at the bound take 0.9-1.3 s of series on
+# a 2-core Xeon VM: forty beta_k = 6 at n_max 3739, eighty at 3467, beta_k = 6
+# for the twenty even k <= 40 at n_max 5768, sixty beta_k = 2 at 3573; their
+# operands weigh nothing extra.  beta = [0, 14000, 0, 14000] weighs 2.4e7 at
+# n_max 1000 and takes 0.4-0.5 s; at n_max 3000 it weighs 1.0e9 and took 19-22 s.
 MAX_SERIES_WORK = 3 * 10**7
 BIT_PRODUCT_PER_STEP = 2**15
 # Python's integer-string digit limit, read at each call; 0 (none) before 3.10.7
@@ -140,7 +138,7 @@ def config_betti_series(betti: BettiVector, n_max: int) -> list[int]:
         raise ValueError("n_max must be non-negative")
     # a factor of degree k > n_max is 1 modulo x^(n_max + 1)
     degrees = [k for k in range(1, min(betti.d, n_max) + 1) if betti.beta[k]]
-    work = max(len(degrees), 1) * (n_max + 1) ** 2
+    work = sum(_sparse_steps(k, n_max) for k in degrees or [1])
     _refuse_work(work, n_max, len(degrees))
     limit = _digit_limit()
     factors = [_power_factor(betti.beta[k], k % 2, k, n_max, limit) for k in degrees]
@@ -160,6 +158,17 @@ def config_betti_series(betti: BettiVector, n_max: int) -> list[int]:
     b = truncated_product(factors, n_max)
     _refuse_digits(max(b), limit)
     return b
+
+
+def _sparse_steps(spacing: int, n_max: int) -> int:
+    """Steps of truncated_product through one factor nonzero at multiples of k = spacing.
+
+    Coefficient i = 0..n_max of the running product meets the factor's terms
+    up to degree n_max - i, floor((n_max - i) / k) + 1 of them.  With
+    n_max = q k + r the floors sum to k q (q - 1) / 2 + (r + 1) q.
+    """
+    q, r = divmod(n_max, spacing)
+    return spacing * q * (q - 1) // 2 + (r + 1) * q + n_max + 1
 
 
 def _power_factor(dim: int, odd: int, spacing: int, n_max: int, limit: int) -> list[int]:

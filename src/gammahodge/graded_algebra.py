@@ -23,11 +23,10 @@ vector v is the statement that its projection is zero.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
-from typing import Sequence
 
 from .betti import _digit_limit, _power_factor, truncated_product
 from .errors import ResourceError, strict_int
@@ -83,25 +82,8 @@ class GradedSpace:
         return self.components[letter[0]][0]
 
 
-def _sign_unchecked(perm: Sequence[int], degrees: Sequence[int]) -> int:
-    """Graded sign of perm, a permutation of range(len(degrees)).
-
-    ``perm[k]`` is the source position of the letter landing in slot k; the
-    sign flips once per inversion pair whose two letters both have odd degree.
-    """
-    sign = 1
-    m = len(perm)
-    for k in range(m):
-        pk = perm[k]
-        if degrees[pk] % 2 == 0:
-            continue
-        for r in range(k + 1, m):
-            pr = perm[r]
-            if pk > pr and degrees[pr] % 2:
-                sign = -sign
-    return sign
-
-
+# Not run by the library: the tests' oracle for letter_multisets and count_words,
+# and a layer that perfbench/tracer.py wraps by this name.
 def enumerate_words(space: GradedSpace, m: int, n: int) -> list[Word]:
     """All length-m words of multidegree n, in lexicographic letter order."""
     if m < 0 or n < 0:
@@ -147,21 +129,76 @@ def count_words(space: GradedSpace, m: int, n: int) -> int:
     return truncated_product([letters_by_degree] * m, n)[n]
 
 
+def letter_multisets(space: GradedSpace, m: int, n: int) -> list[Word]:
+    """One sorted word per letter multiset of length m and multidegree n, lexicographically.
+
+    The non-decreasing words of enumerate_words: each letter index starts at
+    the one before it.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be non-negative")
+    letters = space.letters
+    degs = [space.letter_degree(L) for L in letters]
+    lo, hi = min(degs, default=0), max(degs, default=0)
+    out: list[Word] = []
+    word: list[Letter] = []
+
+    def extend(start: int, remaining: int, deficit: int) -> None:
+        if remaining == 0:
+            if deficit == 0:
+                out.append(tuple(word))
+            return
+        for k in range(start, len(letters)):
+            rest = deficit - degs[k]
+            if (remaining - 1) * lo <= rest <= (remaining - 1) * hi:
+                word.append(letters[k])
+                extend(k, remaining - 1, rest)
+                word.pop()
+
+    extend(0, m, n)
+    return out
+
+
+@cache
+def _adjacent_swaps(m: int) -> bytes:
+    """Slots i whose swaps with i + 1, in turn, step through all m! orders once.
+
+    Steinhaus-Johnson-Trotter: the last item sweeps across the others, and
+    between sweeps the others take one step of the (m - 1)-item walk.
+    """
+    if m < 2:
+        return b""
+    left, right = range(m - 2, -1, -1), range(m - 1)
+    out: list[int] = [*left]
+    for k, i in enumerate(_adjacent_swaps(m - 1)):
+        # after a left sweep the last item sits in slot 0, ahead of the others
+        out.append(i if k % 2 else i + 1)
+        out.extend(right if k % 2 == 0 else left)
+    return bytes(out)
+
+
 def project(space: GradedSpace, word: Word) -> dict[Word, Fraction]:
     """Apply the super-symmetrizing projector to a basis word.
 
     Averages the m! letter permutations with their graded signs into the
     nonzero {word: coefficient} terms; full cancellation is possible (a
-    repeated odd-degree letter projects to {}).
+    repeated odd-degree letter projects to {}).  The orders are visited by
+    adjacent swaps, each of which adds or removes one inversion, so the sign
+    flips exactly when the two swapped letters both have odd degree.
     """
-    m = len(word)
-    degrees = tuple(space.letter_degree(L) for L in word)
-    acc: dict[Word, int] = {}
-    for perm in itertools.permutations(range(m)):
-        s = _sign_unchecked(perm, degrees)
-        permuted = tuple(word[p] for p in perm)
-        acc[permuted] = acc.get(permuted, 0) + s
-    budget = factorial(m)
+    letters = list(word)
+    odd = [space.letter_degree(L) % 2 for L in word]
+    acc: dict[Word, int] = {word: 1}
+    sign = 1
+    for i in _adjacent_swaps(len(word)):
+        j = i + 1
+        if odd[i] and odd[j]:
+            sign = -sign
+        letters[i], letters[j] = letters[j], letters[i]
+        odd[i], odd[j] = odd[j], odd[i]
+        permuted = tuple(letters)
+        acc[permuted] = acc.get(permuted, 0) + sign
+    budget = factorial(len(word))
     return {w: Fraction(c, budget) for w, c in acc.items() if c}
 
 
@@ -180,7 +217,7 @@ def sym_component_dim_bruteforce(space: GradedSpace, m: int, n: int) -> int:
             f"component (m={m}, n={n}) has {total} words, over the enumeration "
             f"cap {MAX_WORDS}"
         )
-    multisets = dict.fromkeys(tuple(sorted(w)) for w in enumerate_words(space, m, n))
+    multisets = letter_multisets(space, m, n)
     perms = len(multisets) * factorial(m)
     if perms > MAX_PERMUTATIONS:
         raise EnumerationCapError(

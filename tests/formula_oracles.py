@@ -3,7 +3,12 @@
 beta_super is the power count by math.comb, the oracle for the ratio
 recurrence of betti._power_factor that the series and the closed form share;
 gram_matrix_sym is the full Gram matrix behind the per-orbit shortcut of
-sym_component_dim_bruteforce; project_vector extends the projector linearly,
+sym_component_dim_bruteforce; project_by_permutations is the projector summed
+over itertools.permutations with each order's sign counted afresh by
+_sign_unchecked, the oracle for project's adjacent-swap walk; enumerate_words
+(re-exported from graded_algebra, which keeps it under that name for the
+benchmark's tracer) lists every word, the oracle for count_words and
+letter_multisets; project_vector extends the projector linearly,
 for its idempotence; projected_norm_sq is the README's norm convention, to be
 compared with project's diagonal; fiber_decomposition_check gives both sides
 of the paper's fiber dimension identity.
@@ -13,6 +18,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
+from typing import Sequence
 
 from gammahodge.betti import truncated_product
 from gammahodge.graded_algebra import GradedSpace, Word, enumerate_words, project
@@ -29,6 +35,38 @@ def beta_super(beta_k: int, k: int, s: int) -> int:
     if beta_k < 0:
         raise ValueError("beta_k must be non-negative")
     return comb(beta_k, s) if k % 2 else comb(beta_k + s - 1, s)
+
+
+def _sign_unchecked(perm: Sequence[int], degrees: Sequence[int]) -> int:
+    """Graded sign of perm, a permutation of range(len(degrees)).
+
+    ``perm[k]`` is the source position of the letter landing in slot k; the
+    sign flips once per inversion pair whose two letters both have odd degree.
+    """
+    sign = 1
+    m = len(perm)
+    for k in range(m):
+        pk = perm[k]
+        if degrees[pk] % 2 == 0:
+            continue
+        for r in range(k + 1, m):
+            pr = perm[r]
+            if pk > pr and degrees[pr] % 2:
+                sign = -sign
+    return sign
+
+
+def project_by_permutations(space: GradedSpace, word: Word) -> dict[Word, Fraction]:
+    """The projector as a sum over itertools.permutations, each sign counted afresh."""
+    m = len(word)
+    degrees = tuple(space.letter_degree(L) for L in word)
+    acc: dict[Word, int] = {}
+    for perm in itertools.permutations(range(m)):
+        s = _sign_unchecked(perm, degrees)
+        permuted = tuple(word[p] for p in perm)
+        acc[permuted] = acc.get(permuted, 0) + s
+    budget = factorial(m)
+    return {w: Fraction(c, budget) for w, c in acc.items() if c}
 
 
 def project_vector(space: GradedSpace, vec: dict[Word, Fraction]) -> dict[Word, Fraction]:

@@ -175,20 +175,32 @@ def test_nonzero_beta0_warns():
         ]
 
 
+def test_sparse_steps_closed_form_is_the_sum_over_the_running_product():
+    for spacing in range(1, 8):
+        for n_max in range(30):
+            assert betti._sparse_steps(spacing, n_max) == sum(
+                (n_max - i) // spacing + 1 for i in range(n_max + 1))
+
+
 def test_series_budget_counts_factors_up_to_n_max_and_is_inclusive(monkeypatch):
-    # beta_3 is skipped at n_max 2: its factor is 1 modulo x^3
+    # beta_3 is skipped at n_max 2: its factor is 1 modulo x^3.  The product steps
+    # 3 + 2 + 1 times through the degree-1 factor and 2 + 1 + 1 through the degree-2 one
     vector = BettiVector(d=3, beta=(0, 1, 1, 7))
-    monkeypatch.setattr(betti, "MAX_SERIES_WORK", 2 * 3**2)
+    monkeypatch.setattr(betti, "MAX_SERIES_WORK", 6 + 4)
     assert config_betti_series(vector, 2) == [1, 1, 1]
-    monkeypatch.setattr(betti, "MAX_SERIES_WORK", 2 * 3**2 - 1)
+    monkeypatch.setattr(betti, "MAX_SERIES_WORK", 6 + 4 - 1)
     with pytest.raises(ResourceError, match="over 2 nonzero beta_k"):
         config_betti_series(vector, 2)
 
 
 @pytest.mark.parametrize("beta, n_max, served", [
-    # the shapes the budget was sized on: small operands weigh nothing extra
-    ([0] + [6] * 40, 865, True),
-    ([0] + [9] * 10, 1730, True),
+    # the shapes the budget was sized on, at their last admitted n_max: small
+    # operands weigh nothing extra.  Forty beta_k = 6 took 0.08 s at n_max 865 and
+    # was refused at 866 while the budget counted every factor as dense
+    ([0] + [6] * 40, 3739, True),
+    ([0] + [6] * 40, 3740, False),
+    ([0] + [0, 6] * 20, 5768, True),
+    ([0] + [0, 6] * 20, 5769, False),
     # thousand-digit operands: 0.36 s at n_max 1000, 1.4 s at 1500
     ([0, 14000, 0, 14000], 1000, True),
     ([0, 14000, 0, 14000], 1500, False),
@@ -205,12 +217,13 @@ def test_series_budget_weighs_operand_sizes(monkeypatch, beta, n_max, served):
 
 def test_series_budget_refuses_before_warning(monkeypatch):
     monkeypatch.setattr(betti, "MAX_SERIES_WORK", 10)
-    # no factor at all still counts as one: the reply holds n_max + 1 coefficients
-    assert config_betti_series(BettiVector(d=1, beta=(0, 0)), 2) == [1, 0, 0]
+    # no factor at all still counts as one of degree 1 (1 + 2 + 3 + 4 steps at
+    # n_max 3): the reply holds n_max + 1 coefficients
+    assert config_betti_series(BettiVector(d=1, beta=(0, 0)), 3) == [1, 0, 0, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ResourceError):
-            config_betti_series(BettiVector(d=1, beta=(1, 0)), 3)
+            config_betti_series(BettiVector(d=1, beta=(1, 0)), 4)
 
 
 @settings(max_examples=80)

@@ -1,5 +1,6 @@
 """CLI surfaces: subcommands, JSON round trips, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -78,7 +79,7 @@ def test_betti_output_round_trips(capsys):
      "Betti degrees"),
     # the work of a 400-digit n_max is past the float range (an OverflowError before)
     (("betti", "--input", '{"d":1,"beta":[0,1]}', "--n-max", "1" + "0" * 399), "budget"),
-    # under F * (n_max + 1)^2, but 1.5 million products of thousand-digit integers
+    # 6.0e6 steps of the product, but 1.5 million products of thousand-digit integers
     # (about 20 s before the work was weighted by operand size)
     (("betti", "--input", '{"d":3,"beta":[0,14000,0,14000]}', "--n-max", "3000"), "budget"),
     # b_1 = N has 4,300 digits and passes; K_0 = 4N has 4,301 (exit 2 before)
@@ -885,6 +886,23 @@ def test_reply_text_is_unchanged(capsys, name):
     assert out == (REPLIES / f"{name}.json").read_text()
 
 
+# The recorded algebra_check grid stops at m = 1.  This one reaches m = 5 over
+# mixed-parity spaces, where each brute-force row sums up to 5! = 120 signed
+# permutations per letter multiset.  Its 146 KB reply is pinned by SHA-256,
+# recorded when the projector still ran itertools.permutations with a per-order sign.
+M5_GRID = {"l_max": 2, "degree_max": 2, "dim_max": 2, "m_max": 5, "n_max": 6,
+           "betti_d_max": 2, "betti_beta_max": 2, "betti_n_max": 5}
+M5_REPLY_SHA256 = "65e060fe7269efd9ae44ec437cfcfd9a2b20fb2a4535ecf9bbd617167bd647e3"
+
+
+def test_m5_algebra_check_reply_is_unchanged(capsys):
+    code, out, err = run(capsys, "algebra-check", "--grid", json.dumps(M5_GRID))
+    assert code == EXIT_OK
+    assert err == "algebra-check: 642/642 ok, 0 mismatches, 0 skipped\n"
+    assert max(int(row["m"]) for row in json.loads(out)["rows"] if row["kind"] == "dims") == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == M5_REPLY_SHA256
+
+
 def close_floats(got, want):
     """Equal JSON, floats equal to REL_TOL relative and everything else exactly."""
     if isinstance(want, float):
@@ -917,7 +935,7 @@ PUBLIC_NAMES = {
     "InvariantError", "LocalFunctional", "Polynomial", "PsdContractError", "ResourceError",
     "ScalarFunction", "SimplicialComplex", "Window", "betti", "betti_numbers",
     "betti_report", "boundary_matrix", "catalog", "check_laplace", "check_local_expansion",
-    "check_mecke", "config_betti", "config_betti_series", "enumerate_words", "errors",
+    "check_mecke", "config_betti", "config_betti_series", "errors",
     "graded_algebra", "hodge_decomposition_dims", "hodge_discrete", "hodge_laplacian",
     "kron_sum_kernel_dim", "kunneth_product", "linalg", "load_complex", "poisson_mc", "project",
     "run_check", "sample_configuration", "sphere_boundary", "sym_component_dim_bruteforce",

@@ -12,14 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formula_oracles import gram_matrix_sym, project_vector, projected_norm_sq
+from formula_oracles import (
+    _sign_unchecked,
+    enumerate_words,
+    gram_matrix_sym,
+    project_by_permutations,
+    project_vector,
+    projected_norm_sq,
+)
 from gammahodge import graded_algebra
 from gammahodge.graded_algebra import (
     EnumerationCapError,
     GradedSpace,
-    _sign_unchecked,
+    _adjacent_swaps,
     count_words,
-    enumerate_words,
+    letter_multisets,
     project,
     sym_component_dim_bruteforce,
     sym_component_dim_closed,
@@ -50,7 +57,7 @@ def words_of(space, max_m=3):
 
 
 # ---------------------------------------------------------------------------
-# the graded sign project runs
+# the graded sign of the permutation oracle
 
 def test_sign_identity_is_plus_one():
     assert _sign_unchecked((0, 1, 2), (1, 2, 3)) == 1
@@ -120,6 +127,33 @@ def test_count_words_skips_the_product_when_no_word_reaches_the_degree(monkeypat
     assert count_words(empty, 2, 4) == count_words(empty, 0, 3) == 0
 
 
+@settings(max_examples=60)
+@given(space=spaces, m=st.integers(0, 5), n=st.integers(0, 11))
+def test_letter_multisets_are_the_sorted_words_in_order(space, m, n):
+    words = enumerate_words(space, m, n)
+    assert letter_multisets(space, m, n) == list(dict.fromkeys(tuple(sorted(w)) for w in words))
+
+
+def test_letter_multisets_edge_cases():
+    assert letter_multisets(GradedSpace(((2, 1),)), 0, 0) == [()]
+    assert letter_multisets(GradedSpace(((2, 1),)), 0, 1) == []
+    assert letter_multisets(GradedSpace(((1, 0),)), 0, 0) == [()]
+    assert letter_multisets(GradedSpace(((1, 0),)), 2, 2) == []
+    assert letter_multisets(GradedSpace(((1, 1), (2, 1))), 2, 3) == [((0, 0), (1, 0))]
+    with pytest.raises(ValueError):
+        letter_multisets(GradedSpace(((1, 1),)), -1, 0)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_adjacent_swaps_visit_every_order_once(m):
+    order = list(range(m))
+    seen = [tuple(order)]
+    for i in _adjacent_swaps(m):
+        order[i], order[i + 1] = order[i + 1], order[i]
+        seen.append(tuple(order))
+    assert len(seen) == len(set(seen)) == factorial(m)
+
+
 @settings(max_examples=40)
 @given(space=spaces, m=st.integers(0, 3), n=st.integers(0, 8))
 def test_enumerated_words_are_homogeneous(space, m, n):
@@ -167,6 +201,22 @@ def test_project_two_letter_oracle():
             direct = {(a, b): Fraction(1, 2)}
             direct[(b, a)] = direct.get((b, a), 0) + Fraction(sign, 2)
             assert project(space, (a, b)) == {v: c for v, c in direct.items() if c}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), space=spaces.filter(lambda space: space.letters))
+def test_project_equals_the_sum_over_all_permutations(data, space):
+    # up to six letters drawn with repeats from components of both parities
+    word = tuple(data.draw(st.lists(st.sampled_from(space.letters), max_size=6)))
+    assert project(space, word) == project_by_permutations(space, word)
+
+
+def test_project_equals_the_sum_over_all_permutations_at_six_mixed_letters():
+    space = GradedSpace(((1, 2), (2, 2), (3, 1)))
+    for word in (((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (0, 0)),
+                 ((1, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 0)),
+                 ((0, 0), (0, 1), (2, 0), (0, 0), (0, 1), (2, 0))):
+        assert project(space, word) == project_by_permutations(space, word)
 
 
 @settings(max_examples=25, deadline=None)
