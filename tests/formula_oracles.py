@@ -11,7 +11,9 @@ benchmark's tracer) lists every word, the oracle for count_words and
 letter_multisets; project_vector extends the projector linearly,
 for its idempotence; projected_norm_sq is the README's norm convention, to be
 compared with project's diagonal; fiber_decomposition_check gives both sides
-of the paper's fiber dimension identity.
+of the paper's fiber dimension identity; evaluate_rowwise is
+ScalarFunction.evaluate as it was before the column-at-a-time kernel, with
+np.all and np.sum along axis 1, the oracle for its bits.
 """
 
 import itertools
@@ -20,8 +22,11 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
+import numpy as np
+
 from gammahodge.betti import truncated_product
 from gammahodge.graded_algebra import GradedSpace, Word, enumerate_words, project
+from gammahodge.poisson_mc import ScalarFunction
 
 
 def beta_super(beta_k: int, k: int, s: int) -> int:
@@ -150,3 +155,17 @@ def fiber_decomposition_check(N: int, d: int, n: int) -> tuple[int, int]:
         for m in range(min(n, N) + 1)
     )
     return lhs, rhs
+
+
+def evaluate_rowwise(self: ScalarFunction, points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if self.kind == "indicator":
+        return np.full(len(pts), self.scale)
+    if self.kind == "box":
+        lo = np.asarray(self.lo)
+        hi = np.asarray(self.hi)
+        inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+        return self.scale * inside.astype(float)
+    z = (pts - np.asarray(self.center)) / np.asarray(self.width)
+    with np.errstate(over="ignore"):  # far from the center z * z may reach inf: exp(-inf) = 0
+        return self.scale * np.exp(-np.sum(z * z, axis=1))

@@ -562,23 +562,32 @@ def test_huge_sample_count_exits_4_at_once(capsys):
     assert time.perf_counter() - started < 1.0
 
 
-def test_narrow_gaussian_laplace_is_refused_not_returned(capsys):
-    # e^f - 1 of width 0.01: the quadrature reads 2.4e-40, the series 0.0261435
+def test_narrow_gaussian_laplace_verifies(capsys):
+    # e^f - 1 of width 0.01: over the whole window the quadrature read 2.4e-40 against the
+    # series 0.0261435 and exited 1; over the box cut to the bump it matches
     spec = ('{"check":"laplace","window":{"lengths":[2.0]},"samples":20000,"seed":1,'
             '"f":{"kind":"gaussian","center":[1.0],"width":[0.01]}}')
-    with pytest.raises(poisson_mc.ReferenceMismatchError, match="0.0261435"):
-        poisson_mc.run_check(json.loads(spec))
-    code, out, err = run(capsys, "poisson", "--input", spec)
-    assert (code, out) == (EXIT_INVARIANT, "")
-    assert err.count("\n") == 1 and "closed form" in err
+    doc = run_json(capsys, "poisson", "--input", spec)
+    assert doc["extra"]["integral_expm1"] == pytest.approx(0.0261435, rel=1e-6)
+    assert doc == poisson_mc.run_check(json.loads(spec))
 
 
-def test_narrow_gaussian_reference_is_refused_not_returned(capsys):
-    # the quadrature misses a peak of width 0.01 (2.4e-40 against sqrt(pi) * 0.01),
-    # so the closed form must refuse that reference rather than let a reply carry it
+def test_narrow_gaussian_mecke_reference_verifies(capsys):
+    # the integral of a peak of width 0.01 is sqrt(pi) * 0.01, where the whole-window
+    # quadrature read 2.4e-40
     spec = ('{"check":"mecke","m":1,"window":{"lengths":[2.0]},"samples":20000,"seed":1,'
             '"f":{"g":{"kind":"gaussian","center":[1.0],"width":[0.01]},"h":"const"}}')
-    with pytest.raises(poisson_mc.ReferenceMismatchError, match="0.0177245"):
+    doc = run_json(capsys, "poisson", "--input", spec)
+    assert doc["reference"] == pytest.approx(math.sqrt(math.pi) * 0.01, rel=1e-14)
+
+
+def test_a_reference_the_quadrature_disputes_is_refused_not_returned(capsys, monkeypatch):
+    spec = ('{"check":"mecke","m":1,"window":{"lengths":[2.0]},"samples":20000,"seed":1,'
+            '"f":{"g":{"kind":"gaussian","center":[1.0],"width":[0.3]},"h":"const"}}')
+    closed = poisson_mc.ScalarFunction.closed_form_integral
+    monkeypatch.setattr(poisson_mc.ScalarFunction, "closed_form_integral",
+                        lambda *args: closed(*args) * (1 + 1e-9))
+    with pytest.raises(poisson_mc.ReferenceMismatchError, match="vs closed form"):
         poisson_mc.run_check(json.loads(spec))
     code, out, err = run(capsys, "poisson", "--input", spec)
     assert (code, out) == (EXIT_INVARIANT, "")
@@ -870,6 +879,26 @@ REPLY_CASES.update({
     name: ("poisson", "--input",
            json.dumps({**spec, "window": POISSON_WINDOW, "samples": 2000, "seed": 42}))
     for name, spec in POISSON_REPLY_SPECS.items()
+})
+# Windows of one and three axes, 20,000 samples each, so every reply spans two Philox
+# blocks and the test functions reduce over one and three columns.
+WINDOW_1D = {"dim": 1, "lengths": [2.0]}
+WINDOW_3D = {"dim": 3, "lengths": [1.0, 2.0, 1.5]}
+POISSON_AXES_SPECS = {
+    "poisson_laplace_box_3d": {"check": "laplace", "window": WINDOW_3D, "f": {
+        "kind": "box", "scale": 0.5, "lo": [0.2, 0.5, 0.0], "hi": [0.9, 1.5, 1.2]}},
+    "poisson_local_gaussian_3d": {"check": "local", "window": WINDOW_3D, "f": {
+        "kind": "poly_of_sum", "h": {"coeffs": [0.5, -1.0, 0.25]}, "phi": {
+            "kind": "gaussian", "scale": 0.8, "center": [0.5, 1.0, 0.7],
+            "width": [0.3, 0.6, 0.5]}}},
+    "poisson_mecke_m1_1d": {"check": "mecke", "m": 1, "window": WINDOW_1D, "f": {
+        "g": {"kind": "gaussian", "scale": 0.7, "center": [0.8], "width": [0.4]},
+        "phi": {"kind": "box", "scale": 0.6, "lo": [0.3], "hi": [1.4]},
+        "h": {"coeffs": [0.5, -1.0, 0.25]}}},
+}
+REPLY_CASES.update({
+    name: ("poisson", "--input", json.dumps({**spec, "samples": 20000, "seed": 42}))
+    for name, spec in POISSON_AXES_SPECS.items()
 })
 # The m = 2 and 3 subset sums are a float evaluation of e_m, and an algebraically equal
 # rearrangement rounds differently: the Newton-identity form of _subset_sums moved these

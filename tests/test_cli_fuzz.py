@@ -5,9 +5,12 @@ Every run must exit 0 (success), 2 (input error), 3 (partial run) or 4
 failure prints exactly one ``error:`` line and nothing on stdout; a reply is
 strict JSON (no NaN or Infinity); no run raises a numpy RuntimeWarning.
 Exit 1 is reserved for a broken invariant.  The one input that may reach it
-is a Gaussian too narrow for the quadrature: its closed form then disagrees,
-and the check refuses the reference (exit 1, one line) rather than return a
-wrong one.
+is a Gaussian whose quadrature and closed form disagree, and the check
+refuses the reference (exit 1, one line) rather than return a wrong one.
+Narrow bumps no longer do, since the quadrature box is cut to the bump; the
+fuzz still reaches it with a width far above the window's (1e200, 2**64)
+and the center outside the window, where the closed form's erf difference
+rounds to 0.
 """
 
 import io

@@ -14,11 +14,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from formula_oracles import evaluate_rowwise
 from gammahodge import poisson_mc
 from gammahodge.errors import ResourceError
 from gammahodge.poisson_mc import (
     ConfigurationTooLarge,
+    GAUSSIAN_REACH_SQ,
     LocalFunctional,
     Polynomial,
     QuadratureError,
@@ -30,6 +34,7 @@ from gammahodge.poisson_mc import (
     _conditional_mean,
     _blocks,
     _mc_stats,
+    _quadrature_box,
     _reply,
     _stream,
     _subset_sums,
@@ -260,6 +265,123 @@ def test_gaussian_far_from_its_center_is_zero_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert f.evaluate(np.array([[0.5, 0.0], [0.1, 1.0]])).tolist() == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# evaluate: one column at a time, the bits of the row-wise oracle
+
+# finite coordinates, with window edges, box edges and far-away values among them
+COORD = st.one_of(st.sampled_from([0.0, -0.0, 0.2, 0.5, 1.0, 2.0, 1e150, -1e200]),
+                  st.floats(-3.0, 3.0))
+
+
+@st.composite
+def scalar_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    scale = draw(st.one_of(st.sampled_from([0.0, -0.0, -0.8, 1.0]), st.floats(-1e300, 1e300)))
+    if draw(st.booleans()):
+        lo = draw(st.lists(COORD, min_size=dim, max_size=dim))
+        hi = [a + draw(st.sampled_from([0.0, 0.5, 1e300])) for a in lo]
+        f = ScalarFunction(kind="box", scale=scale, lo=lo, hi=hi)
+        edges = lo + hi  # points exactly on a box face
+    else:
+        center = draw(st.lists(COORD, min_size=dim, max_size=dim))
+        width = draw(st.lists(st.sampled_from([1e-300, 1e-3, 0.3, 1.0, 1e200]),
+                              min_size=dim, max_size=dim))
+        f = ScalarFunction(kind="gaussian", scale=scale, center=center, width=width)
+        edges = center
+    coord = st.one_of(COORD, st.sampled_from(edges))
+    rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), max_size=40))
+    return f, np.array(rows, dtype=float).reshape(len(rows), dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_and_points())
+def test_evaluate_equals_the_rowwise_oracle_bitwise(case):
+    f, points = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # z overflowing to inf is silent here
+        got = f.evaluate(points)
+    with np.errstate(over="ignore"):  # the oracle divides outside its errstate
+        want = evaluate_rowwise(f, points)
+    assert got.shape == want.shape == (len(points),)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("f", [
+    ScalarFunction(kind="box", lo=(0.0, 0.0), hi=(1.0, 1.0)),
+    ScalarFunction(kind="gaussian", center=(0.5, 0.5), width=(0.3, 0.3)),
+], ids=["box", "gaussian"])
+@pytest.mark.parametrize("points", [[[0.5], [0.2]], [[0.5, 0.2, 0.1]], [0.5, 0.2], [[[0.5, 0.2]]]],
+                         ids=["one column", "three columns", "flat", "three-dimensional"])
+def test_evaluate_refuses_points_with_other_axes(f, points):
+    # broadcasting would give [0.2096, 0.0067] for the one-column points of the gaussian
+    with pytest.raises(ValueError, match="function has 2 axes, got points of shape"):
+        f.evaluate(points)
+
+
+def test_indicator_takes_points_of_any_number_of_axes():
+    f = ScalarFunction(kind="indicator", scale=0.3)
+    for points in (np.zeros((2, 1)), np.zeros((3, 3)), np.zeros((0, 2))):
+        assert f.evaluate(points).tolist() == [0.3] * len(points)
+
+
+# ---------------------------------------------------------------------------
+# narrow gaussians: the quadrature box keeps what is above 1e-20 of the peak
+
+NARROW_CASES = [
+    (width, dim, scale)
+    for width in (1e-2, 1e-3, 1e-4) for dim in (1, 2, 3) for scale in (0.5, -0.8)
+]
+
+
+@pytest.mark.parametrize("width, dim, scale", NARROW_CASES)
+def test_narrow_gaussians_verify_against_the_closed_form(width, dim, scale):
+    window = Window(lengths=(2.0, 1.5, 1.0)[:dim])
+    f = ScalarFunction(kind="gaussian", scale=scale, center=(1.0, 0.6, 0.3)[:dim],
+                       width=(width, 2 * width, width / 2)[:dim])
+    lo, hi = _quadrature_box(f, window)
+    reach = math.sqrt(GAUSSIAN_REACH_SQ)
+    assert lo == tuple(c - reach * w for c, w in zip(f.center, f.width))
+    assert hi == tuple(c + reach * w for c, w in zip(f.center, f.width))
+    for power in (1, 2):
+        closed = f.closed_form_integral(window, power)
+        quad = gauss_legendre_box(lambda p: f.evaluate(p) ** power, lo, hi)
+        assert quad == pytest.approx(closed, rel=1e-12)
+        assert integral_of_power(f, window, power) == closed
+    closed = f.closed_form_expm1_integral(window)
+    quad = gauss_legendre_box(lambda p: np.expm1(f.evaluate(p)), lo, hi)
+    assert quad == pytest.approx(closed, rel=1e-12)
+    assert integral_expm1(f, window) == closed
+
+
+def test_wide_gaussians_keep_the_whole_window_as_their_quadrature_box():
+    # widths of 0.3 window lengths or more reach past both edges from any center inside
+    window = Window(lengths=(1.0, 2.0, 1.5))
+    for center in [(0.2, 0.4, 0.3), (0.8, 1.6, 1.2), (0.5, 1.0, 0.75)]:
+        f = ScalarFunction(kind="gaussian", center=center, width=(0.3, 0.6, 0.45))
+        assert _quadrature_box(f, window) == f.support(window) == ((0.0,) * 3, window.lengths)
+
+
+def test_a_center_outside_the_window_keeps_the_tail_it_sees():
+    # the bump peaks 7 widths left of the window; the box runs from the edge to where the
+    # tail falls to 1e-20 of its edge value, so the 4e-17 integral still verifies
+    window = Window(lengths=(20.0,))
+    f = ScalarFunction(kind="gaussian", scale=1e6, center=(-7.0,), width=(1.0,))
+    (lo,), (hi,) = _quadrature_box(f, window)
+    assert lo == 0.0 and hi == pytest.approx(-7.0 + math.sqrt(49 + GAUSSIAN_REACH_SQ))
+    closed = f.closed_form_integral(window)
+    assert closed == pytest.approx(3.7078e-17, rel=1e-4)
+    assert integral_of_power(f, window, 1) == closed
+
+
+def test_a_reach_beyond_the_float_range_keeps_the_whole_axis_without_overflow():
+    # 1e300 widths of 1e-300 overflow to an infinite reach: that axis keeps [0, 1]
+    window = Window(lengths=(1.0, 2.0))
+    f = ScalarFunction(kind="gaussian", center=(-1e300, 1.0), width=(1e-300, 0.1))
+    reach = 0.1 * math.sqrt(GAUSSIAN_REACH_SQ)
+    assert _quadrature_box(f, window) == ((0.0, 1.0 - reach), (1.0, 1.0 + reach))
+    assert integral_of_power(f, window, 1) == 0.0
 
 
 @pytest.mark.parametrize("center, width, lengths, scale", [
