@@ -70,24 +70,26 @@ class SimplicialComplex:
         return len(self.simplices[k]) if 0 <= k <= self.max_dim else 0
 
 
-def from_maximal(maximal) -> SimplicialComplex:
-    """Face closure of the given maximal simplices, canonically ordered.
+def from_maximal(maximal, where: str = "maximal") -> SimplicialComplex:
+    """Face closure of the given maximal simplices, canonically ordered; errors name ``where``.
 
     A simplex on r vertices has 2^r - 1 faces, so the closure is refused with
     ResourceError, before any face is enumerated, when those counts summed
     over the maximal simplices exceed MAX_CLOSURE_FACES.
     """
+    if not isinstance(maximal, (list, tuple)):
+        raise ValueError(f"{where} must be a list of vertex lists, got {maximal!r}")
     tops: list[Simplex] = []
     for i, simplex in enumerate(maximal):
         if not isinstance(simplex, (list, tuple)):
-            raise ValueError(f"maximal[{i}] must be a list of vertex ids, got {simplex!r}")
-        verts = tuple(strict_int(v, f"maximal[{i}][{j}]") for j, v in enumerate(simplex))
+            raise ValueError(f"{where}[{i}] must be a list of vertex ids, got {simplex!r}")
+        verts = tuple(strict_int(v, f"{where}[{i}][{j}]") for j, v in enumerate(simplex))
         if not verts:
-            raise ValueError("empty simplex")
+            raise ValueError(f"{where}[{i}]: empty simplex")
         if any(v < 0 for v in verts):
-            raise ValueError(f"negative vertex id in {simplex}")
+            raise ValueError(f"{where}[{i}]: negative vertex id in {simplex}")
         if len(set(verts)) != len(verts):
-            raise ValueError(f"duplicate vertex in simplex {simplex}")
+            raise ValueError(f"{where}[{i}]: duplicate vertex in simplex {simplex}")
         tops.append(tuple(sorted(verts)))
     faces = sum((1 << len(verts)) - 1 for verts in tops)
     if faces > MAX_CLOSURE_FACES:
@@ -107,10 +109,7 @@ def from_maximal(maximal) -> SimplicialComplex:
 
 def load_complex(document: dict, where: str = "complex") -> SimplicialComplex:
     """Parse {"maximal": [[v, ...], ...]} into a face-closed complex; errors name ``where``."""
-    maximal = fields(document, where, ("maximal",))["maximal"]
-    if not isinstance(maximal, list):
-        raise ValueError(f"{where}.maximal must be a list of vertex lists, got {maximal!r}")
-    return from_maximal(maximal)
+    return from_maximal(fields(document, where, ("maximal",))["maximal"], f"{where}.maximal")
 
 
 def boundary_matrix(K: SimplicialComplex, k: int) -> list[list[int]]:

@@ -38,6 +38,7 @@ a time (memory O(one block)), bitwise equal to reducing the whole batch.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -53,6 +54,7 @@ REL_FLOOR = 1e-8
 QUAD_REL_TOL = 1e-10
 SHORT_CIRCUIT_REL_TOL = 1e-10
 TAIL_REL_TOL = 1e-12
+# Mecke's cap on the window volume (the mean point count): about 2x laplace's memory per point.
 MAX_CONFIG_POINTS = 1_000
 # Variates (a count, then dim coordinates per point) all blocks of a check may draw.
 MAX_DRAWS = 2**30
@@ -68,11 +70,30 @@ class QuadratureError(ResourceError):
 
 
 class ConfigurationTooLarge(ResourceError):
-    """A sampled configuration exceeded the subset-enumeration point cap."""
+    """A Mecke window's volume, its mean point count, is above MAX_CONFIG_POINTS."""
 
 
 class ReferenceMismatchError(InvariantError):
     """Quadrature and closed-form reference disagree beyond tolerance."""
+
+
+def _real(value, field: str) -> float:
+    """A finite real number as a float; bools, strings, NaN and infinities are rejected."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{field} must be a finite number, got {value!r}")
+
+
+def _reals(value, field: str, size: int | None = None) -> tuple[float, ...]:
+    """A list or tuple of finite numbers, with one entry per window axis when size is given."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be a list of numbers, got {value!r}")
+    if size is not None and len(value) != size:
+        raise ValueError(f"{field} needs one entry per window axis ({size}), got {len(value)}")
+    return tuple(_real(x, f"{field}[{i}]") for i, x in enumerate(value))
 
 
 @dataclass(frozen=True)
@@ -84,11 +105,11 @@ class Window:
     volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lengths = tuple(float(x) for x in self.lengths)
+        lengths = _reals(self.lengths, "lengths")
         if not lengths:
             raise ValueError("window needs at least one axis")
         volume = math.prod(lengths)
-        if not all(0 < x < math.inf for x in lengths) or not 0 < volume < math.inf:
+        if not all(x > 0 for x in lengths) or not 0 < volume < math.inf:
             raise ValueError(
                 f"window lengths must be positive, volume finite and above 0, got {list(lengths)}"
             )
@@ -112,20 +133,18 @@ class Window:
 # sampling
 
 def _stream(seed: int, block: int) -> np.random.Generator:
-    seed = int(seed)
+    seed = strict_int(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    key = np.array([seed, block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _block(window: Window, seed: int, block: int, n: int, max_points: float = math.inf):
+def _block(window: Window, seed: int, block: int, n: int):
     """counts and points of a block's first n samples: the same bits for every n.
 
     Refuses with ResourceError, before drawing anything, when the block's
     expected points would take more than MAX_BLOCK_BYTES, or the n samples
-    from this block on more than MAX_DRAWS variates; and after the counts,
-    before the points, when a count passes max_points (ConfigurationTooLarge).
+    from this block on more than MAX_DRAWS variates.
     """
     expected = min(n, STREAM_BLOCK) * window.volume * window.dim * 8
     if expected > MAX_BLOCK_BYTES:
@@ -137,28 +156,24 @@ def _block(window: Window, seed: int, block: int, n: int, max_points: float = ma
         raise ResourceError(f"{n} samples would draw more than {MAX_DRAWS} variates")
     g = _stream(seed, block)
     counts = g.poisson(window.volume, size=STREAM_BLOCK)[:n]
-    if counts.max(initial=0) > max_points:
-        raise ConfigurationTooLarge(f"a configuration has {counts.max()} points, above the "
-                                    f"subset-sum cap {max_points}; shrink the window volume")
     points = g.random((int(counts.sum()), window.dim))
     points *= window.lengths
     return counts, points
 
 
-def _blocks(window: Window, seed: int, n_samples: int, max_points: float = math.inf):
+def _blocks(window: Window, seed: int, n_samples: int):
     """Yield counts, block-local sample ids and points of samples 0..n-1, block by block."""
+    n_samples = strict_int(n_samples, "samples")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     for start in range(0, n_samples, STREAM_BLOCK):
-        counts, points = _block(window, seed, start // STREAM_BLOCK, n_samples - start, max_points)
+        counts, points = _block(window, seed, start // STREAM_BLOCK, n_samples - start)
         yield counts, np.repeat(np.arange(counts.size), counts), points
 
 
-def _per_sample(window: Window, seed: int, n_samples: int, per_block,
-                max_points: float = math.inf) -> np.ndarray:
+def _per_sample(window: Window, seed: int, n_samples: int, per_block) -> np.ndarray:
     """per_block(counts, sample_ids, points) of every block, joined along samples."""
-    blocks = _blocks(window, seed, n_samples, max_points)
-    return np.concatenate([per_block(*b) for b in blocks], axis=-1)
+    return np.concatenate([per_block(*b) for b in _blocks(window, seed, n_samples)], axis=-1)
 
 
 def sample_configuration(
@@ -169,22 +184,21 @@ def sample_configuration(
     Count ~ Poisson(volume), points i.i.d. uniform in the box; bitwise
     reproducible and read from the same block draw as the checks.
     """
-    if index < 0:
+    block, offset = divmod(strict_int(index, "index"), STREAM_BLOCK)
+    if block < 0:
         raise ValueError("index must be non-negative")
-    block, offset = divmod(index, STREAM_BLOCK)
     counts, points = _block(window, seed, block, offset + 1)
-    own = points[len(points) - int(counts[offset]) :]
-    return tuple(tuple(float(x) for x in p) for p in own)
+    return tuple(map(tuple, points[len(points) - int(counts[offset]) :].tolist()))
 
 
 # ---------------------------------------------------------------------------
 # test-function families
 
 def _erf_diff(x: float, y: float) -> float:
-    """erf(x) - erf(y) for x >= y, through erfc in the tails to avoid cancellation."""
-    if y >= 0:
+    """erf(x) - erf(y) for x >= y, through erfc only in a tail (|x|, |y| >= 0.5): erfc < erf."""
+    if y >= 0.5:
         return math.erfc(y) - math.erfc(x)
-    if x <= 0:
+    if x <= -0.5:
         return math.erfc(-x) - math.erfc(-y)
     return math.erf(x) - math.erf(y)
 
@@ -219,8 +233,8 @@ class ScalarFunction:
                 verb = "needs" if value is None else "takes no"
                 raise ValueError(f"{self.kind} function {verb} {name}")
             if value is not None:
-                object.__setattr__(self, name, tuple(float(x) for x in value))
-        object.__setattr__(self, "scale", float(self.scale))
+                object.__setattr__(self, name, _reals(value, name))
+        object.__setattr__(self, "scale", _real(self.scale, "scale"))
         if self.kind == "box" and (
             len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi))
         ):
@@ -327,7 +341,7 @@ class Polynomial:
     coeffs: tuple[float, float, float]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = _reals(self.coeffs, "coeffs")
         if any(coeffs[3:]):
             raise ValueError("polynomial degree above 2 not supported")
         object.__setattr__(self, "coeffs", (coeffs + (0.0, 0.0, 0.0))[:3])
@@ -648,8 +662,12 @@ def check_mecke(
     estimate/std_error describe the subset-sum side; the augmented side and
     the pooled two-sided standard error are in extra.
     """
+    m = strict_int(m, "m")
     if m not in (1, 2, 3):
         raise ValueError("subset order m must be 1, 2 or 3")
+    if window.volume > MAX_CONFIG_POINTS:
+        raise ConfigurationTooLarge(f"window volume {window.volume!r} (the mean point count) "
+                                    f"is above the Mecke cap of {MAX_CONFIG_POINTS}")
     if phi is None:
         if any(h.coeffs[1:]):
             raise ValueError("a non-constant h needs phi")
@@ -668,7 +686,7 @@ def check_mecke(
         lhs = _subset_sums(m, g_vals, phi_vals, totals, sample_ids, counts.size, h.coeffs)
         return np.stack([lhs, h(totals) * (ig**m / math.factorial(m))])
 
-    lhs_values, rhs_values = _per_sample(window, seed, samples, per_block, MAX_CONFIG_POINTS)
+    lhs_values, rhs_values = _per_sample(window, seed, samples, per_block)
     lhs, lhs_se = _mc_stats(lhs_values)
     rhs, rhs_se = _mc_stats(rhs_values)
     pooled = math.hypot(lhs_se, rhs_se)
@@ -692,23 +710,6 @@ def _shorthand(family: str, name: str, field: str):
     if name not in _SHORTHAND[family]:
         raise ValueError(f"unknown {family} shorthand {name!r} for {field}")
     return _SHORTHAND[family][name]
-
-
-def _real(value, field: str) -> float:
-    """A finite JSON number as a float; bools, strings, NaN and infinities are rejected."""
-    finite = isinstance(value, (int, float)) and -sys.float_info.max <= value <= sys.float_info.max
-    if isinstance(value, bool) or not finite:
-        raise ValueError(f"{field} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _reals(value, field: str, size: int | None = None) -> tuple[float, ...]:
-    """A JSON list of finite numbers, with one entry per window axis when size is given."""
-    if not isinstance(value, list):
-        raise ValueError(f"{field} must be a list of numbers, got {value!r}")
-    if size is not None and len(value) != size:
-        raise ValueError(f"{field} needs one entry per window axis ({size}), got {len(value)}")
-    return tuple(_real(x, f"{field}[{i}]") for i, x in enumerate(value))
 
 
 def scalar_from_json(spec, field: str, dim: int) -> ScalarFunction:
@@ -776,11 +777,10 @@ def run_check(spec: dict) -> dict:
     if name == "local":
         functional = functional_from_json(spec["f"], "f", window.dim)
         return check_local_expansion(functional, window, samples, seed)
-    m = strict_int(spec["m"], "m")
     f = fields(spec.get("f", {}), "f", optional=("g", "h", "phi"))
     phi = scalar_from_json(f["phi"], "f.phi", window.dim) if "phi" in f else None
     return check_mecke(
-        m,
+        spec["m"],
         scalar_from_json(f.get("g", "indicator"), "f.g", window.dim),
         polynomial_from_json(f.get("h", "const"), "f.h"),
         phi,

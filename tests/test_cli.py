@@ -509,7 +509,9 @@ def test_scale_beyond_the_float_range_exits_4_before_the_quadrature(spec, what):
      EXIT_RESOURCE, "exp(nan)"),
     ('{"check":"mecke","m":1,"window":{"lengths":[1.0]},"f":{"h":{"coeffs":[1e200]}}}',
      EXIT_RESOURCE, "mecke reference squared"),
-    ('{"check":"mecke","m":3,"window":{"lengths":[1e120]},"f":{"h":"const"}}',
+    # |g.scale|^3 = 1e306 fits, (integral of g)^3 = 1e315 does not, in a window under the cap
+    ('{"check":"mecke","m":3,"window":{"lengths":[1000.0]},'
+     '"f":{"g":{"kind":"indicator","scale":1e102},"h":"const"}}',
      EXIT_RESOURCE, "(integral of g)^m"),
     ('{"check":"laplace","window":{"lengths":[1e200, 1e200]},"f":"indicator"}',
      EXIT_INPUT, "volume finite"),
@@ -579,6 +581,27 @@ def test_narrow_gaussian_mecke_reference_verifies(capsys):
             '"f":{"g":{"kind":"gaussian","center":[1.0],"width":[0.01]},"h":"const"}}')
     doc = run_json(capsys, "poisson", "--input", spec)
     assert doc["reference"] == pytest.approx(math.sqrt(math.pi) * 0.01, rel=1e-14)
+
+
+@pytest.mark.parametrize("width", ["1e8", "1e200"])
+def test_wide_gaussian_centred_outside_the_window_verifies(capsys, width):
+    # both erf arguments lie near 0, where erfc(y) - erfc(x) cancels: the closed form read
+    # 2.000000001391649 (exit 1) at width 1e8 and 0.0 at 1e200; the bump is flat, so about 2
+    spec = ('{"check":"mecke","m":1,"window":{"lengths":[2.0]},"samples":100,"seed":1,'
+            '"f":{"g":{"kind":"gaussian","center":[-1.0],"width":[' + width + ']}}}')
+    code, out, err = run(capsys, "poisson", "--input", spec)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["reference"] == pytest.approx(2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("volume, code", [(999.0, EXIT_OK), (1001.0, EXIT_RESOURCE)])
+def test_mecke_point_cap_reads_the_spec_not_the_seed(capsys, volume, code):
+    # two samples of Poisson(999) or Poisson(1001) points pass 1000 for some seeds, not others;
+    # the cap bounds the mean, so every seed gets the same answer
+    spec = json.dumps({"check": "mecke", "m": 3, "window": {"lengths": [volume]},
+                       "samples": 2, "seed": 1})
+    for seed in range(1, 7):
+        assert run(capsys, "poisson", "--input", spec, "--seed", str(seed))[0] == code
 
 
 def test_a_reference_the_quadrature_disputes_is_refused_not_returned(capsys, monkeypatch):

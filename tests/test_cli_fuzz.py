@@ -7,10 +7,12 @@ strict JSON (no NaN or Infinity); no run raises a numpy RuntimeWarning.
 Exit 1 is reserved for a broken invariant.  The one input that may reach it
 is a Gaussian whose quadrature and closed form disagree, and the check
 refuses the reference (exit 1, one line) rather than return a wrong one.
-Narrow bumps no longer do, since the quadrature box is cut to the bump; the
-fuzz still reaches it with a width far above the window's (1e200, 2**64)
-and the center outside the window, where the closed form's erf difference
-rounds to 0.
+Narrow bumps no longer do, since the quadrature box is cut to the bump, nor
+wide ones centred just outside the window, since the closed form takes erf
+rather than erfc near 0.  The fuzz still reaches it with coordinates near
+2**64, where a window length or a width of 1 is lost to rounding: a center
+at 2**64 with width 1e200 (the erf difference rounds to 0) or with width 1
+on a window of length 2**64 (the quadrature box collapses to a point).
 """
 
 import io

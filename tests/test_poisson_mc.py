@@ -9,6 +9,7 @@ bitwise.
 
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -690,13 +691,65 @@ def test_mecke_point_cap_refuses_before_the_points_are_drawn(monkeypatch):
     monkeypatch.setattr(poisson_mc, "_stream", Spy)
     spec = {"check": "mecke", "m": 3, "window": {"lengths": [1900.0]}, "samples": STREAM_BLOCK,
             "seed": 1, "f": {"g": "indicator"}}
-    message = r"^a configuration has \d+ points, above the subset-sum cap 1000; shrink the"
+    message = r"^window volume 1900\.0 \(the mean point count\) is above the Mecke cap of 1000$"
     with pytest.raises(ConfigurationTooLarge, match=message):
         run_check(spec)
     assert drawn == []
     # the cap is the mecke check's alone: laplace draws the points of the same samples
     check_laplace(ScalarFunction(kind="indicator", scale=0.0), Window(lengths=(1900.0,)), 2, 1)
     assert len(drawn) == 1
+
+
+def test_mecke_point_cap_refuses_before_any_quadrature_or_draw(monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    monkeypatch.setattr(poisson_mc, "_stream", spy("_stream", _stream))
+    monkeypatch.setattr(poisson_mc, "integral_of_power", spy("integral", integral_of_power))
+    check_mecke(1, INDICATOR, CONST, None, Window(lengths=(999.0,)), 2, 1)
+    assert {"integral", "_stream"} <= set(calls)  # the spies see a served request's work
+    calls.clear()
+    with pytest.raises(ConfigurationTooLarge, match=r"^window volume 1001\.0 .* cap of 1000$"):
+        check_mecke(1, INDICATOR, CONST, None, Window(lengths=(1001.0,)), 2, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: sample_configuration(WINDOW, 1.5), "seed"),
+    (lambda: sample_configuration(WINDOW, True), "seed"),
+    (lambda: sample_configuration(WINDOW, 1, 2.5), "index"),
+    (lambda: check_mecke(2.0, INDICATOR, CONST, None, WINDOW, 100, 1), "m"),
+    (lambda: check_mecke(True, INDICATOR, CONST, None, WINDOW, 100, 1), "m"),
+    (lambda: check_laplace(INDICATOR, WINDOW, 2.5, 1), "samples"),
+    (lambda: check_local_expansion(LocalFunctional(kind="one"), WINDOW, True, 1), "samples"),
+    (lambda: ScalarFunction(kind="indicator", scale=True), "scale"),
+    (lambda: ScalarFunction(kind="indicator", scale="0.5"), "scale"),
+    (lambda: ScalarFunction(kind="indicator", scale=math.nan), "scale"),
+    (lambda: ScalarFunction(kind="box", lo=(0.0, True), hi=(1.0, 1.0)), "lo[1]"),
+    (lambda: ScalarFunction(kind="gaussian", center=(0.5, math.inf), width=(1.0, 1.0)),
+     "center[1]"),
+    (lambda: Polynomial(coeffs=(1.0, "2")), "coeffs[1]"),
+    (lambda: Polynomial(coeffs=(math.nan,)), "coeffs[0]"),
+    (lambda: Window(lengths=(2.0, True)), "lengths[1]"),
+    (lambda: Window(lengths=(math.nan,)), "lengths[0]"),
+])
+def test_api_numbers_follow_the_cli_rules(call, field):
+    # each used to run as another number, or to end in a TypeError or ResourceError
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an? [a-z ]+, got .+$"):
+        call()
+
+
+def test_api_takes_tuples_lists_and_numpy_scalars():
+    f = ScalarFunction(kind="gaussian", scale=np.float32(0.5), center=[np.float64(0.5)],
+                       width=(np.int64(1),))
+    assert (f.scale, f.center, f.width) == (0.5, (0.5,), (1.0,))
+    assert Window(lengths=[np.float64(2.0)]) == Window(lengths=(2,))
+    points = sample_configuration(WINDOW, np.uint64(7), np.int64(3))
+    assert points == sample_configuration(WINDOW, 7, 3)
+    report = check_mecke(np.int64(2), INDICATOR, CONST, None, WINDOW, 100, 1)
+    assert report == check_mecke(2, INDICATOR, CONST, None, WINDOW, 100, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,11 @@ CASES = [
     pytest.param("poisson", {**LOCAL_ONE, "m": 2}, "check spec takes no key 'm'", id="local-m"),
     pytest.param("poisson", {**LAPLACE, "check": "mecke"}, "check spec needs key 'm'",
                  id="mecke-without-m"),
+    # a bad simplex or vertex id names the document it sits in
+    pytest.param("pipeline", {**PIPELINE, "mark": {"maximal": [[0, 1.5]]}},
+                 "mark.maximal[0][1] must be an integer, got 1.5", id="pipeline-mark-vertex"),
+    pytest.param("simplicial", {"maximal": [[0, 1], "x"]},
+                 "complex.maximal[1] must be a list of vertex ids, got 'x'", id="complex-simplex"),
 ]
 
 
