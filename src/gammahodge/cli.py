@@ -5,10 +5,12 @@ codes: 0 success, 1 internal invariant violation, 2 input error, 3 partial
 run (grid points skipped over a brute-force budget), 4 resource limit (the
 request would exceed a fixed work or memory budget).  Each warning is one
 ``warning:`` line on stderr.  Exact integers are emitted as decimal strings;
-Monte Carlo values as floats.  Output files are written atomically (temp
-file + rename).  The argument parser is built once per process, by the first
-``main`` call, and reused; ``main`` is reentrant, and every call parses
-afresh from the parser's defaults.
+Monte Carlo values as floats.  Replies are the text of json.dumps with
+indent=2, written by ``_dumps``.  Output files are written atomically (temp
+file + rename), to a path checked before the command runs.  The argument
+parser is built once per process, by the first ``main`` call, and reused;
+``main`` is reentrant, and every call parses afresh from the parser's
+defaults.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import tempfile
 import warnings
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb
 
 from . import betti as betti_mod
@@ -77,8 +80,90 @@ def _read_json_source(source: str) -> dict:
     return doc
 
 
+_NESTED = (list, tuple, dict)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# indent level -> _level's triple, built on first use
+_LEVELS: dict = {}
+
+
+def _level(level: int) -> tuple:
+    """(encoder, item separator, closing pad) of the containers at one indent level.
+
+    The encoder writes a container's items one per line at level + 1's indent:
+    its item separator carries the newline and indent, which is all that an
+    indent of 2 puts between items, and the C encoder, which ignores indent,
+    honours it.
+    """
+    found = _LEVELS.get(level)
+    if found is None:
+        separator = ",\n" + "  " * (level + 1)
+        if c_make_encoder is None:
+            encoder = json.JSONEncoder(separators=(separator, ": ")).iterencode
+        else:
+            encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                                     None, ": ", separator, False, False, True)
+        found = _LEVELS[level] = (encoder, separator, "\n" + "  " * level)
+    return found
+
+
+def _dumps(payload) -> str:
+    """The JSON text of payload with an indent of 2, as json.dumps gives it byte for byte.
+
+    A container is encoded in one C call with each nested child stood in by 0;
+    no encoded key or scalar holds a raw newline, so splitting that text on the
+    item separator gives one piece per item, and each stand-in gives way to the
+    child's own rendering.  Renderings go into one list of parts, joined once
+    at the end, so no subtree's text is copied level by level.  The parts of
+    each rendering are memoised by (id, level), so a shared subtree is rendered
+    once per level; the memo holds each object so that no id is reused while
+    the payload is written.
+    """
+    out = []
+    memo = {}
+
+    def render(obj, level: int) -> None:
+        span = memo.get((id(obj), level))
+        if span is not None:
+            out.extend(out[span[0]:span[1]])
+            return
+        start = len(out)
+        encode, separator, close = _LEVELS.get(level) or _level(level)
+        is_dict = isinstance(obj, dict)
+        values = [*obj.values()] if is_dict else obj
+        # the exact scalar types, nearly every value, skip the slower isinstance
+        nested = [i for i, value in enumerate(values)
+                  if type(value) not in _SCALARS and isinstance(value, _NESTED)]
+        shell = obj
+        if nested:
+            shell = dict(obj) if is_dict else [*obj]
+            keys = [*obj] if is_dict else range(len(obj))
+            for i in nested:
+                shell[keys[i]] = 0
+        text = "".join(encode(shell, 0))
+        if len(text) == 2:  # an empty container keeps its two brackets
+            out.append(text)
+        elif not nested:
+            out.append(f"{text[0]}{separator[1:]}{text[1:-1]}{close}{text[-1]}")
+        else:
+            pieces = text[1:-1].split(separator)
+            lead, done = text[0] + separator[1:], 0
+            for i in nested:
+                # the items up to child i, less the stand-in 0 that its rendering replaces
+                out.append(lead + separator.join(pieces[done:i + 1])[:-1])
+                render(values[i], level + 1)
+                lead, done = separator, i + 1
+            rest = lead + separator.join(pieces[done:]) if done < len(pieces) else ""
+            out.append(f"{rest}{close}{text[-1]}")
+        memo[id(obj), level] = (start, len(out), obj)
+
+    if not isinstance(payload, _NESTED):
+        return "".join(_level(0)[0](payload, 0))
+    render(payload, 0)
+    return "".join(out)
+
+
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = _dumps(payload)
     if output is None:
         try:
             print(text, flush=True)
@@ -88,16 +173,27 @@ def _emit(payload: dict, output: str | None) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return
-    directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(output)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise InputError(f"cannot write --output {output!r}: {exc}") from exc
         raise
+
+
+def _check_output(output: str) -> None:
+    """Refuse, before any work, an --output path the reply could not be renamed onto."""
+    if os.path.isdir(output):
+        raise InputError(f"--output {output!r} is a directory")
+    directory = os.path.dirname(os.path.abspath(output))
+    if not os.path.isdir(directory):
+        raise InputError(f"--output {output!r}: {directory!r} is not a directory")
 
 
 def cmd_betti(args: argparse.Namespace) -> tuple[dict, int]:
@@ -179,11 +275,13 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
     rows = []
 
     for space in _grid_spaces(grid):
+        # one list per space, shared by its rows, so the reply writer renders it once
+        components = [[p, d] for p, d in space.components]
         for m, closed_row in enumerate(ga.sym_component_dims(space, grid["m_max"], grid["n_max"])):
             for n, closed in enumerate(closed_row):
                 row = {
                     "kind": "dims",
-                    "space": [[p, d] for p, d in space.components],
+                    "space": components,
                     "m": str(m),
                     "n": str(n),
                     "closed": str(closed),
@@ -197,10 +295,11 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
     for beta_tail in betas:
         vector = betti_mod.BettiVector(d=d_max, beta=(0, *beta_tail))
         space = ga.GradedSpace(tuple((k, vector.beta[k]) for k in range(1, d_max + 1)))
+        beta = list(vector.beta)
         for n, formula in enumerate(betti_mod.config_betti_series(vector, grid["betti_n_max"])):
             row = {
                 "kind": "betti",
-                "beta": list(vector.beta),
+                "beta": beta,
                 "n": str(n),
                 "formula": str(formula),
             }
@@ -406,7 +505,10 @@ def main(argv=None) -> int:
             if _PARSER is None:
                 _PARSER = _build_parser()
             args = _PARSER.parse_args(argv)
+            if args.output is not None:
+                _check_output(args.output)
             payload, code = _COMMANDS[args.command](args)
+            _emit(payload, args.output)
         except InvariantError as exc:
             print(f"internal invariant violated: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
@@ -418,7 +520,6 @@ def main(argv=None) -> int:
             return EXIT_INPUT
         finally:
             warnings.formatwarning = formatwarning
-    _emit(payload, args.output)
     return code
 
 

@@ -150,6 +150,43 @@ def test_betti_file_input_and_atomic_output(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["b"] == ["1", "2", "1", "0"]
     assert not list(tmp_path.glob("*.tmp"))
+    code, stdout, _ = run(capsys, "betti", "--input", str(src), "--n-max", "3")
+    assert code == EXIT_OK
+    assert out.read_bytes() == stdout.encode()
+
+
+def assert_refused_output(done, path):
+    assert done.returncode == EXIT_INPUT
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+    assert repr(str(path)) in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_output_into_a_missing_directory_exits_2_before_any_work(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    # the default sweep prints its summary line once computed; a refusal comes first
+    assert_refused_output(run_subprocess("algebra-check", "--output", str(target)), target)
+    assert not (tmp_path / "missing").exists()
+
+
+def test_output_onto_a_directory_exits_2_before_any_work(tmp_path):
+    assert_refused_output(run_subprocess("algebra-check", "--output", str(tmp_path)), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_write_failure_is_one_line_exit_2_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, "betti", "--input", '{"d":1,"beta":[0,2]}', "--output", str(out))
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and repr(str(out)) in err
+    assert "No space left on device" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -953,6 +990,26 @@ def test_m5_algebra_check_reply_is_unchanged(capsys):
     assert err == "algebra-check: 642/642 ok, 0 mismatches, 0 skipped\n"
     assert max(int(row["m"]) for row in json.loads(out)["rows"] if row["kind"] == "dims") == 5
     assert hashlib.sha256(out.encode()).hexdigest() == M5_REPLY_SHA256
+
+
+# Two more algebra-check replies pinned by SHA-256, recorded before replies left
+# json.dumps: the default grid, and a grid whose skipped rows carry reason strings.
+PINNED_SWEEPS = {
+    "default": ((), EXIT_OK, "algebra-check: 5929/5929 ok, 0 mismatches, 0 skipped",
+                "c0db3ada65e0cffb9bf08835eb1bce229e019d1a2a8ce812361d13b249d894e2"),
+    "skipped": (("--grid", '{"l_max":2,"degree_max":3,"dim_max":3,"m_max":8,"n_max":10}'),
+                EXIT_PARTIAL, "algebra-check: 5386/5535 ok, 0 mismatches, 149 skipped",
+                "21fd4a1f59b5c5ea12083dc5eaa0b19266f3c5b2673a4d346bd77f3b6a8eccf7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_pinned_algebra_check_sweep_reply_is_unchanged(capsys, name):
+    argv, exit_code, summary, digest = PINNED_SWEEPS[name]
+    code, out, err = run(capsys, "algebra-check", *argv)
+    assert code == exit_code
+    assert err.splitlines()[-1] == summary
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def close_floats(got, want):
