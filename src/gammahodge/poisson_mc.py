@@ -31,8 +31,9 @@ closed form to 1e-10 relative before any sampling runs
 RNG scheme ``philox4x64-block16384-v1``: sample index i draws from the
 Philox4x64 counter stream keyed (seed, i // 16384), all of a block's counts
 before its points, so the configuration at (seed, index) never depends on the
-sample count.  ``_blocks`` is the one reader: each check reduces one block at
-a time (memory O(one block)), bitwise equal to reducing the whole batch.
+sample count.  ``_blocks`` is the one reader: it draws a block's points one
+slice of whole samples at a time, and each check reduces one slice at a time
+(memory O(one slice)), bitwise equal to reducing the whole batch.
 """
 
 from __future__ import annotations
@@ -54,23 +55,17 @@ REL_FLOOR = 1e-8
 QUAD_REL_TOL = 1e-10
 SHORT_CIRCUIT_REL_TOL = 1e-10
 TAIL_REL_TOL = 1e-12
-# Mecke's cap on the window volume (the mean point count): about 2x laplace's memory per point.
-MAX_CONFIG_POINTS = 1_000
 # Variates (a count, then dim coordinates per point) all blocks of a check may draw.
 MAX_DRAWS = 2**30
-# Expected bytes of one block's points; the workloads this library targets
-# stay near 8 MB (16384 samples at volume 20 in three dimensions).
-MAX_BLOCK_BYTES = 256 * 2**20
+# Expected bytes of one slice's points; a check holds at most about eight times this at
+# once (Mecke on a line).  The workloads this library targets fit a block in one slice.
+MAX_SLICE_BYTES = 32 * 2**20
 # exp() of anything larger overflows a float, and JSON cannot carry inf.
 EXP_LIMIT = math.log(sys.float_info.max)
 
 
 class QuadratureError(ResourceError):
     """Adaptive quadrature failed to reach its relative tolerance."""
-
-
-class ConfigurationTooLarge(ResourceError):
-    """A Mecke window's volume, its mean point count, is above MAX_CONFIG_POINTS."""
 
 
 class ReferenceMismatchError(InvariantError):
@@ -139,41 +134,42 @@ def _stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _block(window: Window, seed: int, block: int, n: int):
-    """counts and points of a block's first n samples: the same bits for every n.
-
-    Refuses with ResourceError, before drawing anything, when the block's
-    expected points would take more than MAX_BLOCK_BYTES, or the n samples
-    from this block on more than MAX_DRAWS variates.
-    """
-    expected = min(n, STREAM_BLOCK) * window.volume * window.dim * 8
-    if expected > MAX_BLOCK_BYTES:
-        raise ResourceError(
-            f"one sampling block would hold about {expected / 2**20:.3g} MiB of points, "
-            f"above the {MAX_BLOCK_BYTES // 2**20} MiB budget; shrink the window volume"
-        )
-    if n > MAX_DRAWS / (1 + window.volume * window.dim):
-        raise ResourceError(f"{n} samples would draw more than {MAX_DRAWS} variates")
-    g = _stream(seed, block)
-    counts = g.poisson(window.volume, size=STREAM_BLOCK)[:n]
-    points = g.random((int(counts.sum()), window.dim))
-    points *= window.lengths
-    return counts, points
-
-
-def _blocks(window: Window, seed: int, n_samples: int):
-    """Yield counts, block-local sample ids and points of samples 0..n-1, block by block."""
+def _sampling_plan(window: Window, n_samples: int) -> tuple[int, int]:
+    """The sample count and the samples per slice; every check runs it before any quadrature.
+    ValueError below one sample, ResourceError when one configuration expects more than
+    MAX_SLICE_BYTES of points or the samples would draw more than MAX_DRAWS variates."""
     n_samples = strict_int(n_samples, "samples")
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    config_bytes = window.volume * window.dim * 8
+    if config_bytes > MAX_SLICE_BYTES:
+        raise ResourceError(f"a configuration expects {config_bytes / 2**20:.3g} MiB of points, "
+                            f"over the {MAX_SLICE_BYTES / 2**20:.3g} MiB budget; shrink the window")
+    if n_samples > MAX_DRAWS / (1 + window.volume * window.dim):
+        raise ResourceError(f"{n_samples} samples would draw more than {MAX_DRAWS} variates")
+    return n_samples, int(min(STREAM_BLOCK, MAX_SLICE_BYTES / config_bytes))
+
+
+def _blocks(window: Window, seed: int, n_samples: int, first: int = 0):
+    """Yield counts, slice-local sample ids and points of n samples from block ``first`` on.
+
+    Each block draws all its counts, then its points one slice of whole samples at a
+    time from the same stream: the same bits for every n_samples and slice size.
+    """
+    n_samples, size = _sampling_plan(window, n_samples)
     for start in range(0, n_samples, STREAM_BLOCK):
-        counts, points = _block(window, seed, start // STREAM_BLOCK, n_samples - start)
-        yield counts, np.repeat(np.arange(counts.size), counts), points
+        g = _stream(seed, first + start // STREAM_BLOCK)
+        counts = g.poisson(window.volume, size=STREAM_BLOCK)[: n_samples - start]
+        for lo in range(0, counts.size, size):
+            part = counts[lo : lo + size]
+            points = g.random((int(part.sum()), window.dim))
+            points *= window.lengths
+            yield part, np.repeat(np.arange(part.size), part), points
 
 
-def _per_sample(window: Window, seed: int, n_samples: int, per_block) -> np.ndarray:
-    """per_block(counts, sample_ids, points) of every block, joined along samples."""
-    return np.concatenate([per_block(*b) for b in _blocks(window, seed, n_samples)], axis=-1)
+def _per_sample(window: Window, seed: int, n_samples: int, per_slice) -> np.ndarray:
+    """per_slice(counts, sample_ids, points) of every slice, joined along samples."""
+    return np.concatenate([per_slice(*part) for part in _blocks(window, seed, n_samples)], axis=-1)
 
 
 def sample_configuration(
@@ -182,13 +178,14 @@ def sample_configuration(
     """The points of configuration number ``index`` of the stream for this seed.
 
     Count ~ Poisson(volume), points i.i.d. uniform in the box; bitwise
-    reproducible and read from the same block draw as the checks.
+    reproducible and read through the same slices of the block as the checks.
     """
     block, offset = divmod(strict_int(index, "index"), STREAM_BLOCK)
     if block < 0:
         raise ValueError("index must be non-negative")
-    counts, points = _block(window, seed, block, offset + 1)
-    return tuple(map(tuple, points[len(points) - int(counts[offset]) :].tolist()))
+    for counts, _, points in _blocks(window, seed, offset + 1, block):
+        pass
+    return tuple(map(tuple, points[len(points) - int(counts[-1]) :].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +300,9 @@ class ScalarFunction:
         root = math.sqrt(power)
         total = self.scale**power
         for a, b, c, w in zip(*self.support(window), self.center, self.width):
-            erf_diff = _erf_diff(root * (b - c) / w, root * (a - c) / w)
+            x, y = root * (b - c) / w, root * (a - c) / w
+            erf_diff = (_erf_diff(x, y) if x != y  # x == y when b - a is lost to rounding
+                        else 2 / math.sqrt(math.pi) * math.exp(-x * x) * root * (b - a) / w)
             total *= 0.5 * w * math.sqrt(math.pi / power) * erf_diff
         return total
 
@@ -507,16 +506,17 @@ def _mc_stats(values: np.ndarray) -> tuple[float, float]:
 
 def check_laplace(f: ScalarFunction, window: Window, samples: int, seed: int) -> dict:
     """Exponential moment E[exp<f, gamma>] vs exp(integral of (e^f - 1))."""
+    _sampling_plan(window, samples)
     # e^f - 1 < e^scale pointwise, bounded like integral_of_power's powers
     _refuse_overflow(f.scale + math.log(max(window.volume, 2.0**window.dim)), "laplace e^f.scale")
     reference_exponent = integral_expm1(f, window)
     _refuse_overflow(reference_exponent, "laplace reference")
     reference = math.exp(reference_exponent)
 
-    def per_block(counts, sample_ids, points):
+    def per_slice(counts, sample_ids, points):
         return np.exp(np.bincount(sample_ids, weights=f.evaluate(points), minlength=counts.size))
 
-    estimate, std_error = _mc_stats(_per_sample(window, seed, samples, per_block))
+    estimate, std_error = _mc_stats(_per_sample(window, seed, samples, per_slice))
     return _reply(
         "laplace", estimate, reference, std_error, samples, seed,
         {"integral_expm1": reference_exponent},
@@ -582,6 +582,7 @@ def check_local_expansion(
     of them; the pmf underflowing to 0 ends it at the latest.  A term
     outside the float range is refused with ResourceError.
     """
+    _sampling_plan(window, samples)
     v = window.volume
     closed = _closed_form_mean(functional, window)
     # the standard error squares samples of about the reference's size
@@ -602,7 +603,7 @@ def check_local_expansion(
             break
     reference = _verified(series, closed, "local expansion series")
 
-    def per_block(counts, sample_ids, points):
+    def per_slice(counts, sample_ids, points):
         if functional.kind == "one":
             return np.ones(counts.size)
         if functional.kind == "count_indicator":
@@ -610,7 +611,7 @@ def check_local_expansion(
         phi_vals = functional.phi.evaluate(points)
         return functional.h(np.bincount(sample_ids, weights=phi_vals, minlength=counts.size))
 
-    estimate, std_error = _mc_stats(_per_sample(window, seed, samples, per_block))
+    estimate, std_error = _mc_stats(_per_sample(window, seed, samples, per_slice))
     return _reply(
         "local", estimate, reference, std_error, samples, seed,
         {"series_reference": series, "tail_bound": tail},
@@ -665,9 +666,7 @@ def check_mecke(
     m = strict_int(m, "m")
     if m not in (1, 2, 3):
         raise ValueError("subset order m must be 1, 2 or 3")
-    if window.volume > MAX_CONFIG_POINTS:
-        raise ConfigurationTooLarge(f"window volume {window.volume!r} (the mean point count) "
-                                    f"is above the Mecke cap of {MAX_CONFIG_POINTS}")
+    _sampling_plan(window, samples)
     if phi is None:
         if any(h.coeffs[1:]):
             raise ValueError("a non-constant h needs phi")
@@ -679,14 +678,14 @@ def check_mecke(
     reference = ig**m / math.factorial(m) * _mean_of_poly(h, phi, window)
     _refuse_overflow(2 * _log_abs(reference), "the mecke reference squared")
 
-    def per_block(counts, sample_ids, points):
+    def per_slice(counts, sample_ids, points):
         g_vals = g.evaluate(points)
         phi_vals = phi.evaluate(points)
         totals = np.bincount(sample_ids, weights=phi_vals, minlength=counts.size)
         lhs = _subset_sums(m, g_vals, phi_vals, totals, sample_ids, counts.size, h.coeffs)
         return np.stack([lhs, h(totals) * (ig**m / math.factorial(m))])
 
-    lhs_values, rhs_values = _per_sample(window, seed, samples, per_block)
+    lhs_values, rhs_values = _per_sample(window, seed, samples, per_slice)
     lhs, lhs_se = _mc_stats(lhs_values)
     rhs, rhs_se = _mc_stats(rhs_values)
     pooled = math.hypot(lhs_se, rhs_se)

@@ -464,9 +464,9 @@ def test_kron_probe_budget_is_inclusive_and_refuses_before_the_first_probe(capsy
     assert err.count("\n") == 1 and "budget of 2" in err
 
 
-def test_mecke_over_the_point_cap_exits_4_without_a_traceback():
-    spec = ('{"check":"mecke","m":1,"window":{"lengths":[30.0,30.0,3.0]},'
-            '"samples":100,"seed":1}')
+def test_a_configuration_over_the_slice_budget_exits_4_without_a_traceback():
+    # volume 5e6 on a line: one configuration's points take about 38 MiB
+    spec = '{"check":"mecke","m":1,"window":{"lengths":[5e6]},"samples":100,"seed":1}'
     done = run_subprocess("poisson", "--input", spec)
     assert done.returncode == EXIT_RESOURCE == 4
     assert done.stdout == ""
@@ -475,8 +475,8 @@ def test_mecke_over_the_point_cap_exits_4_without_a_traceback():
 
 
 def test_sampling_budget_refuses_before_drawing(capsys):
-    # volume 1e6: one block of points would be about 250 GB
-    spec = ('{"check":"laplace","window":{"lengths":[1000.0,1000.0]},"samples":100000,'
+    # volume 9e6: one configuration's points would take about 137 MiB
+    spec = ('{"check":"laplace","window":{"lengths":[3000.0,3000.0]},"samples":100000,'
             '"seed":1,"f":{"kind":"indicator","scale":1e-7}}')
     tracemalloc.start()
     try:
@@ -493,14 +493,15 @@ def test_sampling_budget_refuses_before_drawing(capsys):
     assert peak < 2**20
 
 
-def test_sampling_budget_is_one_blocks_expected_points(capsys, monkeypatch):
-    # 100 samples at volume 3 in two dimensions: 100 * 3 * 2 * 8 = 4800 bytes
+def test_sampling_budget_is_one_configurations_expected_points(capsys, monkeypatch):
+    # volume 3 in two dimensions: 3 * 2 * 8 = 48 bytes, so a budget of 48 takes one
+    # sample a slice and gives the reply of whole blocks
     spec = ('{"check":"laplace","window":{"lengths":[1.5,2.0]},"samples":100,"seed":1,'
             '"f":"indicator"}')
-    unlimited = run_json(capsys, "poisson", "--input", spec)
-    monkeypatch.setattr(poisson_mc, "MAX_BLOCK_BYTES", 4800)
-    assert run_json(capsys, "poisson", "--input", spec) == unlimited
-    monkeypatch.setattr(poisson_mc, "MAX_BLOCK_BYTES", 4799)
+    unlimited = run(capsys, "poisson", "--input", spec)
+    monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", 48)
+    assert run(capsys, "poisson", "--input", spec) == unlimited
+    monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", 47)
     code, out, _ = run(capsys, "poisson", "--input", spec)
     assert (code, out) == (EXIT_RESOURCE, "")
 
@@ -620,23 +621,31 @@ def test_narrow_gaussian_mecke_reference_verifies(capsys):
     assert doc["reference"] == pytest.approx(math.sqrt(math.pi) * 0.01, rel=1e-14)
 
 
-@pytest.mark.parametrize("width", ["1e8", "1e200"])
-def test_wide_gaussian_centred_outside_the_window_verifies(capsys, width):
+@pytest.mark.parametrize("center, width", [
+    pytest.param("-1.0", "1e8", id="1e8"),
+    pytest.param("-1.0", "1e200", id="1e200"),
+    # b - c and a - c round to one float, so the erf difference did too: 0.0, and exit 1
+    pytest.param(str(2**64), "1e200", id="2**64-1e200"),
+    pytest.param(str(2**60), "1e200", id="2**60-1e200"),
+])
+def test_wide_gaussian_centred_outside_the_window_verifies(capsys, center, width):
     # both erf arguments lie near 0, where erfc(y) - erfc(x) cancels: the closed form read
     # 2.000000001391649 (exit 1) at width 1e8 and 0.0 at 1e200; the bump is flat, so about 2
     spec = ('{"check":"mecke","m":1,"window":{"lengths":[2.0]},"samples":100,"seed":1,'
-            '"f":{"g":{"kind":"gaussian","center":[-1.0],"width":[' + width + ']}}}')
+            '"f":{"g":{"kind":"gaussian","center":[' + center + '],"width":[' + width + ']}}}')
     code, out, err = run(capsys, "poisson", "--input", spec)
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["reference"] == pytest.approx(2.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("volume, code", [(999.0, EXIT_OK), (1001.0, EXIT_RESOURCE)])
-def test_mecke_point_cap_reads_the_spec_not_the_seed(capsys, volume, code):
-    # two samples of Poisson(999) or Poisson(1001) points pass 1000 for some seeds, not others;
-    # the cap bounds the mean, so every seed gets the same answer
-    spec = json.dumps({"check": "mecke", "m": 3, "window": {"lengths": [volume]},
-                       "samples": 2, "seed": 1})
+@pytest.mark.parametrize("budget, code", [(48, EXIT_OK), (47, EXIT_RESOURCE)])
+@pytest.mark.parametrize("f", ['{"check":"laplace","f":"indicator"}', '{"check":"local","f":"one"}',
+                               '{"check":"mecke","m":3}'])
+def test_slice_budget_reads_the_spec_not_the_seed(capsys, monkeypatch, f, budget, code):
+    # a sample of Poisson(3) points holds more or fewer than 3 by seed; the budget bounds
+    # the mean, 3 * 2 * 8 = 48 bytes in two dimensions, so every seed gets the same answer
+    spec = json.dumps({**json.loads(f), "window": {"lengths": [1.5, 2.0]}, "samples": 2, "seed": 1})
+    monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", budget)
     for seed in range(1, 7):
         assert run(capsys, "poisson", "--input", spec, "--seed", str(seed))[0] == code
 
@@ -969,10 +978,14 @@ REL_TOL = 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(set(REPLY_CASES) - ROUNDED_REPLIES))
-def test_reply_text_is_unchanged(capsys, name):
+def test_reply_text_is_unchanged(capsys, monkeypatch, name):
     code, out, _ = run(capsys, *REPLY_CASES[name])
     assert code == EXIT_OK
     assert out == (REPLIES / f"{name}.json").read_text()
+    if name.startswith("poisson"):
+        # 2,000 bytes a slice: 125, 62 and 27 samples at volume 2 in 1-D, 2 in 2-D, 3 in 3-D
+        monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", 2000)
+        assert run(capsys, *REPLY_CASES[name]) == (code, out, "")
 
 
 # The recorded algebra_check grid stops at m = 1.  This one reaches m = 5 over
@@ -1022,11 +1035,13 @@ def close_floats(got, want):
 
 
 @pytest.mark.parametrize("name", sorted(ROUNDED_REPLIES))
-def test_rounded_reply_is_unchanged_to_the_stated_tolerance(capsys, name):
+def test_rounded_reply_is_unchanged_to_the_stated_tolerance(capsys, monkeypatch, name):
     code, out, _ = run(capsys, *REPLY_CASES[name])
     assert code == EXIT_OK
     want = (REPLIES / f"{name}.json").read_text()
     assert close_floats(json.loads(out), json.loads(want)), (out, want)
+    monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", 2000)  # 62 samples a slice
+    assert run(capsys, *REPLY_CASES[name]) == (code, out, "")
 
 
 @pytest.mark.parametrize("name", [name for name in sorted(REPLY_CASES) if name.startswith("betti")])

@@ -9,10 +9,14 @@ is a Gaussian whose quadrature and closed form disagree, and the check
 refuses the reference (exit 1, one line) rather than return a wrong one.
 Narrow bumps no longer do, since the quadrature box is cut to the bump, nor
 wide ones centred just outside the window, since the closed form takes erf
-rather than erfc near 0.  The fuzz still reaches it with coordinates near
-2**64, where a window length or a width of 1 is lost to rounding: a center
-at 2**64 with width 1e200 (the erf difference rounds to 0) or with width 1
-on a window of length 2**64 (the quadrature box collapses to a point).
+rather than erfc near 0, nor wide ones centred far out, where b - c and a - c
+round to one float and the closed form takes the erf's first-order step.  A
+quadrature box that collapses to a point at a center of 2**64 is out of
+reach: every window drawn here with a length of 2**64 has a volume of at
+least 0.3 * 2**64, over the slice budget, and is refused before quadrature.
+What still reaches exit 1 is a width below the float resolution of its
+center: width 1e-17 or 3e-17 centred at 1.0 on [2.0] (at 1e-16 the
+quadrature exits 4, no convergence).
 """
 
 import io

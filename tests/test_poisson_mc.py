@@ -22,7 +22,6 @@ from formula_oracles import evaluate_rowwise
 from gammahodge import poisson_mc
 from gammahodge.errors import ResourceError
 from gammahodge.poisson_mc import (
-    ConfigurationTooLarge,
     GAUSSIAN_REACH_SQ,
     LocalFunctional,
     Polynomial,
@@ -178,25 +177,36 @@ def test_points_stay_inside_the_window():
 
 
 STREAM_SIZES = (2, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 40_000)
+# Slice budgets for WINDOW, whose configurations expect 2 * 2 * 8 = 32 bytes of points:
+# the default (a whole block a slice), then slices of 1, 7 and 1,000 samples.
+SLICE_BUDGETS = {poisson_mc.MAX_SLICE_BYTES: STREAM_BLOCK, 32: 1, 7 * 32 + 31: 7, 32_000: 1000}
 
 
 @pytest.mark.parametrize("n", STREAM_SIZES)
-def test_streamed_blocks_merge_into_the_whole_batch(n):
+def test_streamed_blocks_merge_into_the_whole_batch(monkeypatch, n):
     counts, ids, pts = sample_blocks(WINDOW, 42, n)
-    parts = list(_blocks(WINDOW, 42, n))
-    assert len(parts) == -(-n // STREAM_BLOCK)
-    starts = np.arange(len(parts)) * STREAM_BLOCK
-    assert np.array_equal(np.concatenate([c for c, _, _ in parts]), counts)
-    assert np.array_equal(np.concatenate([i + s for (_, i, _), s in zip(parts, starts)]), ids)
-    assert np.array_equal(np.concatenate([p for _, _, p in parts]), pts)
+    for budget, size in SLICE_BUDGETS.items():
+        monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", budget)
+        parts = list(_blocks(WINDOW, 42, n))
+        sizes = [c.size for c, _, _ in parts]
+        # whole samples, and no slice across a block boundary
+        block_sizes = [min(STREAM_BLOCK, n - s) for s in range(0, n, STREAM_BLOCK)]
+        assert sizes == [min(size, b - s) for b in block_sizes for s in range(0, b, size)]
+        starts = np.cumsum([0] + sizes[:-1])
+        assert np.array_equal(np.concatenate([c for c, _, _ in parts]), counts)
+        assert np.array_equal(np.concatenate([i + s for (_, i, _), s in zip(parts, starts)]), ids)
+        assert np.array_equal(np.concatenate([p for _, _, p in parts]), pts)
 
 
-def test_single_configuration_matches_batch_across_a_block_boundary():
+def test_single_configuration_matches_batch_across_a_block_boundary(monkeypatch):
     counts, ids, pts = sample_blocks(WINDOW, 42, STREAM_BLOCK + 2)
-    for index in (STREAM_BLOCK - 2, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1):
-        config = sample_configuration(WINDOW, 42, index)
-        assert len(config) == counts[index]
-        assert np.array_equal(np.asarray(config).reshape(-1, 2), pts[ids == index])
+    for budget in SLICE_BUDGETS:
+        monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", budget)
+        for index in (0, 999, 1000, STREAM_BLOCK - 2, STREAM_BLOCK - 1, STREAM_BLOCK,
+                      STREAM_BLOCK + 1):
+            config = sample_configuration(WINDOW, 42, index)
+            assert len(config) == counts[index]
+            assert np.array_equal(np.asarray(config).reshape(-1, 2), pts[ids == index])
 
 
 def test_count_moments_in_three_sigma_bands():
@@ -666,54 +676,60 @@ def test_count_indicator_needs_an_integer_k(k):
     assert LocalFunctional(kind="count_indicator", k="3").k == 3
 
 
-def test_mecke_aborts_on_huge_configurations():
-    huge = Window(lengths=(30.0, 30.0, 3.0))
-    with pytest.raises(ConfigurationTooLarge):
-        check_mecke(1, INDICATOR, CONST, None, huge, 100, 1)
+GAUSS_1D = ScalarFunction(kind="gaussian", center=(0.5,), width=(0.3,), scale=0.5)
+SAMPLING_CALLS = {
+    "laplace": lambda window: check_laplace(GAUSS_1D, window, 2, 1),
+    "local": lambda window: check_local_expansion(
+        LocalFunctional(kind="poly_of_sum", phi=GAUSS_1D, h=LINEAR), window, 2, 1),
+    "mecke": lambda window: check_mecke(3, GAUSS_1D, CONST, None, window, 2, 1),
+    "sample_configuration": lambda window: sample_configuration(window, 1, 1),
+}
 
 
-def test_mecke_point_cap_refuses_before_the_points_are_drawn(monkeypatch):
-    # a volume-1900 line: one block's points would take about 250 MB, its counts 128 KiB
-    drawn = []
-
-    class Spy:
-        def __init__(self, seed, block):
-            self.g = stream(seed, block)
-
-        def poisson(self, *args, **kwargs):
-            return self.g.poisson(*args, **kwargs)
-
-        def random(self, *args, **kwargs):
-            drawn.append(args)
-            return self.g.random(*args, **kwargs)
-
-    stream = poisson_mc._stream
-    monkeypatch.setattr(poisson_mc, "_stream", Spy)
-    spec = {"check": "mecke", "m": 3, "window": {"lengths": [1900.0]}, "samples": STREAM_BLOCK,
-            "seed": 1, "f": {"g": "indicator"}}
-    message = r"^window volume 1900\.0 \(the mean point count\) is above the Mecke cap of 1000$"
-    with pytest.raises(ConfigurationTooLarge, match=message):
-        run_check(spec)
-    assert drawn == []
-    # the cap is the mecke check's alone: laplace draws the points of the same samples
-    check_laplace(ScalarFunction(kind="indicator", scale=0.0), Window(lengths=(1900.0,)), 2, 1)
-    assert len(drawn) == 1
-
-
-def test_mecke_point_cap_refuses_before_any_quadrature_or_draw(monkeypatch):
+@pytest.mark.parametrize("name", sorted(SAMPLING_CALLS))
+def test_the_sampling_plan_refuses_before_any_quadrature_or_draw(monkeypatch, name):
     calls = []
 
-    def spy(name, real):
-        return lambda *args: calls.append(name) or real(*args)
+    def spy(attr):
+        real = getattr(poisson_mc, attr)
+        monkeypatch.setattr(poisson_mc, attr, lambda *args: calls.append(attr) or real(*args))
 
-    monkeypatch.setattr(poisson_mc, "_stream", spy("_stream", _stream))
-    monkeypatch.setattr(poisson_mc, "integral_of_power", spy("integral", integral_of_power))
-    check_mecke(1, INDICATOR, CONST, None, Window(lengths=(999.0,)), 2, 1)
-    assert {"integral", "_stream"} <= set(calls)  # the spies see a served request's work
+    for attr in ("_sampling_plan", "_stream", "gauss_legendre_box"):
+        spy(attr)
+    integral_of_power.cache_clear()
+    integral_expm1.cache_clear()
+    SAMPLING_CALLS[name](Window(lengths=(2.0,)))
+    # the spies see a served request's work, the plan first
+    assert calls[0] == "_sampling_plan" and "_stream" in calls
+    assert ("gauss_legendre_box" in calls) == (name != "sample_configuration")
     calls.clear()
-    with pytest.raises(ConfigurationTooLarge, match=r"^window volume 1001\.0 .* cap of 1000$"):
-        check_mecke(1, INDICATOR, CONST, None, Window(lengths=(1001.0,)), 2, 1)
-    assert calls == []
+    # volume 5e6 on a line: one configuration's points take about 38 MiB
+    message = r"^a configuration expects 38\.1 MiB of points, over the 32 MiB budget"
+    with pytest.raises(ResourceError, match=message):
+        SAMPLING_CALLS[name](Window(lengths=(5e6,)))
+    assert calls == ["_sampling_plan"]
+
+
+def test_a_subnormal_volume_takes_whole_blocks():
+    # MAX_SLICE_BYTES / 4e-323 is inf: the slice size is capped before int()
+    window = Window(lengths=(5e-324,))
+    assert poisson_mc._sampling_plan(window, "1") == (1, STREAM_BLOCK)
+    assert sample_configuration(window, 1, STREAM_BLOCK + 3) == ()
+
+
+def test_mecke_memory_stays_within_a_constant_of_one_slice(monkeypatch):
+    # volume 1900 on a line: 15,200 bytes of points a configuration, so a 2 MiB slice holds
+    # 137 samples, and 4,000 samples draw about 58 MiB of points in 30 slices
+    monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", 2 * 2**20)
+    window = Window(lengths=(1900.0,))
+    check_mecke(3, INDICATOR, CONST, None, window, 2, 1)  # warm the quadrature caches
+    tracemalloc.start()
+    try:
+        check_mecke(3, INDICATOR, CONST, None, window, 4000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * poisson_mc.MAX_SLICE_BYTES
 
 
 @pytest.mark.parametrize("call, field", [
