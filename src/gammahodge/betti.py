@@ -13,18 +13,19 @@ whose x^{s k} coefficients are the per-degree power counts
 
 _power_factor builds such a factor and truncated_product multiplies them:
 the package's one kernel for exact counts (b_n, the graded-algebra closed
-form, word counts, the Kunneth product).  The series is the only route to
-b_n.  It is refused with ResourceError when its multiply-adds would pass
-MAX_SERIES_WORK: counted before any work, then weighted by operand size from
-the built factors before their product.  It is refused as soon as a
-coefficient passes Python's integer-string digit limit too.  betti_report
-returns the CLI reply itself, a plain dict.  b_0 is 1.  beta_0 is ignored by
-the formula, which presumes an infinite-volume base; a nonzero beta_0 input
-triggers InfiniteVolumeWarning, never an error, because product-space
-pipelines legitimately carry beta_0 = 1 on a compact factor.  algebra-check
-checks the series against the projector brute force; the tests check the
-power counts against math.comb and confirm the vanishing block of
-vanishing_threshold.
+form, word counts one length at a time, the Kunneth product).  The series is
+the only route to b_n.  It is refused with ResourceError when its
+multiply-adds would pass MAX_SERIES_WORK: counted before any work, then
+weighted by operand size from the built factors before their product.  It is
+refused as soon as a coefficient passes Python's integer-string digit limit
+too.  betti_report returns the CLI reply itself, a plain dict.  b_0 is 1.
+beta_0 is ignored by the formula, which presumes an infinite-volume base; a
+nonzero beta_0 input triggers InfiniteVolumeWarning, never an error, because
+product-space pipelines legitimately carry beta_0 = 1 on a compact factor.
+algebra-check checks the series against the projector brute force, one table
+per Betti vector whose column n, summed over the word lengths m <= n, is
+b_n; the tests check the power counts against math.comb and confirm the
+vanishing block of vanishing_threshold.
 """
 
 from __future__ import annotations

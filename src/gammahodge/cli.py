@@ -22,9 +22,9 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, product
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from math import comb
+from math import comb, factorial
 
 from . import betti as betti_mod
 from . import graded_algebra as ga
@@ -244,14 +244,12 @@ def _grid_rows(grid: dict) -> int:
 
 def _compare(row: dict, expected: int, brute) -> dict:
     """Fill in row's brute count and verdict, or skip it over a budget; misses go to stderr."""
-    try:
-        value = brute()
-    except ga.EnumerationCapError as exc:
+    if isinstance(brute, ga.EnumerationCapError):
         row["status"] = "skipped"
-        row["reason"] = str(exc)
+        row["reason"] = str(brute)
     else:
-        row["brute"] = str(value)
-        row["status"] = "ok" if value == expected else "mismatch"
+        row["brute"] = str(brute)
+        row["status"] = "ok" if brute == expected else "mismatch"
     if row["status"] != "ok":
         label = row.get("space") or row.get("beta")
         print(f"{row['status']:>8}  {row['kind']}  {label}  m={row.get('m', '-')} n={row['n']}",
@@ -266,19 +264,27 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
         grid[key] = strict_int(value, f"grid.{key}")
         if grid[key] < 0:
             raise InputError(f"grid.{key} must be non-negative, got {grid[key]}")
+    if grid["betti_d_max"] < 1:
+        raise InputError(f"grid.betti_d_max must be >= 1, got {grid['betti_d_max']}")
     if _grid_rows(grid) > MAX_GRID_ROWS:
         raise ResourceError(f"the grid has more than {MAX_GRID_ROWS} rows, the budget of one sweep")
     # every Betti vector holds betti_d_max entries, even when betti_beta_max = 0 makes one row set
     if grid["betti_d_max"] > MAX_GRID_ROWS:
         raise ResourceError(f"grid.betti_d_max = {grid['betti_d_max']} is over the budget of "
                             f"{MAX_GRID_ROWS} Betti degrees")
+    n_max = grid["betti_n_max"]
+    # beta_1 = 1 skips row n_max over the permutation budget with n_max! in its reason
+    if grid["betti_beta_max"]:
+        betti_mod._refuse_digits(factorial(n_max), betti_mod._digit_limit())
     rows = []
 
     for space in _grid_spaces(grid):
         # one list per space, shared by its rows, so the reply writer renders it once
         components = [[p, d] for p, d in space.components]
-        for m, closed_row in enumerate(ga.sym_component_dims(space, grid["m_max"], grid["n_max"])):
-            for n, closed in enumerate(closed_row):
+        closed_rows = ga.sym_component_dims(space, grid["m_max"], grid["n_max"])
+        brute_rows = ga.sym_component_dims_bruteforce(space, grid["m_max"], grid["n_max"])
+        for m, (closed_row, brute_row) in enumerate(zip(closed_rows, brute_rows)):
+            for n, (closed, brute) in enumerate(zip(closed_row, brute_row)):
                 row = {
                     "kind": "dims",
                     "space": components,
@@ -286,26 +292,31 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
                     "n": str(n),
                     "closed": str(closed),
                 }
-                rows.append(_compare(
-                    row, closed, lambda: ga.sym_component_dim_bruteforce(space, m, n)
-                ))
+                rows.append(_compare(row, closed, brute))
 
     d_max = grid["betti_d_max"]
     betas = product(range(grid["betti_beta_max"] + 1), repeat=d_max)
     for beta_tail in betas:
         vector = betti_mod.BettiVector(d=d_max, beta=(0, *beta_tail))
         space = ga.GradedSpace(tuple((k, vector.beta[k]) for k in range(1, d_max + 1)))
+        # cells with m > n are 0, so row n sums column n; its first cap in m is its reason
+        sums, capped = [0] * (n_max + 1), [None] * (n_max + 1)
+        for table_row in ga.sym_component_rows_bruteforce(space, n_max, n_max):
+            for n in compress(range(n_max + 1), table_row):  # the nonzero and capped cells
+                dim = table_row[n]
+                if isinstance(dim, ga.EnumerationCapError):
+                    capped[n] = capped[n] or dim
+                else:
+                    sums[n] += dim
         beta = list(vector.beta)
-        for n, formula in enumerate(betti_mod.config_betti_series(vector, grid["betti_n_max"])):
+        for n, formula in enumerate(betti_mod.config_betti_series(vector, n_max)):
             row = {
                 "kind": "betti",
                 "beta": beta,
                 "n": str(n),
                 "formula": str(formula),
             }
-            rows.append(_compare(row, formula, lambda: sum(
-                ga.sym_component_dim_bruteforce(space, m, n) for m in range(n + 1)
-            )))
+            rows.append(_compare(row, formula, capped[n] or sums[n]))
 
     statuses = Counter(row["status"] for row in rows)
     mismatches, skipped = statuses["mismatch"], statuses["skipped"]

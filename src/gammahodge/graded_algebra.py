@@ -11,10 +11,12 @@ graded sign
 
 so odd-degree letters anticommute and every other pair commutes.  All
 arithmetic is exact (ints and fractions.Fraction).  Component dimensions are
-available through two independent routes, the projector applied to one word
-per letter multiset and the closed-form count by wedge/symmetric powers,
-read off the generating-function kernel of betti; their agreement is the
-module's central invariant.
+available through two independent routes, each a table dims[m][n] built once
+per space: sym_component_dims_bruteforce, the signed orbit sum of one word per
+letter multiset, from one walk that counts the words and buckets the
+multisets of each length in turn; and sym_component_dims, the closed-form
+count by wedge/symmetric powers read off the generating-function kernel of
+betti.  Their agreement is the module's central invariant.
 
 Letters are (component, basis_index) pairs, both 0-based; a word is a tuple
 of letters.  The quotient ideal is never materialized: membership of a
@@ -26,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress, islice
 from math import factorial
+from typing import Iterator
 
 from .betti import _digit_limit, _power_factor, truncated_product
 from .errors import ResourceError, strict_int
@@ -114,49 +118,89 @@ def enumerate_words(space: GradedSpace, m: int, n: int) -> list[Word]:
     return out
 
 
+def _letter_table(space: GradedSpace) -> tuple[tuple[Letter, ...], list[int], list[int]]:
+    """The space's letters in order, with their degrees and parities."""
+    letters = space.letters
+    degrees = [space.components[i][0] for i, _ in letters]
+    return letters, degrees, [p % 2 for p in degrees]
+
+
+def _word_counts(degrees: list[int], m_top: int, n_max: int) -> Iterator[list[int]]:
+    """Rows m = 0..m_top of word counts: entry n counts the length-m words of degree n.
+
+    Row m is row m - 1 times sum_p dim_p x^p, one truncated_product step.
+    """
+    per_degree = [0] * (n_max + 1)
+    for p in degrees:
+        if p <= n_max:
+            per_degree[p] += 1
+    row = [1] + [0] * n_max
+    yield row
+    for _ in range(m_top):
+        row = truncated_product([row, per_degree], n_max)
+        yield row
+
+
+def _multiset_levels(
+    degrees: list[int], m_top: int, n_max: int
+) -> Iterator[tuple[list[int], dict[int, list[tuple[int, ...]]]]]:
+    """(word counts, letter multisets) of lengths m = 0..m_top, one length held at a time.
+
+    buckets[n] holds one non-decreasing tuple of letter indices per letter
+    multiset of degree n, for each n with at most MAX_WORDS words.  Each tuple
+    extends one of the length before by a letter no smaller than its last, so
+    the walk goes level by level and never recurses.  Appending a letter of
+    degree p maps the words of (m - 1, n - p) one-to-one into those of (m, n),
+    so every prefix of a multiset within the cap lies within it too, and
+    pruning the cells over it loses none.
+    """
+    buckets: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    for m, counts in enumerate(_word_counts(degrees, m_top, n_max)):
+        if m:
+            grown: dict[int, list[tuple[int, ...]]] = {}
+            for n, words in buckets.items():
+                for w in words:
+                    for k in range(w[-1] if w else 0, len(degrees)):
+                        total = n + degrees[k]
+                        if total <= n_max and counts[total] <= MAX_WORDS:
+                            grown.setdefault(total, []).append(w + (k,))
+            buckets = grown
+        yield counts, buckets
+
+
+def _word_cap(m: int, n: int, total: int) -> EnumerationCapError:
+    return EnumerationCapError(
+        f"component (m={m}, n={n}) has {total} words, over the enumeration cap {MAX_WORDS}"
+    )
+
+
 def count_words(space: GradedSpace, m: int, n: int) -> int:
-    """Number of length-m words of multidegree n (no enumeration)."""
+    """Number of length-m words of multidegree n: row m of the word counts (no enumeration)."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
-    degrees = [p for p, dim in space.components if dim]
+    _, degrees, _ = _letter_table(space)
     # no length-m word reaches degree n: skip the m-fold product
     if not degrees or not m * min(degrees) <= n <= m * max(degrees):
         return int(m == n == 0)
-    letters_by_degree = [0] * (n + 1)
-    for p, dim in space.components:
-        if p <= n:
-            letters_by_degree[p] += dim
-    return truncated_product([letters_by_degree] * m, n)[n]
+    return next(islice(_word_counts(degrees, m, n), m, None))[n]
 
 
 def letter_multisets(space: GradedSpace, m: int, n: int) -> list[Word]:
     """One sorted word per letter multiset of length m and multidegree n, lexicographically.
 
-    The non-decreasing words of enumerate_words: each letter index starts at
-    the one before it.
+    The non-decreasing words of enumerate_words, read off the multiset walk;
+    a component over MAX_WORDS words raises EnumerationCapError, as the walk
+    prunes it.
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
-    letters = space.letters
-    degs = [space.letter_degree(L) for L in letters]
-    lo, hi = min(degs, default=0), max(degs, default=0)
-    out: list[Word] = []
-    word: list[Letter] = []
-
-    def extend(start: int, remaining: int, deficit: int) -> None:
-        if remaining == 0:
-            if deficit == 0:
-                out.append(tuple(word))
-            return
-        for k in range(start, len(letters)):
-            rest = deficit - degs[k]
-            if (remaining - 1) * lo <= rest <= (remaining - 1) * hi:
-                word.append(letters[k])
-                extend(k, remaining - 1, rest)
-                word.pop()
-
-    extend(0, m, n)
-    return out
+    if m > n:  # every degree is >= 1
+        return []
+    letters, degrees, _ = _letter_table(space)
+    counts, buckets = next(islice(_multiset_levels(degrees, m, n), m, None))
+    if counts[n] > MAX_WORDS:
+        raise _word_cap(m, n, counts[n])
+    return sorted(tuple(letters[k] for k in w) for w in buckets.get(n, ()))
 
 
 @cache
@@ -177,54 +221,100 @@ def _adjacent_swaps(m: int) -> bytes:
     return bytes(out)
 
 
-def project(space: GradedSpace, word: Word) -> dict[Word, Fraction]:
-    """Apply the super-symmetrizing projector to a basis word.
+def _orbit_sum(word: tuple, odd: list[int]) -> dict[tuple, int]:
+    """The m! letter orders of word, summed with their graded signs: {order: integer}.
 
-    Averages the m! letter permutations with their graded signs into the
-    nonzero {word: coefficient} terms; full cancellation is possible (a
-    repeated odd-degree letter projects to {}).  The orders are visited by
-    adjacent swaps, each of which adds or removes one inversion, so the sign
-    flips exactly when the two swapped letters both have odd degree.
+    odd[i] is the parity of word[i]; the list is permuted along with the
+    letters.  The orders are visited by adjacent swaps, each of which adds or
+    removes one inversion, so the sign flips exactly when the two swapped
+    letters both have odd degree.
     """
-    letters = list(word)
-    odd = [space.letter_degree(L) % 2 for L in word]
-    acc: dict[Word, int] = {word: 1}
+    items = list(word)
+    acc = {word: 1}
     sign = 1
     for i in _adjacent_swaps(len(word)):
         j = i + 1
         if odd[i] and odd[j]:
             sign = -sign
-        letters[i], letters[j] = letters[j], letters[i]
+        items[i], items[j] = items[j], items[i]
         odd[i], odd[j] = odd[j], odd[i]
-        permuted = tuple(letters)
+        permuted = tuple(items)
         acc[permuted] = acc.get(permuted, 0) + sign
+    return acc
+
+
+def project(space: GradedSpace, word: Word) -> dict[Word, Fraction]:
+    """Apply the super-symmetrizing projector to a basis word.
+
+    The orbit sum over m!: the nonzero {word: coefficient} terms; full
+    cancellation is possible (a repeated odd-degree letter projects to {}).
+    """
+    acc = _orbit_sum(word, [space.letter_degree(L) % 2 for L in word])
     budget = factorial(len(word))
     return {w: Fraction(c, budget) for w, c in acc.items() if c}
 
 
-def sym_component_dim_bruteforce(space: GradedSpace, m: int, n: int) -> int:
-    """Dimension of the projected (m, n) component, one projection per orbit.
+def sym_component_rows_bruteforce(
+    space: GradedSpace, m_max: int, n_max: int
+) -> Iterator[list[int | EnumerationCapError] | tuple[int, ...]]:
+    """The rows dims[m] of sym_component_dims_bruteforce, one at a time.
+
+    Only the cells with words are visited; rows past n_max // (least letter
+    degree) have none and are one shared tuple of zeros.
+    """
+    if m_max < 0 or n_max < 0:
+        raise ValueError("the m and n bounds must be non-negative")
+    _, degrees, odd = _letter_table(space)
+    m_top = min(m_max, n_max // min(degrees)) if degrees else 0
+    for m, (counts, buckets) in enumerate(_multiset_levels(degrees, m_top, n_max)):
+        row: list[int | EnumerationCapError] = [0] * (n_max + 1)
+        for n in compress(range(n_max + 1), counts):
+            # a cell within the word cap has at least one multiset
+            total, multisets = counts[n], buckets.get(n, ())
+            if total > MAX_WORDS:
+                row[n] = _word_cap(m, n, total)
+            elif (perms := len(multisets) * factorial(m)) > MAX_PERMUTATIONS:
+                row[n] = EnumerationCapError(
+                    f"component (m={m}, n={n}) needs {len(multisets)} letter multisets x {m}! = "
+                    f"{perms} projector permutations, over the permutation budget {MAX_PERMUTATIONS}"
+                )
+            else:
+                row[n] = sum(
+                    1 for w in multisets if any(_orbit_sum(w, [odd[k] for k in w]).values())
+                )
+        yield row
+    zeros = (0,) * (n_max + 1)
+    for _ in range(m_max - m_top):
+        yield zeros
+
+
+def sym_component_dims_bruteforce(
+    space: GradedSpace, m_max: int, n_max: int
+) -> list[list[int | EnumerationCapError] | tuple[int, ...]]:
+    """Projector dimensions of the (m, n) components, as rows dims[m][n], one projection per orbit.
 
     The words of one letter multiset form a single permutation orbit and
     P(sigma w) = +-P(w), so that block's image is span{P(w0)} for its sorted
-    word w0: it contributes 1 if the signed average P(w0) is nonzero, else 0.
-    Components over MAX_WORDS words or MAX_PERMUTATIONS permutations (m! per
-    multiset) raise EnumerationCapError before any projection.
+    word w0: it adds 1 if the orbit sum of w0 has a nonzero coefficient, else
+    0.  A component over MAX_WORDS words or MAX_PERMUTATIONS permutations (m!
+    per multiset) holds, in place of its dimension, the EnumerationCapError
+    sym_component_dim_bruteforce raises for it, decided before any of its
+    words is walked or projected.  The word counts and multisets of every
+    length come from one walk.
     """
-    total = count_words(space, m, n)
-    if total > MAX_WORDS:
-        raise EnumerationCapError(
-            f"component (m={m}, n={n}) has {total} words, over the enumeration "
-            f"cap {MAX_WORDS}"
-        )
-    multisets = letter_multisets(space, m, n)
-    perms = len(multisets) * factorial(m)
-    if perms > MAX_PERMUTATIONS:
-        raise EnumerationCapError(
-            f"component (m={m}, n={n}) needs {len(multisets)} letter multisets x {m}! = "
-            f"{perms} projector permutations, over the permutation budget {MAX_PERMUTATIONS}"
-        )
-    return sum(1 for w0 in multisets if project(space, w0))
+    return list(sym_component_rows_bruteforce(space, m_max, n_max))
+
+
+def sym_component_dim_bruteforce(space: GradedSpace, m: int, n: int) -> int:
+    """Dimension of the projected (m, n) component: one entry of sym_component_dims_bruteforce.
+
+    Raises that entry's EnumerationCapError over MAX_WORDS words or
+    MAX_PERMUTATIONS permutations.
+    """
+    dim = sym_component_dims_bruteforce(space, m, n)[m][n]
+    if isinstance(dim, EnumerationCapError):
+        raise dim
+    return dim
 
 
 def sym_component_dims(space: GradedSpace, m_max: int, n_max: int) -> list[list[int]]:

@@ -212,6 +212,26 @@ def test_algebra_check_cap_skips_exit_3(capsys, monkeypatch):
     assert any(row["status"] == "skipped" for row in doc["rows"])
 
 
+def test_skipped_betti_row_takes_the_reason_of_its_first_capped_word_length(capsys, monkeypatch):
+    # beta = [0, 1, 1], n = 4: the cells m = 3 and m = 4 are both over a budget of 2
+    monkeypatch.setattr(graded_algebra, "MAX_PERMUTATIONS", 2)
+    grid = '{"l_max":0,"betti_d_max":2,"betti_beta_max":1,"betti_n_max":5}'
+    code, out, _ = run(capsys, "algebra-check", "--grid", grid)
+    assert code == EXIT_PARTIAL
+    rows = json.loads(out)["rows"]
+    assert "component (m=3, n=4)" in rows[-2]["reason"]
+    for row in rows:
+        space = graded_algebra.GradedSpace(tuple(enumerate(row["beta"]))[1:])
+        n = int(row["n"])
+        try:
+            brute = sum(graded_algebra.sym_component_dim_bruteforce(space, m, n)
+                        for m in range(n + 1))
+        except graded_algebra.EnumerationCapError as exc:
+            assert row["status"] == "skipped" and row["reason"] == str(exc)
+        else:
+            assert row["brute"] == str(brute)
+
+
 def test_algebra_check_permutation_budget_skips_exit_3_at_once():
     # one odd letter: the (m, m) component is one multiset of m! permutations,
     # 3.6 million at m = 10; rows over the budget are skipped, never started
@@ -230,9 +250,10 @@ def test_algebra_check_permutation_budget_skips_exit_3_at_once():
 
 
 def test_betti_rows_of_a_long_series_take_seconds():
-    # 904 rows up to n = 300: each row sums the brute force over word lengths
-    # m <= n, and count_words skips every m no length-m word can reach; the
-    # full m-fold products made this grid run past 120 s
+    # 904 rows up to n = 300: each row sums one column of its vector's
+    # brute-force table over word lengths m <= n, and the table counts the
+    # words of every length in one truncated_product step per m; an m-fold
+    # product for every (m, n) made this grid run past 120 s
     grid = ('{"l_max":1,"degree_max":1,"dim_max":1,"m_max":0,"n_max":0,'
             '"betti_d_max":1,"betti_beta_max":2,"betti_n_max":300}')
     started = time.perf_counter()
@@ -241,6 +262,61 @@ def test_betti_rows_of_a_long_series_take_seconds():
     assert done.returncode == EXIT_PARTIAL
     summary = json.loads(done.stdout)["summary"]
     assert summary["instances"] == "904" and summary["mismatches"] == "0"
+
+
+def test_betti_rows_a_thousand_letters_deep_skip_at_once():
+    # beta_1 = 1: row n holds one word of n letters, over the permutation budget
+    # from n = 8 on; the multiset walk recursed n levels deep and raised
+    # RecursionError (exit 1) after 37 s
+    grid = '{"l_max":0,"betti_d_max":1,"betti_beta_max":1,"betti_n_max":1000}'
+    started = time.perf_counter()
+    done = run_subprocess("algebra-check", "--grid", grid, timeout=60)
+    assert time.perf_counter() - started < 30
+    assert done.returncode == EXIT_PARTIAL, done.stderr
+    rows = json.loads(done.stdout)["rows"]
+    assert len(rows) == 2002
+    low = [row for row in rows if int(row["n"]) < 8]
+    assert len(low) == 16 and all(row["brute"] == row["formula"] for row in low)
+    for row in rows[1001 + 8:]:
+        assert row["beta"] == [0, 1] and row["status"] == "skipped"
+        assert f"1 letter multisets x {row['n']}! = " in row["reason"]
+
+
+def spy_on_the_brute_force(monkeypatch):
+    calls = []
+    for name in ("sym_component_dims_bruteforce", "sym_component_rows_bruteforce"):
+        monkeypatch.setattr(graded_algebra, name, lambda *args: calls.append(args) or [])
+    return calls
+
+
+def test_grid_whose_permutation_reason_passes_the_digit_limit_exits_4_before_any_work(
+        capsys, monkeypatch):
+    # row 1600 of beta_1 = 1 names 1600!, 4,434 digits: formatting it would
+    # raise ValueError (exit 2) after the sweep
+    calls = spy_on_the_brute_force(monkeypatch)
+    grid = '{"l_max":0,"betti_d_max":1,"betti_beta_max":1,"betti_n_max":1600}'
+    code, out, err = run(capsys, "algebra-check", "--grid", grid)
+    assert code == EXIT_RESOURCE and out == "" and calls == []
+    assert err.count("\n") == 1 and "more than 4300 decimal digits" in err
+
+
+@pytest.mark.parametrize("n_max, code", [(310, EXIT_PARTIAL), (311, EXIT_RESOURCE)])
+def test_grid_permutation_reasons_are_refused_at_the_digit_limit_exactly(n_max, code):
+    # 310! has 640 digits and 311! has 642; no vector holds a letter at betti_beta_max 0
+    grid = {"l_max": 0, "betti_d_max": 1, "betti_beta_max": 1, "betti_n_max": n_max}
+    done = run_subprocess_at_digit_limit(640, "algebra-check", "--grid", json.dumps(grid))
+    assert done.returncode == code, done.stderr
+    grid["betti_beta_max"] = 0
+    done = run_subprocess_at_digit_limit(640, "algebra-check", "--grid", json.dumps(grid))
+    assert done.returncode == EXIT_OK, done.stderr
+
+
+def test_grid_without_betti_degrees_is_refused_before_any_work(capsys, monkeypatch):
+    # d = 0 was refused by BettiVector, after every brute-force row of the dims sweep
+    calls = spy_on_the_brute_force(monkeypatch)
+    code, out, err = run(capsys, "algebra-check", "--grid", '{"betti_d_max": 0}')
+    assert code == EXIT_INPUT and out == "" and calls == []
+    assert err == "error: grid.betti_d_max must be >= 1, got 0\n"
 
 
 def test_grid_row_budget_counts_the_rows_before_the_first_and_is_inclusive(capsys, monkeypatch):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formula_oracles import (
@@ -31,6 +31,7 @@ from gammahodge.graded_algebra import (
     sym_component_dim_bruteforce,
     sym_component_dim_closed,
     sym_component_dims,
+    sym_component_dims_bruteforce,
 )
 from gammahodge.linalg import rank
 
@@ -327,18 +328,18 @@ def test_blocked_bruteforce_equals_full_gram_rank(space, m, n):
 
 def test_bruteforce_projects_once_per_letter_multiset(monkeypatch):
     # each multiset block is one orbit with image span{P(w0)}, so one
-    # projection per block decides its dimension
+    # orbit sum per block decides its dimension
     calls = []
+    orbit_sum = graded_algebra._orbit_sum
     monkeypatch.setattr(
-        graded_algebra, "project", lambda space, w: calls.append(w) or project(space, w)
+        graded_algebra, "_orbit_sum", lambda w, odd: calls.append(w) or orbit_sum(w, odd)
     )
     space = GradedSpace(((1, 3), (2, 2)))
-    for m, n in ((3, 5), (4, 6), (3, 3)):
-        calls.clear()
-        multisets = {tuple(sorted(w)) for w in enumerate_words(space, m, n)}
-        assert len(multisets) < count_words(space, m, n)
-        assert sym_component_dim_bruteforce(space, m, n) == sym_component_dim_closed(space, m, n)
-        assert sorted(calls) == sorted(multisets)
+    cells = [(m, n) for m in range(5) for n in range(7)]
+    multisets = {tuple(sorted(w)) for m, n in cells for w in enumerate_words(space, m, n)}
+    assert len(multisets) < sum(count_words(space, m, n) for m, n in cells)
+    assert sym_component_dims_bruteforce(space, 4, 6) == sym_component_dims(space, 4, 6)
+    assert sorted(tuple(space.letters[k] for k in w) for w in calls) == sorted(multisets)
 
 
 @settings(max_examples=50, deadline=None)
@@ -375,6 +376,79 @@ def test_sym_component_dims_table_equals_bruteforce(space, m_max, n_max):
                 assert value == sym_component_dim_bruteforce(space, m, n), (m, n)
             except EnumerationCapError:
                 pass
+
+
+def oracle_cell(space, m, n, max_words, max_perms):
+    """One (m, n) cell by the per-cell route: every word listed, every order permuted."""
+    words = enumerate_words(space, m, n)
+    if len(words) > max_words:
+        return f"component (m={m}, n={n}) has {len(words)} words, over the enumeration cap {max_words}"
+    multisets = set(tuple(sorted(w)) for w in words)
+    perms = len(multisets) * factorial(m)
+    if perms > max_perms:
+        return (f"component (m={m}, n={n}) needs {len(multisets)} letter multisets x {m}! = "
+                f"{perms} projector permutations, over the permutation budget {max_perms}")
+    return sum(1 for w in multisets if project_by_permutations(space, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=spaces, m_max=st.integers(0, 5), n_max=st.integers(0, 9),
+       max_words=st.integers(0, 40), max_perms=st.integers(0, 150))
+# the first two hit both caps; the third prunes most cells at a word cap of 4
+@example(space=GradedSpace(((1, 2), (2, 1))), m_max=5, n_max=9, max_words=30, max_perms=100)
+@example(space=GradedSpace(((1, 1), (3, 2))), m_max=5, n_max=9, max_words=8, max_perms=24)
+@example(space=GradedSpace(((1, 2), (2, 2))), m_max=4, n_max=6, max_words=4, max_perms=150)
+def test_bruteforce_table_equals_the_per_cell_oracles(space, m_max, n_max, max_words, max_perms):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graded_algebra, "MAX_WORDS", max_words)
+        patch.setattr(graded_algebra, "MAX_PERMUTATIONS", max_perms)
+        table = sym_component_dims_bruteforce(space, m_max, n_max)
+    assert len(table) == m_max + 1
+    for m, row in enumerate(table):
+        assert len(row) == n_max + 1
+        for n, cell in enumerate(row):
+            expected = oracle_cell(space, m, n, max_words, max_perms)
+            if isinstance(expected, str):
+                assert isinstance(cell, EnumerationCapError) and str(cell) == expected, (m, n)
+            else:
+                assert cell == expected, (m, n)
+
+
+def test_bruteforce_table_skips_with_both_reasons(monkeypatch):
+    monkeypatch.setattr(graded_algebra, "MAX_WORDS", 30)
+    monkeypatch.setattr(graded_algebra, "MAX_PERMUTATIONS", 100)
+    table = sym_component_dims_bruteforce(GradedSpace(((1, 2), (2, 1))), 5, 9)
+    reasons = [str(cell) for row in table for cell in row if isinstance(cell, EnumerationCapError)]
+    assert any("enumeration cap 30" in r for r in reasons)
+    assert any("permutation budget 100" in r for r in reasons)
+
+
+def test_bruteforce_walk_reaches_deep_rows_without_recursing():
+    # one letter: its length-1100 word is 1100 levels deep, past the recursion limit
+    space = GradedSpace(((1, 1),))
+    assert letter_multisets(space, 1100, 1100) == [((0, 0),) * 1100]
+    assert count_words(space, 1100, 1100) == 1
+    table = sym_component_dims_bruteforce(space, 1000, 1000)
+    assert [table[m][m] for m in range(8)] == [1, 1, 0, 0, 0, 0, 0, 0]
+    assert "1 letter multisets x 1000!" in str(table[1000][1000])
+
+
+def test_bruteforce_table_rows_past_the_least_degree_are_zero():
+    # length-2 words of degree-4 letters reach degree 8 > n_max: no walk past m = 1
+    space = GradedSpace(((4, 2), (5, 1)))
+    assert sym_component_dims_bruteforce(space, 4, 6) == [
+        [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 1, 0], *[(0,) * 7] * 3
+    ]
+    assert sym_component_dims_bruteforce(GradedSpace(((1, 0),)), 3, 2) == [[1, 0, 0], *[(0,) * 3] * 3]
+
+
+def test_letter_multisets_refuse_a_component_over_the_word_cap(monkeypatch):
+    space = GradedSpace(((1, 3),))
+    monkeypatch.setattr(graded_algebra, "MAX_WORDS", 9)
+    assert len(letter_multisets(space, 2, 2)) == 6
+    monkeypatch.setattr(graded_algebra, "MAX_WORDS", 8)
+    with pytest.raises(EnumerationCapError, match=r"\(m=2, n=2\) has 9 words, over the enumeration cap 8"):
+        letter_multisets(space, 2, 2)
 
 
 def test_sym_component_dims_keeps_long_words_of_high_degree_apart():
