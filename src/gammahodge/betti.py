@@ -105,16 +105,22 @@ def truncated_product(factors: Iterable[Sequence[int]], n_max: int) -> list[int]
     poly = [1] + [0] * n_max
     for factor in factors:
         terms = [(j, fj) for j, fj in enumerate(factor[: n_max + 1]) if fj]
-        out = [0] * (n_max + 1)
-        for i, ci in enumerate(poly):
-            if ci:
-                top = n_max - i
-                for j, fj in terms:
-                    if j > top:
-                        break
-                    out[i + j] += ci * fj
-        poly = out
+        poly = _times_terms(poly, terms, n_max)
     return poly
+
+
+def _times_terms(poly: list[int], terms: list[tuple[int, int]], n_max: int) -> list[int]:
+    """Coefficients 0..n_max of poly (n_max + 1 of them) times sum fj x^j over the
+    nonzero terms (j, fj), j ascending: one step of truncated_product."""
+    out = [0] * (n_max + 1)
+    for i, ci in enumerate(poly):
+        if ci:
+            top = n_max - i
+            for j, fj in terms:
+                if j > top:
+                    break
+                out[i + j] += ci * fj
+    return out
 
 
 def config_betti(betti: BettiVector, n: int) -> int:

@@ -25,6 +25,7 @@ vector v is the statement that its projection is zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -32,7 +33,7 @@ from itertools import compress, islice
 from math import factorial
 from typing import Iterator
 
-from .betti import _digit_limit, _power_factor, truncated_product
+from .betti import _digit_limit, _power_factor, _times_terms, truncated_product
 from .errors import ResourceError, strict_int
 # Unused here; perfbench/tests/test_bench_trace.py reads graded_algebra.rank.
 from .linalg import rank  # noqa: F401
@@ -128,16 +129,13 @@ def _letter_table(space: GradedSpace) -> tuple[tuple[Letter, ...], list[int], li
 def _word_counts(degrees: list[int], m_top: int, n_max: int) -> Iterator[list[int]]:
     """Rows m = 0..m_top of word counts: entry n counts the length-m words of degree n.
 
-    Row m is row m - 1 times sum_p dim_p x^p, one truncated_product step.
+    Row m is row m - 1 times sum_p dim_p x^p, one step of truncated_product.
     """
-    per_degree = [0] * (n_max + 1)
-    for p in degrees:
-        if p <= n_max:
-            per_degree[p] += 1
+    terms = sorted(Counter(p for p in degrees if p <= n_max).items())  # (p, dim_p)
     row = [1] + [0] * n_max
     yield row
     for _ in range(m_top):
-        row = truncated_product([row, per_degree], n_max)
+        row = _times_terms(row, terms, n_max)
         yield row
 
 

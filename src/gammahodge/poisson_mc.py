@@ -32,8 +32,11 @@ RNG scheme ``philox4x64-block16384-v1``: sample index i draws from the
 Philox4x64 counter stream keyed (seed, i // 16384), all of a block's counts
 before its points, so the configuration at (seed, index) never depends on the
 sample count.  ``_blocks`` is the one reader: it draws a block's points one
-slice of whole samples at a time, and each check reduces one slice at a time
-(memory O(one slice)), bitwise equal to reducing the whole batch.
+slice of whole samples at a time, each slice expecting about SLICE_TARGET_BYTES
+of points, so that its few point-length arrays stay cache-sized.  Each check
+reduces one slice at a time into one array of per-sample values (memory O(one
+slice) plus 8 bytes a sample per value), bitwise equal to reducing the whole
+batch.  MAX_SLICE_BYTES only refuses a configuration too large to sample.
 """
 
 from __future__ import annotations
@@ -57,8 +60,11 @@ SHORT_CIRCUIT_REL_TOL = 1e-10
 TAIL_REL_TOL = 1e-12
 # Variates (a count, then dim coordinates per point) all blocks of a check may draw.
 MAX_DRAWS = 2**30
-# Expected bytes of one slice's points; a check holds at most about eight times this at
-# once (Mecke on a line).  The workloads this library targets fit a block in one slice.
+# Expected bytes of one slice's points: a slice's few point-length arrays then stay near
+# a 2 MiB L2 cache.  A slice holds whole samples, from 1 up to a whole block.
+SLICE_TARGET_BYTES = 2**20
+# Expected bytes of one configuration's points above which sampling is refused, its only
+# job; a one-sample slice at this edge holds about eight times it at once (Mecke on a line).
 MAX_SLICE_BYTES = 32 * 2**20
 # exp() of anything larger overflows a float, and JSON cannot carry inf.
 EXP_LIMIT = math.log(sys.float_info.max)
@@ -136,8 +142,12 @@ def _stream(seed: int, block: int) -> np.random.Generator:
 
 def _sampling_plan(window: Window, n_samples: int) -> tuple[int, int]:
     """The sample count and the samples per slice; every check runs it before any quadrature.
-    ValueError below one sample, ResourceError when one configuration expects more than
-    MAX_SLICE_BYTES of points or the samples would draw more than MAX_DRAWS variates."""
+
+    A slice holds as many whole samples as expect SLICE_TARGET_BYTES of points (never
+    more than MAX_SLICE_BYTES), at least one and at most a block.  ValueError below one
+    sample, ResourceError when one configuration expects more than MAX_SLICE_BYTES of
+    points or the samples would draw more than MAX_DRAWS variates.
+    """
     n_samples = strict_int(n_samples, "samples")
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -147,14 +157,16 @@ def _sampling_plan(window: Window, n_samples: int) -> tuple[int, int]:
                             f"over the {MAX_SLICE_BYTES / 2**20:.3g} MiB budget; shrink the window")
     if n_samples > MAX_DRAWS / (1 + window.volume * window.dim):
         raise ResourceError(f"{n_samples} samples would draw more than {MAX_DRAWS} variates")
-    return n_samples, int(min(STREAM_BLOCK, MAX_SLICE_BYTES / config_bytes))
+    target = min(SLICE_TARGET_BYTES, MAX_SLICE_BYTES)
+    return n_samples, max(1, int(min(STREAM_BLOCK, target / config_bytes)))
 
 
 def _blocks(window: Window, seed: int, n_samples: int, first: int = 0):
     """Yield counts, slice-local sample ids and points of n samples from block ``first`` on.
 
     Each block draws all its counts, then its points one slice of whole samples at a
-    time from the same stream: the same bits for every n_samples and slice size.
+    time from the same stream: the same bits for every n_samples and slice size.  The
+    uniform draws are scaled to the window one column at a time, in place.
     """
     n_samples, size = _sampling_plan(window, n_samples)
     for start in range(0, n_samples, STREAM_BLOCK):
@@ -163,13 +175,24 @@ def _blocks(window: Window, seed: int, n_samples: int, first: int = 0):
         for lo in range(0, counts.size, size):
             part = counts[lo : lo + size]
             points = g.random((int(part.sum()), window.dim))
-            points *= window.lengths
+            for col, length in zip(points.T, window.lengths):
+                col *= length
             yield part, np.repeat(np.arange(part.size), part), points
 
 
 def _per_sample(window: Window, seed: int, n_samples: int, per_slice) -> np.ndarray:
-    """per_slice(counts, sample_ids, points) of every slice, joined along samples."""
-    return np.concatenate([per_slice(*part) for part in _blocks(window, seed, n_samples)], axis=-1)
+    """per_slice(counts, sample_ids, points) of every slice, joined along samples.
+
+    Each slice's values go straight into one array allocated for every sample.
+    """
+    out, done = None, 0
+    for counts, sample_ids, points in _blocks(window, seed, n_samples):
+        values = per_slice(counts, sample_ids, points)
+        if out is None:
+            out = np.empty(values.shape[:-1] + (strict_int(n_samples, "samples"),), values.dtype)
+        out[..., done : done + counts.size] = values
+        done += counts.size
+    return out
 
 
 def sample_configuration(
@@ -247,9 +270,10 @@ class ScalarFunction:
         """Values at an (N, dim) array of points, one column at a time.
 
         A box ANDs and a Gaussian sums its columns into one vector: the bits of
-        np.all / np.sum along the short axis 1, at a fraction of their cost.  A
-        box or Gaussian needs one column per axis (ValueError); an indicator
-        takes any (N, dim).
+        np.all / np.sum along the short axis 1, at a fraction of their cost.
+        Each kernel works in place in point-length buffers of its own, in the
+        operation order of the plain expressions.  A box or Gaussian needs
+        one column per axis (ValueError); an indicator takes any (N, dim).
         """
         pts = np.asarray(points, dtype=float)
         if self.kind == "indicator":
@@ -260,16 +284,24 @@ class ScalarFunction:
                 f"{self.kind} function has {len(axes)} axes, got points of shape {pts.shape}"
             )
         if self.kind == "box":
-            inside = np.ones(len(pts), dtype=bool)
+            inside, test = np.ones(len(pts), dtype=bool), np.empty(len(pts), dtype=bool)
             for col, lo, hi in zip(pts.T, self.lo, self.hi):
-                inside &= (col >= lo) & (col <= hi)
-            return self.scale * inside.astype(float)
-        total = np.zeros(len(pts))
+                inside &= np.greater_equal(col, lo, out=test)
+                inside &= np.less_equal(col, hi, out=test)
+            values = inside.astype(float)
+            values *= self.scale  # 0.0 * a negative scale is -0.0, as scale * 0.0 is
+            return values
+        total, z = np.zeros(len(pts)), np.empty(len(pts))
         with np.errstate(over="ignore"):  # far from the center z * z may reach inf: exp(-inf) = 0
             for col, c, w in zip(pts.T, self.center, self.width):
-                z = (col - c) / w
-                total += z * z
-            return self.scale * np.exp(-total)
+                np.subtract(col, c, out=z)
+                z /= w
+                z *= z
+                total += z
+            np.negative(total, out=total)
+            np.exp(total, out=total)
+            total *= self.scale
+            return total
 
     def support(self, window: Window) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Smallest box outside which the function vanishes, clipped to the window.
@@ -631,9 +663,12 @@ def _subset_sums(m, g, phi, totals, sample_ids, n_samples, coeffs):
         return np.bincount(sample_ids, weights=weights, minlength=n_samples)
 
     q, e = [], []  # q_k = (-1)^{k-1} p_k and e_1..e_{j-1}; e_0 = 1 stays implicit
+    buf = np.empty_like(phi)  # g^k phi, then g^k phi^2
     for j, gk in enumerate(accumulate(repeat(g, m), np.multiply), 1):
-        sign, gk_phi = (-1) ** (j - 1), gk * phi
-        q.append((sign * red(gk), -sign * j * red(gk_phi), sign * j * j / 2 * red(gk_phi * phi)))
+        sign, p0 = (-1) ** (j - 1), red(gk)
+        p1 = red(np.multiply(gk, phi, out=buf))
+        buf *= phi
+        q.append((sign * p0, -sign * j * p1, sign * j * j / 2 * red(buf)))
         acc = q[-1]
         for (a0, a1, a2), (b0, b1, b2) in zip(e, reversed(q[:-1])):  # e_{j-k} q_k, k < j
             acc = (acc[0] + a0 * b0, acc[1] + a0 * b1 + a1 * b0, acc[2] + a0 * b2 + a1 * b1 + a2 * b0)

@@ -331,6 +331,40 @@ def test_evaluate_refuses_points_with_other_axes(f, points):
         f.evaluate(points)
 
 
+# one of each kernel: a box whose negative scale leaves -0.0 outside it, and a Gaussian
+# so narrow that z * z overflows to inf, and exp(-inf) = 0, far from its center
+LAYOUT_CASES = [
+    ScalarFunction(kind="indicator", scale=-0.4),
+    ScalarFunction(kind="box", scale=-0.7, lo=(0.2, 0.1, 0.0), hi=(0.8, 0.5, 0.9)),
+    ScalarFunction(kind="gaussian", scale=1.3, center=(0.5, 0.4, 0.3), width=(1e-160, 0.3, 2.0)),
+]
+
+
+@pytest.mark.parametrize("f", LAYOUT_CASES, ids=["indicator", "negative box", "overflowing gaussian"])
+def test_evaluate_gives_the_same_bits_on_every_memory_layout(f):
+    rows = np.random.default_rng(5).random((257, 3))
+    rows[:3] = f.center or f.lo or 0.0  # one row on the box's lower corner or at the center
+    wide = np.zeros((257, 7))
+    wide[:, 1:7:2] = rows
+    layouts = {"C": np.ascontiguousarray(rows), "F": np.asfortranarray(rows),
+               "strided": wide[:, 1:7:2], "reversed": rows[::-1].copy()[::-1]}
+    assert layouts["F"].flags.f_contiguous and not layouts["F"].flags.c_contiguous
+    assert layouts["strided"].strides == (56, 16) and layouts["reversed"].strides == (-24, 8)
+    with np.errstate(over="ignore"):  # the oracle divides outside its errstate
+        want = evaluate_rowwise(f, rows).view(np.uint64).tolist()
+    for name, points in layouts.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # z overflowing to inf is silent here
+            got = f.evaluate(points)
+        assert got.flags.c_contiguous and got.view(np.uint64).tolist() == want, name
+    values = f.evaluate(rows)
+    if f.kind == "box":
+        assert (values == -0.7).any() and (values == 0.0).any()
+        assert np.signbit(values[values == 0.0]).all()
+    if f.kind == "gaussian":
+        assert values[0] == 1.3 and (values[3:] == 0.0).all()
+
+
 def test_indicator_takes_points_of_any_number_of_axes():
     f = ScalarFunction(kind="indicator", scale=0.3)
     for points in (np.zeros((2, 1)), np.zeros((3, 3)), np.zeros((0, 2))):
@@ -730,6 +764,23 @@ def test_mecke_memory_stays_within_a_constant_of_one_slice(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 10 * poisson_mc.MAX_SLICE_BYTES
+
+
+def test_a_check_on_the_heaviest_benchmark_shape_holds_a_few_slice_targets():
+    # mecke m = 3 on a volume-20 3-D box: 480 bytes of points a configuration, so each
+    # slice holds 2,184 samples and expects one slice target (1 MiB) of points.  Besides
+    # those points a slice holds about six point-length vectors of a third of that
+    # (sample ids, g and phi, two powers of g and the subset sums' buffer); the
+    # per-sample values of the block (two floats a sample) outlive every slice.
+    window = Window(lengths=(2.0, 2.0, 5.0))
+    check_mecke(3, INDICATOR, CONST, None, window, 100, 1)  # warm the quadrature caches
+    tracemalloc.start()
+    try:
+        check_mecke(3, INDICATOR, CONST, None, window, STREAM_BLOCK, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * poisson_mc.SLICE_TARGET_BYTES + 2 * 8 * STREAM_BLOCK
 
 
 @pytest.mark.parametrize("call, field", [
