@@ -6,11 +6,12 @@ run (grid points skipped over a brute-force budget), 4 resource limit (the
 request would exceed a fixed work or memory budget).  Each warning is one
 ``warning:`` line on stderr.  Exact integers are emitted as decimal strings;
 Monte Carlo values as floats.  Replies are the text of json.dumps with
-indent=2, written by ``_dumps``.  Output files are written atomically (temp
-file + rename), to a path checked before the command runs.  The argument
-parser is built once per process, by the first ``main`` call, and reused;
-``main`` is reentrant, and every call parses afresh from the parser's
-defaults.
+indent=2, written by ``_dumps`` in one C-encoder call per container or per
+batch of 64 row dicts, nested children stood in by a marker string (a fresh
+one if the payload holds it).  Output files are written atomically (temp file
++ rename), to a path checked before the command runs.  The argument parser is
+built once per process, by the first ``main`` call, and reused; ``main`` is
+reentrant, and every call parses afresh from the parser's defaults.
 """
 
 from __future__ import annotations
@@ -82,44 +83,71 @@ def _read_json_source(source: str) -> dict:
 
 _NESTED = (list, tuple, dict)
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-# indent level -> _level's triple, built on first use
+# the stand-in of a nested child in the C encoder's text, and the row dicts per C call
+_MARKER, _BATCH = "@gammahodge-child@", 64
+# indent level -> _level's tuple, built on first use
 _LEVELS: dict = {}
 
 
 def _level(level: int) -> tuple:
-    """(encoder, item separator, closing pad) of the containers at one indent level.
+    """(encoder, item separator, closing pad, joint, joint's rendering) at one indent level.
 
     The encoder writes a container's items one per line at level + 1's indent:
-    its item separator carries the newline and indent, which is all that an
-    indent of 2 puts between items, and the C encoder, which ignores indent,
-    honours it.
+    its item separator carries the newline and indent, which is all that an indent
+    of 2 puts between items; the C encoder, which ignores indent, honours it.  The
+    joint "}" + separator + "{" can only lie between two dicts of a list.
     """
     found = _LEVELS.get(level)
     if found is None:
-        separator = ",\n" + "  " * (level + 1)
-        if c_make_encoder is None:
-            encoder = json.JSONEncoder(separators=(separator, ": ")).iterencode
-        else:
-            encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
-                                     None, ": ", separator, False, False, True)
-        found = _LEVELS[level] = (encoder, separator, "\n" + "  " * level)
+        separator, close = ",\n" + "  " * (level + 1), "\n" + "  " * level
+        encoder = (json.JSONEncoder(separators=(separator, ": ")).iterencode if c_make_encoder is None
+                   else c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                                       None, ": ", separator, False, False, True))
+        found = _LEVELS[level] = (encoder, separator, close, "}" + separator + "{",
+                                  f"{close}}},{close}{{{separator[1:]}")
     return found
 
 
 def _dumps(payload) -> str:
     """The JSON text of payload with an indent of 2, as json.dumps gives it byte for byte.
 
-    A container is encoded in one C call with each nested child stood in by 0;
-    no encoded key or scalar holds a raw newline, so splitting that text on the
-    item separator gives one piece per item, and each stand-in gives way to the
-    child's own rendering.  Renderings go into one list of parts, joined once
-    at the end, so no subtree's text is copied level by level.  The parts of
-    each rendering are memoised by (id, level), so a shared subtree is rendered
-    once per level; the memo holds each object so that no id is reused while
-    the payload is written.
+    A container, or a batch of _BATCH dicts from a list of non-empty dicts such
+    as a reply's rows, is encoded in one C call with each nested child stood in
+    by _MARKER; split on the marker's encoded form, that text gives the pieces
+    around each child's rendering.  More pieces than stand-ins mean that a key or
+    string of the payload holds the marker: the text is encoded again with a fresh
+    one.  Parts go into one list, joined once, so no subtree's text is copied
+    level by level.  Each rendering's parts are memoised by (id, level), with the
+    object so that no id is reused, and a shared subtree is rendered once a level.
     """
-    out = []
-    memo = {}
+    out, memo = [], {}
+
+    def splice(batch, level: int, lead: str = "") -> None:
+        """Write lead, then batch's containers at level as items of one list, children in place."""
+        encode, separator, close, joint, rendered = _LEVELS.get(level) or _level(level)
+        marker = _MARKER
+        while True:
+            shells, children = [], []
+            for obj in batch:
+                shell = dict(obj) if isinstance(obj, dict) else [*obj]
+                for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+                    # the exact scalar types, nearly every value, skip the slower isinstance
+                    if type(value) not in _SCALARS and isinstance(value, _NESTED):
+                        shell[key] = marker
+                        children.append(value)
+                shells.append(shell)
+            text = "".join(encode(shells, 0))[1:-1]
+            pieces = text.replace(joint, rendered).split(f'"{marker}"')
+            if len(pieces) == len(children) + 1:
+                break
+            marker += "+"
+        if len(text) > 2:  # an empty container keeps its two brackets
+            pieces[0] = text[0] + separator[1:] + pieces[0][1:]
+            pieces[-1] = f"{pieces[-1][:-1]}{close}{text[-1]}"
+        out.append(lead + pieces[0])
+        for i, child in enumerate(children, 1):
+            render(child, level + 1)
+            out.append(pieces[i])
 
     def render(obj, level: int) -> None:
         span = memo.get((id(obj), level))
@@ -127,33 +155,14 @@ def _dumps(payload) -> str:
             out.extend(out[span[0]:span[1]])
             return
         start = len(out)
-        encode, separator, close = _LEVELS.get(level) or _level(level)
-        is_dict = isinstance(obj, dict)
-        values = [*obj.values()] if is_dict else obj
-        # the exact scalar types, nearly every value, skip the slower isinstance
-        nested = [i for i, value in enumerate(values)
-                  if type(value) not in _SCALARS and isinstance(value, _NESTED)]
-        shell = obj
-        if nested:
-            shell = dict(obj) if is_dict else [*obj]
-            keys = [*obj] if is_dict else range(len(obj))
-            for i in nested:
-                shell[keys[i]] = 0
-        text = "".join(encode(shell, 0))
-        if len(text) == 2:  # an empty container keeps its two brackets
-            out.append(text)
-        elif not nested:
-            out.append(f"{text[0]}{separator[1:]}{text[1:-1]}{close}{text[-1]}")
+        if (isinstance(obj, dict) or not obj or not isinstance(obj[0], dict)
+                or not all(isinstance(row, dict) and row for row in obj)):
+            splice((obj,), level)
         else:
-            pieces = text[1:-1].split(separator)
-            lead, done = text[0] + separator[1:], 0
-            for i in nested:
-                # the items up to child i, less the stand-in 0 that its rendering replaces
-                out.append(lead + separator.join(pieces[done:i + 1])[:-1])
-                render(values[i], level + 1)
-                lead, done = separator, i + 1
-            rest = lead + separator.join(pieces[done:]) if done < len(pieces) else ""
-            out.append(f"{rest}{close}{text[-1]}")
+            separator, close = (_LEVELS.get(level) or _level(level))[1:3]
+            for i in range(0, len(obj), _BATCH):
+                splice(obj[i:i + _BATCH], level + 1, separator if i else "[" + separator[1:])
+            out.append(close + "]")
         memo[id(obj), level] = (start, len(out), obj)
 
     if not isinstance(payload, _NESTED):

@@ -45,10 +45,17 @@ Word = tuple[Letter, ...]
 MAX_WORDS = 20_000
 # Projector permutations (m! per letter multiset) it may run per component.
 MAX_PERMUTATIONS = 10_000
+# The two skip reasons, formatted only by EnumerationCapError.__str__.
+_WORD_CAP = "component (m={}, n={}) has {} words, over the enumeration cap {}"
+_PERM_CAP = ("component (m={}, n={}) needs {} letter multisets x {}! = {} projector permutations, "
+             "over the permutation budget {}")
 
 
 class EnumerationCapError(ResourceError):
     """A word component is over MAX_WORDS words or MAX_PERMUTATIONS permutations."""
+
+    def __str__(self) -> str:  # args: a template and its fields; a sweep reads few of its skips
+        return self.args[0].format(*self.args[1:])
 
 
 @dataclass(frozen=True)
@@ -166,12 +173,6 @@ def _multiset_levels(
         yield counts, buckets
 
 
-def _word_cap(m: int, n: int, total: int) -> EnumerationCapError:
-    return EnumerationCapError(
-        f"component (m={m}, n={n}) has {total} words, over the enumeration cap {MAX_WORDS}"
-    )
-
-
 def count_words(space: GradedSpace, m: int, n: int) -> int:
     """Number of length-m words of multidegree n: row m of the word counts (no enumeration)."""
     if m < 0 or n < 0:
@@ -197,7 +198,7 @@ def letter_multisets(space: GradedSpace, m: int, n: int) -> list[Word]:
     letters, degrees, _ = _letter_table(space)
     counts, buckets = next(islice(_multiset_levels(degrees, m, n), m, None))
     if counts[n] > MAX_WORDS:
-        raise _word_cap(m, n, counts[n])
+        raise EnumerationCapError(_WORD_CAP, m, n, counts[n], MAX_WORDS)
     return sorted(tuple(letters[k] for k in w) for w in buckets.get(n, ()))
 
 
@@ -270,12 +271,10 @@ def sym_component_rows_bruteforce(
             # a cell within the word cap has at least one multiset
             total, multisets = counts[n], buckets.get(n, ())
             if total > MAX_WORDS:
-                row[n] = _word_cap(m, n, total)
+                row[n] = EnumerationCapError(_WORD_CAP, m, n, total, MAX_WORDS)
             elif (perms := len(multisets) * factorial(m)) > MAX_PERMUTATIONS:
                 row[n] = EnumerationCapError(
-                    f"component (m={m}, n={n}) needs {len(multisets)} letter multisets x {m}! = "
-                    f"{perms} projector permutations, over the permutation budget {MAX_PERMUTATIONS}"
-                )
+                    _PERM_CAP, m, n, len(multisets), m, perms, MAX_PERMUTATIONS)
             else:
                 row[n] = sum(
                     1 for w in multisets if any(_orbit_sum(w, [odd[k] for k in w]).values())

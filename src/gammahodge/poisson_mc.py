@@ -46,7 +46,6 @@ import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -664,7 +663,9 @@ def _subset_sums(m, g, phi, totals, sample_ids, n_samples, coeffs):
 
     q, e = [], []  # q_k = (-1)^{k-1} p_k and e_1..e_{j-1}; e_0 = 1 stays implicit
     buf = np.empty_like(phi)  # g^k phi, then g^k phi^2
-    for j, gk in enumerate(accumulate(repeat(g, m), np.multiply), 1):
+    for j in range(1, m + 1):
+        # g^k = g^(k-1) g, raised in place from g^3 on, so that g^(k-1) and g^k are not both alive
+        gk = g if j == 1 else np.multiply(gk, g, out=gk if j > 2 else None)
         sign, p0 = (-1) ** (j - 1), red(gk)
         p1 = red(np.multiply(gk, phi, out=buf))
         buf *= phi
