@@ -9,7 +9,8 @@ Monte Carlo values as floats.  Replies are the text of json.dumps with
 indent=2, written by ``_dumps`` in one C-encoder call per container or per
 batch of 64 row dicts, nested children stood in by a marker string (a fresh
 one if the payload holds it).  Output files are written atomically (temp file
-+ rename), to a path checked before the command runs.  The argument parser is
++ rename) onto the regular file --output resolves to, checked before the command
+runs.  The argument parser is
 built once per process, by the first ``main`` call, and reused; ``main`` is
 reentrant, and every call parses afresh from the parser's defaults.
 """
@@ -30,7 +31,7 @@ from math import comb, factorial
 from . import betti as betti_mod
 from . import graded_algebra as ga
 from . import hodge_discrete as hodge
-from .errors import InvariantError, ResourceError, fields, strict_int
+from .errors import InvariantError, ResourceError, fields, strict_int, strict_seed
 from .linalg import gram
 
 EXIT_OK = 0
@@ -56,7 +57,17 @@ class _Parser(argparse.ArgumentParser):
 
 def integer(text: str) -> int:
     """argparse type of the integer flags: strict_int's rule, so '1_0' and ' 3' are refused."""
-    return strict_int(text, "flag")
+    try:
+        return strict_int(text, "flag")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+
+
+def count(text: str) -> int:
+    """argparse type of --n-max and --kron-probes: integer's rule, and at least 0."""
+    if (value := integer(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _read_json_source(source: str) -> dict:
@@ -184,7 +195,7 @@ def _emit(payload: dict, output: str | None) -> None:
         return
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(output)), suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(output), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         os.replace(tmp, output)
@@ -196,13 +207,17 @@ def _emit(payload: dict, output: str | None) -> None:
         raise
 
 
-def _check_output(output: str) -> None:
-    """Refuse, before any work, an --output path the reply could not be renamed onto."""
-    if os.path.isdir(output):
-        raise InputError(f"--output {output!r} is a directory")
-    directory = os.path.dirname(os.path.abspath(output))
+def _check_output(output: str) -> str:
+    """The path --output resolves to (a symlink's target), refused before any work unless
+    it is a regular file or a missing one in an existing directory: never a FIFO or device."""
+    target = os.path.realpath(output)
+    if os.path.exists(target) and not os.path.isfile(target):
+        what = "a directory" if os.path.isdir(target) else "not a regular file"
+        raise InputError(f"--output {output!r} is {what}")
+    directory = os.path.dirname(target)
     if not os.path.isdir(directory):
         raise InputError(f"--output {output!r}: {directory!r} is not a directory")
+    return target
 
 
 def cmd_betti(args: argparse.Namespace) -> tuple[dict, int]:
@@ -291,7 +306,7 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
         # one list per space, shared by its rows, so the reply writer renders it once
         components = [[p, d] for p, d in space.components]
         closed_rows = ga.sym_component_dims(space, grid["m_max"], grid["n_max"])
-        brute_rows = ga.sym_component_dims_bruteforce(space, grid["m_max"], grid["n_max"])
+        brute_rows = ga.sym_component_rows_bruteforce(space, grid["m_max"], grid["n_max"])
         for m, (closed_row, brute_row) in enumerate(zip(closed_rows, brute_rows)):
             for n, (closed, brute) in enumerate(zip(closed_row, brute_row)):
                 row = {
@@ -374,8 +389,9 @@ def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:
 
 def cmd_simplicial(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _read_json_source(args.input)
-    if args.kron_probes < 0:
-        raise InputError(f"--kron-probes must be non-negative, got {args.kron_probes}")
+    if args.seed is not None and not args.kron_probes:
+        raise InputError("--seed seeds the probes alone: it needs --kron-probes above 0")
+    seed = strict_seed(args.seed or 0)
     if args.kron_probes > MAX_KRON_PROBES:
         raise ResourceError(
             f"--kron-probes {args.kron_probes} is above the budget of {MAX_KRON_PROBES}"
@@ -401,7 +417,7 @@ def cmd_simplicial(args: argparse.Namespace) -> tuple[dict, int]:
     }
     code = EXIT_OK
     if args.kron_probes:
-        rows, all_equal = _kron_probe_rows(args.kron_probes, args.seed or 0)
+        rows, all_equal = _kron_probe_rows(args.kron_probes, seed)
         payload["kron_probes"] = rows
         if not all_equal:
             code = EXIT_INVARIANT
@@ -477,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", help="b_0..b_n from a Betti vector document")
     common(p)
-    p.add_argument("--n-max", type=integer, default=10)
+    p.add_argument("--n-max", type=count, default=10)
 
     p = sub.add_parser("algebra-check", help="closed-form vs brute-force dimension sweep")
     common(p, with_input=False)
@@ -485,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplicial", help="Betti numbers + Hodge split of a complex")
     common(p)
-    p.add_argument("--kron-probes", type=integer, default=0,
+    p.add_argument("--kron-probes", type=count, default=0,
                    help="also run this many random PSD Kronecker-sum kernel probes")
     p.add_argument("--seed", type=integer, help="seed for the probes")
 
@@ -496,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="complex -> Betti vector -> configuration b_n")
     common(p)
-    p.add_argument("--n-max", type=integer, default=10)
+    p.add_argument("--n-max", type=count, default=10)
     p.add_argument("--infinite-volume", action="store_true",
                    help="zero out beta_0 before the configuration formula (recorded)")
 
@@ -525,10 +541,9 @@ def main(argv=None) -> int:
             if _PARSER is None:
                 _PARSER = _build_parser()
             args = _PARSER.parse_args(argv)
-            if args.output is not None:
-                _check_output(args.output)
+            output = None if args.output is None else _check_output(args.output)
             payload, code = _COMMANDS[args.command](args)
-            _emit(payload, args.output)
+            _emit(payload, output)
         except InvariantError as exc:
             print(f"internal invariant violated: {exc}", file=sys.stderr)
             return EXIT_INVARIANT

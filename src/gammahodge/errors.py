@@ -36,6 +36,14 @@ def strict_int(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def strict_seed(value) -> int:
+    """``value`` read by strict_int as a seed of the 64-bit Philox key: an int in [0, 2**64)."""
+    seed = strict_int(value, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 def fields(doc, where: str, required=(), optional=()) -> dict:
     """``doc`` if it is a JSON object with every ``required`` key and no key outside
     ``required`` and ``optional``, else a one-line ValueError naming ``where``: a

@@ -12,7 +12,7 @@ graded sign
 so odd-degree letters anticommute and every other pair commutes.  All
 arithmetic is exact (ints and fractions.Fraction).  Component dimensions are
 available through two independent routes, each a table dims[m][n] built once
-per space: sym_component_dims_bruteforce, the signed orbit sum of one word per
+per space: sym_component_rows_bruteforce, the signed orbit sum of one word per
 letter multiset, from one walk that counts the words and buckets the
 multisets of each length in turn; and sym_component_dims, the closed-form
 count by wedge/symmetric powers read off the generating-function kernel of
@@ -256,10 +256,15 @@ def project(space: GradedSpace, word: Word) -> dict[Word, Fraction]:
 def sym_component_rows_bruteforce(
     space: GradedSpace, m_max: int, n_max: int
 ) -> Iterator[list[int | EnumerationCapError] | tuple[int, ...]]:
-    """The rows dims[m] of sym_component_dims_bruteforce, one at a time.
+    """Projector dimensions of the (m, n) components, one row dims[m] at a time.
 
-    Only the cells with words are visited; rows past n_max // (least letter
-    degree) have none and are one shared tuple of zeros.
+    The words of one letter multiset form one permutation orbit and P(sigma w) =
+    +-P(w), so the orbit adds 1 if the orbit sum of its sorted word has a nonzero
+    coefficient, else 0.  A cell over MAX_WORDS words or MAX_PERMUTATIONS
+    permutations (m! per multiset) holds the EnumerationCapError it is refused
+    with, decided before any word is projected.  One walk gives the word counts
+    and multisets of every length, and rows past n_max // (least letter degree)
+    have no words: they are one shared tuple of zeros.
     """
     if m_max < 0 or n_max < 0:
         raise ValueError("the m and n bounds must be non-negative")
@@ -285,30 +290,13 @@ def sym_component_rows_bruteforce(
         yield zeros
 
 
-def sym_component_dims_bruteforce(
-    space: GradedSpace, m_max: int, n_max: int
-) -> list[list[int | EnumerationCapError] | tuple[int, ...]]:
-    """Projector dimensions of the (m, n) components, as rows dims[m][n], one projection per orbit.
-
-    The words of one letter multiset form a single permutation orbit and
-    P(sigma w) = +-P(w), so that block's image is span{P(w0)} for its sorted
-    word w0: it adds 1 if the orbit sum of w0 has a nonzero coefficient, else
-    0.  A component over MAX_WORDS words or MAX_PERMUTATIONS permutations (m!
-    per multiset) holds, in place of its dimension, the EnumerationCapError
-    sym_component_dim_bruteforce raises for it, decided before any of its
-    words is walked or projected.  The word counts and multisets of every
-    length come from one walk.
-    """
-    return list(sym_component_rows_bruteforce(space, m_max, n_max))
-
-
 def sym_component_dim_bruteforce(space: GradedSpace, m: int, n: int) -> int:
-    """Dimension of the projected (m, n) component: one entry of sym_component_dims_bruteforce.
+    """Dimension of the projected (m, n) component: a cell of sym_component_rows_bruteforce.
 
-    Raises that entry's EnumerationCapError over MAX_WORDS words or
+    Raises that cell's EnumerationCapError over MAX_WORDS words or
     MAX_PERMUTATIONS permutations.
     """
-    dim = sym_component_dims_bruteforce(space, m, n)[m][n]
+    dim = next(islice(sym_component_rows_bruteforce(space, m, n), m, None))[n]
     if isinstance(dim, EnumerationCapError):
         raise dim
     return dim

@@ -31,9 +31,11 @@ closed form to 1e-10 relative before any sampling runs
 RNG scheme ``philox4x64-block16384-v1``: sample index i draws from the
 Philox4x64 counter stream keyed (seed, i // 16384), all of a block's counts
 before its points, so the configuration at (seed, index) never depends on the
-sample count.  ``_blocks`` is the one reader: it draws a block's points one
-slice of whole samples at a time, each slice expecting about SLICE_TARGET_BYTES
-of points, so that its few point-length arrays stay cache-sized.  Each check
+sample count.  ``_sampling_plan``, the pre-flight of every check, is the one
+reader of its sample count and seed; ``_blocks`` trusts its plan and draws a
+block's points one slice of whole samples at a time, each slice expecting about
+SLICE_TARGET_BYTES of points, so that its few point-length arrays stay
+cache-sized.  Each check
 reduces one slice at a time into one array of per-sample values (memory O(one
 slice) plus 8 bytes a sample per value), bitwise equal to reducing the whole
 batch.  MAX_SLICE_BYTES only refuses a configuration too large to sample.
@@ -49,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvariantError, ResourceError, fields, strict_int
+from .errors import InvariantError, ResourceError, fields, strict_int, strict_seed
 
 RNG_SCHEME = "philox4x64-block16384-v1"
 STREAM_BLOCK = 16_384
@@ -133,41 +135,40 @@ class Window:
 # sampling
 
 def _stream(seed: int, block: int) -> np.random.Generator:
-    seed = strict_int(seed, "seed")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def _sampling_plan(window: Window, n_samples: int) -> tuple[int, int]:
-    """The sample count and the samples per slice; every check runs it before any quadrature.
+def _sampling_plan(window: Window, n_samples, seed, least: int = 2) -> tuple[int, int, int]:
+    """(samples, seed, samples per slice); every check runs it before any quadrature or draw.
 
-    A slice holds as many whole samples as expect SLICE_TARGET_BYTES of points (never
-    more than MAX_SLICE_BYTES), at least one and at most a block.  ValueError below one
-    sample, ResourceError when one configuration expects more than MAX_SLICE_BYTES of
-    points or the samples would draw more than MAX_DRAWS variates.
+    A slice holds as many whole samples as expect SLICE_TARGET_BYTES of points, at
+    least one and at most a block.  ValueError below ``least`` samples (one for
+    sample_configuration) or for a seed outside [0, 2**64), ResourceError when one
+    configuration expects more than MAX_SLICE_BYTES of points or the samples would draw
+    more than MAX_DRAWS variates.  What reads the plan checks nothing again.
     """
     n_samples = strict_int(n_samples, "samples")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    if n_samples < least:
+        raise ValueError("need at least one sample" if n_samples < 1
+                         else "need at least two samples for a standard error")
+    seed = strict_seed(seed)
     config_bytes = window.volume * window.dim * 8
     if config_bytes > MAX_SLICE_BYTES:
         raise ResourceError(f"a configuration expects {config_bytes / 2**20:.3g} MiB of points, "
                             f"over the {MAX_SLICE_BYTES / 2**20:.3g} MiB budget; shrink the window")
     if n_samples > MAX_DRAWS / (1 + window.volume * window.dim):
         raise ResourceError(f"{n_samples} samples would draw more than {MAX_DRAWS} variates")
-    target = min(SLICE_TARGET_BYTES, MAX_SLICE_BYTES)
-    return n_samples, max(1, int(min(STREAM_BLOCK, target / config_bytes)))
+    return n_samples, seed, max(1, int(min(STREAM_BLOCK, SLICE_TARGET_BYTES / config_bytes)))
 
 
-def _blocks(window: Window, seed: int, n_samples: int, first: int = 0):
-    """Yield counts, slice-local sample ids and points of n samples from block ``first`` on.
+def _blocks(window: Window, plan: tuple[int, int, int], first: int = 0):
+    """Yield counts, slice-local sample ids and points of the plan's samples from block ``first``.
 
     Each block draws all its counts, then its points one slice of whole samples at a
-    time from the same stream: the same bits for every n_samples and slice size.  The
-    uniform draws are scaled to the window one column at a time, in place.
+    time from the same stream: the same bits for every sample count and slice size.
+    The uniform draws are scaled to the window one column at a time, in place.
     """
-    n_samples, size = _sampling_plan(window, n_samples)
+    n_samples, seed, size = plan
     for start in range(0, n_samples, STREAM_BLOCK):
         g = _stream(seed, first + start // STREAM_BLOCK)
         counts = g.poisson(window.volume, size=STREAM_BLOCK)[: n_samples - start]
@@ -179,16 +180,16 @@ def _blocks(window: Window, seed: int, n_samples: int, first: int = 0):
             yield part, np.repeat(np.arange(part.size), part), points
 
 
-def _per_sample(window: Window, seed: int, n_samples: int, per_slice) -> np.ndarray:
+def _per_sample(window: Window, plan: tuple[int, int, int], per_slice) -> np.ndarray:
     """per_slice(counts, sample_ids, points) of every slice, joined along samples.
 
     Each slice's values go straight into one array allocated for every sample.
     """
     out, done = None, 0
-    for counts, sample_ids, points in _blocks(window, seed, n_samples):
+    for counts, sample_ids, points in _blocks(window, plan):
         values = per_slice(counts, sample_ids, points)
         if out is None:
-            out = np.empty(values.shape[:-1] + (strict_int(n_samples, "samples"),), values.dtype)
+            out = np.empty(values.shape[:-1] + (plan[0],), values.dtype)
         out[..., done : done + counts.size] = values
         done += counts.size
     return out
@@ -205,7 +206,7 @@ def sample_configuration(
     block, offset = divmod(strict_int(index, "index"), STREAM_BLOCK)
     if block < 0:
         raise ValueError("index must be non-negative")
-    for counts, _, points in _blocks(window, seed, offset + 1, block):
+    for counts, _, points in _blocks(window, _sampling_plan(window, offset + 1, seed, 1), block):
         pass
     return tuple(map(tuple, points[len(points) - int(counts[-1]) :].tolist()))
 
@@ -386,8 +387,8 @@ class Polynomial:
 class LocalFunctional:
     """Local functional of the configuration, one of three built-in kinds.
 
-    "one": F = 1.  "count_indicator": F = 1 when exactly k points are
-    present.  "poly_of_sum": F = h(<phi, gamma>) with h of degree <= 2.
+    "one": F = 1, read as h = 1 of a zero phi, as check_mecke reads no phi.  "count_indicator":
+    F = 1 when exactly k points are present.  "poly_of_sum": F = h(<phi, gamma>), deg h <= 2.
     """
 
     kind: str
@@ -405,6 +406,9 @@ class LocalFunctional:
             object.__setattr__(self, "k", k)
         if self.kind == "poly_of_sum" and (self.phi is None or self.h is None):
             raise ValueError("poly_of_sum needs phi and h")
+        if self.kind == "one":
+            object.__setattr__(self, "phi", ScalarFunction(kind="indicator", scale=0.0))
+            object.__setattr__(self, "h", Polynomial(coeffs=(1.0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +523,13 @@ def _reply(check, estimate, reference, std_error, samples, seed, extra) -> dict:
         "abs_error": float(abs_error),
         "rel_error": float(abs_error / max(abs(reference), REL_FLOOR)),
         "std_error": float(std_error),
-        "samples": str(int(samples)),
-        "seed": str(int(seed)),
+        "samples": str(samples),
+        "seed": str(seed),
         "extra": {k: float(v) for k, v in extra.items()},
     }
 
 
 def _mc_stats(values: np.ndarray) -> tuple[float, float]:
-    if values.size < 2:
-        raise ValueError("need at least two samples for a standard error")
     mean = float(values.mean())
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
@@ -537,7 +539,7 @@ def _mc_stats(values: np.ndarray) -> tuple[float, float]:
 
 def check_laplace(f: ScalarFunction, window: Window, samples: int, seed: int) -> dict:
     """Exponential moment E[exp<f, gamma>] vs exp(integral of (e^f - 1))."""
-    _sampling_plan(window, samples)
+    samples, seed, _ = plan = _sampling_plan(window, samples, seed)
     # e^f - 1 < e^scale pointwise, bounded like integral_of_power's powers
     _refuse_overflow(f.scale + math.log(max(window.volume, 2.0**window.dim)), "laplace e^f.scale")
     reference_exponent = integral_expm1(f, window)
@@ -547,7 +549,7 @@ def check_laplace(f: ScalarFunction, window: Window, samples: int, seed: int) ->
     def per_slice(counts, sample_ids, points):
         return np.exp(np.bincount(sample_ids, weights=f.evaluate(points), minlength=counts.size))
 
-    estimate, std_error = _mc_stats(_per_sample(window, seed, samples, per_slice))
+    estimate, std_error = _mc_stats(_per_sample(window, plan, per_slice))
     return _reply(
         "laplace", estimate, reference, std_error, samples, seed,
         {"integral_expm1": reference_exponent},
@@ -556,8 +558,6 @@ def check_laplace(f: ScalarFunction, window: Window, samples: int, seed: int) ->
 
 def _conditional_mean(functional: LocalFunctional, n_pts: int, window: Window) -> float:
     """E[F | exactly n_pts i.i.d. uniform points] (the n-th series factor)."""
-    if functional.kind == "one":
-        return 1.0
     if functional.kind == "count_indicator":
         return 1.0 if n_pts == functional.k else 0.0
     c0, c1, c2 = functional.h.coeffs
@@ -572,7 +572,7 @@ def _conditional_mean(functional: LocalFunctional, n_pts: int, window: Window) -
 
 
 def _sup_bound(functional: LocalFunctional, n_pts: int) -> float:
-    if functional.kind in ("one", "count_indicator"):
+    if functional.kind == "count_indicator":
         return 1.0
     c0, c1, c2 = functional.h.coeffs
     s = abs(functional.phi.scale) * n_pts
@@ -580,11 +580,8 @@ def _sup_bound(functional: LocalFunctional, n_pts: int) -> float:
 
 
 def _closed_form_mean(functional: LocalFunctional, window: Window) -> float:
-    v = window.volume
-    if functional.kind == "one":
-        return 1.0
     if functional.kind == "count_indicator":
-        k = functional.k
+        v, k = window.volume, functional.k
         return math.exp(-v + k * math.log(v) - math.lgamma(k + 1))
     return _mean_of_poly(functional.h, functional.phi, window)
 
@@ -613,7 +610,7 @@ def check_local_expansion(
     of them; the pmf underflowing to 0 ends it at the latest.  A term
     outside the float range is refused with ResourceError.
     """
-    _sampling_plan(window, samples)
+    samples, seed, _ = plan = _sampling_plan(window, samples, seed)
     v = window.volume
     closed = _closed_form_mean(functional, window)
     # the standard error squares samples of about the reference's size
@@ -635,14 +632,12 @@ def check_local_expansion(
     reference = _verified(series, closed, "local expansion series")
 
     def per_slice(counts, sample_ids, points):
-        if functional.kind == "one":
-            return np.ones(counts.size)
         if functional.kind == "count_indicator":
             return (counts == functional.k).astype(float)
         phi_vals = functional.phi.evaluate(points)
         return functional.h(np.bincount(sample_ids, weights=phi_vals, minlength=counts.size))
 
-    estimate, std_error = _mc_stats(_per_sample(window, seed, samples, per_slice))
+    estimate, std_error = _mc_stats(_per_sample(window, plan, per_slice))
     return _reply(
         "local", estimate, reference, std_error, samples, seed,
         {"series_reference": series, "tail_bound": tail},
@@ -702,7 +697,7 @@ def check_mecke(
     m = strict_int(m, "m")
     if m not in (1, 2, 3):
         raise ValueError("subset order m must be 1, 2 or 3")
-    _sampling_plan(window, samples)
+    samples, seed, _ = plan = _sampling_plan(window, samples, seed)
     if phi is None:
         if any(h.coeffs[1:]):
             raise ValueError("a non-constant h needs phi")
@@ -721,7 +716,7 @@ def check_mecke(
         lhs = _subset_sums(m, g_vals, phi_vals, totals, sample_ids, counts.size, h.coeffs)
         return np.stack([lhs, h(totals) * (ig**m / math.factorial(m))])
 
-    lhs_values, rhs_values = _per_sample(window, seed, samples, per_slice)
+    lhs_values, rhs_values = _per_sample(window, plan, per_slice)
     lhs, lhs_se = _mc_stats(lhs_values)
     rhs, rhs_se = _mc_stats(rhs_values)
     pooled = math.hypot(lhs_se, rhs_se)
@@ -805,13 +800,11 @@ def run_check(spec: dict) -> dict:
     fields(spec, "check spec", ("check", "window", "samples", "seed", "m" if mecke else "f"),
            ("f",) if mecke else ())
     window = Window.from_json(spec["window"])
-    samples = strict_int(spec["samples"], "samples")
-    seed = strict_int(spec["seed"], "seed")
+    sampling = (window, spec["samples"], spec["seed"])  # read once, by the check's plan
     if name == "laplace":
-        return check_laplace(scalar_from_json(spec["f"], "f", window.dim), window, samples, seed)
+        return check_laplace(scalar_from_json(spec["f"], "f", window.dim), *sampling)
     if name == "local":
-        functional = functional_from_json(spec["f"], "f", window.dim)
-        return check_local_expansion(functional, window, samples, seed)
+        return check_local_expansion(functional_from_json(spec["f"], "f", window.dim), *sampling)
     f = fields(spec.get("f", {}), "f", optional=("g", "h", "phi"))
     phi = scalar_from_json(f["phi"], "f.phi", window.dim) if "phi" in f else None
     return check_mecke(
@@ -819,7 +812,5 @@ def run_check(spec: dict) -> dict:
         scalar_from_json(f.get("g", "indicator"), "f.g", window.dim),
         polynomial_from_json(f.get("h", "const"), "f.h"),
         phi,
-        window,
-        samples,
-        seed,
+        *sampling,
     )

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gammahodge
-from gammahodge import betti, cli, graded_algebra, poisson_mc
+from gammahodge import betti, cli, graded_algebra, hodge_discrete, poisson_mc
 from gammahodge.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -175,6 +176,28 @@ def test_output_onto_a_directory_exits_2_before_any_work(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_output_onto_a_fifo_exits_2_and_leaves_the_fifo(capsys, tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    code, out, err = run(capsys, "betti", "--input", '{"d":1,"beta":[0,2]}', "--output", str(fifo))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: --output {str(fifo)!r} is not a regular file\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+
+def test_output_through_a_symlink_writes_its_target_and_keeps_the_link(capsys, tmp_path):
+    target, link = tmp_path / "report.json", tmp_path / "link"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    code, stdout, _ = run(capsys, "betti", "--input", '{"d":1,"beta":[0,2]}', "--n-max", "3")
+    assert run(capsys, "betti", "--input", '{"d":1,"beta":[0,2]}', "--n-max", "3",
+               "--output", str(link)) == (code, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "report.json"]
+
+
 def test_output_write_failure_is_one_line_exit_2_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     def full_disk(src, dst):
         raise OSError(28, "No space left on device")
@@ -284,8 +307,8 @@ def test_betti_rows_a_thousand_letters_deep_skip_at_once():
 
 def spy_on_the_brute_force(monkeypatch):
     calls = []
-    for name in ("sym_component_dims_bruteforce", "sym_component_rows_bruteforce"):
-        monkeypatch.setattr(graded_algebra, name, lambda *args: calls.append(args) or [])
+    monkeypatch.setattr(graded_algebra, "sym_component_rows_bruteforce",
+                        lambda *args: calls.append(args) or [])
     return calls
 
 
@@ -362,6 +385,25 @@ def test_simplicial_kron_probes_deterministic(capsys):
 def test_simplicial_invalid_complex_exits_2(capsys):
     code, _, _ = run(capsys, "simplicial", "--input", '{"maximal": [[0, 0]]}')
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("simplicial", "--input", HOLLOW, "--kron-probes", "1", "--seed", "-1"), "seed must fit"),
+    (("simplicial", "--input", HOLLOW, "--kron-probes", "1", "--seed", str(2**64)),
+     "seed must fit"),
+    (("simplicial", "--input", HOLLOW, "--seed", "1"), "--seed seeds the probes alone"),
+    (("simplicial", "--input", HOLLOW, "--kron-probes", "0", "--seed", "1"),
+     "it needs --kron-probes above 0"),
+    (("simplicial", "--input", HOLLOW, "--kron-probes", "-1"), "--kron-probes: must be non-negative"),
+    (("pipeline", "--input", HOLLOW, "--n-max", "-1"), "--n-max: must be non-negative, got -1"),
+    (("betti", "--input", '{"d":1,"beta":[0,2]}', "--n-max", "-1"), "--n-max: must be non-negative"),
+])
+def test_flag_refusals_exit_2_before_any_rank(capsys, monkeypatch, argv, what):
+    calls = []
+    monkeypatch.setattr(hodge_discrete, "rank", lambda *args: calls.append(args) or 0)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, calls) == (EXIT_INPUT, "", [])
+    assert err.count("\n") == 1 and err.startswith("error: ") and what in err
 
 
 def test_simplicial_negative_kron_probes_exits_2(capsys):
@@ -570,11 +612,12 @@ def test_sampling_budget_refuses_before_drawing(capsys):
 
 
 def test_sampling_budget_is_one_configurations_expected_points(capsys, monkeypatch):
-    # volume 3 in two dimensions: 3 * 2 * 8 = 48 bytes, so a budget of 48 takes one
-    # sample a slice and gives the reply of whole blocks
+    # volume 3 in two dimensions: 3 * 2 * 8 = 48 bytes, so a budget of 48 passes it, and a
+    # slice target of 48 takes one sample a slice and gives the reply of whole blocks
     spec = ('{"check":"laplace","window":{"lengths":[1.5,2.0]},"samples":100,"seed":1,'
             '"f":"indicator"}')
     unlimited = run(capsys, "poisson", "--input", spec)
+    monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", 48)
     monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", 48)
     assert run(capsys, "poisson", "--input", spec) == unlimited
     monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", 47)
@@ -1018,6 +1061,7 @@ POISSON_REPLY_SPECS = {
     "poisson_laplace_gaussian": {"check": "laplace", "f": {
         "kind": "gaussian", "scale": 0.5, "center": [0.5, 1.0], "width": [0.3, 0.4]}},
     "poisson_local_count_indicator": {"check": "local", "f": {"kind": "count_indicator", "k": 2}},
+    "poisson_local_one": {"check": "local", "f": "one"},
     **{f"poisson_mecke_m{m}": {"check": "mecke", "m": m, "f": MECKE_F} for m in (1, 2, 3)},
 }
 REPLY_CASES.update({
@@ -1060,7 +1104,7 @@ def test_reply_text_is_unchanged(capsys, monkeypatch, name):
     assert out == (REPLIES / f"{name}.json").read_text()
     if name.startswith("poisson"):
         # 2,000 bytes a slice: 125, 62 and 27 samples at volume 2 in 1-D, 2 in 2-D, 3 in 3-D
-        monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", 2000)
+        monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", 2000)
         assert run(capsys, *REPLY_CASES[name]) == (code, out, "")
 
 
@@ -1116,7 +1160,7 @@ def test_rounded_reply_is_unchanged_to_the_stated_tolerance(capsys, monkeypatch,
     assert code == EXIT_OK
     want = (REPLIES / f"{name}.json").read_text()
     assert close_floats(json.loads(out), json.loads(want)), (out, want)
-    monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", 2000)  # 62 samples a slice
+    monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", 2000)  # 62 samples a slice
     assert run(capsys, *REPLY_CASES[name]) == (code, out, "")
 
 

@@ -31,7 +31,7 @@ from gammahodge.graded_algebra import (
     sym_component_dim_bruteforce,
     sym_component_dim_closed,
     sym_component_dims,
-    sym_component_dims_bruteforce,
+    sym_component_rows_bruteforce,
 )
 from gammahodge.linalg import rank
 
@@ -338,7 +338,7 @@ def test_bruteforce_projects_once_per_letter_multiset(monkeypatch):
     cells = [(m, n) for m in range(5) for n in range(7)]
     multisets = {tuple(sorted(w)) for m, n in cells for w in enumerate_words(space, m, n)}
     assert len(multisets) < sum(count_words(space, m, n) for m, n in cells)
-    assert sym_component_dims_bruteforce(space, 4, 6) == sym_component_dims(space, 4, 6)
+    assert list(sym_component_rows_bruteforce(space, 4, 6)) == sym_component_dims(space, 4, 6)
     assert sorted(tuple(space.letters[k] for k in w) for w in calls) == sorted(multisets)
 
 
@@ -402,7 +402,7 @@ def test_bruteforce_table_equals_the_per_cell_oracles(space, m_max, n_max, max_w
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graded_algebra, "MAX_WORDS", max_words)
         patch.setattr(graded_algebra, "MAX_PERMUTATIONS", max_perms)
-        table = sym_component_dims_bruteforce(space, m_max, n_max)
+        table = list(sym_component_rows_bruteforce(space, m_max, n_max))
     assert len(table) == m_max + 1
     for m, row in enumerate(table):
         assert len(row) == n_max + 1
@@ -417,7 +417,7 @@ def test_bruteforce_table_equals_the_per_cell_oracles(space, m_max, n_max, max_w
 def test_bruteforce_table_skips_with_both_reasons(monkeypatch):
     monkeypatch.setattr(graded_algebra, "MAX_WORDS", 30)
     monkeypatch.setattr(graded_algebra, "MAX_PERMUTATIONS", 100)
-    table = sym_component_dims_bruteforce(GradedSpace(((1, 2), (2, 1))), 5, 9)
+    table = list(sym_component_rows_bruteforce(GradedSpace(((1, 2), (2, 1))), 5, 9))
     reasons = [str(cell) for row in table for cell in row if isinstance(cell, EnumerationCapError)]
     assert any("enumeration cap 30" in r for r in reasons)
     assert any("permutation budget 100" in r for r in reasons)
@@ -428,7 +428,7 @@ def test_bruteforce_walk_reaches_deep_rows_without_recursing():
     space = GradedSpace(((1, 1),))
     assert letter_multisets(space, 1100, 1100) == [((0, 0),) * 1100]
     assert count_words(space, 1100, 1100) == 1
-    table = sym_component_dims_bruteforce(space, 1000, 1000)
+    table = list(sym_component_rows_bruteforce(space, 1000, 1000))
     assert [table[m][m] for m in range(8)] == [1, 1, 0, 0, 0, 0, 0, 0]
     assert "1 letter multisets x 1000!" in str(table[1000][1000])
 
@@ -436,10 +436,11 @@ def test_bruteforce_walk_reaches_deep_rows_without_recursing():
 def test_bruteforce_table_rows_past_the_least_degree_are_zero():
     # length-2 words of degree-4 letters reach degree 8 > n_max: no walk past m = 1
     space = GradedSpace(((4, 2), (5, 1)))
-    assert sym_component_dims_bruteforce(space, 4, 6) == [
+    assert list(sym_component_rows_bruteforce(space, 4, 6)) == [
         [1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 1, 0], *[(0,) * 7] * 3
     ]
-    assert sym_component_dims_bruteforce(GradedSpace(((1, 0),)), 3, 2) == [[1, 0, 0], *[(0,) * 3] * 3]
+    assert list(sym_component_rows_bruteforce(GradedSpace(((1, 0),)), 3, 2)) == [
+        [1, 0, 0], *[(0,) * 3] * 3]
 
 
 def test_letter_multisets_refuse_a_component_over_the_word_cap(monkeypatch):

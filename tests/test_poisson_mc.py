@@ -36,6 +36,7 @@ from gammahodge.poisson_mc import (
     _mc_stats,
     _quadrature_box,
     _reply,
+    _sampling_plan,
     _stream,
     _subset_sums,
     _sup_bound,
@@ -177,17 +178,17 @@ def test_points_stay_inside_the_window():
 
 
 STREAM_SIZES = (2, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 40_000)
-# Slice budgets for WINDOW, whose configurations expect 2 * 2 * 8 = 32 bytes of points:
-# the default (a whole block a slice), then slices of 1, 7 and 1,000 samples.
-SLICE_BUDGETS = {poisson_mc.MAX_SLICE_BYTES: STREAM_BLOCK, 32: 1, 7 * 32 + 31: 7, 32_000: 1000}
+# Slice targets for WINDOW, whose configurations expect 2 * 2 * 8 = 32 bytes of points:
+# 32 MiB (a whole block a slice), then slices of 1, 7 and 1,000 samples.
+SLICE_TARGETS = {poisson_mc.MAX_SLICE_BYTES: STREAM_BLOCK, 32: 1, 7 * 32 + 31: 7, 32_000: 1000}
 
 
 @pytest.mark.parametrize("n", STREAM_SIZES)
 def test_streamed_blocks_merge_into_the_whole_batch(monkeypatch, n):
     counts, ids, pts = sample_blocks(WINDOW, 42, n)
-    for budget, size in SLICE_BUDGETS.items():
-        monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", budget)
-        parts = list(_blocks(WINDOW, 42, n))
+    for target, size in SLICE_TARGETS.items():
+        monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", target)
+        parts = list(_blocks(WINDOW, _sampling_plan(WINDOW, n, 42)))
         sizes = [c.size for c, _, _ in parts]
         # whole samples, and no slice across a block boundary
         block_sizes = [min(STREAM_BLOCK, n - s) for s in range(0, n, STREAM_BLOCK)]
@@ -200,8 +201,8 @@ def test_streamed_blocks_merge_into_the_whole_batch(monkeypatch, n):
 
 def test_single_configuration_matches_batch_across_a_block_boundary(monkeypatch):
     counts, ids, pts = sample_blocks(WINDOW, 42, STREAM_BLOCK + 2)
-    for budget in SLICE_BUDGETS:
-        monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", budget)
+    for target in SLICE_TARGETS:
+        monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", target)
         for index in (0, 999, 1000, STREAM_BLOCK - 2, STREAM_BLOCK - 1, STREAM_BLOCK,
                       STREAM_BLOCK + 1):
             config = sample_configuration(WINDOW, 42, index)
@@ -711,13 +712,23 @@ def test_count_indicator_needs_an_integer_k(k):
 
 
 GAUSS_1D = ScalarFunction(kind="gaussian", center=(0.5,), width=(0.3,), scale=0.5)
-SAMPLING_CALLS = {
-    "laplace": lambda window: check_laplace(GAUSS_1D, window, 2, 1),
-    "local": lambda window: check_local_expansion(
-        LocalFunctional(kind="poly_of_sum", phi=GAUSS_1D, h=LINEAR), window, 2, 1),
-    "mecke": lambda window: check_mecke(3, GAUSS_1D, CONST, None, window, 2, 1),
-    "sample_configuration": lambda window: sample_configuration(window, 1, 1),
+SAMPLING_CALLS = {  # each takes (window, samples, seed); sample_configuration draws index 1
+    "laplace": lambda *args: check_laplace(GAUSS_1D, *args),
+    "local": lambda *args: check_local_expansion(
+        LocalFunctional(kind="poly_of_sum", phi=GAUSS_1D, h=LINEAR), *args),
+    "mecke": lambda *args: check_mecke(3, GAUSS_1D, CONST, None, *args),
+    "sample_configuration": lambda window, samples, seed: sample_configuration(window, seed, 1),
 }
+SEED_RANGE = "^seed must fit in an unsigned 64-bit integer$"
+PLAN_REFUSALS = [
+    # volume 5e6 on a line: one configuration's points take about 38 MiB
+    ((5e6,), 2, 1, ResourceError, r"^a configuration expects 38\.1 MiB of points, over the 32 MiB"),
+    ((2.0,), 2, -1, ValueError, SEED_RANGE),
+    ((2.0,), 2, 2**64, ValueError, SEED_RANGE),
+    # the three checks' standard error needs two samples; sample_configuration draws one
+    ((2.0,), 1, 1, ValueError, "^need at least two samples for a standard error$"),
+    ((2.0,), 0, 1, ValueError, "^need at least one sample$"),
+]
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLING_CALLS))
@@ -732,29 +743,31 @@ def test_the_sampling_plan_refuses_before_any_quadrature_or_draw(monkeypatch, na
         spy(attr)
     integral_of_power.cache_clear()
     integral_expm1.cache_clear()
-    SAMPLING_CALLS[name](Window(lengths=(2.0,)))
+    SAMPLING_CALLS[name](Window(lengths=(2.0,)), 2, 1)
     # the spies see a served request's work, the plan first
     assert calls[0] == "_sampling_plan" and "_stream" in calls
     assert ("gauss_legendre_box" in calls) == (name != "sample_configuration")
-    calls.clear()
-    # volume 5e6 on a line: one configuration's points take about 38 MiB
-    message = r"^a configuration expects 38\.1 MiB of points, over the 32 MiB budget"
-    with pytest.raises(ResourceError, match=message):
-        SAMPLING_CALLS[name](Window(lengths=(5e6,)))
-    assert calls == ["_sampling_plan"]
+    refusals = PLAN_REFUSALS[:3] if name == "sample_configuration" else PLAN_REFUSALS
+    for lengths, samples, seed, error, message in refusals:
+        calls.clear()
+        integral_of_power.cache_clear()  # a cached reference would hide a quadrature
+        integral_expm1.cache_clear()
+        with pytest.raises(error, match=message):
+            SAMPLING_CALLS[name](Window(lengths=lengths), samples, seed)
+        assert calls == ["_sampling_plan"], (lengths, samples, seed)
 
 
 def test_a_subnormal_volume_takes_whole_blocks():
-    # MAX_SLICE_BYTES / 4e-323 is inf: the slice size is capped before int()
+    # SLICE_TARGET_BYTES / 4e-323 is inf: the slice size is capped before int()
     window = Window(lengths=(5e-324,))
-    assert poisson_mc._sampling_plan(window, "1") == (1, STREAM_BLOCK)
+    assert _sampling_plan(window, "1", "7", 1) == (1, 7, STREAM_BLOCK)
     assert sample_configuration(window, 1, STREAM_BLOCK + 3) == ()
 
 
 def test_mecke_memory_stays_within_a_constant_of_one_slice(monkeypatch):
     # volume 1900 on a line: 15,200 bytes of points a configuration, so a 2 MiB slice holds
     # 137 samples, and 4,000 samples draw about 58 MiB of points in 30 slices
-    monkeypatch.setattr(poisson_mc, "MAX_SLICE_BYTES", 2 * 2**20)
+    monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", 2 * 2**20)
     window = Window(lengths=(1900.0,))
     check_mecke(3, INDICATOR, CONST, None, window, 2, 1)  # warm the quadrature caches
     tracemalloc.start()
@@ -763,7 +776,7 @@ def test_mecke_memory_stays_within_a_constant_of_one_slice(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * poisson_mc.MAX_SLICE_BYTES
+    assert peak <= 10 * poisson_mc.SLICE_TARGET_BYTES
 
 
 def test_a_check_on_the_heaviest_benchmark_shape_holds_a_few_slice_targets():
