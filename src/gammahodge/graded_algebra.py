@@ -94,8 +94,8 @@ class GradedSpace:
         return self.components[letter[0]][0]
 
 
-# Not run by the library: the tests' oracle for letter_multisets and count_words,
-# and a layer that perfbench/tracer.py wraps by this name.
+# Not run by the library: the tests' oracle for the multiset walk (_multiset_levels) and
+# count_words, and a layer that perfbench/tracer.py wraps by this name.
 def enumerate_words(space: GradedSpace, m: int, n: int) -> list[Word]:
     """All length-m words of multidegree n, in lexicographic letter order."""
     if m < 0 or n < 0:
@@ -126,11 +126,10 @@ def enumerate_words(space: GradedSpace, m: int, n: int) -> list[Word]:
     return out
 
 
-def _letter_table(space: GradedSpace) -> tuple[tuple[Letter, ...], list[int], list[int]]:
-    """The space's letters in order, with their degrees and parities."""
-    letters = space.letters
-    degrees = [space.components[i][0] for i, _ in letters]
-    return letters, degrees, [p % 2 for p in degrees]
+def _letter_table(space: GradedSpace) -> tuple[list[int], list[int]]:
+    """The degrees and parities of the space's letters, in letter order."""
+    degrees = [space.components[i][0] for i, _ in space.letters]
+    return degrees, [p % 2 for p in degrees]
 
 
 def _word_counts(degrees: list[int], m_top: int, n_max: int) -> Iterator[list[int]]:
@@ -177,29 +176,11 @@ def count_words(space: GradedSpace, m: int, n: int) -> int:
     """Number of length-m words of multidegree n: row m of the word counts (no enumeration)."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
-    _, degrees, _ = _letter_table(space)
+    degrees, _ = _letter_table(space)
     # no length-m word reaches degree n: skip the m-fold product
     if not degrees or not m * min(degrees) <= n <= m * max(degrees):
         return int(m == n == 0)
     return next(islice(_word_counts(degrees, m, n), m, None))[n]
-
-
-def letter_multisets(space: GradedSpace, m: int, n: int) -> list[Word]:
-    """One sorted word per letter multiset of length m and multidegree n, lexicographically.
-
-    The non-decreasing words of enumerate_words, read off the multiset walk;
-    a component over MAX_WORDS words raises EnumerationCapError, as the walk
-    prunes it.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
-    if m > n:  # every degree is >= 1
-        return []
-    letters, degrees, _ = _letter_table(space)
-    counts, buckets = next(islice(_multiset_levels(degrees, m, n), m, None))
-    if counts[n] > MAX_WORDS:
-        raise EnumerationCapError(_WORD_CAP, m, n, counts[n], MAX_WORDS)
-    return sorted(tuple(letters[k] for k in w) for w in buckets.get(n, ()))
 
 
 @cache
@@ -268,7 +249,7 @@ def sym_component_rows_bruteforce(
     """
     if m_max < 0 or n_max < 0:
         raise ValueError("the m and n bounds must be non-negative")
-    _, degrees, odd = _letter_table(space)
+    degrees, odd = _letter_table(space)
     m_top = min(m_max, n_max // min(degrees)) if degrees else 0
     for m, (counts, buckets) in enumerate(_multiset_levels(degrees, m_top, n_max)):
         row: list[int | EnumerationCapError] = [0] * (n_max + 1)

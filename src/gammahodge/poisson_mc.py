@@ -26,7 +26,13 @@ most two (a Polynomial holds exactly three coefficients).  Every reference
 is then available in closed form or through convergent tensor-product
 Gauss-Legendre quadrature, and the quadrature value must agree with the
 closed form to 1e-10 relative before any sampling runs
-(ReferenceMismatchError otherwise).
+(ReferenceMismatchError otherwise; QuadratureError, a resource limit, when a
+Gaussian's box is cut too narrow for the float resolution of its nodes).
+
+Each value of a check spec has one reader, its constructor (Window, ScalarFunction,
+Polynomial, LocalFunctional); _KIND_FIELDS and _FUNCTIONAL_FIELDS map each kind to its
+fields.  The JSON readers only check an object's keys, hand its raw values over and put
+the JSON path in front of a refusal (_at); the window-axis rule lives in ScalarFunction.support.
 
 RNG scheme ``philox4x64-block16384-v1``: sample index i draws from the
 Philox4x64 counter stream keyed (seed, i // 16384), all of a block's counts
@@ -45,8 +51,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -89,13 +96,27 @@ def _real(value, field: str) -> float:
     raise ValueError(f"{field} must be a finite number, got {value!r}")
 
 
-def _reals(value, field: str, size: int | None = None) -> tuple[float, ...]:
-    """A list or tuple of finite numbers, with one entry per window axis when size is given."""
+def _reals(value, field: str) -> tuple[float, ...]:
+    """A list or tuple of finite numbers, each read by _real."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{field} must be a list of numbers, got {value!r}")
-    if size is not None and len(value) != size:
-        raise ValueError(f"{field} needs one entry per window axis ({size}), got {len(value)}")
     return tuple(_real(x, f"{field}[{i}]") for i, x in enumerate(value))
+
+
+def _at(where: str, build, *args, **values):
+    """build(*args, **values) with the JSON path ``where`` in front of its ValueError: a message
+    about one of ``values`` opens with its name and reads ``where.name ...``, any other
+    ``where: ...``.  A null is refused first: the constructors read None as an absent key.
+    """
+    for name, value in values.items():
+        if value is None:
+            raise ValueError(f"{where}.{name} must not be null")
+    try:
+        return build(*args, **values)
+    except ValueError as exc:
+        text = str(exc)
+        joint = "." if re.match(r"\w*", text)[0] in values else ": "
+        raise ValueError(f"{where}{joint}{text}") from None
 
 
 @dataclass(frozen=True)
@@ -108,13 +129,10 @@ class Window:
 
     def __post_init__(self):
         lengths = _reals(self.lengths, "lengths")
-        if not lengths:
-            raise ValueError("window needs at least one axis")
         volume = math.prod(lengths)
-        if not all(x > 0 for x in lengths) or not 0 < volume < math.inf:
-            raise ValueError(
-                f"window lengths must be positive, volume finite and above 0, got {list(lengths)}"
-            )
+        if not lengths or not all(x > 0 for x in lengths) or not 0 < volume < math.inf:
+            raise ValueError(f"lengths must be one or more positive numbers, volume finite "
+                             f"and above 0, got {list(lengths)}")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "volume", volume)
 
@@ -125,7 +143,7 @@ class Window:
     @classmethod
     def from_json(cls, doc: dict) -> "Window":
         doc = fields(doc, "window", ("lengths",), ("dim",))
-        win = cls(lengths=_reals(doc["lengths"], "window.lengths"))
+        win = _at("window", cls, lengths=doc["lengths"])
         if "dim" in doc and strict_int(doc["dim"], "window.dim") != win.dim:
             raise ValueError(f"window dim {doc['dim']} does not match {win.dim} lengths")
         return win
@@ -223,6 +241,18 @@ def _erf_diff(x: float, y: float) -> float:
     return math.erf(x) - math.erf(y)
 
 
+def _kind_fields(table: dict, family: str, kind, given: dict) -> tuple[str, ...]:
+    """The fields ``kind`` takes in ``table``; ValueError names an unknown kind, then a field
+    of ``given`` (name: value, None when absent) the kind needs and lacks, or does not take."""
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f"unknown {family} kind {kind!r}")
+    for name, value in given.items():
+        if (value is None) == (name in table[kind]):
+            verb = "needs" if value is None else "takes no"
+            raise ValueError(f"{kind} {family.split()[-1]} {verb} {name}")
+    return table[kind]
+
+
 _KIND_FIELDS = {"indicator": (), "box": ("lo", "hi"), "gaussian": ("center", "width")}
 
 
@@ -245,16 +275,10 @@ class ScalarFunction:
     width: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _KIND_FIELDS:
-            raise ValueError(f"unknown scalar function kind {self.kind!r}")
-        for name in ("lo", "hi", "center", "width"):
-            value = getattr(self, name)
-            if (value is None) == (name in _KIND_FIELDS[self.kind]):
-                verb = "needs" if value is None else "takes no"
-                raise ValueError(f"{self.kind} function {verb} {name}")
-            if value is not None:
-                object.__setattr__(self, name, _reals(value, name))
         object.__setattr__(self, "scale", _real(self.scale, "scale"))
+        axes = {name: getattr(self, name) for name in ("lo", "hi", "center", "width")}
+        for name in _kind_fields(_KIND_FIELDS, "scalar function", self.kind, axes):
+            object.__setattr__(self, name, _reals(axes[name], name))
         if self.kind == "box" and (
             len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi))
         ):
@@ -306,8 +330,9 @@ class ScalarFunction:
     def support(self, window: Window) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Smallest box outside which the function vanishes, clipped to the window.
 
-        ValueError unless a box's lo/hi or a Gaussian's center/width has one entry
-        per window axis: zip would silently drop or skip the axes that differ.
+        The one home of the window-axis rule: ValueError unless a box's lo/hi or a
+        Gaussian's center/width has one entry per window axis, where zip would
+        silently drop or skip the axes that differ.
         """
         axes = self.lo if self.kind == "box" else self.center
         if axes is not None and len(axes) != window.dim:
@@ -321,17 +346,18 @@ class ScalarFunction:
             return lo, hi
         return tuple(0.0 for _ in top), top
 
-    def _support_volume(self, window: Window) -> float:
-        lo, hi = self.support(window)
-        return math.prod(max(b - a, 0.0) for a, b in zip(lo, hi))
-
     def closed_form_integral(self, window: Window, power: int = 1) -> float:
         """integral of f^power over the window; a Gaussian separates into erf factors."""
+        return self._integral(window, power, self.scale**power)
+
+    def _integral(self, window: Window, power: int, total: float) -> float:
+        """total times the integral of (f / scale)^power: the support's volume, or the
+        product of a Gaussian's erf factors, one per axis."""
+        lo, hi = self.support(window)
         if self.kind != "gaussian":
-            return self.scale**power * self._support_volume(window)
+            return total * math.prod(max(b - a, 0.0) for a, b in zip(lo, hi))
         root = math.sqrt(power)
-        total = self.scale**power
-        for a, b, c, w in zip(*self.support(window), self.center, self.width):
+        for a, b, c, w in zip(lo, hi, self.center, self.width):
             x, y = root * (b - c) / w, root * (a - c) / w
             erf_diff = (_erf_diff(x, y) if x != y  # x == y when b - a is lost to rounding
                         else 2 / math.sqrt(math.pi) * math.exp(-x * x) * root * (b - a) / w)
@@ -347,14 +373,14 @@ class ScalarFunction:
         could round by a tenth of the 1e-10 check.
         """
         if self.kind != "gaussian":
-            return math.expm1(self.scale) * self._support_volume(window)
-        a, eps, unit = abs(self.scale), sys.float_info.epsilon, replace(self, scale=1.0)
+            return self._integral(window, 1, math.expm1(self.scale))
+        a, eps = abs(self.scale), sys.float_info.epsilon
         total = magnitude = 0.0
         coefficient, j = 1.0, 0  # |a|^j / j!, grown by |a| / j: finite for |a| <= EXP_LIMIT
         while a <= EXP_LIMIT:
             j += 1
             coefficient *= a / j
-            term = coefficient * unit.closed_form_integral(window, j)
+            term = coefficient * self._integral(window, j, 1.0)
             total += -term if self.scale < 0 and j % 2 else term
             magnitude += term
             if j + 2 > a and term * a / (j + 1) <= eps * abs(total) * (1 - a / (j + 2)):
@@ -383,12 +409,17 @@ class Polynomial:
         return c0 + t * (c1 + t * c2)
 
 
+_FUNCTIONAL_FIELDS = {"one": (), "count_indicator": ("k",), "poly_of_sum": ("phi", "h")}
+
+
 @dataclass(frozen=True)
 class LocalFunctional:
     """Local functional of the configuration, one of three built-in kinds.
 
     "one": F = 1, read as h = 1 of a zero phi, as check_mecke reads no phi.  "count_indicator":
     F = 1 when exactly k points are present.  "poly_of_sum": F = h(<phi, gamma>), deg h <= 2.
+    Each kind needs exactly its fields in _FUNCTIONAL_FIELDS; a missing one, or one
+    another kind uses, raises ValueError naming it.
     """
 
     kind: str
@@ -397,15 +428,13 @@ class LocalFunctional:
     h: Polynomial | None = None
 
     def __post_init__(self):
-        if self.kind not in ("one", "count_indicator", "poly_of_sum"):
-            raise ValueError(f"unknown functional kind {self.kind!r}")
+        _kind_fields(_FUNCTIONAL_FIELDS, "functional", self.kind,
+                     {"k": self.k, "phi": self.phi, "h": self.h})
         if self.kind == "count_indicator":
             k = strict_int(self.k, "k")
             if not 0 <= k <= sys.float_info.max:
                 raise ValueError(f"count_indicator needs 0 <= k <= max float, got {k!r}")
             object.__setattr__(self, "k", k)
-        if self.kind == "poly_of_sum" and (self.phi is None or self.h is None):
-            raise ValueError("poly_of_sum needs phi and h")
         if self.kind == "one":
             object.__setattr__(self, "phi", ScalarFunction(kind="indicator", scale=0.0))
             object.__setattr__(self, "h", Polynomial(coeffs=(1.0,)))
@@ -460,54 +489,65 @@ def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x else -math.inf
 
 
-def _verified(quad_value: float, closed: float, what: str) -> float:
-    """Closed-form short circuit: the quadrature must match the closed form."""
+def _verified(quad_value: float, closed: float, what: str, resolved: bool = True) -> float:
+    """Closed-form short circuit: the quadrature must match the closed form, or raise
+    ReferenceMismatchError; QuadratureError when its box was not ``resolved``."""
     if abs(quad_value - closed) > SHORT_CIRCUIT_REL_TOL * max(abs(closed), REL_FLOOR):
-        raise ReferenceMismatchError(
-            f"{what}: quadrature {quad_value!r} vs closed form {closed!r}"
-        )
+        text = f"{what}: quadrature {quad_value!r} vs closed form {closed!r}"
+        if not resolved:
+            raise QuadratureError(f"{text} over a box under {MIN_BOX_ULPS:.3g} ulps wide")
+        raise ReferenceMismatchError(text)
     return closed
 
 
 # exp(-z^2) falls to 1e-20 of exp(-z0^2) once z^2 - z0^2 reaches this
 GAUSSIAN_REACH_SQ = math.log(1e20)
+# A Gaussian's box cut to fewer ulps of its edges than this is below the quadrature's float
+# resolution: its nodes round by enough to miss the 1e-10 check (seen up to 2**33.5 ulps).
+MIN_BOX_ULPS = 2**36
 
 
 def _quadrature_box(fn: ScalarFunction, window: Window):
-    """fn.support(window), cut for a Gaussian to where it matters, axis by axis.
+    """(lo, hi, resolved): fn.support(window), cut for a Gaussian to where it matters.
 
     On each axis the Gaussian factor is largest at the window point nearest the
     center, z0 widths away; the box keeps the z with z^2 <= z0^2 + ln 1e20, so
     what it drops is below 1e-20 of that largest value.  A bump much narrower
     than the window then fills the box instead of slipping between the nodes;
-    a wide one keeps the whole window.
+    a wide one keeps the whole window.  resolved is False when an axis was cut
+    to fewer than MIN_BOX_ULPS ulps: a width too near its center's float resolution.
     """
     lo, hi = fn.support(window)
     if fn.kind != "gaussian":
-        return lo, hi
-    box = []
+        return lo, hi, True
+    box, resolved = [], True
     for a, b, c, w in zip(lo, hi, fn.center, fn.width):
         reach = w * math.hypot((min(max(c, a), b) - c) / w, math.sqrt(GAUSSIAN_REACH_SQ))
-        box.append((max(a, c - reach), min(b, c + reach)))
-    return tuple(zip(*box))
+        cut = max(a, c - reach), min(b, c + reach)
+        if cut != (a, b) and cut[1] - cut[0] < MIN_BOX_ULPS * math.ulp(max(map(abs, cut))):
+            resolved = False
+        box.append(cut)
+    return (*zip(*box), resolved)
 
 
 @lru_cache(maxsize=None)
 def integral_of_power(fn: ScalarFunction, window: Window, power: int = 1) -> float:
     """integral of fn(x)^power over the window, quadrature checked vs closed form."""
     room = math.log(max(window.volume, 2.0**window.dim))  # quadrature weights add up to 2^dim
-    _refuse_overflow(power * _log_abs(fn.scale) + room, f"integral {fn.kind}^{power}")
-    lo, hi = _quadrature_box(fn, window)
+    what = f"integral {fn.kind}^{power}"
+    _refuse_overflow(power * _log_abs(fn.scale) + room, what)
+    lo, hi, resolved = _quadrature_box(fn, window)
     quad = gauss_legendre_box(lambda p: fn.evaluate(p) ** power, lo, hi)
-    return _verified(quad, fn.closed_form_integral(window, power), f"integral {fn.kind}^{power}")
+    return _verified(quad, fn.closed_form_integral(window, power), what, resolved)
 
 
 @lru_cache(maxsize=None)
 def integral_expm1(fn: ScalarFunction, window: Window) -> float:
     """integral of (e^{fn(x)} - 1) over the window (vanishes off the support)."""
-    lo, hi = _quadrature_box(fn, window)
+    lo, hi, resolved = _quadrature_box(fn, window)
     quad = gauss_legendre_box(lambda p: np.expm1(fn.evaluate(p)), lo, hi)
-    return _verified(quad, fn.closed_form_expm1_integral(window), f"expm1 integral {fn.kind}")
+    return _verified(quad, fn.closed_form_expm1_integral(window), f"expm1 integral {fn.kind}",
+                     resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -742,47 +782,32 @@ def _shorthand(family: str, name: str, field: str):
     return _SHORTHAND[family][name]
 
 
-def scalar_from_json(spec, field: str, dim: int) -> ScalarFunction:
+def scalar_from_json(spec, field: str, window: Window) -> ScalarFunction:
     if isinstance(spec, str):
         return _shorthand("scalar", spec, field)
     spec = fields(spec, field, ("kind",), ("scale", "lo", "hi", "center", "width"))
-    args = {"kind": spec["kind"], "scale": _real(spec.get("scale", 1.0), f"{field}.scale")}
-    for name in ("lo", "hi", "center", "width"):
-        if name in spec:
-            args[name] = _reals(spec[name], f"{field}.{name}", dim)
-    try:
-        return ScalarFunction(**args)
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from None
+    fn = _at(field, ScalarFunction, **spec)
+    _at(field, fn.support, window)
+    return fn
 
 
 def polynomial_from_json(spec, field: str) -> Polynomial:
     if isinstance(spec, str):
         return _shorthand("polynomial", spec, field)
-    coeffs = _reals(fields(spec, field, ("coeffs",))["coeffs"], f"{field}.coeffs")
-    try:
-        return Polynomial(coeffs=coeffs)
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from None
+    return _at(field, Polynomial, **fields(spec, field, ("coeffs",)))
 
 
-def functional_from_json(spec, field: str, dim: int) -> LocalFunctional:
+def functional_from_json(spec, field: str, window: Window) -> LocalFunctional:
     if isinstance(spec, str):
         return _shorthand("functional", spec, field)
     kind = fields(spec, field, ("kind",), ("k", "phi", "h"))["kind"]
-    if kind == "count_indicator":
-        k = fields(spec, field, ("kind", "k"))["k"]
-        return LocalFunctional(kind=kind, k=strict_int(k, f"{field}.k"))
-    if kind == "poly_of_sum":
-        fields(spec, field, ("kind", "phi", "h"))
-        return LocalFunctional(
-            kind=kind,
-            phi=scalar_from_json(spec["phi"], f"{field}.phi", dim),
-            h=polynomial_from_json(spec["h"], f"{field}.h"),
-        )
-    functional = LocalFunctional(kind=kind)  # an unknown kind is named before its keys
-    fields(spec, field, ("kind",))
-    return functional
+    # an unknown kind is named before its keys
+    own = _at(field, _kind_fields, _FUNCTIONAL_FIELDS, "functional", kind=kind, given={})
+    values = dict(fields(spec, field, ("kind", *own)))
+    if "phi" in own:
+        values["phi"] = scalar_from_json(values["phi"], f"{field}.phi", window)
+        values["h"] = polynomial_from_json(values["h"], f"{field}.h")
+    return _at(field, LocalFunctional, **values)
 
 
 def run_check(spec: dict) -> dict:
@@ -802,14 +827,14 @@ def run_check(spec: dict) -> dict:
     window = Window.from_json(spec["window"])
     sampling = (window, spec["samples"], spec["seed"])  # read once, by the check's plan
     if name == "laplace":
-        return check_laplace(scalar_from_json(spec["f"], "f", window.dim), *sampling)
+        return check_laplace(scalar_from_json(spec["f"], "f", window), *sampling)
     if name == "local":
-        return check_local_expansion(functional_from_json(spec["f"], "f", window.dim), *sampling)
+        return check_local_expansion(functional_from_json(spec["f"], "f", window), *sampling)
     f = fields(spec.get("f", {}), "f", optional=("g", "h", "phi"))
-    phi = scalar_from_json(f["phi"], "f.phi", window.dim) if "phi" in f else None
+    phi = scalar_from_json(f["phi"], "f.phi", window) if "phi" in f else None
     return check_mecke(
         spec["m"],
-        scalar_from_json(f.get("g", "indicator"), "f.g", window.dim),
+        scalar_from_json(f.get("g", "indicator"), "f.g", window),
         polynomial_from_json(f.get("h", "const"), "f.h"),
         phi,
         *sampling,

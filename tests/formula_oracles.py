@@ -8,7 +8,7 @@ over itertools.permutations with each order's sign counted afresh by
 _sign_unchecked, the oracle for project's adjacent-swap walk; enumerate_words
 (re-exported from graded_algebra, which keeps it under that name for the
 benchmark's tracer) lists every word, the oracle for count_words and
-letter_multisets; project_vector extends the projector linearly,
+the multiset walk _multiset_levels; project_vector extends the projector linearly,
 for its idempotence; projected_norm_sq is the README's norm convention, to be
 compared with project's diagonal; fiber_decomposition_check gives both sides
 of the paper's fiber dimension identity; evaluate_rowwise is

@@ -502,9 +502,22 @@ def _foreign_axis_field_cases():
         ('{"check":"laplace","window":{"lengths":[1.0, 1.0]},"f":{"kind":"box",'
          '"lo":[0.8, 0.0],"hi":[0.2, 1.0]}}', "f: box needs lo <= hi"),
         ('{"check":"laplace","window":{"lengths":[1.0, 1.0]},"f":{"kind":"gaussian",'
-         '"center":[0.5],"width":[0.3, 0.3]}}', "f.center"),
+         '"center":[0.5],"width":[0.3, 0.3]}}', "f: gaussian needs one positive width per center axis"),
         ('{"check":"mecke","m":1,"window":{"lengths":[1.0, 1.0]},"f":{"g":{"kind":'
-         '"gaussian","center":[0.5, 0.5],"width":[0.3]}}}', "f.g.width"),
+         '"gaussian","center":[0.5, 0.5],"width":[0.3]}}}',
+         "f.g: gaussian needs one positive width per center axis"),
+        ('{"check":"laplace","window":{"lengths":[1.0, 1.0]},"f":{"kind":"gaussian",'
+         '"center":[0.5],"width":[0.3]}}', "f: gaussian function has 1 axes, the window has 2"),
+        ('{"check":"mecke","m":1,"window":{"lengths":[1.0]},"f":{"phi":{"kind":"box",'
+         '"lo":[0.0, 0.0],"hi":[0.5, 0.5]},"h":"linear"}}',
+         "f.phi: box function has 2 axes, the window has 1"),
+        # a null is no absent key: an indicator's null lo was once read as no lo
+        ('{"check":"laplace","window":{"lengths":[1.0]},"f":{"kind":"indicator","lo":null}}',
+         "f.lo must not be null"),
+        ('{"check":"local","window":{"lengths":[1.0]},"f":{"kind":"count_indicator",'
+         '"k":null}}', "f.k must not be null"),
+        ('{"check":"laplace","window":{"lengths":null},"f":"indicator"}',
+         "window.lengths must not be null"),
         ('{"check":"laplace","window":{"lengths":[true]},"f":"indicator"}', "window.lengths[0]"),
         pytest.param('{"check":"laplace","window":{"lengths":[1.0]},"f":{"kind":"indicator",'
                      '"scale":1' + "0" * 400 + "}}", "f.scale", id="scale-beyond-float"),
@@ -780,6 +793,39 @@ def test_a_reference_the_quadrature_disputes_is_refused_not_returned(capsys, mon
     code, out, err = run(capsys, "poisson", "--input", spec)
     assert (code, out) == (EXIT_INVARIANT, "")
     assert err.count("\n") == 1 and "closed form" in err
+
+
+GAUSSIAN_SPECS = {
+    "mecke-1e-17": '{"check":"mecke","m":1,"window":{"lengths":[2.0]},"samples":10,"seed":1,'
+                   '"f":{"g":{"kind":"gaussian","center":[1.0],"width":[1e-17]}}}',
+    "laplace-3e-17": '{"check":"laplace","window":{"lengths":[2.0]},"samples":10,"seed":1,'
+                     '"f":{"kind":"gaussian","center":[1.0],"width":[3e-17]}}',
+    "mecke-2**64": '{"check":"mecke","m":1,"window":{"lengths":[18446744073709551616, 1e-13]},'
+                   '"samples":10,"seed":1,"f":{"g":{"kind":"gaussian",'
+                   '"center":[18446744073709551616, 0],"width":[1, 1]}}}',
+    # served: far off the window, or a window that is itself one ulp wide
+    "laplace-2**64-off": '{"check":"laplace","window":{"lengths":[2.0]},"samples":10,"seed":1,'
+                         '"f":{"kind":"gaussian","center":[18446744073709551616],"width":[0.3]}}',
+    "laplace-subnormal": '{"check":"laplace","window":{"lengths":[5e-324]},"samples":10,"seed":1,'
+                         '"f":{"kind":"gaussian","center":[1.0],"width":[0.3]}}',
+    # its box collapses to [0, 0], where the bump and its closed form are both 0
+    "laplace-1e200-off": '{"check":"laplace","window":{"lengths":[2.0]},"samples":10,"seed":1,'
+                         '"f":{"kind":"gaussian","center":[-1e200],"width":[0.3]}}',
+}
+
+
+@pytest.mark.parametrize("name, code", [
+    ("mecke-1e-17", EXIT_RESOURCE), ("laplace-3e-17", EXIT_RESOURCE), ("mecke-2**64", EXIT_RESOURCE),
+    ("laplace-2**64-off", EXIT_OK), ("laplace-subnormal", EXIT_OK), ("laplace-1e200-off", EXIT_OK),
+])
+def test_a_gaussian_below_the_quadratures_float_resolution_exits_4(capsys, name, code):
+    # the three refusals exited 1: quadrature and closed form disagreed over a box a few ulps wide
+    got, out, err = run(capsys, "poisson", "--input", GAUSSIAN_SPECS[name])
+    assert got == code
+    if code == EXIT_RESOURCE:
+        assert out == "" and err.count("\n") == 1 and "ulps wide" in err
+    else:
+        assert err == "" and json.loads(out)["check"] == "laplace"
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,14 @@ Every run must exit 0 (success), 2 (input error), 3 (partial run) or 4
 (resource limit), and a document holding an unknown key gets no reply.  A
 failure prints exactly one ``error:`` line and nothing on stdout; a reply is
 strict JSON (no NaN or Infinity); no run raises a numpy RuntimeWarning.
-Exit 1 is reserved for a broken invariant.  The one input that may reach it
-is a Gaussian whose quadrature and closed form disagree, and the check
-refuses the reference (exit 1, one line) rather than return a wrong one.
-Narrow bumps no longer do, since the quadrature box is cut to the bump, nor
-wide ones centred just outside the window, since the closed form takes erf
-rather than erfc near 0, nor wide ones centred far out, where b - c and a - c
-round to one float and the closed form takes the erf's first-order step.  A
-quadrature box that collapses to a point at a center of 2**64 is out of
-reach: every window drawn here with a length of 2**64 has a volume of at
-least 0.3 * 2**64, over the slice budget, and is refused before quadrature.
-What still reaches exit 1 is a width below the float resolution of its
-center: width 1e-17 or 3e-17 centred at 1.0 on [2.0] (at 1e-16 the
-quadrature exits 4, no convergence).
+Exit 1 is reserved for a broken invariant.  A Gaussian once reached it when
+its quadrature and closed form disagreed: narrow bumps no longer do, since
+the quadrature box is cut to the bump, nor wide ones centred just outside
+the window, since the closed form takes erf rather than erfc near 0, nor
+wide ones centred far out, where b - c and a - c round to one float and the
+closed form takes the erf's first-order step.  A box cut too narrow for the
+float resolution of its nodes, such as width 1e-17 centred at 1.0 on [2.0],
+exits 4 when the two disagree.
 """
 
 import io
@@ -29,7 +24,6 @@ from hypothesis import strategies as st
 
 from gammahodge.cli import (
     EXIT_INPUT,
-    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_RESOURCE,
@@ -70,16 +64,8 @@ def reject_constant(name):
     raise ValueError(f"reply carries {name}")
 
 
-def missed_gaussian(argv, code, err):
-    return (code == EXIT_INVARIANT and '"gaussian"' in argv[-1]
-            and "quadrature" in err and "vs closed form" in err)
-
-
 def assert_clean(*argv):
     code, out, err, caught = run_main(*argv)
-    if missed_gaussian(argv, code, err):
-        assert out == "" and err.count("\n") == 1, (argv, err)
-        return
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_PARTIAL, EXIT_RESOURCE), (argv, code, err)
     if '"bogus"' in argv[2]:  # the document: an unknown key never gets a reply
         assert code in (EXIT_INPUT, EXIT_RESOURCE), (argv, code, err)

@@ -6,6 +6,7 @@ two-term expansion for length-2 projections, and the full-Gram-matrix rank
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -25,8 +26,9 @@ from gammahodge.graded_algebra import (
     EnumerationCapError,
     GradedSpace,
     _adjacent_swaps,
+    _letter_table,
+    _multiset_levels,
     count_words,
-    letter_multisets,
     project,
     sym_component_dim_bruteforce,
     sym_component_dim_closed,
@@ -128,21 +130,31 @@ def test_count_words_skips_the_product_when_no_word_reaches_the_degree(monkeypat
     assert count_words(empty, 2, 4) == count_words(empty, 0, 3) == 0
 
 
+def walked_multisets(space, m, n):
+    """Level m of the multiset walk at degree n: its word count, and its multisets as words."""
+    letters, (degrees, _) = space.letters, _letter_table(space)
+    counts, buckets = next(islice(_multiset_levels(degrees, m, n), m, None))
+    return counts[n], [tuple(letters[k] for k in w) for w in buckets.get(n, ())]
+
+
 @settings(max_examples=60)
 @given(space=spaces, m=st.integers(0, 5), n=st.integers(0, 11))
-def test_letter_multisets_are_the_sorted_words_in_order(space, m, n):
+def test_the_multiset_walk_yields_each_sorted_word_once(space, m, n):
     words = enumerate_words(space, m, n)
-    assert letter_multisets(space, m, n) == list(dict.fromkeys(tuple(sorted(w)) for w in words))
+    count, multisets = walked_multisets(space, m, n)
+    assert count == len(words)
+    assert sorted(multisets) == list(dict.fromkeys(tuple(sorted(w)) for w in words))
+    assert all(list(w) == sorted(w) for w in multisets)
 
 
-def test_letter_multisets_edge_cases():
-    assert letter_multisets(GradedSpace(((2, 1),)), 0, 0) == [()]
-    assert letter_multisets(GradedSpace(((2, 1),)), 0, 1) == []
-    assert letter_multisets(GradedSpace(((1, 0),)), 0, 0) == [()]
-    assert letter_multisets(GradedSpace(((1, 0),)), 2, 2) == []
-    assert letter_multisets(GradedSpace(((1, 1), (2, 1))), 2, 3) == [((0, 0), (1, 0))]
+def test_the_multiset_walk_edge_cases():
+    assert walked_multisets(GradedSpace(((2, 1),)), 0, 0) == (1, [()])
+    assert walked_multisets(GradedSpace(((2, 1),)), 0, 1) == (0, [])
+    assert walked_multisets(GradedSpace(((1, 0),)), 0, 0) == (1, [()])
+    assert walked_multisets(GradedSpace(((1, 0),)), 2, 2) == (0, [])
+    assert walked_multisets(GradedSpace(((1, 1), (2, 1))), 2, 3) == (2, [((0, 0), (1, 0))])
     with pytest.raises(ValueError):
-        letter_multisets(GradedSpace(((1, 1),)), -1, 0)
+        list(sym_component_rows_bruteforce(GradedSpace(((1, 1),)), -1, 0))
 
 
 @pytest.mark.parametrize("m", range(8))
@@ -426,7 +438,7 @@ def test_bruteforce_table_skips_with_both_reasons(monkeypatch):
 def test_bruteforce_walk_reaches_deep_rows_without_recursing():
     # one letter: its length-1100 word is 1100 levels deep, past the recursion limit
     space = GradedSpace(((1, 1),))
-    assert letter_multisets(space, 1100, 1100) == [((0, 0),) * 1100]
+    assert walked_multisets(space, 1100, 1100) == (1, [((0, 0),) * 1100])
     assert count_words(space, 1100, 1100) == 1
     table = list(sym_component_rows_bruteforce(space, 1000, 1000))
     assert [table[m][m] for m in range(8)] == [1, 1, 0, 0, 0, 0, 0, 0]
@@ -443,13 +455,14 @@ def test_bruteforce_table_rows_past_the_least_degree_are_zero():
         [1, 0, 0], *[(0,) * 3] * 3]
 
 
-def test_letter_multisets_refuse_a_component_over_the_word_cap(monkeypatch):
+def test_the_multiset_walk_prunes_a_component_over_the_word_cap(monkeypatch):
     space = GradedSpace(((1, 3),))
     monkeypatch.setattr(graded_algebra, "MAX_WORDS", 9)
-    assert len(letter_multisets(space, 2, 2)) == 6
+    assert len(walked_multisets(space, 2, 2)[1]) == 6
     monkeypatch.setattr(graded_algebra, "MAX_WORDS", 8)
+    assert walked_multisets(space, 2, 2) == (9, [])
     with pytest.raises(EnumerationCapError, match=r"\(m=2, n=2\) has 9 words, over the enumeration cap 8"):
-        letter_multisets(space, 2, 2)
+        sym_component_dim_bruteforce(space, 2, 2)
 
 
 def test_sym_component_dims_keeps_long_words_of_high_degree_apart():

@@ -8,10 +8,12 @@ bitwise.
 """
 
 import itertools
+import json
 import math
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -386,7 +388,8 @@ def test_narrow_gaussians_verify_against_the_closed_form(width, dim, scale):
     window = Window(lengths=(2.0, 1.5, 1.0)[:dim])
     f = ScalarFunction(kind="gaussian", scale=scale, center=(1.0, 0.6, 0.3)[:dim],
                        width=(width, 2 * width, width / 2)[:dim])
-    lo, hi = _quadrature_box(f, window)
+    lo, hi, resolved = _quadrature_box(f, window)
+    assert resolved
     reach = math.sqrt(GAUSSIAN_REACH_SQ)
     assert lo == tuple(c - reach * w for c, w in zip(f.center, f.width))
     assert hi == tuple(c + reach * w for c, w in zip(f.center, f.width))
@@ -406,7 +409,8 @@ def test_wide_gaussians_keep_the_whole_window_as_their_quadrature_box():
     window = Window(lengths=(1.0, 2.0, 1.5))
     for center in [(0.2, 0.4, 0.3), (0.8, 1.6, 1.2), (0.5, 1.0, 0.75)]:
         f = ScalarFunction(kind="gaussian", center=center, width=(0.3, 0.6, 0.45))
-        assert _quadrature_box(f, window) == f.support(window) == ((0.0,) * 3, window.lengths)
+        assert _quadrature_box(f, window) == (*f.support(window), True)
+        assert f.support(window) == ((0.0,) * 3, window.lengths)
 
 
 def test_a_center_outside_the_window_keeps_the_tail_it_sees():
@@ -414,7 +418,7 @@ def test_a_center_outside_the_window_keeps_the_tail_it_sees():
     # tail falls to 1e-20 of its edge value, so the 4e-17 integral still verifies
     window = Window(lengths=(20.0,))
     f = ScalarFunction(kind="gaussian", scale=1e6, center=(-7.0,), width=(1.0,))
-    (lo,), (hi,) = _quadrature_box(f, window)
+    (lo,), (hi,), _ = _quadrature_box(f, window)
     assert lo == 0.0 and hi == pytest.approx(-7.0 + math.sqrt(49 + GAUSSIAN_REACH_SQ))
     closed = f.closed_form_integral(window)
     assert closed == pytest.approx(3.7078e-17, rel=1e-4)
@@ -426,8 +430,20 @@ def test_a_reach_beyond_the_float_range_keeps_the_whole_axis_without_overflow():
     window = Window(lengths=(1.0, 2.0))
     f = ScalarFunction(kind="gaussian", center=(-1e300, 1.0), width=(1e-300, 0.1))
     reach = 0.1 * math.sqrt(GAUSSIAN_REACH_SQ)
-    assert _quadrature_box(f, window) == ((0.0, 1.0 - reach), (1.0, 1.0 + reach))
+    assert _quadrature_box(f, window) == ((0.0, 1.0 - reach), (1.0, 1.0 + reach), True)
     assert integral_of_power(f, window, 1) == 0.0
+
+
+def test_a_box_below_float_resolution_refuses_only_a_disputed_reference():
+    # width 1e-17 at 1.0: the box is one ulp wide, and its quadrature reads 1.1e-16 * scale
+    window = Window(lengths=(2.0,))
+    narrow = ScalarFunction(kind="gaussian", center=(1.0,), width=(1e-17,))
+    assert _quadrature_box(narrow, window)[2] is False
+    with pytest.raises(QuadratureError, match="vs closed form 1.77.* ulps wide$"):
+        integral_of_power(narrow, window, 1)
+    # a faint bump misses by less than the 1e-18 floor of the check: served
+    faint = ScalarFunction(kind="gaussian", center=(1.0,), width=(1e-17,), scale=1e-3)
+    assert integral_of_power(faint, window, 1) == faint.closed_form_integral(window) > 0
 
 
 @pytest.mark.parametrize("center, width, lengths, scale", [
@@ -703,12 +719,38 @@ def test_mecke_validation():
     assert Polynomial(coeffs=()).coeffs == (0.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("k", [2.5, True, None, "2.5"])
-def test_count_indicator_needs_an_integer_k(k):
+@pytest.mark.parametrize("k, message", [
+    (2.5, "k must be an integer"), (True, "k must be an integer"),
+    (None, "^count_indicator functional needs k$"), ("2.5", "k must be an integer"),
+])
+def test_count_indicator_needs_an_integer_k(k, message):
     # k = 2.5 was accepted and only failed the reference check, as exit 1
-    with pytest.raises(ValueError, match="k must be an integer"):
+    with pytest.raises(ValueError, match=message):
         LocalFunctional(kind="count_indicator", k=k)
     assert LocalFunctional(kind="count_indicator", k="3").k == 3
+
+
+BOX_1D = ScalarFunction(kind="box", lo=(0.2,), hi=(0.5,))
+# One valid set of fields per functional kind, and a stray field of another kind for each.
+FUNCTIONAL_FIELDS = {"one": {}, "count_indicator": {"k": 2},
+                     "poly_of_sum": {"phi": BOX_1D, "h": LINEAR}}
+STRAY_FUNCTIONAL_FIELDS = [("one", "phi"), ("one", "h"), ("count_indicator", "phi"),
+                           ("poly_of_sum", "k")]
+
+
+@pytest.mark.parametrize("kind, name", STRAY_FUNCTIONAL_FIELDS)
+def test_a_functional_field_of_another_kind_is_refused(kind, name):
+    # "one" with h = 3 was read as F = 1, and a stray k or phi was kept and ignored
+    strays = {"k": 3, "phi": BOX_1D, "h": Polynomial(coeffs=(3.0,))}
+    with pytest.raises(ValueError, match=f"^{kind} functional takes no {name}$"):
+        LocalFunctional(kind=kind, **FUNCTIONAL_FIELDS[kind], **{name: strays[name]})
+
+
+@pytest.mark.parametrize("kind, name", [(k, n) for k, own in FUNCTIONAL_FIELDS.items() for n in own])
+def test_a_missing_functional_field_of_the_kind_is_refused(kind, name):
+    fields = {n: v for n, v in FUNCTIONAL_FIELDS[kind].items() if n != name}
+    with pytest.raises(ValueError, match=f"^{kind} functional needs {name}$"):
+        LocalFunctional(kind=kind, **fields)
 
 
 GAUSS_1D = ScalarFunction(kind="gaussian", center=(0.5,), width=(0.3,), scale=0.5)
@@ -920,6 +962,50 @@ def test_run_check_dispatch_and_shorthand():
     assert report["check"] == "mecke"
     assert report["samples"] == "2000"
     assert report == run_check(spec)
+
+
+# Every field of every check.  No two numbers are equal, so no two share an object.
+FULL_SPECS = [
+    '{"check": "laplace", "window": {"dim": 2, "lengths": [1.5, 2.0]}, "samples": 300,'
+    ' "seed": 1001, "f": {"kind": "gaussian", "scale": 0.5, "center": [0.5, 1.0],'
+    ' "width": [0.3, 0.4]}}',
+    '{"check": "local", "window": {"dim": 2, "lengths": [1.5, 2.0]}, "samples": 300,'
+    ' "seed": 1001, "f": {"kind": "count_indicator", "k": 3}}',
+    '{"check": "local", "window": {"dim": 2, "lengths": [1.5, 2.0]}, "samples": 300,'
+    ' "seed": 1001, "f": {"kind": "poly_of_sum", "phi": {"kind": "box", "scale": 0.7,'
+    ' "lo": [0.0, 0.5], "hi": [0.8, 1.7]}, "h": {"coeffs": [0.6, -1.0, 0.25]}}}',
+    '{"check": "mecke", "m": 3, "window": {"dim": 2, "lengths": [1.5, 2.0]},'
+    ' "samples": 300, "seed": 1001, "f": {"g": {"kind": "gaussian", "scale": 0.6,'
+    ' "center": [0.4, 1.1], "width": [0.55, 0.8]}, "phi": {"kind": "box", "scale": 0.7,'
+    ' "lo": [0.0, 0.5], "hi": [0.9, 1.7]}, "h": {"coeffs": [0.65, -1.0, 0.25]}}}',
+]
+
+
+def values_in(doc):
+    """The numbers of a JSON document and its lists of numbers."""
+    if isinstance(doc, dict):
+        return [x for item in doc.values() for x in values_in(item)]
+    if isinstance(doc, list):
+        return [doc, *(x for item in doc for x in values_in(item))]
+    return [doc] if isinstance(doc, (int, float)) else []
+
+
+@pytest.mark.parametrize("text", FULL_SPECS, ids=["laplace", "local-count", "local-poly", "mecke"])
+def test_run_check_reads_each_value_once(monkeypatch, text):
+    seen = []
+
+    def spy(name):
+        real = getattr(poisson_mc, name)
+        monkeypatch.setattr(poisson_mc, name,
+                            lambda value, *args: seen.append(value) or real(value, *args))
+
+    for name in ("_real", "_reals", "strict_int", "strict_seed"):
+        spy(name)
+    spec = json.loads(text)
+    run_check(spec)
+    reads = Counter(map(id, seen))
+    assert sorted(reads.values()) == [1] * len(seen)
+    assert reads.keys() == {id(x) for x in values_in(spec)}
 
 
 def test_each_run_check_starts_with_empty_quadrature_caches():
