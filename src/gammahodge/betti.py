@@ -229,15 +229,10 @@ def vanishing_threshold(betti: BettiVector) -> tuple[int, bool]:
 def kunneth_product(betti_x: BettiVector, betti_m: BettiVector) -> BettiVector:
     """Betti vector of a product base: the convolution of the factors.
 
-    The second factor is the compact one (beta_0 >= 1 expected); the first
-    should have beta_0 = 0, otherwise InfiniteVolumeWarning fires.
+    The second factor is the compact one (beta_0 >= 1 expected, UserWarning
+    otherwise).  A first factor with beta_0 != 0 makes the product's beta_0
+    nonzero too, which the series warns of once, as it does for any base.
     """
-    if betti_x.beta[0] != 0:
-        warnings.warn(
-            "first factor has beta_0 != 0; expected an infinite-volume factor",
-            InfiniteVolumeWarning,
-            stacklevel=2,
-        )
     if betti_m.beta[0] < 1:
         warnings.warn(
             "compact factor has beta_0 = 0; expected beta_0 >= 1",

@@ -1,10 +1,11 @@
 """Command-line entry point: JSON in, JSON out.
 
 Subcommands: betti, algebra-check, simplicial, poisson, pipeline.  Exit
-codes: 0 success, 1 internal invariant violation, 2 input error, 3 partial
-run (grid points skipped over a brute-force budget), 4 resource limit (the
-request would exceed a fixed work or memory budget).  Each warning is one
-``warning:`` line on stderr.  Exact integers are emitted as decimal strings;
+codes: 0 success, 1 internal invariant violation, 2 input error (a ValueError),
+3 partial run (grid points skipped over a brute-force budget), 4 resource limit
+(the request would exceed a fixed work or memory budget).  Each warning is one
+``warning:`` line on stderr.  ``--seed`` and ``--samples`` hand their text to
+the value's one reader.  Exact integers are emitted as decimal strings;
 Monte Carlo values as floats.  Replies are the text of json.dumps with
 indent=2, written by ``_dumps`` in one C-encoder call per container or per
 batch of 64 row dicts, nested children stood in by a marker string (a fresh
@@ -45,27 +46,20 @@ MAX_KRON_PROBES = 1_000
 MAX_GRID_ROWS = 6_000
 
 
-class InputError(ValueError):
-    """Bad command-line input or malformed JSON document."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        """Raise a usage error as InputError, for main's one line (argv may hold newlines)."""
-        raise InputError(" ".join(message.splitlines()))
-
-
-def integer(text: str) -> int:
-    """argparse type of the integer flags: strict_int's rule, so '1_0' and ' 3' are refused."""
-    try:
-        return strict_int(text, "flag")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+        """Raise a usage error as ValueError, for main's one line (argv may hold newlines)."""
+        raise ValueError(" ".join(message.splitlines()))
 
 
 def count(text: str) -> int:
-    """argparse type of --n-max and --kron-probes: integer's rule, and at least 0."""
-    if (value := integer(text)) < 0:
+    """argparse type of --n-max and --kron-probes: strict_int's rule, so '1_0' and ' 3' are
+    refused, and at least 0, so that a bad count is refused as the flags are parsed."""
+    try:
+        value = strict_int(text, "flag")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
@@ -82,13 +76,13 @@ def _read_json_source(source: str) -> dict:
             with open(source, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         except OSError as exc:
-            raise InputError(f"cannot read input {source!r}: {exc}") from exc
+            raise ValueError(f"cannot read input {source!r}: {exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON input: {exc}") from exc
+        raise ValueError(f"malformed JSON input: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InputError("input JSON must be an object")
+        raise ValueError("input JSON must be an object")
     return doc
 
 
@@ -203,7 +197,7 @@ def _emit(payload: dict, output: str | None) -> None:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise InputError(f"cannot write --output {output!r}: {exc}") from exc
+            raise ValueError(f"cannot write --output {output!r}: {exc}") from exc
         raise
 
 
@@ -213,10 +207,10 @@ def _check_output(output: str) -> str:
     target = os.path.realpath(output)
     if os.path.exists(target) and not os.path.isfile(target):
         what = "a directory" if os.path.isdir(target) else "not a regular file"
-        raise InputError(f"--output {output!r} is {what}")
+        raise ValueError(f"--output {output!r} is {what}")
     directory = os.path.dirname(target)
     if not os.path.isdir(directory):
-        raise InputError(f"--output {output!r}: {directory!r} is not a directory")
+        raise ValueError(f"--output {output!r}: {directory!r} is not a directory")
     return target
 
 
@@ -287,9 +281,9 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
     for key, value in overrides.items():
         grid[key] = strict_int(value, f"grid.{key}")
         if grid[key] < 0:
-            raise InputError(f"grid.{key} must be non-negative, got {grid[key]}")
+            raise ValueError(f"grid.{key} must be non-negative, got {grid[key]}")
     if grid["betti_d_max"] < 1:
-        raise InputError(f"grid.betti_d_max must be >= 1, got {grid['betti_d_max']}")
+        raise ValueError(f"grid.betti_d_max must be >= 1, got {grid['betti_d_max']}")
     if _grid_rows(grid) > MAX_GRID_ROWS:
         raise ResourceError(f"the grid has more than {MAX_GRID_ROWS} rows, the budget of one sweep")
     # every Betti vector holds betti_d_max entries, even when betti_beta_max = 0 makes one row set
@@ -389,9 +383,9 @@ def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:
 
 def cmd_simplicial(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _read_json_source(args.input)
+    seed = strict_seed(0 if args.seed is None else args.seed)
     if args.seed is not None and not args.kron_probes:
-        raise InputError("--seed seeds the probes alone: it needs --kron-probes above 0")
-    seed = strict_seed(args.seed or 0)
+        raise ValueError("--seed seeds the probes alone: it needs --kron-probes above 0")
     if args.kron_probes > MAX_KRON_PROBES:
         raise ResourceError(
             f"--kron-probes {args.kron_probes} is above the budget of {MAX_KRON_PROBES}"
@@ -503,12 +497,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kron-probes", type=count, default=0,
                    help="also run this many random PSD Kronecker-sum kernel probes")
-    p.add_argument("--seed", type=integer, help="seed for the probes")
+    p.add_argument("--seed", help="seed for the probes")
 
     p = sub.add_parser("poisson", help="run one Monte Carlo identity check")
     common(p)
-    p.add_argument("--seed", type=integer, help="override the spec's seed")
-    p.add_argument("--samples", type=integer, help="override the spec's sample count")
+    p.add_argument("--seed", help="override the spec's seed")
+    p.add_argument("--samples", help="override the spec's sample count")
 
     p = sub.add_parser("pipeline", help="complex -> Betti vector -> configuration b_n")
     common(p)
@@ -550,7 +544,7 @@ def main(argv=None) -> int:
         except ResourceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
-        except ValueError as exc:  # InputError included
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         finally:

@@ -25,9 +25,10 @@ bumps truncated to the window, and polynomials of <phi, gamma> of degree at
 most two (a Polynomial holds exactly three coefficients).  Every reference
 is then available in closed form or through convergent tensor-product
 Gauss-Legendre quadrature, and the quadrature value must agree with the
-closed form to 1e-10 relative before any sampling runs
-(ReferenceMismatchError otherwise; QuadratureError, a resource limit, when a
-Gaussian's box is cut too narrow for the float resolution of its nodes).
+closed form to QUAD_REL_TOL (1e-10, the quadrature's own convergence test too)
+relative before any sampling runs, a local series relative to the size of its
+terms (ReferenceMismatchError otherwise; QuadratureError, a resource limit, when
+a Gaussian's box is cut too narrow for the float resolution of its nodes).
 
 Each value of a check spec has one reader, its constructor (Window, ScalarFunction,
 Polynomial, LocalFunctional); _KIND_FIELDS and _FUNCTIONAL_FIELDS map each kind to its
@@ -63,8 +64,7 @@ from .errors import InvariantError, ResourceError, fields, strict_int, strict_se
 RNG_SCHEME = "philox4x64-block16384-v1"
 STREAM_BLOCK = 16_384
 REL_FLOOR = 1e-8
-QUAD_REL_TOL = 1e-10
-SHORT_CIRCUIT_REL_TOL = 1e-10
+QUAD_REL_TOL = 1e-10  # two quadrature levels agree, and match the closed form, to this
 TAIL_REL_TOL = 1e-12
 # Variates (a count, then dim coordinates per point) all blocks of a check may draw.
 MAX_DRAWS = 2**30
@@ -386,7 +386,7 @@ class ScalarFunction:
             if j + 2 > a and term * a / (j + 1) <= eps * abs(total) * (1 - a / (j + 2)):
                 break
         rounding = 4 * j * eps * magnitude
-        if a > EXP_LIMIT or rounding > 0.1 * SHORT_CIRCUIT_REL_TOL * max(abs(total), REL_FLOOR):
+        if a > EXP_LIMIT or rounding > 0.1 * QUAD_REL_TOL * max(abs(total), REL_FLOOR):
             raise ResourceError(f"no e^f - 1 series verifies a gaussian of scale {self.scale!r}")
         return total
 
@@ -410,6 +410,8 @@ class Polynomial:
 
 
 _FUNCTIONAL_FIELDS = {"one": (), "count_indicator": ("k",), "poly_of_sum": ("phi", "h")}
+# the phi of F = 1 and of a Mecke check without phi: <phi, gamma> = 0
+_ZERO_PHI = ScalarFunction(kind="indicator", scale=0.0)
 
 
 @dataclass(frozen=True)
@@ -436,7 +438,7 @@ class LocalFunctional:
                 raise ValueError(f"count_indicator needs 0 <= k <= max float, got {k!r}")
             object.__setattr__(self, "k", k)
         if self.kind == "one":
-            object.__setattr__(self, "phi", ScalarFunction(kind="indicator", scale=0.0))
+            object.__setattr__(self, "phi", _ZERO_PHI)
             object.__setattr__(self, "h", Polynomial(coeffs=(1.0,)))
 
 
@@ -489,10 +491,13 @@ def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x else -math.inf
 
 
-def _verified(quad_value: float, closed: float, what: str, resolved: bool = True) -> float:
-    """Closed-form short circuit: the quadrature must match the closed form, or raise
+def _verified(quad_value: float, closed: float, what: str, resolved: bool = True,
+              size: float | None = None) -> float:
+    """Closed-form short circuit: the quadrature must match the closed form to QUAD_REL_TOL of
+    ``size`` (|closed|, or the size of the terms it sums, which may cancel), or raise
     ReferenceMismatchError; QuadratureError when its box was not ``resolved``."""
-    if abs(quad_value - closed) > SHORT_CIRCUIT_REL_TOL * max(abs(closed), REL_FLOOR):
+    size = abs(closed) if size is None else size
+    if abs(quad_value - closed) > QUAD_REL_TOL * max(size, REL_FLOOR):
         text = f"{what}: quadrature {quad_value!r} vs closed form {closed!r}"
         if not resolved:
             raise QuadratureError(f"{text} over a box under {MIN_BOX_ULPS:.3g} ulps wide")
@@ -619,19 +624,23 @@ def _sup_bound(functional: LocalFunctional, n_pts: int) -> float:
     return abs(c0) + abs(c1) * s + abs(c2) * s * s
 
 
-def _closed_form_mean(functional: LocalFunctional, window: Window) -> float:
+def _closed_form_mean(functional: LocalFunctional, window: Window) -> tuple[float, float]:
+    """(E[F], the size of the terms it sums), as _mean_of_poly gives them."""
     if functional.kind == "count_indicator":
         v, k = window.volume, functional.k
-        return math.exp(-v + k * math.log(v) - math.lgamma(k + 1))
+        mean = math.exp(-v + k * math.log(v) - math.lgamma(k + 1))
+        return mean, mean
     return _mean_of_poly(functional.h, functional.phi, window)
 
 
-def _mean_of_poly(h: Polynomial, phi: ScalarFunction, window: Window) -> float:
-    """E[h(<phi, gamma>)] from the first two moments of <phi, gamma>."""
+def _mean_of_poly(h: Polynomial, phi: ScalarFunction, window: Window) -> tuple[float, float]:
+    """E[h(<phi, gamma>)] from the first two moments of <phi, gamma>, and the sum of its
+    terms' sizes, |c0| + |c1 i1| + |c2| (i2 + i1^2): the terms may cancel to 0."""
     c0, c1, c2 = h.coeffs
     i1 = integral_of_power(phi, window, 1)
     i2 = integral_of_power(phi, window, 2)
-    return c0 + c1 * i1 + c2 * (i2 + i1 * i1)
+    second = i2 + i1 * i1
+    return c0 + c1 * i1 + c2 * second, abs(c0) + abs(c1 * i1) + abs(c2) * second
 
 
 def check_local_expansion(
@@ -652,7 +661,7 @@ def check_local_expansion(
     """
     samples, seed, _ = plan = _sampling_plan(window, samples, seed)
     v = window.volume
-    closed = _closed_form_mean(functional, window)
+    closed, size = _closed_form_mean(functional, window)
     # the standard error squares samples of about the reference's size
     _refuse_overflow(2 * _log_abs(closed), "the local reference squared")
     _refuse_overflow(v, "the local series weight 1 / e^-volume")
@@ -669,7 +678,7 @@ def check_local_expansion(
         tail = bound / (1 - ratio) if ratio < 1 else math.inf
         if tail <= tolerance and 2 * tail < math.ulp(series):
             break
-    reference = _verified(series, closed, "local expansion series")
+    reference = _verified(series, closed, "local expansion series", size=size)
 
     def per_slice(counts, sample_ids, points):
         if functional.kind == "count_indicator":
@@ -741,12 +750,12 @@ def check_mecke(
     if phi is None:
         if any(h.coeffs[1:]):
             raise ValueError("a non-constant h needs phi")
-        phi = ScalarFunction(kind="indicator", scale=0.0)
+        phi = _ZERO_PHI
 
     _refuse_overflow(m * _log_abs(g.scale), "mecke g.scale^m")
     ig = integral_of_power(g, window, 1)
     _refuse_overflow(m * _log_abs(ig), "mecke (integral of g)^m")
-    reference = ig**m / math.factorial(m) * _mean_of_poly(h, phi, window)
+    reference = ig**m / math.factorial(m) * _mean_of_poly(h, phi, window)[0]
     _refuse_overflow(2 * _log_abs(reference), "the mecke reference squared")
 
     def per_slice(counts, sample_ids, points):

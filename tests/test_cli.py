@@ -449,6 +449,34 @@ def test_poisson_seed_flag_overrides(capsys):
     assert other["estimate"] != base["estimate"]
 
 
+def test_poisson_flags_hand_their_text_to_the_sampling_plan_alone(capsys, monkeypatch):
+    # argparse keeps the text: the check's plan reads it once, and the cli not at all
+    seen = []
+    for module in (cli, poisson_mc):
+        for name in ("strict_int", "strict_seed"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda value, *args, real=real, where=module.__name__:
+                                seen.append((where, value)) or real(value, *args))
+    doc = run_json(capsys, "poisson", "--input", POISSON_SPEC, "--seed", "7", "--samples", "300")
+    assert (doc["seed"], doc["samples"]) == ("7", "300")
+    flag_reads = [(where, value) for where, value in seen if value in ("7", "300", 7, 300)]
+    assert flag_reads == [("gammahodge.poisson_mc", "300"), ("gammahodge.poisson_mc", "7")]
+
+
+# a closed form whose terms cancel to 0: the series rounds by about 1e-17 of their size
+@pytest.mark.parametrize("window, phi, coeffs", [
+    ([1.0], "indicator", [-1, -1, 1.0]),
+    ([1.0], "indicator", [2, -4, 1]),
+    ([1.0, 2.0], {"kind": "box", "lo": [0.0, 0.0], "hi": [0.5, 1.0]}, [-0.5, -0.5, 1]),
+])
+def test_a_local_series_that_cancels_to_0_is_served(capsys, window, phi, coeffs):
+    spec = {"check": "local", "window": {"lengths": window}, "samples": 2, "seed": 2,
+            "f": {"kind": "poly_of_sum", "phi": phi, "h": {"coeffs": coeffs}}}
+    doc = run_json(capsys, "poisson", "--input", json.dumps(spec))
+    assert doc["reference"] == 0.0
+    assert abs(doc["extra"]["series_reference"]) < 1e-15
+
+
 def test_poisson_requires_seed(capsys):
     spec = '{"check":"laplace","window":{"dim":1,"lengths":[2.0]},"samples":100,"f":"indicator"}'
     code, _, err = run(capsys, "poisson", "--input", spec)
@@ -859,6 +887,8 @@ def test_pipeline_n_max_over_the_series_budget_exits_4(capsys):
 @pytest.mark.parametrize("argv", [
     ("betti", "--input", '{"d":2,"beta":[1,2,1]}'),
     ("pipeline", "--input", HOLLOW),
+    # one cause, a compact base, one warning: the Kunneth product does not warn of it too
+    ("pipeline", "--input", f'{{"complex": {HOLLOW}, "mark": {HOLLOW}}}'),
 ])
 def test_a_warning_is_one_stderr_line_without_path_or_source(argv):
     done = run_subprocess(*argv)
@@ -937,13 +967,15 @@ def test_pipeline_marked_path_matches_direct_convolution(capsys):
         (("simplicial", "--input", '{"maximal":[[0,1.5]]}'), "maximal[0][1]"),
         (("simplicial", "--input", '{"maximal":["012"]}'), "maximal[0]"),
         (("pipeline", "--input", '{"maximal":[[0,1],[1,true]]}'), "maximal[1][1]"),
-        # integer flags follow the same rule: int() would read "1_0" as 10 and " 3" as 3
-        (("simplicial", "--input", HOLLOW, "--seed", "x"), "--seed: invalid integer"),
+        # integer flags follow the same rule: int() would read "1_0" as 10 and " 3" as 3;
+        # --seed and --samples hand their text to the one reader of the value
+        (("simplicial", "--input", HOLLOW, "--seed", "x"), "seed must be an integer, got 'x'"),
         (("simplicial", "--input", HOLLOW, "--kron-probes", "1.0"), "--kron-probes: invalid integer"),
         (("betti", "--input", '{"d":1,"beta":[0,1]}', "--n-max", "1_0"), "--n-max: invalid integer"),
         (("pipeline", "--input", HOLLOW, "--n-max", " 3"), "--n-max: invalid integer"),
-        (("poisson", "--input", POISSON_SPEC, "--samples", "2e3"), "--samples: invalid integer"),
-        (("poisson", "--input", POISSON_SPEC, "--seed", "+1"), "--seed: invalid integer"),
+        (("poisson", "--input", POISSON_SPEC, "--samples", "2e3"),
+         "samples must be an integer, got '2e3'"),
+        (("poisson", "--input", POISSON_SPEC, "--seed", "+1"), "seed must be an integer, got '+1'"),
     ],
 )
 def test_non_integer_input_exits_2_naming_the_field(capsys, argv, field):

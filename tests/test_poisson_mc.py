@@ -492,6 +492,13 @@ def test_reference_mismatch_is_an_invariant_violation():
     assert _verified(1.0 + 1e-13, 1.0, "near") == 1.0
     with pytest.raises(ReferenceMismatchError):
         _verified(1.001, 1.0, "off")
+    # a sum of terms of size 4 that cancels to 0 rounds by about 1e-17, far above 1e-10 of
+    # the 1e-8 floor: it is held to 1e-10 of the size of its terms
+    assert _verified(-4.5e-17, 0.0, "cancelled", size=4.0) == 0.0
+    with pytest.raises(ReferenceMismatchError):
+        _verified(-4.5e-17, 0.0, "cancelled")
+    with pytest.raises(ReferenceMismatchError):
+        _verified(1e-9, 0.0, "cancelled", size=4.0)
 
 
 # ---------------------------------------------------------------------------
