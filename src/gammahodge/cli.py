@@ -295,12 +295,14 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
     if grid["betti_beta_max"]:
         betti_mod._refuse_digits(factorial(n_max), betti_mod._digit_limit())
     rows = []
+    verdicts: dict[tuple, bool] = {}  # one brute-force memo: shapes do not depend on the space
 
     for space in _grid_spaces(grid):
         # one list per space, shared by its rows, so the reply writer renders it once
         components = [[p, d] for p, d in space.components]
         closed_rows = ga.sym_component_dims(space, grid["m_max"], grid["n_max"])
-        brute_rows = ga.sym_component_rows_bruteforce(space, grid["m_max"], grid["n_max"])
+        brute_rows = ga.sym_component_rows_bruteforce(
+            space, grid["m_max"], grid["n_max"], verdicts)
         for m, (closed_row, brute_row) in enumerate(zip(closed_rows, brute_rows)):
             for n, (closed, brute) in enumerate(zip(closed_row, brute_row)):
                 row = {
@@ -319,7 +321,7 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
         space = ga.GradedSpace(tuple((k, vector.beta[k]) for k in range(1, d_max + 1)))
         # cells with m > n are 0, so row n sums column n; its first cap in m is its reason
         sums, capped = [0] * (n_max + 1), [None] * (n_max + 1)
-        for table_row in ga.sym_component_rows_bruteforce(space, n_max, n_max):
+        for table_row in ga.sym_component_rows_bruteforce(space, n_max, n_max, verdicts):
             for n in compress(range(n_max + 1), table_row):  # the nonzero and capped cells
                 dim = table_row[n]
                 if isinstance(dim, ga.EnumerationCapError):

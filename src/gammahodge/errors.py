@@ -1,6 +1,7 @@
 """Shared exception types and the strict readers of JSON input: its keys and integers."""
 
 import re
+import sys
 from numbers import Integral
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -27,12 +28,18 @@ def strict_int(value, field: str) -> int:
 
     Accepts integers and decimal-integer strings (reports emit exact integers
     as strings).  Bools and every float, NaN and the infinities included, are
-    rejected rather than truncated.
+    rejected rather than truncated, and so is a string past Python's
+    integer-string digit limit.
     """
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # only raised past the limit, which exists from 3.10.7 on
+            raise ValueError(
+                f"{field} has {len(value.lstrip('-'))} digits, over Python's limit of "
+                f"{sys.get_int_max_str_digits()} for an integer string") from None
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 

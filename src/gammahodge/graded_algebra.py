@@ -12,8 +12,9 @@ graded sign
 so odd-degree letters anticommute and every other pair commutes.  All
 arithmetic is exact (ints and fractions.Fraction).  Component dimensions are
 available through two independent routes, each a table dims[m][n] built once
-per space: sym_component_rows_bruteforce, the signed orbit sum of one word per
-letter multiset, from one walk that counts the words and buckets the
+per space: sym_component_rows_bruteforce, the signed orbit sum of one word
+shared by the letter multisets of one shape (the parity and multiplicity of
+each distinct letter), from one walk that counts the words and buckets the
 multisets of each length in turn; and sym_component_dims, the closed-form
 count by wedge/symmetric powers read off the generating-function kernel of
 betti.  Their agreement is the module's central invariant.
@@ -43,7 +44,8 @@ Word = tuple[Letter, ...]
 
 # Words a brute-force dimension check may enumerate per (m, n) component.
 MAX_WORDS = 20_000
-# Projector permutations (m! per letter multiset) it may run per component.
+# Projector permutations (m! per letter multiset) it may run per component: an upper bound,
+# since multisets of one shape share one orbit sum.
 MAX_PERMUTATIONS = 10_000
 # The two skip reasons, formatted only by EnumerationCapError.__str__.
 _WORD_CAP = "component (m={}, n={}) has {} words, over the enumeration cap {}"
@@ -207,7 +209,10 @@ def _orbit_sum(word: tuple, odd: list[int]) -> dict[tuple, int]:
     odd[i] is the parity of word[i]; the list is permuted along with the
     letters.  The orders are visited by adjacent swaps, each of which adds or
     removes one inversion, so the sign flips exactly when the two swapped
-    letters both have odd degree.
+    letters both have odd degree.  The signs read the parities alone, so a
+    renaming of the letters that keeps parities renames the orders of the sum
+    and keeps every coefficient: on that ground sym_component_rows_bruteforce
+    shares one sum among the letter multisets of one shape.
     """
     items = list(word)
     acc = {word: 1}
@@ -235,21 +240,44 @@ def project(space: GradedSpace, word: Word) -> dict[Word, Fraction]:
 
 
 def sym_component_rows_bruteforce(
-    space: GradedSpace, m_max: int, n_max: int
+    space: GradedSpace, m_max: int, n_max: int, verdicts: dict[tuple, bool] | None = None
 ) -> Iterator[list[int | EnumerationCapError] | tuple[int, ...]]:
     """Projector dimensions of the (m, n) components, one row dims[m] at a time.
 
     The words of one letter multiset form one permutation orbit and P(sigma w) =
     +-P(w), so the orbit adds 1 if the orbit sum of its sorted word has a nonzero
-    coefficient, else 0.  A cell over MAX_WORDS words or MAX_PERMUTATIONS
-    permutations (m! per multiset) holds the EnumerationCapError it is refused
-    with, decided before any word is projected.  One walk gives the word counts
-    and multisets of every length, and rows past n_max // (least letter degree)
-    have no words: they are one shared tuple of zeros.
+    coefficient, else 0.  That verdict depends only on the multiset's shape, the
+    parity and multiplicity of each of its distinct letters: renaming letters
+    bijectively with their parities kept maps the m! signed orders of one
+    multiset onto those of the other, coefficient for coefficient, because a
+    sign reads only the parities of the letters it swaps.  So one orbit sum
+    serves every multiset with the same key in verdicts: the (parity, same
+    letter as the slot before) pair of each slot of the sorted word, which fixes
+    the shape.  Pass one dict to every table of a request, since keys do not
+    depend on the space; without one the table starts a fresh dict.
+
+    A cell over MAX_WORDS words or MAX_PERMUTATIONS permutations (m! per
+    multiset, an upper bound on the work where shapes repeat) holds the
+    EnumerationCapError it is refused with, decided before any word is
+    projected.  One walk gives the word counts and multisets of every length,
+    and rows past n_max // (least letter degree) have no words: they are one
+    shared tuple of zeros.
     """
     if m_max < 0 or n_max < 0:
         raise ValueError("the m and n bounds must be non-negative")
     degrees, odd = _letter_table(space)
+    verdicts = {} if verdicts is None else verdicts
+
+    def projects_nonzero(w: tuple[int, ...]) -> bool:
+        prev, slots = -1, []
+        for k in w:
+            slots.append((odd[k], k == prev))
+            prev = k
+        key = tuple(slots)
+        if (verdict := verdicts.get(key)) is None:
+            verdict = verdicts[key] = any(_orbit_sum(w, [odd[k] for k in w]).values())
+        return verdict
+
     m_top = min(m_max, n_max // min(degrees)) if degrees else 0
     for m, (counts, buckets) in enumerate(_multiset_levels(degrees, m_top, n_max)):
         row: list[int | EnumerationCapError] = [0] * (n_max + 1)
@@ -262,9 +290,7 @@ def sym_component_rows_bruteforce(
                 row[n] = EnumerationCapError(
                     _PERM_CAP, m, n, len(multisets), m, perms, MAX_PERMUTATIONS)
             else:
-                row[n] = sum(
-                    1 for w in multisets if any(_orbit_sum(w, [odd[k] for k in w]).values())
-                )
+                row[n] = sum(map(projects_nonzero, multisets))
         yield row
     zeros = (0,) * (n_max + 1)
     for _ in range(m_max - m_top):

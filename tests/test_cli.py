@@ -1223,6 +1223,27 @@ def test_pinned_algebra_check_sweep_reply_is_unchanged(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The default grid's 6,225 letter multisets have 53 brute-force memo keys (shapes,
+# their letters in order); the bound leaves room for another key, not for one orbit
+# sum per multiset.
+DEFAULT_GRID_ORBIT_SUMS = 64
+
+
+def test_algebra_check_runs_few_orbit_sums_and_none_outlives_its_request(capsys, monkeypatch):
+    calls = []
+    orbit_sum = graded_algebra._orbit_sum
+    monkeypatch.setattr(graded_algebra, "_orbit_sum",
+                        lambda w, odd: calls.append(w) or orbit_sum(w, odd))
+    replies, counts = [], []
+    for _ in range(2):
+        calls.clear()
+        replies.append(run(capsys, "algebra-check"))
+        counts.append(len(calls))
+    # the second request sums every shape again: no verdict is kept between requests
+    assert 0 < counts[0] == counts[1] <= DEFAULT_GRID_ORBIT_SUMS
+    assert replies[0] == replies[1]
+
+
 def close_floats(got, want):
     """Equal JSON, floats equal to REL_TOL relative and everything else exactly."""
     if isinstance(want, float):

@@ -6,7 +6,7 @@ two-term expansion for length-2 projections, and the full-Gram-matrix rank
 """
 
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
 from math import comb, factorial
 
 import pytest
@@ -338,20 +338,84 @@ def test_blocked_bruteforce_equals_full_gram_rank(space, m, n):
     assert sym_component_dim_bruteforce(space, m, n) == rank(gram_matrix_sym(space, m, n))
 
 
-def test_bruteforce_projects_once_per_letter_multiset(monkeypatch):
-    # each multiset block is one orbit with image span{P(w0)}, so one
-    # orbit sum per block decides its dimension
+def shape_key(space, word):
+    """The (parity, multiplicity) of each distinct letter of word, in letter order.
+
+    Sorted, it is the word's shape; unsorted, it tells multisets apart exactly as
+    the brute force's memo key does.
+    """
+    return tuple((space.letter_degree(letter) % 2, len(list(run)))
+                 for letter, run in groupby(sorted(word)))
+
+
+def counted_orbit_sums(monkeypatch):
+    """Patch graded_algebra._orbit_sum to record the shape key of each word it sums."""
     calls = []
     orbit_sum = graded_algebra._orbit_sum
-    monkeypatch.setattr(
-        graded_algebra, "_orbit_sum", lambda w, odd: calls.append(w) or orbit_sum(w, odd)
-    )
+
+    def counted(w, odd):
+        # w is a sorted word of letter indices and odd[i] the parity of w[i]
+        calls.append(tuple((p, len(list(run))) for (_, p), run in groupby(zip(w, odd))))
+        return orbit_sum(w, odd)
+
+    monkeypatch.setattr(graded_algebra, "_orbit_sum", counted)
+    return calls
+
+
+def test_bruteforce_runs_one_orbit_sum_per_shape(monkeypatch):
+    # a shape's verdict, shared by its multisets, is decided by one orbit sum
+    calls = counted_orbit_sums(monkeypatch)
+    verdicts = {}
+    spaces = (GradedSpace(((1, 3), (2, 2))), GradedSpace(((1, 2), (3, 1), (2, 2))))
+    shapes, multisets = set(), 0
+    for space in spaces:
+        table = list(sym_component_rows_bruteforce(space, 4, 6, verdicts))
+        assert table == sym_component_dims(space, 4, 6)
+        for m in range(5):
+            for n in range(7):
+                words = {tuple(sorted(w)) for w in enumerate_words(space, m, n)}
+                shapes |= {shape_key(space, w) for w in words}
+                multisets += len(words)
+    assert len(shapes) < multisets
+    assert sorted(calls) == sorted(shapes)
+
+
+def test_bruteforce_without_a_memo_sums_again(monkeypatch):
+    calls = counted_orbit_sums(monkeypatch)
     space = GradedSpace(((1, 3), (2, 2)))
-    cells = [(m, n) for m in range(5) for n in range(7)]
-    multisets = {tuple(sorted(w)) for m, n in cells for w in enumerate_words(space, m, n)}
-    assert len(multisets) < sum(count_words(space, m, n) for m, n in cells)
-    assert list(sym_component_rows_bruteforce(space, 4, 6)) == sym_component_dims(space, 4, 6)
-    assert sorted(tuple(space.letters[k] for k in w) for w in calls) == sorted(multisets)
+    first = list(sym_component_rows_bruteforce(space, 4, 6))
+    once = len(calls)
+    assert list(sym_component_rows_bruteforce(space, 4, 6)) == first
+    assert once and len(calls) == 2 * once
+
+
+@pytest.mark.parametrize("degree, dims", [(1, {1: 0, 2: 1}), (2, {1: 1, 2: 3})])
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_a_shared_memo_keeps_shapes_apart(degree, dims, order):
+    # an odd letter squared is 0 and two distinct ones give one wedge; even letters all survive
+    verdicts = {}
+    n = 2 * degree
+    for dim in order:
+        space = GradedSpace(((degree, dim),))
+        table = list(sym_component_rows_bruteforce(space, 2, n, verdicts))
+        assert table[2][n] == dims[dim]
+        assert table == list(sym_component_rows_bruteforce(space, 2, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), space=spaces.filter(lambda space: space.letters))
+def test_renaming_letters_with_their_parities_keeps_the_projection(data, space):
+    word = tuple(data.draw(st.lists(st.sampled_from(space.letters), max_size=6)))
+    renaming = {}
+    for parity in (0, 1):
+        letters = [L for L in space.letters if space.letter_degree(L) % 2 == parity]
+        renaming.update(zip(letters, data.draw(st.permutations(letters))))
+    renamed = tuple(renaming[letter] for letter in word)
+    assert sorted(shape_key(space, renamed)) == sorted(shape_key(space, word))
+    # coefficient for coefficient, so the two words are nonzero together
+    assert project_by_permutations(space, renamed) == {
+        tuple(renaming[letter] for letter in v): c
+        for v, c in project_by_permutations(space, word).items()}
 
 
 @settings(max_examples=50, deadline=None)

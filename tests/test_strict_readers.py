@@ -8,6 +8,7 @@ field path; ``cli.main`` exits 2 with that message as its one stderr line.
 import copy
 import json
 import re
+import sys
 from argparse import Namespace
 
 import pytest
@@ -150,3 +151,29 @@ def test_cli_exits_2_with_one_line_naming_the_field(capsys, command, doc, messag
 def test_a_document_that_is_not_an_object_is_refused(reader, doc):
     with pytest.raises(ValueError, match="must be a JSON object"):
         reader(doc)
+
+
+# Python's integer-string digit limit: 0 (none) before 3.10.7 or when switched off
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+PAST_THE_LIMIT = "9" * (DIGIT_LIMIT + 700)
+PAST_THE_LIMIT_MESSAGE = (f"seed has {DIGIT_LIMIT + 700} digits, over Python's limit of "
+                          f"{DIGIT_LIMIT} for an integer string")
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts strings of any length")
+def test_a_spec_integer_past_the_digit_limit_is_refused_naming_the_field():
+    with pytest.raises(ValueError, match=f"^{re.escape(PAST_THE_LIMIT_MESSAGE)}$"):
+        run_check({**LAPLACE, "seed": PAST_THE_LIMIT})
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts strings of any length")
+@pytest.mark.parametrize("argv", [
+    ["poisson", "--input", json.dumps({**LAPLACE, "seed": PAST_THE_LIMIT})],
+    ["poisson", "--seed", PAST_THE_LIMIT, "--input", json.dumps(LAPLACE)],
+    ["simplicial", "--kron-probes", "1", "--seed", PAST_THE_LIMIT, "--input", json.dumps(COMPLEX)],
+], ids=["poisson-spec", "poisson-flag", "simplicial-flag"])
+def test_a_seed_past_the_digit_limit_exits_2_with_one_line_naming_it(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    message = f"error: {PAST_THE_LIMIT_MESSAGE}\n"
+    assert (code, captured.out, captured.err) == (EXIT_INPUT, "", message)
