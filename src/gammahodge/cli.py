@@ -116,9 +116,10 @@ def _level(level: int) -> tuple:
 def _dumps(payload) -> str:
     """The JSON text of payload with an indent of 2, as json.dumps gives it byte for byte.
 
-    A container, or a batch of _BATCH dicts from a list of non-empty dicts such
-    as a reply's rows, is encoded in one C call with each nested child stood in
-    by _MARKER; split on the marker's encoded form, that text gives the pieces
+    A container with no nested child is one C call plus its opening and closing
+    pads.  Any other container, or a batch of _BATCH dicts from a list of non-empty
+    dicts such as a reply's rows, is encoded in one C call with each nested child
+    stood in by _MARKER; split on the marker's encoded form, that text gives the pieces
     around each child's rendering.  More pieces than stand-ins mean that a key or
     string of the payload holds the marker: the text is encoded again with a fresh
     one.  Parts go into one list, joined once, so no subtree's text is copied
@@ -162,7 +163,13 @@ def _dumps(payload) -> str:
         start = len(out)
         if (isinstance(obj, dict) or not obj or not isinstance(obj[0], dict)
                 or not all(isinstance(row, dict) and row for row in obj)):
-            splice((obj,), level)
+            encode, separator, close = (_LEVELS.get(level) or _level(level))[:3]
+            if _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj)):
+                text = "".join(encode(obj, 0))  # no child to stand in: no marker
+                out.append(f"{text[0]}{separator[1:]}{text[1:-1]}{close}{text[-1]}"
+                           if len(text) > 2 else text)
+            else:
+                splice((obj,), level)
         else:
             separator, close = (_LEVELS.get(level) or _level(level))[1:3]
             for i in range(0, len(obj), _BATCH):

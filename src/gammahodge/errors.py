@@ -31,6 +31,8 @@ def strict_int(value, field: str) -> int:
     rejected rather than truncated, and so is a string past Python's
     integer-string digit limit.
     """
+    if type(value) is int:  # nearly every value read; bools are type bool
+        return value
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, str) and _DECIMAL.fullmatch(value):

@@ -12,7 +12,8 @@ faces of each k-simplex); no dense matrix is formed on the report path.
 Boundary ranks read the columns.  The harmonic dimension is dim C_k minus
 the rank of the stacked incidence matrix M_k, the columns of del_{k+1}
 followed by the rows of del_k: L_k = M_k^T M_k, so ker L_k = ker M_k, and
-it is ranked by the same sparse elimination.  ``hodge_laplacian`` is
+it is ranked by the same sparse elimination, except M_0, which is del_1's
+columns alone and reuses their rank.  ``hodge_laplacian`` is
 literally M_k^T M_k, ``linalg.gram`` of those same rows, and is the tests'
 oracle for that kernel.  ``torus_grid`` and ``sphere_boundary`` give
 complexes of any size with known homology, and ``from_maximal`` refuses a
@@ -180,16 +181,21 @@ def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int]
     so ker L_k = ker M_k (a chain is harmonic iff it is a cycle and a
     cocycle).  The Laplacian is never formed here; ``hodge_laplacian`` is the
     tests' oracle for this kernel.  The del_{k+1}^T rows go first, which
-    measured faster on torus_grid(24, 24) than the other order.  The three
-    must add up to dim C_k, which is the statement harmonic = beta_k; a
-    violation raises InvariantError.
+    measured faster on torus_grid(24, 24) than the other order.  M_0 is the
+    very list of del_1's columns, so it reuses rank del_1: ranking it again
+    would run the same elimination on the same rows, and the check below at
+    k = 0 is then an identity.  The three must add up to dim C_k, which is
+    the statement harmonic = beta_k; a violation raises InvariantError.  A
+    wrong rank del_1 still fails at k = 1, where M_1 is ranked on its own.
     """
     bounds = _boundaries(K)
     ranks = [rank(cols) for _, cols in bounds]
     out = []
     for k in range(K.max_dim + 1):
         nk = K.chain_dim(k)
-        harmonic = nk - rank(bounds[k + 1][1] + bounds[k][0])
+        # del_0 has no rows, so M_0 is del_1's columns, ranked just above
+        stacked = rank(bounds[k + 1][1] + bounds[k][0]) if bounds[k][0] else ranks[k + 1]
+        harmonic = nk - stacked
         if harmonic + ranks[k] + ranks[k + 1] != nk:
             raise InvariantError(f"decomposition of C_{k} does not fill the space")
         out.append((harmonic, ranks[k], ranks[k + 1]))

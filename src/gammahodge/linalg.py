@@ -5,6 +5,8 @@ and ``gram``, the one G^T G kernel, also take sparse ``{column: value}``
 rows, while ``nullity`` needs dense rows to know the column count.  Ranks
 come from one sparse fraction-free elimination with Markowitz pivots, so
 their cost follows the nonzeros, not the matrix area; so does ``gram``'s.
+Rows of plain ints, which every boundary and Kronecker probe passes, are
+copied without the Fraction pass that other rows take.
 Positive semidefiniteness is decided by exact symmetric elimination, and
 Kronecker sums are assembled entrywise.  No floating point.
 """
@@ -21,12 +23,21 @@ SparseRows = Sequence[dict]
 
 
 def _integer_row(row: dict) -> dict[int, int]:
-    """The row's nonzeros scaled to coprime integers (rank-preserving)."""
-    entries = {c: e if isinstance(e, int) else Fraction(e) for c, e in row.items() if e}
-    denominators = [e.denominator for e in entries.values() if isinstance(e, Fraction)]
-    if denominators:
-        denom = lcm(*denominators)
-        entries = {c: int(e * denom) for c, e in entries.items()}
+    """A copy of the row's nonzeros scaled to coprime integers (rank-preserving).
+
+    A row of exact ints, the common case, is copied by dict operations alone;
+    any other value (a bool, a Fraction, a numpy integer, a float) sends the
+    row through Fraction and the lcm of its denominators.
+    """
+    values = row.values()
+    if set(map(type, values)) <= {int}:
+        entries = {c: e for c, e in row.items() if e} if 0 in values else row.copy()
+    else:
+        entries = {c: e if isinstance(e, int) else Fraction(e) for c, e in row.items() if e}
+        denominators = [e.denominator for e in entries.values() if isinstance(e, Fraction)]
+        if denominators:
+            denom = lcm(*denominators)
+            entries = {c: int(e * denom) for c, e in entries.items()}
     content = gcd(*entries.values())
     if content > 1:
         entries = {c: e // content for c, e in entries.items()}
@@ -40,7 +51,8 @@ def rank(matrix: Matrix | SparseRows) -> int:
     not modified.  Each step pivots on the shortest remaining row, at its
     entry of least magnitude, ties going to the sparsest column (Markowitz).
     Every other row holding that column becomes ``p*row - f*pivot_row``
-    (p, f divided by their gcd) and is then divided by its content, which
+    (p, f divided by their gcd, both negated when p < 0, so a row is
+    rescaled only when |p| > 1) and is then divided by its content, which
     curbs the growth of the integers; no division is ever inexact.
     """
     rows = {i: _integer_row(r if isinstance(r, dict) else dict(enumerate(r)))
@@ -70,6 +82,8 @@ def rank(matrix: Matrix | SparseRows) -> int:
             f = row.pop(c)
             g = gcd(p, f)
             a, b = p // g, f // g
+            if a < 0:  # the negated update: same rank, support and content, no -1 pass
+                a, b = -a, -b
             if a != 1:
                 row = {j: a * v for j, v in row.items()}
             for j, v in pivot_row.items():

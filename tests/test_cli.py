@@ -1120,6 +1120,21 @@ REPLY_CASES = {
     "simplicial": (
         "simplicial", "--input", '{"maximal": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}',
     ),
+    # Recorded before integer rows skipped the Fraction pass and M_0 reused rank del_1:
+    # a torus whose del_2 is 108 x 72 and whose M_1 is 108 x 108, four Kronecker probes,
+    # whose sums are dense integer rows up to 36 x 36, and a pipeline with a 3-sphere mark.
+    "simplicial_torus_6x6_probes": (
+        "simplicial", "--input",
+        json.dumps({"maximal": hodge_discrete.torus_grid(6, 6).simplices[2]}),
+        "--kron-probes", "4", "--seed", "7",
+    ),
+    "pipeline_torus_4x6_sphere_mark": (
+        "pipeline", "--input", json.dumps({
+            "complex": {"maximal": hodge_discrete.torus_grid(4, 6).simplices[2]},
+            "mark": {"maximal": hodge_discrete.sphere_boundary(4).simplices[3]},
+        }),
+        "--n-max", "8",
+    ),
     "algebra_check": ("algebra-check", "--grid", json.dumps({
         "l_max": 1, "degree_max": 2, "dim_max": 1, "m_max": 1, "n_max": 2,
         "betti_d_max": 1, "betti_beta_max": 1, "betti_n_max": 2,

@@ -329,10 +329,26 @@ def test_each_exact_rank_is_computed_once(monkeypatch):
     K = catalog()["torus_7"]
     split = hodge_decomposition_dims(K)
     # rank del_0 .. del_{max_dim+1} once each, then one stacked incidence per degree
-    assert len(calls) == 2 * K.max_dim + 3 == 7
+    # k >= 1: M_0 is del_1^T, the list of del_1's columns, whose rank is reused
+    assert len(calls) == 2 * K.max_dim + 2 == 6
     calls.clear()
     assert betti_numbers(K) == tuple(harmonic for harmonic, _, _ in split) == (1, 2, 1)
     assert len(calls) == K.max_dim + 2 == 4
+
+
+def test_a_wrong_rank_of_del_1_is_caught_at_degree_1(monkeypatch):
+    # M_0 reuses rank del_1, so the k = 0 sum holds whatever that rank reads;
+    # the k = 1 sum, whose M_1 is ranked on its own, must catch the error.
+    K = catalog()["torus_7"]
+    d1_columns = hodge_discrete._sparse_boundary(K, 1)[1]
+    original = hodge_discrete.rank
+
+    def off_by_one_on_del_1(matrix):
+        return original(matrix) + (matrix == d1_columns)
+
+    monkeypatch.setattr(hodge_discrete, "rank", off_by_one_on_del_1)
+    with pytest.raises(InvariantError, match="C_1 "):
+        hodge_decomposition_dims(K)
 
 
 def test_each_boundary_is_built_once(monkeypatch):

@@ -3,6 +3,7 @@
 import copy
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,31 @@ def test_dict_rows_rank_as_their_dense_rows(m):
     assert rank(nonzeros) == rank(with_zeros) == rank(m)
 
 
+dense_int_matrices = st.integers(1, 8).flatmap(lambda m: st.lists(
+    st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 4, -6]), min_size=m, max_size=m),
+    min_size=1, max_size=8,
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.one_of(sparse_int_matrices, dense_int_matrices),
+       content=st.sampled_from([1, 2, 6]))
+def test_int_rows_rank_as_the_same_entries_of_other_types(m, content):
+    # rows of plain ints skip the Fraction pass; every other type takes it
+    width = len(m[0])
+    m = [[content * e for e in row] for row in m] + [([4, 0, 0, -6] + [0] * width)[:width]]
+    want = rref_rank(m)
+    retyped = [
+        [[Fraction(e) for e in row] for row in m],
+        [[np.int64(e) for e in row] for row in m],
+        [[True if e == 1 else e for e in row] for row in m],
+    ]
+    assert rank(m) == want
+    assert rank([{j: e for j, e in enumerate(row) if e} for row in m]) == want
+    for other in retyped:
+        assert rank(other) == want
+
+
 def test_rank_through_large_intermediate_integers():
     # Vandermonde rows x^0..x^13 for x = 1..14 eliminate through integers of
     # hundreds of bits; a last row summing two others drops the rank by one.
@@ -131,7 +157,9 @@ def test_rank_through_large_intermediate_integers():
 def test_rank_leaves_its_argument_unchanged():
     dense = [[Fraction(1, 2), 0, 3], [1, 0, 6], [0, 0, 0], [2, 5, -1]]
     sparse = [{0: 2, 2: -4}, {0: 1, 1: Fraction(3, 2)}, {}, {1: 3, 2: -2}]
-    for matrix in (dense, sparse):
+    # zero-free int rows, which rank copies without the Fraction pass
+    zero_free = [{0: 2, 2: -4}, {0: 1, 1: 3}, {1: -1, 2: 1}, {0: 4, 1: -6, 2: 2}]
+    for matrix in (dense, sparse, zero_free):
         before = copy.deepcopy(matrix)
         rank(matrix)
         assert matrix == before
