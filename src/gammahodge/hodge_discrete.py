@@ -9,12 +9,12 @@ rational arithmetic; there are no floating-point eigensolvers here.
 Each boundary is built once per report, straight from the face index, as
 its nonzeros by row (the k-simplices on each face) and by column (the k+1
 faces of each k-simplex); no dense matrix is formed on the report path.
-Boundary ranks read the columns.  The harmonic dimension is dim C_k minus
-the rank of the stacked incidence matrix M_k, the columns of del_{k+1}
-followed by the rows of del_k: L_k = M_k^T M_k, so ker L_k = ker M_k, and
-it is ranked by the same sparse elimination, except M_0, which is del_1's
-columns alone and reuses their rank.  ``hodge_laplacian`` is
-literally M_k^T M_k, ``linalg.gram`` of those same rows, and is the tests'
+Boundary ranks read the columns; del_0 has no rows and is not ranked.  The
+harmonic dimension is dim C_k minus the rank of the stacked incidence matrix
+M_k, the columns of del_{k+1} followed by the rows of del_k: L_k = M_k^T M_k,
+so ker L_k = ker M_k, and it is ranked by the same sparse elimination, except
+M_0, which is del_1's columns alone and reuses their rank.  ``hodge_laplacian``
+is literally M_k^T M_k, ``linalg.gram`` of those same rows, and is the tests'
 oracle for that kernel.  ``torus_grid`` and ``sphere_boundary`` give
 complexes of any size with known homology, and ``from_maximal`` refuses a
 closure over MAX_CLOSURE_FACES before building it.
@@ -153,9 +153,14 @@ def _boundaries(K: SimplicialComplex) -> list[tuple[list[dict[int, int]], list[d
     return [_sparse_boundary(K, k) for k in range(K.max_dim + 2)]
 
 
+def _boundary_ranks(bounds) -> list[int]:
+    """rank del_k for each boundary of _boundaries; del_0 has no rows, so its rank is 0 unranked."""
+    return [0] + [rank(cols) for _, cols in bounds[1:]]
+
+
 def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
     """beta_k = dim C_k - rank del_k - rank del_{k+1}, exact ranks."""
-    ranks = [rank(cols) for _, cols in _boundaries(K)]
+    ranks = _boundary_ranks(_boundaries(K))
     return tuple(
         K.chain_dim(k) - ranks[k] - ranks[k + 1] for k in range(K.max_dim + 1)
     )
@@ -175,21 +180,22 @@ def hodge_laplacian(K: SimplicialComplex, k: int) -> list[list[int]]:
 def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int], ...]:
     """(harmonic, exact, coexact) dimensions of C_k for every degree k.
 
-    exact = rank del_k and coexact = rank del_{k+1}, each boundary built and
-    ranked once.  harmonic = dim C_k - rank M_k for the stacked incidence
-    matrix M_k = [del_{k+1}^T ; del_k]: L_k = M_k^T M_k over the rationals,
-    so ker L_k = ker M_k (a chain is harmonic iff it is a cycle and a
-    cocycle).  The Laplacian is never formed here; ``hodge_laplacian`` is the
-    tests' oracle for this kernel.  The del_{k+1}^T rows go first, which
-    measured faster on torus_grid(24, 24) than the other order.  M_0 is the
-    very list of del_1's columns, so it reuses rank del_1: ranking it again
-    would run the same elimination on the same rows, and the check below at
-    k = 0 is then an identity.  The three must add up to dim C_k, which is
-    the statement harmonic = beta_k; a violation raises InvariantError.  A
-    wrong rank del_1 still fails at k = 1, where M_1 is ranked on its own.
+    exact = rank del_k and coexact = rank del_{k+1}, each boundary built once
+    and ranked once, except del_0, whose rank is 0.  harmonic = dim C_k - rank
+    M_k for the stacked incidence matrix M_k = [del_{k+1}^T ; del_k]: L_k =
+    M_k^T M_k over the rationals, so ker L_k = ker M_k (a chain is harmonic
+    iff it is a cycle and a cocycle).  The Laplacian is never formed here;
+    ``hodge_laplacian`` is the tests' oracle for this kernel.  The del_{k+1}^T
+    rows go first, which measured faster on torus_grid(24, 24) than the other
+    order.  M_0 is the very list of del_1's columns, so it reuses rank del_1:
+    ranking it again would run the same elimination on the same rows, and the
+    check below at k = 0 is then an identity.  The three must add up to dim
+    C_k, which is the statement harmonic = beta_k; a violation raises
+    InvariantError.  A wrong rank del_1 still fails at k = 1, where M_1 is
+    ranked on its own.
     """
     bounds = _boundaries(K)
-    ranks = [rank(cols) for _, cols in bounds]
+    ranks = _boundary_ranks(bounds)
     out = []
     for k in range(K.max_dim + 1):
         nk = K.chain_dim(k)

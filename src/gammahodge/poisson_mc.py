@@ -39,13 +39,15 @@ RNG scheme ``philox4x64-block16384-v1``: sample index i draws from the
 Philox4x64 counter stream keyed (seed, i // 16384), all of a block's counts
 before its points, so the configuration at (seed, index) never depends on the
 sample count.  ``_sampling_plan``, the pre-flight of every check, is the one
-reader of its sample count and seed; ``_blocks`` trusts its plan and draws a
-block's points one slice of whole samples at a time, each slice expecting about
-SLICE_TARGET_BYTES of points, so that its few point-length arrays stay
-cache-sized.  Each check
-reduces one slice at a time into one array of per-sample values (memory O(one
-slice) plus 8 bytes a sample per value), bitwise equal to reducing the whole
-batch.  MAX_SLICE_BYTES only refuses a configuration too large to sample.
+reader of its sample count and seed; ``_slices`` trusts its plan and draws a
+block's points one slice of whole samples at a time, so that a slice's few
+point-length arrays stay cache-sized.  Blocks are independent counter streams,
+so ``_per_sample`` fills them two at a time, on the calling thread and one
+worker thread, and the slices in flight expect about SLICE_TARGET_BYTES of
+points together.  Each check reduces one slice at a time into one array of
+per-sample values (memory O(SLICE_TARGET_BYTES) plus 8 bytes a sample per value),
+bitwise equal to reducing the whole batch whatever the thread timing.
+MAX_SLICE_BYTES only refuses a configuration too large to sample.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import math
 import numbers
 import re
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -68,11 +71,14 @@ QUAD_REL_TOL = 1e-10  # two quadrature levels agree, and match the closed form, 
 TAIL_REL_TOL = 1e-12
 # Variates (a count, then dim coordinates per point) all blocks of a check may draw.
 MAX_DRAWS = 2**30
-# Expected bytes of one slice's points: a slice's few point-length arrays then stay near
-# a 2 MiB L2 cache.  A slice holds whole samples, from 1 up to a whole block.
+# Expected bytes of the points of the slices in flight: one slice when the samples fit in
+# one block, two of half this when two blocks are filled at once.  A slice's few
+# point-length arrays then stay near a 2 MiB L2 cache.  A slice holds whole samples, from
+# 1 up to a whole block.
 SLICE_TARGET_BYTES = 2**20
 # Expected bytes of one configuration's points above which sampling is refused, its only
-# job; a one-sample slice at this edge holds about eight times it at once (Mecke on a line).
+# job; a one-sample slice at this edge holds about eight times it at once (Mecke on a line),
+# and two blocks in flight hold two such slices.
 MAX_SLICE_BYTES = 32 * 2**20
 # exp() of anything larger overflows a float, and JSON cannot carry inf.
 EXP_LIMIT = math.log(sys.float_info.max)
@@ -159,11 +165,13 @@ def _stream(seed: int, block: int) -> np.random.Generator:
 def _sampling_plan(window: Window, n_samples, seed, least: int = 2) -> tuple[int, int, int]:
     """(samples, seed, samples per slice); every check runs it before any quadrature or draw.
 
-    A slice holds as many whole samples as expect SLICE_TARGET_BYTES of points, at
-    least one and at most a block.  ValueError below ``least`` samples (one for
-    sample_configuration) or for a seed outside [0, 2**64), ResourceError when one
-    configuration expects more than MAX_SLICE_BYTES of points or the samples would draw
-    more than MAX_DRAWS variates.  What reads the plan checks nothing again.
+    A slice holds as many whole samples as expect its share of SLICE_TARGET_BYTES of
+    points, at least one and at most a block: all of it when the samples fit in one block,
+    half of it when they span two or more, whose blocks _per_sample fills two at a time.
+    ValueError below ``least`` samples (one for sample_configuration) or for a seed
+    outside [0, 2**64), ResourceError when one configuration expects more than
+    MAX_SLICE_BYTES of points or the samples would draw more than MAX_DRAWS variates.
+    What reads the plan checks nothing again.
     """
     n_samples = strict_int(n_samples, "samples")
     if n_samples < least:
@@ -176,40 +184,73 @@ def _sampling_plan(window: Window, n_samples, seed, least: int = 2) -> tuple[int
                             f"over the {MAX_SLICE_BYTES / 2**20:.3g} MiB budget; shrink the window")
     if n_samples > MAX_DRAWS / (1 + window.volume * window.dim):
         raise ResourceError(f"{n_samples} samples would draw more than {MAX_DRAWS} variates")
-    return n_samples, seed, max(1, int(min(STREAM_BLOCK, SLICE_TARGET_BYTES / config_bytes)))
+    target = SLICE_TARGET_BYTES if n_samples <= STREAM_BLOCK else SLICE_TARGET_BYTES / 2
+    return n_samples, seed, max(1, int(min(STREAM_BLOCK, target / config_bytes)))
 
 
-def _blocks(window: Window, plan: tuple[int, int, int], first: int = 0):
-    """Yield counts, slice-local sample ids and points of the plan's samples from block ``first``.
+def _slices(window: Window, plan: tuple[int, int, int], block: int, first: int = 0):
+    """Yield counts, slice-local sample ids and points of the plan's block ``block``.
 
-    Each block draws all its counts, then its points one slice of whole samples at a
-    time from the same stream: the same bits for every sample count and slice size.
-    The uniform draws are scaled to the window one column at a time, in place.
+    The plan's samples start at stream block ``first``.  The block draws all its counts,
+    then its points one slice of whole samples at a time from the same stream: the same
+    bits for every sample count and slice size.  The uniform draws are scaled to the
+    window one column at a time, in place.
     """
     n_samples, seed, size = plan
-    for start in range(0, n_samples, STREAM_BLOCK):
-        g = _stream(seed, first + start // STREAM_BLOCK)
-        counts = g.poisson(window.volume, size=STREAM_BLOCK)[: n_samples - start]
-        for lo in range(0, counts.size, size):
-            part = counts[lo : lo + size]
-            points = g.random((int(part.sum()), window.dim))
-            for col, length in zip(points.T, window.lengths):
-                col *= length
-            yield part, np.repeat(np.arange(part.size), part), points
+    g = _stream(seed, first + block)
+    counts = g.poisson(window.volume, size=STREAM_BLOCK)[: n_samples - block * STREAM_BLOCK]
+    for lo in range(0, counts.size, size):
+        part = counts[lo : lo + size]
+        points = g.random((int(part.sum()), window.dim))
+        for col, length in zip(points.T, window.lengths):
+            col *= length
+        yield part, np.repeat(np.arange(part.size), part), points
 
 
-def _per_sample(window: Window, plan: tuple[int, int, int], per_slice) -> np.ndarray:
+def _blocks(window: Window, plan: tuple[int, int, int]):
+    """The slices of every block of the plan, in sample order."""
+    for block in range(-(-plan[0] // STREAM_BLOCK)):
+        yield from _slices(window, plan, block)
+
+
+def _per_sample(window: Window, plan: tuple[int, int, int], per_slice, lead=()) -> np.ndarray:
     """per_slice(counts, sample_ids, points) of every slice, joined along samples.
 
-    Each slice's values go straight into one array allocated for every sample.
+    per_slice returns float values of shape ``lead`` + (slice samples,).  Each slice's
+    values go straight into one array allocated for every sample, at their block's
+    offset.  The blocks run two at a time: the calling thread fills block 2i while one
+    worker thread fills block 2i + 1, and is joined before the next pair starts.  Blocks
+    are independent streams and each writes its own samples, so the values never depend
+    on thread timing.  A plan of one block starts no thread; an error of either block is
+    raised here, block 2i's first, after the worker has ended.
     """
-    out, done = None, 0
-    for counts, sample_ids, points in _blocks(window, plan):
-        values = per_slice(counts, sample_ids, points)
-        if out is None:
-            out = np.empty(values.shape[:-1] + (plan[0],), values.dtype)
-        out[..., done : done + counts.size] = values
-        done += counts.size
+    out = np.empty(lead + (plan[0],))
+
+    def fill(block):
+        done = block * STREAM_BLOCK
+        for counts, sample_ids, points in _slices(window, plan, block):
+            out[..., done : done + counts.size] = per_slice(counts, sample_ids, points)
+            done += counts.size
+
+    def fill_or_keep_error(block, errors):
+        try:
+            fill(block)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    n_blocks = -(-plan[0] // STREAM_BLOCK)
+    for block in range(0, n_blocks, 2):
+        errors, worker = [], None
+        if block + 1 < n_blocks:
+            worker = threading.Thread(target=fill_or_keep_error, args=(block + 1, errors))
+            worker.start()
+        try:
+            fill(block)
+        finally:
+            if worker is not None:
+                worker.join()
+        if errors:
+            raise errors[0]
     return out
 
 
@@ -224,7 +265,7 @@ def sample_configuration(
     block, offset = divmod(strict_int(index, "index"), STREAM_BLOCK)
     if block < 0:
         raise ValueError("index must be non-negative")
-    for counts, _, points in _blocks(window, _sampling_plan(window, offset + 1, seed, 1), block):
+    for counts, _, points in _slices(window, _sampling_plan(window, offset + 1, seed, 1), 0, block):
         pass
     return tuple(map(tuple, points[len(points) - int(counts[-1]) :].tolist()))
 
@@ -765,7 +806,7 @@ def check_mecke(
         lhs = _subset_sums(m, g_vals, phi_vals, totals, sample_ids, counts.size, h.coeffs)
         return np.stack([lhs, h(totals) * (ig**m / math.factorial(m))])
 
-    lhs_values, rhs_values = _per_sample(window, plan, per_slice)
+    lhs_values, rhs_values = _per_sample(window, plan, per_slice, (2,))
     lhs, lhs_se = _mc_stats(lhs_values)
     rhs, rhs_se = _mc_stats(rhs_values)
     pooled = math.hypot(lhs_se, rhs_se)

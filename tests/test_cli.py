@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -24,6 +25,7 @@ from gammahodge.cli import (
     EXIT_RESOURCE,
     main,
 )
+from gammahodge.errors import ResourceError
 
 HOLLOW = '{"maximal": [[0, 1], [1, 2], [0, 2]]}'
 
@@ -633,6 +635,34 @@ def test_a_configuration_over_the_slice_budget_exits_4_without_a_traceback():
     assert "Traceback" not in done.stderr
 
 
+# 16,385 samples: block 0 on the calling thread, block 1 (one sample) on a worker thread
+TWO_BLOCK_MECKE = ('{"check":"mecke","m":1,"window":{"lengths":[2.0]},"samples":16385,'
+                   '"seed":1,"f":{"g":"indicator"}}')
+
+
+@pytest.mark.parametrize("error, exit_code", [(ResourceError, EXIT_RESOURCE),
+                                              (ValueError, EXIT_INPUT)])
+def test_an_error_in_the_worker_block_exits_as_one_in_the_calling_block(
+        capsys, monkeypatch, error, exit_code):
+    subset_sums, replies = poisson_mc._subset_sums, []
+    for fail_on_main in (True, False):
+        raised_on = []
+
+        def kernel(*args):
+            main = threading.current_thread() is threading.main_thread()
+            if main == fail_on_main:
+                raised_on.append(main)
+                raise error("the slice kernel failed")
+            return subset_sums(*args)
+
+        monkeypatch.setattr(poisson_mc, "_subset_sums", kernel)
+        before = threading.active_count()
+        replies.append(run(capsys, "poisson", "--input", TWO_BLOCK_MECKE))
+        assert raised_on == [fail_on_main]
+        assert threading.active_count() == before
+    assert replies[0] == replies[1] == (exit_code, "", "error: the slice kernel failed\n")
+
+
 def test_sampling_budget_refuses_before_drawing(capsys):
     # volume 9e6: one configuration's points would take about 137 MiB
     spec = ('{"check":"laplace","window":{"lengths":[3000.0,3000.0]},"samples":100000,'
@@ -1196,7 +1226,8 @@ def test_reply_text_is_unchanged(capsys, monkeypatch, name):
     assert code == EXIT_OK
     assert out == (REPLIES / f"{name}.json").read_text()
     if name.startswith("poisson"):
-        # 2,000 bytes a slice: 125, 62 and 27 samples at volume 2 in 1-D, 2 in 2-D, 3 in 3-D
+        # 2,000 bytes in flight: 62 samples a slice at volume 2 in 2-D; the 20,000-sample
+        # replies span two blocks, 1,000 bytes a slice: 62 at volume 2 in 1-D, 13 at 3 in 3-D
         monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", 2000)
         assert run(capsys, *REPLY_CASES[name]) == (code, out, "")
 

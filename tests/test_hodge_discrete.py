@@ -328,12 +328,13 @@ def test_each_exact_rank_is_computed_once(monkeypatch):
     monkeypatch.setattr(hodge_discrete, "rank", counted)
     K = catalog()["torus_7"]
     split = hodge_decomposition_dims(K)
-    # rank del_0 .. del_{max_dim+1} once each, then one stacked incidence per degree
-    # k >= 1: M_0 is del_1^T, the list of del_1's columns, whose rank is reused
-    assert len(calls) == 2 * K.max_dim + 2 == 6
+    # rank del_1 .. del_{max_dim+1} once each (del_0 has no rows, its rank is 0), then one
+    # stacked incidence per degree k >= 1: M_0 is del_1^T, the list of del_1's columns,
+    # whose rank is reused
+    assert len(calls) == 2 * K.max_dim + 1 == 5
     calls.clear()
     assert betti_numbers(K) == tuple(harmonic for harmonic, _, _ in split) == (1, 2, 1)
-    assert len(calls) == K.max_dim + 2 == 4
+    assert len(calls) == K.max_dim + 1 == 3
 
 
 def test_a_wrong_rank_of_del_1_is_caught_at_degree_1(monkeypatch):

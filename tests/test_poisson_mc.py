@@ -11,6 +11,9 @@ import itertools
 import json
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -181,14 +184,17 @@ def test_points_stay_inside_the_window():
 
 STREAM_SIZES = (2, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 40_000)
 # Slice targets for WINDOW, whose configurations expect 2 * 2 * 8 = 32 bytes of points:
-# 32 MiB (a whole block a slice), then slices of 1, 7 and 1,000 samples.
-SLICE_TARGETS = {poisson_mc.MAX_SLICE_BYTES: STREAM_BLOCK, 32: 1, 7 * 32 + 31: 7, 32_000: 1000}
+# 32 MiB (a whole block a slice), then slices of 1, 7 and 1,000 samples, and of 1, 3 and
+# 500 samples for a plan of two or more blocks, whose slices get half the target each.
+SLICE_TARGETS = {poisson_mc.MAX_SLICE_BYTES: (STREAM_BLOCK, STREAM_BLOCK), 32: (1, 1),
+                 7 * 32 + 31: (7, 3), 32_000: (1000, 500)}
 
 
 @pytest.mark.parametrize("n", STREAM_SIZES)
 def test_streamed_blocks_merge_into_the_whole_batch(monkeypatch, n):
     counts, ids, pts = sample_blocks(WINDOW, 42, n)
-    for target, size in SLICE_TARGETS.items():
+    for target, sizes_by_blocks in SLICE_TARGETS.items():
+        size = sizes_by_blocks[n > STREAM_BLOCK]
         monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", target)
         parts = list(_blocks(WINDOW, _sampling_plan(WINDOW, n, 42)))
         sizes = [c.size for c, _, _ in parts]
@@ -828,21 +834,35 @@ def test_mecke_memory_stays_within_a_constant_of_one_slice(monkeypatch):
     assert peak <= 10 * poisson_mc.SLICE_TARGET_BYTES
 
 
+def heaviest_shape_peak(samples):
+    """tracemalloc's peak over a Mecke m = 3 check on the volume-20 3-D box."""
+    window = Window(lengths=(2.0, 2.0, 5.0))
+    check_mecke(3, INDICATOR, CONST, None, window, 100, 1)  # warm the quadrature caches
+    tracemalloc.start()
+    try:
+        check_mecke(3, INDICATOR, CONST, None, window, samples, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_check_on_the_heaviest_benchmark_shape_holds_a_few_slice_targets():
     # mecke m = 3 on a volume-20 3-D box: 480 bytes of points a configuration, so each
     # slice holds 2,184 samples and expects one slice target (1 MiB) of points.  Besides
     # those points a slice holds about six point-length vectors of a third of that
     # (sample ids, g and phi, two powers of g and the subset sums' buffer); the
     # per-sample values of the block (two floats a sample) outlive every slice.
-    window = Window(lengths=(2.0, 2.0, 5.0))
-    check_mecke(3, INDICATOR, CONST, None, window, 100, 1)  # warm the quadrature caches
-    tracemalloc.start()
-    try:
-        check_mecke(3, INDICATOR, CONST, None, window, STREAM_BLOCK, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = heaviest_shape_peak(STREAM_BLOCK)
     assert peak <= 4 * poisson_mc.SLICE_TARGET_BYTES + 2 * 8 * STREAM_BLOCK
+
+
+@pytest.mark.parametrize("blocks", [2, 6])
+def test_two_blocks_in_flight_hold_the_one_block_bound(blocks):
+    # two or more blocks halve the slice target: two slices of 1,092 samples in flight, on
+    # two threads, expect the points of one slice of a one-block plan
+    samples = blocks * STREAM_BLOCK
+    peak = heaviest_shape_peak(samples)
+    assert peak <= 4 * poisson_mc.SLICE_TARGET_BYTES + 2 * 8 * samples
 
 
 @pytest.mark.parametrize("call, field", [
@@ -951,6 +971,58 @@ def test_mecke_memory_stays_at_one_block():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+# ---------------------------------------------------------------------------
+# two blocks in flight: the worker thread changes no bit and outlives no check
+
+def watch_slices(monkeypatch, delayed=None):
+    """Record (block, on the main thread, live threads) for each slice drawn; sleep before
+    each slice of the ``delayed`` side, "caller" or "worker", if any."""
+    seen, slices = [], poisson_mc._slices
+
+    def watched(window, plan, block, first=0):
+        main = threading.current_thread() is threading.main_thread()
+        for part in slices(window, plan, block, first):
+            seen.append((block, main, threading.active_count()))
+            if delayed == ("caller" if main else "worker"):
+                time.sleep(0.002)
+            yield part
+
+    monkeypatch.setattr(poisson_mc, "_slices", watched)
+    return seen
+
+
+@pytest.mark.parametrize("delayed", ["worker", "caller"])
+@pytest.mark.parametrize("check", ["laplace", "local", "mecke"])
+def test_thread_timing_changes_no_per_sample_value(monkeypatch, check, delayed):
+    n = 3 * STREAM_BLOCK + 5  # blocks 0 and 1, then 2 and 3, each pair on two threads
+    monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", 32_000)  # 500 samples a slice
+    values = []
+    monkeypatch.setattr(poisson_mc, "_mc_stats",
+                        lambda v: values.append(np.array(v)) or _mc_stats(v))
+    slices = watch_slices(monkeypatch, delayed)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_streamed(check, n)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert {(block, main) for block, main, _ in slices} == {
+        (0, True), (1, False), (2, True), (3, False)}
+    assert max(live for _, _, live in slices) == before + 1
+    expected = batch_values(check, n)
+    assert len(values) == len(expected)
+    for got, want in zip(values, expected):
+        assert np.array_equal(got, want)
+
+
+def test_a_plan_of_one_block_starts_no_thread(monkeypatch):
+    slices = watch_slices(monkeypatch)
+    before = threading.active_count()
+    run_streamed("mecke", STREAM_BLOCK)
+    assert slices and all(main and live == before for _, main, live in slices)
 
 
 # ---------------------------------------------------------------------------
