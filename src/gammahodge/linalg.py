@@ -55,7 +55,7 @@ def rank(matrix: Matrix | SparseRows) -> int:
     rescaled only when |p| > 1) and is then divided by its content, which
     curbs the growth of the integers; no division is ever inexact.
     """
-    rows = {i: _integer_row(r if isinstance(r, dict) else dict(enumerate(r)))
+    rows = {i: _integer_row(r if isinstance(r, dict) else {c: e for c, e in enumerate(r) if e})
             for i, r in enumerate(matrix)}
     cols: dict[int, set[int]] = {}
     heap = []

@@ -42,8 +42,8 @@ sample count.  ``_sampling_plan``, the pre-flight of every check, is the one
 reader of its sample count and seed; ``_slices`` trusts its plan and draws a
 block's points one slice of whole samples at a time, so that a slice's few
 point-length arrays stay cache-sized.  Blocks are independent counter streams,
-so ``_per_sample`` fills them two at a time, on the calling thread and one
-worker thread, and the slices in flight expect about SLICE_TARGET_BYTES of
+so ``_per_sample`` fills the even ones on the calling thread and the odd ones on
+one worker thread, and the slices in flight expect about SLICE_TARGET_BYTES of
 points together.  Each check reduces one slice at a time into one array of
 per-sample values (memory O(SLICE_TARGET_BYTES) plus 8 bytes a sample per value),
 bitwise equal to reducing the whole batch whatever the thread timing.
@@ -56,7 +56,7 @@ import math
 import numbers
 import re
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -167,7 +167,7 @@ def _sampling_plan(window: Window, n_samples, seed, least: int = 2) -> tuple[int
 
     A slice holds as many whole samples as expect its share of SLICE_TARGET_BYTES of
     points, at least one and at most a block: all of it when the samples fit in one block,
-    half of it when they span two or more, whose blocks _per_sample fills two at a time.
+    half of it when they span two or more, whose blocks _per_sample fills on two threads.
     ValueError below ``least`` samples (one for sample_configuration) or for a seed
     outside [0, 2**64), ResourceError when one configuration expects more than
     MAX_SLICE_BYTES of points or the samples would draw more than MAX_DRAWS variates.
@@ -207,22 +207,16 @@ def _slices(window: Window, plan: tuple[int, int, int], block: int, first: int =
         yield part, np.repeat(np.arange(part.size), part), points
 
 
-def _blocks(window: Window, plan: tuple[int, int, int]):
-    """The slices of every block of the plan, in sample order."""
-    for block in range(-(-plan[0] // STREAM_BLOCK)):
-        yield from _slices(window, plan, block)
-
-
 def _per_sample(window: Window, plan: tuple[int, int, int], per_slice, lead=()) -> np.ndarray:
     """per_slice(counts, sample_ids, points) of every slice, joined along samples.
 
     per_slice returns float values of shape ``lead`` + (slice samples,).  Each slice's
     values go straight into one array allocated for every sample, at their block's
-    offset.  The blocks run two at a time: the calling thread fills block 2i while one
-    worker thread fills block 2i + 1, and is joined before the next pair starts.  Blocks
-    are independent streams and each writes its own samples, so the values never depend
-    on thread timing.  A plan of one block starts no thread; an error of either block is
-    raised here, block 2i's first, after the worker has ended.
+    offset.  The calling thread fills the even blocks while one worker thread fills the
+    odd ones in turn; blocks are independent streams and each writes its own samples, so
+    the values never depend on thread timing.  A plan of one block starts no thread.  An
+    error on the calling thread cancels the worker's unstarted blocks and is raised once
+    its running block ends; the worker's first error is raised after the last even block.
     """
     out = np.empty(lead + (plan[0],))
 
@@ -232,25 +226,17 @@ def _per_sample(window: Window, plan: tuple[int, int, int], per_slice, lead=()) 
             out[..., done : done + counts.size] = per_slice(counts, sample_ids, points)
             done += counts.size
 
-    def fill_or_keep_error(block, errors):
+    blocks = range(-(-plan[0] // STREAM_BLOCK))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        odd = pool.map(fill, blocks[1::2])
         try:
-            fill(block)
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    n_blocks = -(-plan[0] // STREAM_BLOCK)
-    for block in range(0, n_blocks, 2):
-        errors, worker = [], None
-        if block + 1 < n_blocks:
-            worker = threading.Thread(target=fill_or_keep_error, args=(block + 1, errors))
-            worker.start()
-        try:
-            fill(block)
-        finally:
-            if worker is not None:
-                worker.join()
-        if errors:
-            raise errors[0]
+            for block in blocks[::2]:
+                fill(block)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        for _ in odd:
+            pass
     return out
 
 

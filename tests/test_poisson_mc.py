@@ -37,11 +37,11 @@ from gammahodge.poisson_mc import (
     TAIL_REL_TOL,
     Window,
     _conditional_mean,
-    _blocks,
     _mc_stats,
     _quadrature_box,
     _reply,
     _sampling_plan,
+    _slices,
     _stream,
     _subset_sums,
     _sup_bound,
@@ -91,6 +91,12 @@ def sample_blocks(window, seed, n_samples):
     points = np.concatenate(points_parts)[:total]
     sample_ids = np.repeat(np.arange(n_samples), counts)
     return counts, sample_ids, points
+
+
+def plan_slices(window, plan):
+    """The slices of every block of the plan, in sample order."""
+    for block in range(-(-plan[0] // STREAM_BLOCK)):
+        yield from _slices(window, plan, block)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +202,7 @@ def test_streamed_blocks_merge_into_the_whole_batch(monkeypatch, n):
     for target, sizes_by_blocks in SLICE_TARGETS.items():
         size = sizes_by_blocks[n > STREAM_BLOCK]
         monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", target)
-        parts = list(_blocks(WINDOW, _sampling_plan(WINDOW, n, 42)))
+        parts = list(plan_slices(WINDOW, _sampling_plan(WINDOW, n, 42)))
         sizes = [c.size for c, _, _ in parts]
         # whole samples, and no slice across a block boundary
         block_sizes = [min(STREAM_BLOCK, n - s) for s in range(0, n, STREAM_BLOCK)]
@@ -1023,6 +1029,28 @@ def test_a_plan_of_one_block_starts_no_thread(monkeypatch):
     before = threading.active_count()
     run_streamed("mecke", STREAM_BLOCK)
     assert slices and all(main and live == before for _, main, live in slices)
+
+
+def test_an_error_on_the_calling_thread_starts_no_further_worker_block(monkeypatch):
+    monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", 32_000)  # 500 samples a slice
+    slices, started, entered = poisson_mc._slices, [], threading.Event()
+
+    def failing(window, plan, block, first=0):
+        if threading.current_thread() is threading.main_thread():
+            entered.wait(10)
+            raise RuntimeError("the calling thread's slice failed")
+        started.append(block)
+        entered.set()
+        for part in slices(window, plan, block, first):
+            time.sleep(0.001)
+            yield part
+
+    monkeypatch.setattr(poisson_mc, "_slices", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="calling thread"):
+        check_laplace(STREAM_G, WINDOW, 6 * STREAM_BLOCK + 5, 42)
+    assert threading.active_count() == before
+    assert started == [1]  # blocks 3 and 5 were cancelled while block 1 ran
 
 
 # ---------------------------------------------------------------------------
