@@ -28,6 +28,7 @@ from gammahodge.cli import (
 from gammahodge.errors import ResourceError
 
 HOLLOW = '{"maximal": [[0, 1], [1, 2], [0, 2]]}'
+DISCONNECTED = '{"maximal": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [7]]}'
 
 
 def run(capsys, *argv):
@@ -1164,6 +1165,14 @@ REPLY_CASES = {
             "mark": {"maximal": hodge_discrete.sphere_boundary(4).simplices[3]},
         }),
         "--n-max", "8",
+    ),
+    # Recorded while rank del_1 still came from elimination: two hollow triangles and the
+    # isolated vertex 7 (beta_0 = 3), whose del_1 rank is V minus the components.
+    "simplicial_disconnected_probes": (
+        "simplicial", "--input", DISCONNECTED, "--kron-probes", "3", "--seed", "5",
+    ),
+    "pipeline_disconnected_infinite_volume": (
+        "pipeline", "--input", DISCONNECTED, "--infinite-volume", "--n-max", "4",
     ),
     "algebra_check": ("algebra-check", "--grid", json.dumps({
         "l_max": 1, "degree_max": 2, "dim_max": 1, "m_max": 1, "n_max": 2,
