@@ -9,7 +9,8 @@ rational arithmetic; there are no floating-point eigensolvers here.
 Each boundary is built once per report, straight from the face index, as
 its nonzeros by row (the k-simplices on each face) and by column (the k+1
 faces of each k-simplex); no dense matrix is formed on the report path.
-Boundary ranks read the columns; del_0 has no rows and is not ranked.  The
+Boundary ranks read the columns; del_0 has no rows and is not ranked, del_1
+has rank V minus the connected components, and the others are eliminated.  The
 harmonic dimension is dim C_k minus the rank of the stacked incidence matrix
 M_k, the columns of del_{k+1} followed by the rows of del_k: L_k = M_k^T M_k,
 so ker L_k = ker M_k, and it is ranked by the same sparse elimination, except
@@ -35,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantError, ResourceError, fields, strict_int
-from .linalg import Matrix, gram, is_psd, kron_sum, nullity, rank
+from .linalg import Matrix, gram, kron_sum, psd_rank, rank
 
 Simplex = tuple[int, ...]
 
@@ -153,9 +154,33 @@ def _boundaries(K: SimplicialComplex) -> list[tuple[list[dict[int, int]], list[d
     return [_sparse_boundary(K, k) for k in range(K.max_dim + 2)]
 
 
+def _graph_rank(rows: list[dict[int, int]], cols: list[dict[int, int]]) -> int:
+    """rank del_1 = V - (connected components), V = len(rows), an isolated vertex counting as one.
+
+    Union-find over the columns, each one edge's two vertex indices: the edges
+    that join two components number V minus the components.
+    """
+    parent = list(range(len(rows)))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    merges = 0
+    for col in cols:
+        a, b = map(find, col)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges
+
+
 def _boundary_ranks(bounds) -> list[int]:
-    """rank del_k for each boundary of _boundaries; del_0 has no rows, so its rank is 0 unranked."""
-    return [0] + [rank(cols) for _, cols in bounds[1:]]
+    """rank del_k for each boundary of _boundaries: 0 for del_0, which has no rows, the
+    components count for del_1, a graph's incidence matrix, and ``rank`` for the rest."""
+    return [0] + [_graph_rank(rows, cols) if k == 1 else rank(cols)
+                  for k, (rows, cols) in enumerate(bounds) if k]
 
 
 def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
@@ -181,8 +206,8 @@ def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int]
     """(harmonic, exact, coexact) dimensions of C_k for every degree k.
 
     exact = rank del_k and coexact = rank del_{k+1}, each boundary built once
-    and ranked once, except del_0, whose rank is 0.  harmonic = dim C_k - rank
-    M_k for the stacked incidence matrix M_k = [del_{k+1}^T ; del_k]: L_k =
+    and ranked once, except del_0, whose rank is 0, and del_1, whose rank
+    counts components.  harmonic = dim C_k - rank M_k for the stacked incidence matrix M_k = [del_{k+1}^T ; del_k]: L_k =
     M_k^T M_k over the rationals, so ker L_k = ker M_k (a chain is harmonic
     iff it is a cycle and a cocycle).  The Laplacian is never formed here;
     ``hodge_laplacian`` is the tests' oracle for this kernel.  The del_{k+1}^T
@@ -192,7 +217,7 @@ def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int]
     check below at k = 0 is then an identity.  The three must add up to dim
     C_k, which is the statement harmonic = beta_k; a violation raises
     InvariantError.  A wrong rank del_1 still fails at k = 1, where M_1 is
-    ranked on its own.
+    eliminated on its own: two algorithms must agree there.
     """
     bounds = _boundaries(K)
     ranks = _boundary_ranks(bounds)
@@ -212,17 +237,23 @@ def kron_sum_kernel_dim(A: Matrix, B: Matrix) -> tuple[int, int]:
     """(computed, predicted) kernel dimensions of the Kronecker sum of A, B.
 
     A and B are square symmetric matrices given by rows.  computed is the
-    exact nullity of A (x) I + I (x) B; predicted is nullity(A) * nullity(B),
-    which matches whenever both matrices are positive semidefinite.  A
-    non-square or non-symmetric input raises ValueError, and a non-PSD one
-    PsdContractError, since the prediction is not claimed there.
+    exact nullity of K = A (x) I + I (x) B; predicted is nullity(A) *
+    nullity(B), which matches whenever both matrices are positive
+    semidefinite; ``psd_rank`` ranks all three.  A non-square or
+    non-symmetric input raises ValueError, and a non-PSD one PsdContractError,
+    since the prediction is not claimed there; a K that is not PSD, though A
+    and B are, raises InvariantError.
     """
+    nullities = []
     for name, M in (("A", A), ("B", B)):
-        if not is_psd(M):
+        r = psd_rank(M)
+        if r is None:
             raise PsdContractError(f"matrix {name} is not positive semidefinite")
-    computed = nullity(kron_sum(A, B))
-    predicted = nullity(A) * nullity(B)
-    return computed, predicted
+        nullities.append(len(M) - r)
+    sum_rank = psd_rank(kron_sum(A, B))
+    if sum_rank is None:
+        raise InvariantError("the Kronecker sum of two PSD matrices is not positive semidefinite")
+    return len(A) * len(B) - sum_rank, nullities[0] * nullities[1]
 
 
 def catalog() -> dict[str, SimplicialComplex]:

@@ -2,13 +2,12 @@
 
 Matrices are plain sequences of rows holding ints or Fractions; ``rank``
 and ``gram``, the one G^T G kernel, also take sparse ``{column: value}``
-rows, while ``nullity`` needs dense rows to know the column count.  Ranks
-come from one sparse fraction-free elimination with Markowitz pivots, so
-their cost follows the nonzeros, not the matrix area; so does ``gram``'s.
-Rows of plain ints, which every boundary and Kronecker probe passes, are
-copied without the Fraction pass that other rows take.
-Positive semidefiniteness is decided by exact symmetric elimination, and
-Kronecker sums are assembled entrywise.  No floating point.
+rows.  ``rank`` is one sparse fraction-free elimination with Markowitz
+pivots, so its cost follows the nonzeros, not the matrix area; so does
+``gram``'s.  Rows of plain ints, which every boundary passes, are copied
+without the Fraction pass that other rows take.  ``psd_rank`` gives a dense
+symmetric matrix its PSD verdict and rank from one fraction-free symmetric
+elimination.  Kronecker sums are assembled entrywise.  No floating point.
 """
 
 from __future__ import annotations
@@ -109,45 +108,53 @@ def rank(matrix: Matrix | SparseRows) -> int:
     return r
 
 
-def nullity(matrix: Matrix) -> int:
-    """Column count minus rank.  Dense rows only: a dict row has no column count."""
-    if any(isinstance(row, dict) for row in matrix):
-        raise ValueError("nullity needs dense rows: a dict row has no column count")
-    ncols = len(matrix[0]) if matrix else 0
-    return ncols - rank(matrix)
+def psd_rank(matrix: Matrix) -> int | None:
+    """Rank of a symmetric matrix if it is positive semidefinite, else None.
+
+    One fraction-free symmetric elimination (Bareiss, 1968) on the upper
+    triangle of an integer copy, non-int entries scaling the whole matrix by
+    the lcm of their denominators.  Step k sets a[i][j] = (d * a[i][j] -
+    a[k][i] * a[k][j]) // prev for i > k, j >= i, d the pivot a[k][k] and prev
+    the last pivot taken (1 at first): each entry is a minor of the input, so
+    the division is exact (Sylvester).  A negative pivot fails, as does a zero
+    pivot with a nonzero entry left in its row (a negative 2x2 minor); any
+    other zero pivot is skipped, as if its index were deleted.  The rank is
+    the number of positive pivots.
+    """
+    n = len(matrix)
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        for j in range(i):
+            if row[j] != matrix[j][i]:
+                raise ValueError("matrix is not symmetric")
+    if all(type(e) is int for row in matrix for e in row):
+        a = [list(row) for row in matrix]
+    else:
+        a = [[Fraction(e) for e in row] for row in matrix]
+        scale = lcm(*(e.denominator for row in a for e in row))
+        a = [[e.numerator * (scale // e.denominator) for e in row] for row in a]
+    r, prev = 0, 1
+    for k, row_k in enumerate(a):
+        d = row_k[k]
+        if d <= 0:
+            if d or any(row_k[k + 1 :]):
+                return None
+            continue
+        r += 1
+        for i in range(k + 1, n):
+            f, row_i = row_k[i], a[i]
+            if f:
+                row_i[i:] = [(d * x - f * y) // prev for x, y in zip(row_i[i:], row_k[i:])]
+            elif d != prev:
+                row_i[i:] = [d * x // prev for x in row_i[i:]]
+        prev = d
+    return r
 
 
 def is_psd(matrix: Matrix) -> bool:
-    """Exact positive-semidefiniteness test (symmetric input required).
-
-    Symmetric rational elimination: a negative pivot is a certificate of
-    failure, and a zero pivot with any nonzero entry left in its row gives a
-    negative 2x2 principal minor, so it fails too.
-    """
-    n = len(matrix)
-    a = [[Fraction(e) for e in row] for row in matrix]
-    for i in range(n):
-        if len(a[i]) != n:
-            raise ValueError("matrix is not square")
-        for j in range(i):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-    for k in range(n):
-        d = a[k][k]
-        if d < 0:
-            return False
-        if d == 0:
-            if any(a[k][j] for j in range(k + 1, n)):
-                return False
-            continue
-        row_k = a[k]
-        for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f:
-                row_i = a[i]
-                for j in range(k + 1, n):
-                    row_i[j] -= f * row_k[j]
-    return True
+    """Exact positive-semidefiniteness test (symmetric input required): ``psd_rank`` is not None."""
+    return psd_rank(matrix) is not None
 
 
 def kron_sum(a: Matrix, b: Matrix) -> list[list]:

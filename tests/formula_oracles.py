@@ -13,7 +13,9 @@ for its idempotence; projected_norm_sq is the README's norm convention, to be
 compared with project's diagonal; fiber_decomposition_check gives both sides
 of the paper's fiber dimension identity; evaluate_rowwise is
 ScalarFunction.evaluate as it was before the column-at-a-time kernel, with
-np.all and np.sum along axis 1, the oracle for its bits.
+np.all and np.sum along axis 1, the oracle for its bits; nullity is column
+count minus rank, and is_psd_by_fractions the symmetric Fraction elimination
+that linalg.is_psd ran before psd_rank, the oracle for psd_rank's verdict.
 """
 
 import itertools
@@ -26,6 +28,7 @@ import numpy as np
 
 from gammahodge.betti import truncated_product
 from gammahodge.graded_algebra import GradedSpace, Word, enumerate_words, project
+from gammahodge.linalg import Matrix, rank
 from gammahodge.poisson_mc import ScalarFunction
 
 
@@ -169,3 +172,44 @@ def evaluate_rowwise(self: ScalarFunction, points: np.ndarray) -> np.ndarray:
     z = (pts - np.asarray(self.center)) / np.asarray(self.width)
     with np.errstate(over="ignore"):  # far from the center z * z may reach inf: exp(-inf) = 0
         return self.scale * np.exp(-np.sum(z * z, axis=1))
+
+
+def nullity(matrix: Matrix) -> int:
+    """Column count minus rank.  Dense rows only: a dict row has no column count."""
+    if any(isinstance(row, dict) for row in matrix):
+        raise ValueError("nullity needs dense rows: a dict row has no column count")
+    ncols = len(matrix[0]) if matrix else 0
+    return ncols - rank(matrix)
+
+
+def is_psd_by_fractions(matrix: Matrix) -> bool:
+    """Exact positive-semidefiniteness test (symmetric input required).
+
+    Symmetric rational elimination: a negative pivot is a certificate of
+    failure, and a zero pivot with any nonzero entry left in its row gives a
+    negative 2x2 principal minor, so it fails too.
+    """
+    n = len(matrix)
+    a = [[Fraction(e) for e in row] for row in matrix]
+    for i in range(n):
+        if len(a[i]) != n:
+            raise ValueError("matrix is not square")
+        for j in range(i):
+            if a[i][j] != a[j][i]:
+                raise ValueError("matrix is not symmetric")
+    for k in range(n):
+        d = a[k][k]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(a[k][j] for j in range(k + 1, n)):
+                return False
+            continue
+        row_k = a[k]
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            if f:
+                row_i = a[i]
+                for j in range(k + 1, n):
+                    row_i[j] -= f * row_k[j]
+    return True

@@ -385,6 +385,27 @@ def test_simplicial_kron_probes_deterministic(capsys):
         assert row["computed"] == row["predicted"]
 
 
+def test_an_off_by_one_psd_rank_makes_the_kron_probes_exit_1(capsys, monkeypatch):
+    original = hodge_discrete.psd_rank
+
+    def off_by_one(matrix):
+        r = original(matrix)
+        return None if r is None else r + 1
+
+    monkeypatch.setattr(hodge_discrete, "psd_rank", off_by_one)
+    code, out, _ = run(capsys, "simplicial", "--input", HOLLOW, "--kron-probes", "5", "--seed", "3")
+    assert code == EXIT_INVARIANT
+    assert any(row["computed"] != row["predicted"] for row in json.loads(out)["kron_probes"])
+
+
+def test_a_kronecker_sum_that_is_not_psd_exits_1_with_one_stderr_line(capsys, monkeypatch):
+    monkeypatch.setattr(hodge_discrete, "kron_sum", lambda a, b: [[1, 2], [2, 1]])
+    code, out, err = run(capsys, "simplicial", "--input", HOLLOW, "--kron-probes", "1")
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err.count("\n") == 1
+    assert err.startswith("internal invariant violated: ") and "Kronecker sum" in err
+
+
 def test_simplicial_invalid_complex_exits_2(capsys):
     code, _, _ = run(capsys, "simplicial", "--input", '{"maximal": [[0, 0]]}')
     assert code == EXIT_INPUT

@@ -328,28 +328,38 @@ def test_each_exact_rank_is_computed_once(monkeypatch):
     monkeypatch.setattr(hodge_discrete, "rank", counted)
     K = catalog()["torus_7"]
     split = hodge_decomposition_dims(K)
-    # rank del_1 .. del_{max_dim+1} once each (del_0 has no rows, its rank is 0), then one
-    # stacked incidence per degree k >= 1: M_0 is del_1^T, the list of del_1's columns,
-    # whose rank is reused
-    assert len(calls) == 2 * K.max_dim + 1 == 5
+    # rank del_2 .. del_{max_dim+1} once each (del_0 has no rows, its rank is 0, and
+    # rank del_1 counts components), then one stacked incidence per degree k >= 1: M_0
+    # is del_1^T, the list of del_1's columns, whose rank is reused
+    assert len(calls) == 2 * K.max_dim == 4
     calls.clear()
     assert betti_numbers(K) == tuple(harmonic for harmonic, _, _ in split) == (1, 2, 1)
-    assert len(calls) == K.max_dim + 1 == 3
+    assert len(calls) == K.max_dim == 2
 
 
 def test_a_wrong_rank_of_del_1_is_caught_at_degree_1(monkeypatch):
     # M_0 reuses rank del_1, so the k = 0 sum holds whatever that rank reads;
-    # the k = 1 sum, whose M_1 is ranked on its own, must catch the error.
+    # the k = 1 sum, whose M_1 is eliminated on its own, must catch the error.
     K = catalog()["torus_7"]
-    d1_columns = hodge_discrete._sparse_boundary(K, 1)[1]
-    original = hodge_discrete.rank
+    original = hodge_discrete._graph_rank
 
-    def off_by_one_on_del_1(matrix):
-        return original(matrix) + (matrix == d1_columns)
+    def off_by_one(rows, cols):
+        return original(rows, cols) + 1
 
-    monkeypatch.setattr(hodge_discrete, "rank", off_by_one_on_del_1)
+    monkeypatch.setattr(hodge_discrete, "_graph_rank", off_by_one)
     with pytest.raises(InvariantError, match="C_1 "):
         hodge_decomposition_dims(K)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_graph_rank_of_del_1_is_its_eliminated_rank(n, data):
+    # random graphs on n vertices, some of them isolated, some edges drawn twice
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    edges = data.draw(st.lists(edge, max_size=2 * n)) if n > 1 else []
+    K = from_maximal([[v] for v in range(n)] + edges)
+    rows, cols = hodge_discrete._sparse_boundary(K, 1)
+    assert hodge_discrete._graph_rank(rows, cols) == rank(cols) == rref_rank(boundary_matrix(K, 1))
 
 
 def test_each_boundary_is_built_once(monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammahodge.linalg import gram, is_psd, kron_sum, nullity, outer_gram, rank
+from formula_oracles import is_psd_by_fractions, nullity
+from gammahodge.linalg import gram, is_psd, kron_sum, outer_gram, psd_rank, rank
 
 
 def rref_rank(matrix):
@@ -230,10 +231,76 @@ def test_is_psd_cases():
 
 
 def test_is_psd_requires_symmetry():
-    with pytest.raises(ValueError):
-        is_psd([[1, 2], [0, 1]])
-    with pytest.raises(ValueError):
-        is_psd([[1, 2]])
+    for check in (is_psd, psd_rank, is_psd_by_fractions):
+        with pytest.raises(ValueError, match="not symmetric"):
+            check([[1, 2], [0, 1]])
+        with pytest.raises(ValueError, match="not square"):
+            check([[1, 2]])
+
+
+def test_psd_rank_cases():
+    assert psd_rank([]) == 0
+    assert psd_rank([[0, 0], [0, 0]]) == 0
+    assert psd_rank([[0, 0], [0, 1]]) == 1
+    assert psd_rank([[2, 1], [1, 2]]) == 2
+    # one factor row over three columns: a singular Gram of rank 1
+    assert psd_rank(gram([[1, 2, 3]], 3)) == 1
+    # a zero pivot in the middle is skipped, and the pivots after it stay exact
+    # (pivots 2, 0, 5, 12: the last divides 5 * 5 - 1 * 1 by 2)
+    assert psd_rank([[2, 2, 1, 1], [2, 2, 1, 1], [1, 1, 3, 1], [1, 1, 1, 3]]) == 3
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert psd_rank([[half, third], [third, Fraction(2, 9)]]) == 1
+    for not_psd in ([[-1]], [[0, 1], [1, 1]], [[0, 1], [1, 0]], [[1, 2], [2, 1]],
+                    [[half, 1], [1, third]], [[1, 1, 0], [1, 1, 0], [0, 0, -1]]):
+        assert psd_rank(not_psd) is None
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """n x n symmetric matrices, n <= 7, with int or Fraction entries.
+
+    Grams of k x n factors, singular whenever k < n; those Grams with their
+    diagonal lowered, which are not PSD when singular; Kronecker sums of two
+    Grams, as the probes build; zero matrices; and symmetric matrices drawn
+    entry by entry, which are seldom PSD.
+    """
+    entry = draw(st.sampled_from([
+        st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=4)]))
+    kind = draw(st.sampled_from(["gram", "lowered gram", "kron sum", "zero", "entrywise"]))
+
+    def gram_of(n):
+        factor = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 1))
+        return gram(factor, n)
+
+    if kind == "kron sum":
+        return kron_sum(gram_of(draw(st.integers(0, 3))), gram_of(draw(st.integers(0, 3))))
+    n = draw(st.integers(0, 7))
+    if kind in ("gram", "lowered gram"):
+        m = gram_of(n)
+        if kind == "lowered gram" and n:
+            i = draw(st.integers(0, n - 1))
+            m[i][i] -= draw(st.integers(1, 2))
+        return m
+    if kind == "zero":
+        return [[0] * n for _ in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entry)
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=symmetric_matrices())
+def test_psd_rank_is_the_fraction_verdict_and_then_the_rank(m):
+    before = copy.deepcopy(m)
+    r = psd_rank(m)
+    assert m == before
+    if is_psd_by_fractions(m):
+        assert r == rank(m) == rref_rank(m)
+    else:
+        assert r is None
+    assert is_psd(m) == (r is not None)
 
 
 def test_kron_sum_small():
