@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from gammahodge import (
+from gammahodge.poisson_mc import (
     LocalFunctional,
     Polynomial,
     ScalarFunction,

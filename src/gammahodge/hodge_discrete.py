@@ -256,28 +256,6 @@ def kron_sum_kernel_dim(A: Matrix, B: Matrix) -> tuple[int, int]:
     return len(A) * len(B) - sum_rank, nullities[0] * nullities[1]
 
 
-def catalog() -> dict[str, SimplicialComplex]:
-    """Small complexes used throughout the tests, keyed by shape.
-
-    hollow_triangle: circle.  solid_triangle: disk.  two_hollow_triangles:
-    two circles.  hollow_tetrahedron: sphere.  torus_7: the 7-vertex
-    triangulated torus (cyclic construction, 14 triangles).
-    """
-    torus = [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)]
-    torus += [[i, (i + 2) % 7, (i + 3) % 7] for i in range(7)]
-    return {
-        "hollow_triangle": from_maximal([[0, 1], [1, 2], [0, 2]]),
-        "solid_triangle": from_maximal([[0, 1, 2]]),
-        "two_hollow_triangles": from_maximal(
-            [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
-        ),
-        "hollow_tetrahedron": from_maximal(
-            [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
-        ),
-        "torus_7": from_maximal(torus),
-    }
-
-
 def torus_grid(a: int, b: int) -> SimplicialComplex:
     """The a x b periodic grid, each square cut along its diagonal: a torus.
 

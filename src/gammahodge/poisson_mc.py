@@ -782,7 +782,8 @@ def check_mecke(
     _refuse_overflow(m * _log_abs(g.scale), "mecke g.scale^m")
     ig = integral_of_power(g, window, 1)
     _refuse_overflow(m * _log_abs(ig), "mecke (integral of g)^m")
-    reference = ig**m / math.factorial(m) * _mean_of_poly(h, phi, window)[0]
+    augmented = ig**m / math.factorial(m)
+    reference = augmented * _mean_of_poly(h, phi, window)[0]
     _refuse_overflow(2 * _log_abs(reference), "the mecke reference squared")
 
     def per_slice(counts, sample_ids, points):
@@ -790,7 +791,7 @@ def check_mecke(
         phi_vals = phi.evaluate(points)
         totals = np.bincount(sample_ids, weights=phi_vals, minlength=counts.size)
         lhs = _subset_sums(m, g_vals, phi_vals, totals, sample_ids, counts.size, h.coeffs)
-        return np.stack([lhs, h(totals) * (ig**m / math.factorial(m))])
+        return np.stack([lhs, h(totals) * augmented])
 
     lhs_values, rhs_values = _per_sample(window, plan, per_slice, (2,))
     lhs, lhs_se = _mc_stats(lhs_values)

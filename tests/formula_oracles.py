@@ -15,7 +15,9 @@ of the paper's fiber dimension identity; evaluate_rowwise is
 ScalarFunction.evaluate as it was before the column-at-a-time kernel, with
 np.all and np.sum along axis 1, the oracle for its bits; nullity is column
 count minus rank, and is_psd_by_fractions the symmetric Fraction elimination
-that linalg.is_psd ran before psd_rank, the oracle for psd_rank's verdict.
+that linalg.is_psd ran before psd_rank, the oracle for psd_rank's verdict;
+catalog is the five small complexes of known homology that the Hodge tests
+and the acceptance suite rank.
 """
 
 import itertools
@@ -28,6 +30,7 @@ import numpy as np
 
 from gammahodge.betti import truncated_product
 from gammahodge.graded_algebra import GradedSpace, Word, enumerate_words, project
+from gammahodge.hodge_discrete import SimplicialComplex, from_maximal
 from gammahodge.linalg import Matrix, rank
 from gammahodge.poisson_mc import ScalarFunction
 
@@ -213,3 +216,25 @@ def is_psd_by_fractions(matrix: Matrix) -> bool:
                 for j in range(k + 1, n):
                     row_i[j] -= f * row_k[j]
     return True
+
+
+def catalog() -> dict[str, SimplicialComplex]:
+    """Small complexes used throughout the tests, keyed by shape.
+
+    hollow_triangle: circle.  solid_triangle: disk.  two_hollow_triangles:
+    two circles.  hollow_tetrahedron: sphere.  torus_7: the 7-vertex
+    triangulated torus (cyclic construction, 14 triangles).
+    """
+    torus = [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)]
+    torus += [[i, (i + 2) % 7, (i + 3) % 7] for i in range(7)]
+    return {
+        "hollow_triangle": from_maximal([[0, 1], [1, 2], [0, 2]]),
+        "solid_triangle": from_maximal([[0, 1, 2]]),
+        "two_hollow_triangles": from_maximal(
+            [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
+        ),
+        "hollow_tetrahedron": from_maximal(
+            [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+        ),
+        "torus_7": from_maximal(torus),
+    }

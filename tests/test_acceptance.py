@@ -16,9 +16,23 @@ from math import comb
 import numpy as np
 
 import gammahodge as gh
-from formula_oracles import fiber_decomposition_check, project_vector, projected_norm_sq
+from formula_oracles import (
+    catalog,
+    fiber_decomposition_check,
+    project_vector,
+    projected_norm_sq,
+)
 from gammahodge.betti import InfiniteVolumeWarning
 from gammahodge.graded_algebra import GradedSpace, enumerate_words, project
+from gammahodge.poisson_mc import (
+    LocalFunctional,
+    Polynomial,
+    ScalarFunction,
+    Window,
+    check_laplace,
+    check_local_expansion,
+    check_mecke,
+)
 
 warnings.simplefilter("ignore", InfiniteVolumeWarning)
 
@@ -42,7 +56,7 @@ def algebra_space(vector):
 
 def bruteforce_b(vector, n):
     space = algebra_space(vector)
-    return sum(gh.sym_component_dim_bruteforce(space, m, n) for m in range(n + 1))
+    return sum(gh.graded_algebra.sym_component_dim_bruteforce(space, m, n) for m in range(n + 1))
 
 
 def test_criterion_1_dimension_formula_vs_bruteforce():
@@ -52,7 +66,7 @@ def test_criterion_1_dimension_formula_vs_bruteforce():
             for beta in itertools.product(range(3), repeat=d):
                 vector = gh.BettiVector(d=d, beta=(0, *beta))
                 for n in range(7):
-                    assert gh.config_betti(vector, n) == bruteforce_b(vector, n), (
+                    assert gh.betti.config_betti(vector, n) == bruteforce_b(vector, n), (
                         vector,
                         n,
                     )
@@ -74,9 +88,9 @@ def test_criterion_2_vanishing_threshold():
                 assert valid
                 if K0 > 12:
                     continue
-                assert gh.config_betti(vector, K0) == 1
+                assert gh.betti.config_betti(vector, K0) == 1
                 for n in range(K0 + 1, K0 + 7):
-                    assert gh.config_betti(vector, n) == 0
+                    assert gh.betti.config_betti(vector, n) == 0
                 swept += 1
         assert swept >= 40
 
@@ -86,7 +100,7 @@ def test_criterion_3_surface_binomials():
         for B in range(1, 7):
             vector = gh.BettiVector(d=2, beta=(0, B, 0))
             for k in range(B + 7):
-                assert gh.config_betti(vector, k) == comb(B, k)
+                assert gh.betti.config_betti(vector, k) == comb(B, k)
 
 
 def test_criterion_4_projector_laws():
@@ -139,13 +153,13 @@ def test_criterion_5_kron_sum_kernels():
 
 def test_criterion_6_hodge_decomposition():
     with criterion(6, 10, "harmonic = Betti and three-way split fills C_k, 5 complexes"):
-        cat = gh.catalog()
+        cat = catalog()
         assert len(cat) == 5
         for K in cat.values():
             beta = gh.betti_numbers(K)
             split = gh.hodge_decomposition_dims(K)
             for k in range(K.max_dim + 1):
-                L = gh.hodge_laplacian(K, k)
+                L = gh.hodge_discrete.hodge_laplacian(K, k)
                 kernel = K.chain_dim(k) - gh.linalg.rank(L)
                 assert kernel == beta[k]
                 harmonic, exact, coexact = split[k]
@@ -164,21 +178,21 @@ def test_criterion_7_fiber_decomposition():
 
 def test_criterion_8_poisson_identities():
     with criterion(8, 120, "Poisson checks < 2% at 1e5 samples + 3-sigma calibration"):
-        window = gh.Window(lengths=(1.0, 2.0))
-        indicator = gh.ScalarFunction(kind="indicator")
-        const = gh.Polynomial(coeffs=(1.0,))
-        linear = gh.Polynomial(coeffs=(0.0, 1.0))
+        window = Window(lengths=(1.0, 2.0))
+        indicator = ScalarFunction(kind="indicator")
+        const = Polynomial(coeffs=(1.0,))
+        linear = Polynomial(coeffs=(0.0, 1.0))
         checks = {
-            "laplace": lambda seed, n: gh.check_laplace(
-                gh.ScalarFunction(kind="indicator", scale=0.3), window, n, seed
+            "laplace": lambda seed, n: check_laplace(
+                ScalarFunction(kind="indicator", scale=0.3), window, n, seed
             ),
-            "local": lambda seed, n: gh.check_local_expansion(
-                gh.LocalFunctional(kind="count_indicator", k=2), window, n, seed
+            "local": lambda seed, n: check_local_expansion(
+                LocalFunctional(kind="count_indicator", k=2), window, n, seed
             ),
-            "mecke_m1": lambda seed, n: gh.check_mecke(
+            "mecke_m1": lambda seed, n: check_mecke(
                 1, indicator, linear, indicator, window, n, seed
             ),
-            "mecke_m2": lambda seed, n: gh.check_mecke(
+            "mecke_m2": lambda seed, n: check_mecke(
                 2, indicator, const, None, window, n, seed
             ),
         }
@@ -230,4 +244,4 @@ def test_criterion_9_kunneth_pipeline():
                     convolved[i + j] += bi * bj
             direct = gh.BettiVector(d=len(convolved) - 1, beta=tuple(convolved))
             for n in range(8):
-                assert gh.config_betti(product, n) == gh.config_betti(direct, n)
+                assert gh.betti.config_betti(product, n) == gh.betti.config_betti(direct, n)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import formula_oracles
 import gammahodge
 from gammahodge import betti, cli, graded_algebra, hodge_discrete, poisson_mc
 from gammahodge.cli import (
@@ -1351,14 +1352,21 @@ def test_recorded_betti_replies_pass_the_smallest_digit_limit(name):
 
 PUBLIC_NAMES = {
     "BettiVector", "EnumerationCapError", "GradedSpace", "InfiniteVolumeWarning",
-    "InvariantError", "LocalFunctional", "Polynomial", "PsdContractError", "ResourceError",
-    "ScalarFunction", "SimplicialComplex", "Window", "betti", "betti_numbers",
-    "betti_report", "boundary_matrix", "catalog", "check_laplace", "check_local_expansion",
-    "check_mecke", "config_betti", "config_betti_series", "errors",
-    "graded_algebra", "hodge_decomposition_dims", "hodge_discrete", "hodge_laplacian",
-    "kron_sum_kernel_dim", "kunneth_product", "linalg", "load_complex", "poisson_mc", "project",
-    "run_check", "sample_configuration", "sphere_boundary", "sym_component_dim_bruteforce",
-    "sym_component_dim_closed", "sym_component_dims", "torus_grid", "vanishing_threshold",
+    "InvariantError", "PsdContractError", "ResourceError", "SimplicialComplex", "betti",
+    "betti_numbers", "betti_report", "config_betti_series", "errors", "graded_algebra",
+    "hodge_decomposition_dims", "hodge_discrete", "kron_sum_kernel_dim", "kunneth_product",
+    "linalg", "load_complex", "sphere_boundary", "sym_component_dims", "torus_grid",
+    "vanishing_threshold",
+}
+
+# names the package no longer binds, each still read at the module that defines it
+MOVED_NAMES = {
+    betti: ("config_betti",),
+    graded_algebra: ("project", "sym_component_dim_bruteforce", "sym_component_dim_closed"),
+    hodge_discrete: ("boundary_matrix", "hodge_laplacian"),
+    formula_oracles: ("catalog",),
+    poisson_mc: ("LocalFunctional", "Polynomial", "ScalarFunction", "Window", "check_laplace",
+                 "check_local_expansion", "check_mecke", "run_check", "sample_configuration"),
 }
 
 
@@ -1398,12 +1406,33 @@ def test_poisson_and_kron_probes_load_numpy(argv):
     assert numpy_loaded_after(argv) == [[EXIT_OK, False], [EXIT_OK, True]]
 
 
-def test_public_names_are_unchanged_and_all_resolve():
+def test_import_loads_neither_numpy_nor_poisson_mc():
+    script = "\n".join([
+        "import importlib, json, sys",
+        "seen = []",
+        "for name in ('gammahodge', 'gammahodge.cli'):",
+        "    importlib.import_module(name)",
+        "    seen.append([m in sys.modules for m in ('numpy', 'gammahodge.poisson_mc')])",
+        "print(json.dumps(seen))",
+    ])
+    _, env = cli_command()
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[False, False], [False, False]]
+
+
+def test_public_names_are_pinned_and_all_resolve():
     assert set(gammahodge.__all__) == PUBLIC_NAMES
     assert PUBLIC_NAMES <= set(dir(gammahodge))
     for name in PUBLIC_NAMES:
         assert getattr(gammahodge, name) is not None
-    assert gammahodge.Window is poisson_mc.Window
-    assert gammahodge.run_check is poisson_mc.run_check
     with pytest.raises(AttributeError, match="no_such_name"):
         gammahodge.no_such_name
+
+
+def test_dropped_names_resolve_at_their_module_paths():
+    for module, names in MOVED_NAMES.items():
+        for name in names:
+            assert not hasattr(gammahodge, name), name
+            assert callable(getattr(module, name)), (module.__name__, name)

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formula_oracles import catalog
 from gammahodge import hodge_discrete
 from gammahodge.errors import InvariantError, ResourceError
 from gammahodge.hodge_discrete import (
     PsdContractError,
     betti_numbers,
     boundary_matrix,
-    catalog,
     from_maximal,
     hodge_decomposition_dims,
     hodge_laplacian,
