@@ -236,13 +236,13 @@ def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int]
 def kron_sum_kernel_dim(A: Matrix, B: Matrix) -> tuple[int, int]:
     """(computed, predicted) kernel dimensions of the Kronecker sum of A, B.
 
-    A and B are square symmetric matrices given by rows.  computed is the
+    A and B are square symmetric int matrices given by rows.  computed is the
     exact nullity of K = A (x) I + I (x) B; predicted is nullity(A) *
     nullity(B), which matches whenever both matrices are positive
     semidefinite; ``psd_rank`` ranks all three.  A non-square or
-    non-symmetric input raises ValueError, and a non-PSD one PsdContractError,
-    since the prediction is not claimed there; a K that is not PSD, though A
-    and B are, raises InvariantError.
+    non-symmetric input raises ValueError, a non-int entry TypeError, and a
+    non-PSD one PsdContractError, since the prediction is not claimed there; a
+    K that is not PSD, though A and B are, raises InvariantError.
     """
     nullities = []
     for name, M in (("A", A), ("B", B)):

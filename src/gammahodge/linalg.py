@@ -1,64 +1,44 @@
-"""Exact linear algebra over the rationals.
+"""Exact integer linear algebra: the ranks and Grams behind every Hodge reply.
 
-Matrices are plain sequences of rows holding ints or Fractions; ``rank``
-and ``gram``, the one G^T G kernel, also take sparse ``{column: value}``
-rows.  ``rank`` is one sparse fraction-free elimination with Markowitz
-pivots, so its cost follows the nonzeros, not the matrix area; so does
-``gram``'s.  Rows of plain ints, which every boundary passes, are copied
-without the Fraction pass that other rows take.  ``psd_rank`` gives a dense
-symmetric matrix its PSD verdict and rank from one fraction-free symmetric
-elimination.  Kronecker sums are assembled entrywise.  No floating point.
+The two rank kernels take what the commands build and nothing else, and raise
+TypeError on any value that is not exactly an int (a bool, a numpy integer, a
+Fraction or a float).  ``rank`` takes sparse ``{column: int}`` rows, the
+boundaries' format, and is one sparse fraction-free elimination with Markowitz
+pivots, so its cost follows the nonzeros, not the matrix area.  ``psd_rank``
+gives a dense symmetric int matrix, a Gram of integer factors or a Kronecker
+sum of two, its PSD verdict and rank from one fraction-free symmetric
+elimination.  ``gram``, the one G^T G kernel, takes dense or sparse rows of
+any exact numbers, and its cost also follows the nonzeros.  Kronecker sums are
+assembled entrywise.  No floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 Matrix = Sequence[Sequence]
 SparseRows = Sequence[dict]
 
 
-def _integer_row(row: dict) -> dict[int, int]:
-    """A copy of the row's nonzeros scaled to coprime integers (rank-preserving).
-
-    A row of exact ints, the common case, is copied by dict operations alone;
-    any other value (a bool, a Fraction, a numpy integer, a float) sends the
-    row through Fraction and the lcm of its denominators.
-    """
-    values = row.values()
-    if set(map(type, values)) <= {int}:
-        entries = {c: e for c, e in row.items() if e} if 0 in values else row.copy()
-    else:
-        entries = {c: e if isinstance(e, int) else Fraction(e) for c, e in row.items() if e}
-        denominators = [e.denominator for e in entries.values() if isinstance(e, Fraction)]
-        if denominators:
-            denom = lcm(*denominators)
-            entries = {c: int(e * denom) for c, e in entries.items()}
-    content = gcd(*entries.values())
-    if content > 1:
-        entries = {c: e // content for c, e in entries.items()}
-    return entries
-
-
-def rank(matrix: Matrix | SparseRows) -> int:
+def rank(matrix: SparseRows) -> int:
     """Exact rank over the rationals by sparse fraction-free elimination.
 
-    ``matrix`` is a list of dense rows or of ``{column: value}`` dicts; it is
-    not modified.  Each step pivots on the shortest remaining row, at its
+    ``matrix`` is a list of ``{column: int}`` dicts, whose zeros are dropped;
+    it is not modified.  Any other row, or a value that is not exactly an int,
+    raises TypeError naming the row.  Each step pivots on the shortest remaining row, at its
     entry of least magnitude, ties going to the sparsest column (Markowitz).
     Every other row holding that column becomes ``p*row - f*pivot_row``
     (p, f divided by their gcd, both negated when p < 0, so a row is
     rescaled only when |p| > 1) and is then divided by its content, which
     curbs the growth of the integers; no division is ever inexact.
     """
-    rows = {i: _integer_row(r if isinstance(r, dict) else {c: e for c, e in enumerate(r) if e})
-            for i, r in enumerate(matrix)}
-    cols: dict[int, set[int]] = {}
-    heap = []
-    for i, row in rows.items():
+    rows, cols, heap = {}, {}, []
+    for i, row in enumerate(matrix):
+        if not isinstance(row, dict) or not set(map(type, row.values())) <= {int}:
+            raise TypeError(f"row {i} is not a {{column: int}} dict: {row!r}")
+        rows[i] = row = {c: e for c, e in row.items() if e} if 0 in row.values() else row.copy()
         for c in row:
             cols.setdefault(c, set()).add(i)
         if row:
@@ -111,12 +91,12 @@ def rank(matrix: Matrix | SparseRows) -> int:
 def psd_rank(matrix: Matrix) -> int | None:
     """Rank of a symmetric matrix if it is positive semidefinite, else None.
 
-    One fraction-free symmetric elimination (Bareiss, 1968) on the upper
-    triangle of an integer copy, non-int entries scaling the whole matrix by
-    the lcm of their denominators.  Step k sets a[i][j] = (d * a[i][j] -
-    a[k][i] * a[k][j]) // prev for i > k, j >= i, d the pivot a[k][k] and prev
-    the last pivot taken (1 at first): each entry is a minor of the input, so
-    the division is exact (Sylvester).  A negative pivot fails, as does a zero
+    ``matrix`` holds ints only (TypeError otherwise); it is not modified.  One
+    fraction-free symmetric elimination (Bareiss, 1968) on the upper triangle
+    of a copy.  Step k sets a[i][j] = (d * a[i][j] - a[k][i] * a[k][j]) // prev
+    for i > k, j >= i, d the pivot a[k][k] and prev the last pivot taken (1 at
+    first): each entry is a minor of the input, so the division is exact
+    (Sylvester).  A negative pivot fails, as does a zero
     pivot with a nonzero entry left in its row (a negative 2x2 minor); any
     other zero pivot is skipped, as if its index were deleted.  The rank is
     the number of positive pivots.
@@ -128,12 +108,9 @@ def psd_rank(matrix: Matrix) -> int | None:
         for j in range(i):
             if row[j] != matrix[j][i]:
                 raise ValueError("matrix is not symmetric")
-    if all(type(e) is int for row in matrix for e in row):
-        a = [list(row) for row in matrix]
-    else:
-        a = [[Fraction(e) for e in row] for row in matrix]
-        scale = lcm(*(e.denominator for row in a for e in row))
-        a = [[e.numerator * (scale // e.denominator) for e in row] for row in a]
+        if not set(map(type, row)) <= {int}:
+            raise TypeError(f"row {i} holds a value that is not an int: {row!r}")
+    a = [list(row) for row in matrix]
     r, prev = 0, 1
     for k, row_k in enumerate(a):
         d = row_k[k]
@@ -153,7 +130,7 @@ def psd_rank(matrix: Matrix) -> int | None:
 
 
 def is_psd(matrix: Matrix) -> bool:
-    """Exact positive-semidefiniteness test (symmetric input required): ``psd_rank`` is not None."""
+    """Exact PSD test of a symmetric int matrix: ``psd_rank`` is not None."""
     return psd_rank(matrix) is not None
 
 
@@ -178,7 +155,7 @@ def kron_sum(a: Matrix, b: Matrix) -> list[list]:
 
 
 def gram(rows: Matrix | SparseRows, ncols: int) -> list[list]:
-    """G^T G for G given by ncols-column rows, dense or ``{column: value}`` as in ``rank``.
+    """G^T G for G given by ncols-column rows, dense or ``{column: value}``.
 
     Only each row's nonzero products are summed; a column outside range(ncols) raises.
     """

@@ -56,6 +56,7 @@ import math
 import numbers
 import re
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -214,9 +215,10 @@ def _per_sample(window: Window, plan: tuple[int, int, int], per_slice, lead=()) 
     values go straight into one array allocated for every sample, at their block's
     offset.  The calling thread fills the even blocks while one worker thread fills the
     odd ones in turn; blocks are independent streams and each writes its own samples, so
-    the values never depend on thread timing.  A plan of one block starts no thread.  An
-    error on the calling thread cancels the worker's unstarted blocks and is raised once
-    its running block ends; the worker's first error is raised after the last even block.
+    the values never depend on thread timing.  A plan of one block starts no thread.  After
+    each even block the worker's finished blocks are collected in order, so its first error
+    is raised at the end of the even block it overlapped.  An error on either thread cancels
+    the worker's unstarted blocks and is raised once its running block ends.
     """
     out = np.empty(lead + (plan[0],))
 
@@ -228,15 +230,17 @@ def _per_sample(window: Window, plan: tuple[int, int, int], per_slice, lead=()) 
 
     blocks = range(-(-plan[0] // STREAM_BLOCK))
     with ThreadPoolExecutor(max_workers=1) as pool:
-        odd = pool.map(fill, blocks[1::2])
+        odd = deque(pool.submit(fill, block) for block in blocks[1::2])
         try:
             for block in blocks[::2]:
                 fill(block)
+                while odd and odd[0].done():
+                    odd.popleft().result()
+            for future in odd:
+                future.result()
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-        for _ in odd:
-            pass
     return out
 
 

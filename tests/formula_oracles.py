@@ -13,11 +13,15 @@ for its idempotence; projected_norm_sq is the README's norm convention, to be
 compared with project's diagonal; fiber_decomposition_check gives both sides
 of the paper's fiber dimension identity; evaluate_rowwise is
 ScalarFunction.evaluate as it was before the column-at-a-time kernel, with
-np.all and np.sum along axis 1, the oracle for its bits; nullity is column
-count minus rank, and is_psd_by_fractions the symmetric Fraction elimination
-that linalg.is_psd ran before psd_rank, the oracle for psd_rank's verdict;
-catalog is the five small complexes of known homology that the Hodge tests
-and the acceptance suite rank.
+np.all and np.sum along axis 1, the oracle for its bits; rref_rank is a plain
+Fraction Gauss-Jordan rank, the one oracle for linalg.rank and linalg.psd_rank,
+and nullity is column count minus it; is_psd_by_fractions is the symmetric
+Fraction elimination that linalg.is_psd ran before psd_rank, the oracle for
+psd_rank's verdict; sparse_rows turns a dense int matrix into the
+{column: int} rows that linalg.rank takes; catalog is the five small complexes
+of known homology that the Hodge tests and the acceptance suite rank, and
+algebra_space the graded space whose symmetric algebra a Betti vector's b_n
+counts.
 """
 
 import itertools
@@ -28,10 +32,10 @@ from typing import Sequence
 
 import numpy as np
 
-from gammahodge.betti import truncated_product
+from gammahodge.betti import BettiVector, truncated_product
 from gammahodge.graded_algebra import GradedSpace, Word, enumerate_words, project
 from gammahodge.hodge_discrete import SimplicialComplex, from_maximal
-from gammahodge.linalg import Matrix, rank
+from gammahodge.linalg import Matrix
 from gammahodge.poisson_mc import ScalarFunction
 
 
@@ -177,12 +181,41 @@ def evaluate_rowwise(self: ScalarFunction, points: np.ndarray) -> np.ndarray:
         return self.scale * np.exp(-np.sum(z * z, axis=1))
 
 
+def rref_rank(matrix: Matrix) -> int:
+    """Rank of dense int or Fraction rows by plain Fraction Gauss-Jordan elimination."""
+    rows = [[Fraction(e) for e in row] for row in matrix]
+    if not rows or not rows[0]:
+        return 0
+    ncols = len(rows[0])
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
 def nullity(matrix: Matrix) -> int:
     """Column count minus rank.  Dense rows only: a dict row has no column count."""
     if any(isinstance(row, dict) for row in matrix):
         raise ValueError("nullity needs dense rows: a dict row has no column count")
     ncols = len(matrix[0]) if matrix else 0
-    return ncols - rank(matrix)
+    return ncols - rref_rank(matrix)
+
+
+def sparse_rows(matrix: Matrix) -> list[dict]:
+    """The nonzeros of each dense row as a {column: value} dict, the rows linalg.rank takes."""
+    return [{c: e for c, e in enumerate(row) if e} for row in matrix]
 
 
 def is_psd_by_fractions(matrix: Matrix) -> bool:
@@ -238,3 +271,8 @@ def catalog() -> dict[str, SimplicialComplex]:
         ),
         "torus_7": from_maximal(torus),
     }
+
+
+def algebra_space(vector: BettiVector) -> GradedSpace:
+    """beta_k generators of degree k for k = 1..d: the space whose algebra b_n counts."""
+    return GradedSpace(tuple((k, vector.beta[k]) for k in range(1, vector.d + 1)))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formula_oracles import beta_super, fiber_decomposition_check
+from formula_oracles import algebra_space, beta_super, fiber_decomposition_check
 from gammahodge import betti
 from gammahodge.betti import (
     BettiVector,
@@ -27,11 +27,7 @@ from gammahodge.betti import (
     vanishing_threshold,
 )
 from gammahodge.errors import ResourceError
-from gammahodge.graded_algebra import (
-    GradedSpace,
-    sym_component_dim_bruteforce,
-    sym_component_dim_closed,
-)
+from gammahodge.graded_algebra import sym_component_dim_bruteforce, sym_component_dim_closed
 
 betti_vectors = st.integers(1, 4).flatmap(
     lambda d: st.tuples(
@@ -39,10 +35,6 @@ betti_vectors = st.integers(1, 4).flatmap(
         st.tuples(*([st.just(0)] + [st.integers(0, 3)] * d)),
     )
 ).map(lambda t: BettiVector(d=t[0], beta=t[1]))
-
-
-def algebra_space(vector):
-    return GradedSpace(tuple((k, vector.beta[k]) for k in range(1, vector.d + 1)))
 
 
 def closed_form_b(vector, n):

@@ -2,38 +2,15 @@
 
 import copy
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formula_oracles import is_psd_by_fractions, nullity
+from formula_oracles import is_psd_by_fractions, nullity, rref_rank, sparse_rows
 from gammahodge.linalg import gram, is_psd, kron_sum, outer_gram, psd_rank, rank
-
-
-def rref_rank(matrix):
-    """Plain fraction Gauss-Jordan elimination, written independently."""
-    rows = [[Fraction(e) for e in row] for row in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
 
 
 int_matrices = st.integers(1, 5).flatmap(
@@ -86,37 +63,30 @@ sparse_mixed_matrices = sparse_matrices(st.one_of(
 
 def test_rank_basics():
     assert rank([]) == 0
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[1, 0], [0, 1]]) == 2
-    assert rank([[1, 2, 3], [2, 4, 6]]) == 1
-    assert rank([[1, 2], [3, 4], [5, 6]]) == 2
-
-
-def test_rank_with_fractions():
-    singular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-    assert rank(singular) == rref_rank(singular) == 1
-    regular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2, 1)]]
-    assert rank(regular) == rref_rank(regular) == 2
+    assert rank([{}, {}]) == 0
+    assert rank([{0: 0, 1: 0}, {0: 0}]) == 0
+    assert rank(sparse_rows([[1, 0], [0, 1]])) == 2
+    assert rank(sparse_rows([[1, 2, 3], [2, 4, 6]])) == 1
+    assert rank(sparse_rows([[1, 2], [3, 4], [5, 6]])) == 2
 
 
 @settings(max_examples=150)
 @given(m=int_matrices)
 def test_rank_matches_rref_oracle(m):
-    assert rank(m) == rref_rank(m)
+    assert rank(sparse_rows(m)) == rref_rank(m)
 
 
 @settings(max_examples=150, deadline=None)
-@given(m=st.one_of(sparse_int_matrices, sparse_fraction_matrices))
+@given(m=sparse_int_matrices)
 def test_sparse_rank_matches_rref_oracle(m):
-    assert rank(m) == rref_rank(m)
+    assert rank(sparse_rows(m)) == rref_rank(m)
 
 
 @settings(max_examples=50, deadline=None)
-@given(m=st.one_of(sparse_int_matrices, sparse_fraction_matrices))
-def test_dict_rows_rank_as_their_dense_rows(m):
-    nonzeros = [{j: e for j, e in enumerate(row) if e} for row in m]
+@given(m=sparse_int_matrices)
+def test_zeros_in_dict_rows_change_no_rank(m):
     with_zeros = [dict(enumerate(row)) for row in m]
-    assert rank(nonzeros) == rank(with_zeros) == rank(m)
+    assert rank(sparse_rows(m)) == rank(with_zeros) == rref_rank(m)
 
 
 dense_int_matrices = st.integers(1, 8).flatmap(lambda m: st.lists(
@@ -128,41 +98,46 @@ dense_int_matrices = st.integers(1, 8).flatmap(lambda m: st.lists(
 @settings(max_examples=150, deadline=None)
 @given(m=st.one_of(sparse_int_matrices, dense_int_matrices),
        content=st.sampled_from([1, 2, 6]))
-def test_int_rows_rank_as_the_same_entries_of_other_types(m, content):
-    # rows of plain ints skip the Fraction pass; every other type takes it
+def test_rows_with_a_common_factor_rank_as_the_oracle(m, content):
+    # rank divides no input row by its content; only the updated rows are divided
     width = len(m[0])
     m = [[content * e for e in row] for row in m] + [([4, 0, 0, -6] + [0] * width)[:width]]
-    want = rref_rank(m)
-    retyped = [
-        [[Fraction(e) for e in row] for row in m],
-        [[np.int64(e) for e in row] for row in m],
-        [[True if e == 1 else e for e in row] for row in m],
-    ]
-    assert rank(m) == want
-    assert rank([{j: e for j, e in enumerate(row) if e} for row in m]) == want
-    for other in retyped:
-        assert rank(other) == want
+    assert rank(sparse_rows(m)) == rref_rank(m)
+
+
+@pytest.mark.parametrize("row", [
+    {0: np.int64(1), 1: 2},
+    np.array([1, 0, 2], dtype=np.int64),
+    {0: 1, 2: Fraction(3, 2)},
+    {0: 1.0},
+    {0: True, 1: 2},
+    [1, 0, 2],
+], ids=["numpy int64 value", "numpy int64 row", "Fraction", "float", "bool", "dense list"])
+def test_rank_refuses_a_row_that_is_not_int_dict(row):
+    with pytest.raises(TypeError, match="row 1 "):
+        rank([{0: 1, 1: -1}, row, {2: 1}])
 
 
 def test_rank_through_large_intermediate_integers():
     # Vandermonde rows x^0..x^13 for x = 1..14 eliminate through integers of
     # hundreds of bits; a last row summing two others drops the rank by one.
     vandermonde = [[x**k for k in range(14)] for x in range(1, 15)]
-    assert rank(vandermonde) == rref_rank(vandermonde) == 14
+    assert rank(sparse_rows(vandermonde)) == rref_rank(vandermonde) == 14
     dependent = vandermonde[:-1] + [[a + 7 * b for a, b in zip(vandermonde[2], vandermonde[9])]]
-    assert rank(dependent) == rref_rank(dependent) == 13
+    assert rank(sparse_rows(dependent)) == rref_rank(dependent) == 13
+    # the 12 x 12 Hilbert matrix, each row scaled by the lcm of its denominators
     hilbert = [[Fraction(1, i + j + 1) for j in range(12)] for i in range(12)]
-    assert rank(hilbert) == rref_rank(hilbert) == 12
+    scaled = [[lcm(*range(i + 1, i + 13)) // (i + j + 1) for j in range(12)] for i in range(12)]
+    assert rank(sparse_rows(scaled)) == rref_rank(hilbert) == 12
 
 
 def test_rank_leaves_its_argument_unchanged():
-    dense = [[Fraction(1, 2), 0, 3], [1, 0, 6], [0, 0, 0], [2, 5, -1]]
-    sparse = [{0: 2, 2: -4}, {0: 1, 1: Fraction(3, 2)}, {}, {1: 3, 2: -2}]
-    # zero-free int rows, which rank copies without the Fraction pass
+    with_zeros = [{0: 2, 2: -4}, {0: 1, 1: 3, 2: 0}, {}, {1: 3, 2: -2}, {0: 0}]
+    # zero-free rows, which rank copies whole
     zero_free = [{0: 2, 2: -4}, {0: 1, 1: 3}, {1: -1, 2: 1}, {0: 4, 1: -6, 2: 2}]
-    for matrix in (dense, sparse, zero_free):
+    for matrix, want in ((with_zeros, 3), (zero_free, 3)):
         before = copy.deepcopy(matrix)
-        rank(matrix)
+        assert rank(matrix) == want
         assert matrix == before
 
 
@@ -194,7 +169,7 @@ def test_gram_is_the_explicit_product(m):
 def test_gram_of_dict_rows_equals_gram_of_their_dense_rows(m, empty):
     ncols = len(m[0])
     dense = m + [[0] * ncols] * empty
-    nonzeros = [{j: e for j, e in enumerate(row) if e} for row in dense]
+    nonzeros = sparse_rows(dense)
     with_zeros = [dict(enumerate(row)) for row in dense]
     assert {} in nonzeros
     assert gram(nonzeros, ncols) == gram(with_zeros, ncols) == gram(dense, ncols)
@@ -248,24 +223,31 @@ def test_psd_rank_cases():
     # a zero pivot in the middle is skipped, and the pivots after it stay exact
     # (pivots 2, 0, 5, 12: the last divides 5 * 5 - 1 * 1 by 2)
     assert psd_rank([[2, 2, 1, 1], [2, 2, 1, 1], [1, 1, 3, 1], [1, 1, 1, 3]]) == 3
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    assert psd_rank([[half, third], [third, Fraction(2, 9)]]) == 1
+    assert psd_rank([[9, 6], [6, 4]]) == 1
     for not_psd in ([[-1]], [[0, 1], [1, 1]], [[0, 1], [1, 0]], [[1, 2], [2, 1]],
-                    [[half, 1], [1, third]], [[1, 1, 0], [1, 1, 0], [0, 0, -1]]):
+                    [[3, 6], [6, 2]], [[1, 1, 0], [1, 1, 0], [0, 0, -1]]):
         assert psd_rank(not_psd) is None
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), np.int64(1), 1.0, True],
+                         ids=["Fraction", "whole Fraction", "numpy int64", "float", "bool"])
+def test_psd_rank_refuses_entries_that_are_not_int(entry):
+    matrix = [[2, 0, 0], [0, 1, entry], [0, entry, 1]]
+    for check in (psd_rank, is_psd):
+        with pytest.raises(TypeError, match="row 1 "):
+            check(matrix)
 
 
 @st.composite
 def symmetric_matrices(draw):
-    """n x n symmetric matrices, n <= 7, with int or Fraction entries.
+    """n x n symmetric int matrices, n <= 7.
 
     Grams of k x n factors, singular whenever k < n; those Grams with their
     diagonal lowered, which are not PSD when singular; Kronecker sums of two
     Grams, as the probes build; zero matrices; and symmetric matrices drawn
     entry by entry, which are seldom PSD.
     """
-    entry = draw(st.sampled_from([
-        st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=4)]))
+    entry = st.integers(-3, 3)
     kind = draw(st.sampled_from(["gram", "lowered gram", "kron sum", "zero", "entrywise"]))
 
     def gram_of(n):
@@ -297,7 +279,7 @@ def test_psd_rank_is_the_fraction_verdict_and_then_the_rank(m):
     r = psd_rank(m)
     assert m == before
     if is_psd_by_fractions(m):
-        assert r == rank(m) == rref_rank(m)
+        assert r == rref_rank(m)
     else:
         assert r is None
     assert is_psd(m) == (r is not None)

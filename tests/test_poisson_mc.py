@@ -1053,6 +1053,31 @@ def test_an_error_on_the_calling_thread_starts_no_further_worker_block(monkeypat
     assert started == [1]  # blocks 3 and 5 were cancelled while block 1 ran
 
 
+def test_an_error_in_the_worker_stops_the_check_after_the_block_it_overlapped(monkeypatch):
+    slices, started, error = poisson_mc._slices, [], RuntimeError("block 1 failed")
+
+    def failing(window, plan, block, first=0):
+        started.append(block)
+        if block == 1:
+            raise error
+        for part in slices(window, plan, block, first):
+            if block % 2:
+                time.sleep(0.001)  # the worker's later blocks never outrun block 0
+            yield part
+
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    monkeypatch.setattr(poisson_mc, "_slices", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        check_laplace(STREAM_G, Window(lengths=(2.0, 5.0)), 12 * STREAM_BLOCK, 1)
+    assert raised.value is error and raised.value.__context__ is None
+    assert unhandled == []
+    assert threading.active_count() == before
+    assert 0 in started and 1 in started
+    assert len(started) <= 6  # all 12 blocks ran before the error came out
+
+
 # ---------------------------------------------------------------------------
 # dispatch and JSON
 
