@@ -9,16 +9,17 @@ rational arithmetic; there are no floating-point eigensolvers here.
 Each boundary is built once per report, straight from the face index, as
 its nonzeros by row (the k-simplices on each face) and by column (the k+1
 faces of each k-simplex); no dense matrix is formed on the report path.
-Boundary ranks read the columns; del_0 has no rows and is not ranked, del_1
-has rank V minus the connected components, and the others are eliminated.  The
-harmonic dimension is dim C_k minus the rank of the stacked incidence matrix
-M_k, the columns of del_{k+1} followed by the rows of del_k: L_k = M_k^T M_k,
-so ker L_k = ker M_k, and it is ranked by the same sparse elimination, except
-M_0, which is del_1's columns alone and reuses their rank.  ``hodge_laplacian``
-is literally M_k^T M_k, ``linalg.gram`` of those same rows, and is the tests'
-oracle for that kernel.  ``torus_grid`` and ``sphere_boundary`` give
-complexes of any size with known homology, and ``from_maximal`` refuses a
-closure over MAX_CLOSURE_FACES before building it.
+A boundary whose columns (del_0, del_1), or else whose rows (the top
+boundary of a pseudomanifold), hold at most two nonzeros each is a signed
+graph's incidence matrix, ranked by signed union-find; any other is
+eliminated.  The harmonic dimension is dim C_k minus the rank of the stacked
+incidence matrix M_k, the columns of del_{k+1} followed by the rows of del_k:
+L_k = M_k^T M_k, so ker L_k = ker M_k.  Every M_k is eliminated, which checks
+the union-find ranks, except M_0, del_1's columns alone, which reuses their
+rank.  ``hodge_laplacian`` is literally M_k^T M_k, ``linalg.gram`` of those
+same rows, and is the tests' oracle for that kernel.  ``torus_grid`` and
+``sphere_boundary`` give complexes of any size with known homology, and
+``from_maximal`` refuses a closure over MAX_CLOSURE_FACES before building it.
 
 A finite complex is a surrogate: reduced L2-cohomology of a noncompact
 manifold and simplicial cohomology of a complex can genuinely differ, and
@@ -85,28 +86,27 @@ def from_maximal(maximal, where: str = "maximal") -> SimplicialComplex:
     for i, simplex in enumerate(maximal):
         if not isinstance(simplex, (list, tuple)):
             raise ValueError(f"{where}[{i}] must be a list of vertex ids, got {simplex!r}")
-        verts = tuple(strict_int(v, f"{where}[{i}][{j}]") for j, v in enumerate(simplex))
-        if not verts:
+        ints = simplex if all(type(v) is int for v in simplex) else [
+            strict_int(v, f"{where}[{i}][{j}]") for j, v in enumerate(simplex)]
+        if not ints:
             raise ValueError(f"{where}[{i}]: empty simplex")
-        if any(v < 0 for v in verts):
-            raise ValueError(f"{where}[{i}]: negative vertex id in {simplex}")
+        verts = tuple(sorted(ints))
+        if verts[0] < 0:
+            j = next(j for j, v in enumerate(ints) if v < 0)
+            raise ValueError(f"{where}[{i}][{j}]: negative vertex id in {simplex}")
         if len(set(verts)) != len(verts):
             raise ValueError(f"{where}[{i}]: duplicate vertex in simplex {simplex}")
-        tops.append(tuple(sorted(verts)))
+        tops.append(verts)
     faces = sum((1 << len(verts)) - 1 for verts in tops)
     if faces > MAX_CLOSURE_FACES:
         raise ResourceError(
             f"the face closure may reach {faces} simplices, over the limit of {MAX_CLOSURE_FACES}"
         )
-    by_dim: dict[int, set[Simplex]] = {}
+    by_dim: list[set[Simplex]] = [set() for _ in range(max(map(len, tops), default=0))]
     for verts in tops:
         for r in range(1, len(verts) + 1):
-            for face in itertools.combinations(verts, r):
-                by_dim.setdefault(r - 1, set()).add(face)
-    top = max(by_dim) if by_dim else -1
-    return SimplicialComplex(
-        tuple(tuple(sorted(by_dim[k])) for k in range(top + 1))
-    )
+            by_dim[r - 1].update(itertools.combinations(verts, r))
+    return SimplicialComplex(tuple(tuple(sorted(level)) for level in by_dim))
 
 
 def load_complex(document: dict, where: str = "complex") -> SimplicialComplex:
@@ -129,9 +129,9 @@ def _sparse_boundary(K: SimplicialComplex, k: int) -> tuple[list[dict[int, int]]
     """del_k as its nonzeros by row (per (k-1)-face) and by column (per k-simplex).
 
     One pass over the k-simplices looks each face up in the face index, so
-    the cost and memory follow the (k+1) * dim C_k nonzeros.  Faces are
-    visited from the last dropped position to the first, which is ascending
-    face order, so every row and column dict lists its keys in ascending order.
+    the cost and memory follow the (k+1) * dim C_k nonzeros.  ``combinations``
+    drops the positions k, ..., 0 in turn, which is ascending face order, so
+    every row and column dict lists its keys in ascending order.
     """
     if k < 0 or k > K.max_dim + 1:
         raise ValueError(f"degree {k} outside 0..{K.max_dim + 1}")
@@ -141,11 +141,12 @@ def _sparse_boundary(K: SimplicialComplex, k: int) -> tuple[list[dict[int, int]]
     cols: list[dict[int, int]] = [{} for _ in simplices]
     if faces:
         index = {s: i for i, s in enumerate(faces)}
+        signs = [-1 if pos % 2 else 1 for pos in range(k, -1, -1)]
         for j, simplex in enumerate(simplices):
             col = cols[j]
-            for pos in range(len(simplex) - 1, -1, -1):
-                i = index[simplex[:pos] + simplex[pos + 1 :]]
-                col[i] = rows[i][j] = -1 if pos % 2 else 1
+            for face, sign in zip(itertools.combinations(simplex, k), signs):
+                i = index[face]
+                col[i] = rows[i][j] = sign
     return rows, cols
 
 
@@ -154,41 +155,64 @@ def _boundaries(K: SimplicialComplex) -> list[tuple[list[dict[int, int]], list[d
     return [_sparse_boundary(K, k) for k in range(K.max_dim + 2)]
 
 
-def _graph_rank(rows: list[dict[int, int]], cols: list[dict[int, int]]) -> int:
-    """rank del_1 = V - (connected components), V = len(rows), an isolated vertex counting as one.
+def _signed_rank(lines, nodes: int) -> int:
+    """Rank of a matrix on ``nodes`` unknowns whose lines, its rows or its columns as
+    ``{node: +-1}`` dicts, hold at most two entries each: a signed graph's incidence matrix.
 
-    Union-find over the columns, each one edge's two vertex indices: the edges
-    that join two components number V minus the components.
+    Signed union-find (Zaslavsky, 1982): a line a*x_u + b*x_v ties x_v = -ab*x_u, a line
+    with one entry pins its component to zero, and so does a cycle whose signs contradict
+    (an unbalanced one); an empty line says nothing.  The kernel has one dimension per
+    component that is neither, so the rank is ``nodes`` minus those components.
     """
-    parent = list(range(len(rows)))
+    parent = list(range(nodes))
+    sign = [1] * nodes  # x_w = sign[w] * x_parent[w]; 1 at a root
+    pinned = [False] * nodes  # read at roots only
+    for line in lines:
+        if len(line) == 2:
+            (u, a), (v, b) = line.items()
+            tie = -a * b  # x_v = tie * x_u, and x_rv = tie * x_ru once both reach their roots
+            while (p := parent[u]) != u:  # path halving, the find inlined for speed
+                parent[u] = g = parent[p]
+                sign[u] *= sign[p]
+                tie *= sign[u]
+                u = g
+            while (p := parent[v]) != v:
+                parent[v] = g = parent[p]
+                sign[v] *= sign[p]
+                tie *= sign[v]
+                v = g
+            if u != v:
+                parent[v], sign[v] = u, tie
+                pinned[u] = pinned[u] or pinned[v]
+            elif tie < 0:
+                pinned[u] = True
+        elif line:
+            (u,) = line
+            while parent[u] != u:
+                u = parent[u]
+            pinned[u] = True
+    return nodes - sum(1 for w in range(nodes) if parent[w] == w and not pinned[w])
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
 
-    merges = 0
-    for col in cols:
-        a, b = map(find, col)
-        if a != b:
-            parent[a] = b
-            merges += 1
-    return merges
-
-
-def _boundary_ranks(bounds) -> list[int]:
-    """rank del_k for each boundary of _boundaries: 0 for del_0, which has no rows, the
-    components count for del_1, a graph's incidence matrix, and ``rank`` for the rest."""
-    return [0] + [_graph_rank(rows, cols) if k == 1 else rank(cols)
-                  for k, (rows, cols) in enumerate(bounds) if k]
+def _boundary_rank(rows: list[dict[int, int]], cols: list[dict[int, int]]) -> int:
+    """rank del_k by ``_signed_rank`` over its columns if each holds at most two nonzeros
+    (del_0, del_1 and the empty del_{max_dim+1}), else over its rows if each of those
+    does (the top boundary of a pseudomanifold), else by ``rank`` of its columns."""
+    if all(len(col) <= 2 for col in cols):
+        return _signed_rank(cols, len(rows))
+    if all(len(row) <= 2 for row in rows):
+        return _signed_rank(rows, len(cols))
+    return rank(cols)
 
 
 def betti_numbers(K: SimplicialComplex) -> tuple[int, ...]:
-    """beta_k = dim C_k - rank del_k - rank del_{k+1}, exact ranks."""
-    ranks = _boundary_ranks(_boundaries(K))
-    return tuple(
-        K.chain_dim(k) - ranks[k] - ranks[k + 1] for k in range(K.max_dim + 1)
-    )
+    """beta_k = dim C_k - rank del_k - rank del_{k+1}, exact ranks; a negative one can
+    only come from a wrong rank, never from input, and raises InvariantError."""
+    ranks = [_boundary_rank(rows, cols) for rows, cols in _boundaries(K)]
+    beta = tuple(K.chain_dim(k) - ranks[k] - ranks[k + 1] for k in range(K.max_dim + 1))
+    if beta and min(beta) < 0:
+        raise InvariantError(f"the boundary ranks give negative Betti numbers {list(beta)}")
+    return beta
 
 
 def hodge_laplacian(K: SimplicialComplex, k: int) -> list[list[int]]:
@@ -206,30 +230,29 @@ def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int]
     """(harmonic, exact, coexact) dimensions of C_k for every degree k.
 
     exact = rank del_k and coexact = rank del_{k+1}, each boundary built once
-    and ranked once, except del_0, whose rank is 0, and del_1, whose rank
-    counts components.  harmonic = dim C_k - rank M_k for the stacked incidence matrix M_k = [del_{k+1}^T ; del_k]: L_k =
-    M_k^T M_k over the rationals, so ker L_k = ker M_k (a chain is harmonic
-    iff it is a cycle and a cocycle).  The Laplacian is never formed here;
-    ``hodge_laplacian`` is the tests' oracle for this kernel.  The del_{k+1}^T
-    rows go first, which measured faster on torus_grid(24, 24) than the other
-    order.  M_0 is the very list of del_1's columns, so it reuses rank del_1:
-    ranking it again would run the same elimination on the same rows, and the
-    check below at k = 0 is then an identity.  The three must add up to dim
-    C_k, which is the statement harmonic = beta_k; a violation raises
-    InvariantError.  A wrong rank del_1 still fails at k = 1, where M_1 is
-    eliminated on its own: two algorithms must agree there.
+    and ranked once by ``_boundary_rank``.  harmonic = dim C_k - rank M_k for
+    the stacked incidence matrix M_k = [del_{k+1}^T ; del_k]: L_k = M_k^T M_k
+    over the rationals, so ker L_k = ker M_k (a chain is harmonic iff it is a
+    cycle and a cocycle).  The Laplacian is never formed here;
+    ``hodge_laplacian`` is the tests' oracle for this kernel.  The
+    del_{k+1}^T rows go first, which measured faster on torus_grid(24, 24)
+    than the other order.  M_0 is the very list of del_1's columns, so it
+    reuses rank del_1, and the check below at k = 0 is then an identity.  The
+    three must add up to dim C_k, which is the statement harmonic = beta_k;
+    InvariantError names every degree where they do not.  Every other M_k is
+    eliminated by ``rank``, so a wrong union-find rank of del_k still fails
+    at C_k: two algorithms must agree there.
     """
     bounds = _boundaries(K)
-    ranks = _boundary_ranks(bounds)
+    ranks = [_boundary_rank(rows, cols) for rows, cols in bounds]
     out = []
     for k in range(K.max_dim + 1):
-        nk = K.chain_dim(k)
         # del_0 has no rows, so M_0 is del_1's columns, ranked just above
         stacked = rank(bounds[k + 1][1] + bounds[k][0]) if bounds[k][0] else ranks[k + 1]
-        harmonic = nk - stacked
-        if harmonic + ranks[k] + ranks[k + 1] != nk:
-            raise InvariantError(f"decomposition of C_{k} does not fill the space")
-        out.append((harmonic, ranks[k], ranks[k + 1]))
+        out.append((K.chain_dim(k) - stacked, ranks[k], ranks[k + 1]))
+    unfilled = [f"C_{k}" for k, split in enumerate(out) if sum(split) != K.chain_dim(k)]
+    if unfilled:
+        raise InvariantError(f"decomposition of {', '.join(unfilled)} does not fill the space")
     return tuple(out)
 
 

@@ -256,7 +256,9 @@ def catalog() -> dict[str, SimplicialComplex]:
 
     hollow_triangle: circle.  solid_triangle: disk.  two_hollow_triangles:
     two circles.  hollow_tetrahedron: sphere.  torus_7: the 7-vertex
-    triangulated torus (cyclic construction, 14 triangles).
+    triangulated torus (cyclic construction, 14 triangles).  rp2_6: the
+    real projective plane as the 10-triangle hemi-icosahedron, beta 1, 0, 0
+    over the rationals.  mobius_5: the 5-vertex Mobius strip, beta 1, 1, 0.
     """
     torus = [[i, (i + 1) % 7, (i + 3) % 7] for i in range(7)]
     torus += [[i, (i + 2) % 7, (i + 3) % 7] for i in range(7)]
@@ -270,6 +272,11 @@ def catalog() -> dict[str, SimplicialComplex]:
             [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
         ),
         "torus_7": from_maximal(torus),
+        "rp2_6": from_maximal([
+            [0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1],
+            [1, 2, 4], [2, 3, 5], [3, 4, 1], [4, 5, 2], [5, 1, 3],
+        ]),
+        "mobius_5": from_maximal([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 1]]),
     }
 
 

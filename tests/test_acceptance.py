@@ -150,9 +150,9 @@ def test_criterion_5_kron_sum_kernels():
 
 
 def test_criterion_6_hodge_decomposition():
-    with criterion(6, 10, "harmonic = Betti and three-way split fills C_k, 5 complexes"):
+    with criterion(6, 10, "harmonic = Betti and three-way split fills C_k, 7 complexes"):
         cat = catalog()
-        assert len(cat) == 5
+        assert len(cat) == 7
         for K in cat.values():
             beta = gh.betti_numbers(K)
             split = gh.hodge_decomposition_dims(K)

@@ -400,6 +400,24 @@ def test_an_off_by_one_psd_rank_makes_the_kron_probes_exit_1(capsys, monkeypatch
     assert any(row["computed"] != row["predicted"] for row in json.loads(out)["kron_probes"])
 
 
+def test_a_negative_betti_number_of_a_pipeline_factor_exits_1(capsys, monkeypatch):
+    # rank del_1 + 1 gives the 3-sphere mark beta_1 = -1: a wrong rank, which must exit 1,
+    # never reach BettiVector's input check and exit 2 as if the request were malformed
+    argv = REPLY_CASES["pipeline_torus_4x6_sphere_mark"]
+    original = hodge_discrete._signed_rank
+    del_1 = [hodge_discrete._sparse_boundary(K, 1)[1]
+             for K in (hodge_discrete.torus_grid(4, 6), hodge_discrete.sphere_boundary(4))]
+
+    def off_by_one(lines, nodes):
+        return original(lines, nodes) + (lines in del_1)
+
+    monkeypatch.setattr(hodge_discrete, "_signed_rank", off_by_one)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err == ("internal invariant violated: "
+                   "the boundary ranks give negative Betti numbers [0, -1, 0, 1]\n")
+
+
 def test_a_kronecker_sum_that_is_not_psd_exits_1_with_one_stderr_line(capsys, monkeypatch):
     monkeypatch.setattr(hodge_discrete, "kron_sum", lambda a, b: [[1, 2], [2, 1]])
     code, out, err = run(capsys, "simplicial", "--input", HOLLOW, "--kron-probes", "1")
@@ -1197,6 +1215,15 @@ REPLY_CASES = {
     "pipeline_disconnected_infinite_volume": (
         "pipeline", "--input", DISCONNECTED, "--infinite-volume", "--n-max", "4",
     ),
+    # Recorded while every del_k with k >= 2 was still eliminated: RP^2, whose del_2 rows
+    # form one unbalanced signed graph, and the Mobius strip, whose boundary edges pin it.
+    "simplicial_rp2_6": (
+        "simplicial", "--input", json.dumps({"maximal": formula_oracles.catalog()["rp2_6"].simplices[2]}),
+    ),
+    "pipeline_mobius_5": (
+        "pipeline", "--input", json.dumps({"maximal": formula_oracles.catalog()["mobius_5"].simplices[2]}),
+        "--n-max", "6",
+    ),
     "algebra_check": ("algebra-check", "--grid", json.dumps({
         "l_max": 1, "degree_max": 2, "dim_max": 1, "m_max": 1, "n_max": 2,
         "betti_d_max": 1, "betti_beta_max": 1, "betti_n_max": 2,
@@ -1252,8 +1279,8 @@ ROUNDED_REPLIES = {"poisson_mecke_m2", "poisson_mecke_m3"}
 REL_TOL = 1e-12
 
 
-# beta_0 = 1 without --infinite-volume: the reply comes with one InfiniteVolumeWarning.
-WARNING_REPLIES = {"pipeline_torus_4x6_sphere_mark"}
+# beta_0 = 1 without --infinite-volume: each reply comes with one InfiniteVolumeWarning.
+WARNING_REPLIES = {"pipeline_torus_4x6_sphere_mark", "pipeline_mobius_5"}
 
 
 @pytest.mark.parametrize("name", sorted(set(REPLY_CASES) - ROUNDED_REPLIES))

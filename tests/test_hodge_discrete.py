@@ -81,6 +81,22 @@ def test_load_complex_validation():
         load_complex({"maximal": [[0, 0, 1]]})
     with pytest.raises(ValueError):
         load_complex({"maximal": "nope"})
+    # a vertex that is not an int goes through strict_int, which reads a decimal string
+    assert from_maximal([[2, "3"], (0, 1)]).simplices[0] == ((0,), (1,), (2,), (3,))
+
+
+@pytest.mark.parametrize("vertex, refusal", [
+    (True, " must be an integer, got True"),
+    (2.0, " must be an integer, got 2.0"),
+    (2.7, " must be an integer, got 2.7"),
+    (None, " must be an integer, got None"),
+    (-1, ": negative vertex id in [0, -1]"),
+])
+def test_load_complex_names_the_refused_vertex(vertex, refusal):
+    # the int-only pass hands every other vertex to strict_int, which names its place
+    with pytest.raises(ValueError) as info:
+        load_complex({"maximal": [[2, 3], [0, vertex]]})
+    assert str(info.value) == f"complex.maximal[1][1]{refusal}"
 
 
 @given(maximal=maximal_sets)
@@ -120,6 +136,8 @@ def test_catalog_betti_numbers_against_oracle():
         "two_hollow_triangles": (2, 2),
         "hollow_tetrahedron": (1, 0, 1),
         "torus_7": (1, 2, 1),
+        "rp2_6": (1, 0, 0),
+        "mobius_5": (1, 1, 0),
     }
     for name, K in catalog().items():
         assert betti_numbers(K) == expected[name]
@@ -304,38 +322,79 @@ def test_each_exact_rank_is_computed_once(monkeypatch):
     monkeypatch.setattr(hodge_discrete, "rank", counted)
     K = catalog()["torus_7"]
     split = hodge_decomposition_dims(K)
-    # rank del_2 .. del_{max_dim+1} once each (del_0 has no rows, its rank is 0, and
-    # rank del_1 counts components), then one stacked incidence per degree k >= 1: M_0
-    # is del_1^T, the list of del_1's columns, whose rank is reused
-    assert len(calls) == 2 * K.max_dim == 4
+    # every boundary of a surface is a signed graph's incidence matrix: del_0, del_1 and
+    # the empty del_3 by their columns, del_2 by its rows (each edge on two triangles), so
+    # the only eliminations are the stacked incidence matrices M_1 and M_2; M_0 is the
+    # list of del_1's columns, whose rank is reused
+    assert len(calls) == K.max_dim == 2
     calls.clear()
     assert betti_numbers(K) == tuple(harmonic for harmonic, _, _ in split) == (1, 2, 1)
-    assert len(calls) == K.max_dim == 2
+    assert calls == []
 
 
-def test_a_wrong_rank_of_del_1_is_caught_at_degree_1(monkeypatch):
-    # M_0 reuses rank del_1, so the k = 0 sum holds whatever that rank reads;
-    # the k = 1 sum, whose M_1 is eliminated on its own, must catch the error.
-    K = catalog()["torus_7"]
-    original = hodge_discrete._graph_rank
+@pytest.mark.parametrize("name, k, unfilled", [
+    ("torus_7", 1, "C_1"),
+    ("torus_7", 2, "C_1, C_2"),
+    ("rp2_6", 2, "C_1, C_2"),
+])
+def test_a_wrong_signed_rank_is_caught_by_the_eliminations(monkeypatch, name, k, unfilled):
+    # M_0 reuses rank del_1, so the k = 0 sum holds whatever that rank reads; the sums at
+    # k >= 1, whose M_k are eliminated on their own, must catch a wrong union-find rank of
+    # del_1 (lines: its columns) at C_1, and of the top del_2 (lines: its rows) at C_2
+    K = catalog()[name]
+    rows, cols = hodge_discrete._sparse_boundary(K, k)
+    wrong = cols if k == 1 else rows
+    original = hodge_discrete._signed_rank
 
-    def off_by_one(rows, cols):
-        return original(rows, cols) + 1
+    def off_by_one(lines, nodes):
+        return original(lines, nodes) + (lines == wrong)
 
-    monkeypatch.setattr(hodge_discrete, "_graph_rank", off_by_one)
-    with pytest.raises(InvariantError, match="C_1 "):
+    monkeypatch.setattr(hodge_discrete, "_signed_rank", off_by_one)
+    with pytest.raises(InvariantError, match=f"^decomposition of {unfilled} does not fill"):
         hodge_decomposition_dims(K)
+    assert hodge_discrete._boundary_rank(rows, cols) == rref_rank(boundary_matrix(K, k)) + 1
 
 
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 12), data=st.data())
-def test_graph_rank_of_del_1_is_its_eliminated_rank(n, data):
-    # random graphs on n vertices, some of them isolated, some edges drawn twice
-    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
-    edges = data.draw(st.lists(edge, max_size=2 * n)) if n > 1 else []
-    K = from_maximal([[v] for v in range(n)] + edges)
-    rows, cols = hodge_discrete._sparse_boundary(K, 1)
-    assert hodge_discrete._graph_rank(rows, cols) == rank(cols) == rref_rank(boundary_matrix(K, 1))
+@settings(max_examples=300, deadline=None)
+@given(nodes=st.integers(0, 9), data=st.data())
+def test_signed_rank_is_the_rank_of_its_lines(nodes, data):
+    # empty, one-entry and two-entry lines of random signs, some drawn twice, whose cycles
+    # are balanced or not, against rref_rank of the lines as dense rows and linalg.rank
+    node = st.integers(0, max(nodes - 1, 0))
+    sign = st.sampled_from((1, -1))
+    line = st.dictionaries(node, sign, max_size=min(nodes, 2))
+    lines = data.draw(st.lists(line, max_size=2 * nodes + 2))
+    lines += data.draw(st.lists(st.sampled_from(lines), max_size=3)) if lines else []
+    expected = rref_rank([[line.get(v, 0) for v in range(nodes)] for line in lines])
+    assert hodge_discrete._signed_rank(lines, nodes) == expected
+    assert rank(lines) == expected
+
+
+def test_signed_rank_decides_the_pinned_and_unbalanced_cases():
+    # x0 - x1, x1 + x2, x2 - x0: unbalanced, rank 3; balanced with x2 + x0 instead, rank 2
+    assert hodge_discrete._signed_rank([{0: 1, 1: -1}, {1: 1, 2: 1}, {2: 1, 0: -1}], 3) == 3
+    assert hodge_discrete._signed_rank([{0: 1, 1: -1}, {1: 1, 2: 1}, {2: 1, 0: 1}], 3) == 2
+    # one path pinned by a one-entry line, a free pair, an isolated node, an empty line
+    assert hodge_discrete._signed_rank([{0: 1, 1: 1}, {1: -1}, {2: 1, 3: 1}, {}], 5) == 3
+    # a pinned component joined under a free root pins the whole
+    assert hodge_discrete._signed_rank([{0: 1}, {1: 1, 0: 1}], 2) == 2
+    assert hodge_discrete._signed_rank([], 4) == 0
+
+
+def test_rp2_and_the_mobius_strip_are_ranked_by_their_rows(monkeypatch):
+    # the only catalog complexes whose del_2 rows leave a component unbalanced (RP^2)
+    # or pinned (the Mobius strip's boundary edges): both routes against rref_rank
+    calls = []
+    monkeypatch.setattr(hodge_discrete, "rank", lambda m: calls.append(m) or rank(m))
+    for name, beta in (("rp2_6", (1, 0, 0)), ("mobius_5", (1, 1, 0))):
+        K = catalog()[name]
+        assert betti_numbers(K) == betti_oracle(K) == beta
+        assert calls == []
+        exact = [rref_rank(boundary_matrix(K, k)) for k in range(K.max_dim + 2)]
+        assert hodge_decomposition_dims(K) == tuple(
+            (beta[k], exact[k], exact[k + 1]) for k in range(K.max_dim + 1))
+        assert len(calls) == 2
+        calls.clear()
 
 
 def test_each_boundary_is_built_once(monkeypatch):
