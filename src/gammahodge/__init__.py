@@ -28,7 +28,6 @@ from .betti import (
 from .errors import InvariantError, ResourceError
 from .graded_algebra import EnumerationCapError, GradedSpace, sym_component_dims
 from .hodge_discrete import (
-    PsdContractError,
     SimplicialComplex,
     betti_numbers,
     hodge_decomposition_dims,

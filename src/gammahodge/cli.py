@@ -33,7 +33,6 @@ from . import betti as betti_mod
 from . import graded_algebra as ga
 from . import hodge_discrete as hodge
 from .errors import InvariantError, ResourceError, fields, strict_int, strict_seed
-from .linalg import gram
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -374,11 +373,8 @@ def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:
     rows = []
     for i in range(probes):
         sizes = rng.integers(1, 7, size=2)
-        mats = []
-        for size in sizes:
-            factor = rng.integers(-2, 3, size=(int(size) + 1, int(size)))
-            mats.append(gram(factor.tolist(), int(size)))
-        computed, predicted = hodge.kron_sum_kernel_dim(mats[0], mats[1])
+        factors = [rng.integers(-2, 3, size=(int(size) + 1, int(size))).tolist() for size in sizes]
+        computed, predicted = hodge.kron_sum_kernel_dim(*factors)
         rows.append(
             {
                 "probe": str(i),
@@ -505,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simplicial", help="Betti numbers + Hodge split of a complex")
     common(p)
     p.add_argument("--kron-probes", type=count, default=0,
-                   help="also run this many random PSD Kronecker-sum kernel probes")
+                   help="also run this many Kronecker-sum kernel probes of random Gram factors")
     p.add_argument("--seed", help="seed for the probes")
 
     p = sub.add_parser("poisson", help="run one Monte Carlo identity check")

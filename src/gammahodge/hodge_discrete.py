@@ -3,8 +3,9 @@
 Betti numbers from exact boundary ranks, combinatorial Hodge Laplacians
 whose kernel dimensions equal those Betti numbers, the three-way split of
 k-chains into harmonic / exact / coexact dimensions, and the kernel count of
-Kronecker sums of positive-semidefinite matrices.  Everything is exact
-rational arithmetic; there are no floating-point eigensolvers here.
+the Kronecker sum F^T F (x) I + I (x) G^T G, read off its stacked factor as
+every Laplacian kernel is.  Every rank is ``linalg.rank``'s exact
+elimination or signed union-find; there are no floating-point eigensolvers.
 
 Each boundary is built once per report, straight from the face index, as
 its nonzeros by row (the k-simplices on each face) and by column (the k+1
@@ -37,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvariantError, ResourceError, fields, strict_int
-from .linalg import Matrix, gram, kron_sum, psd_rank, rank
+from .linalg import Matrix, gram, rank
 
 Simplex = tuple[int, ...]
 
@@ -45,10 +46,6 @@ Simplex = tuple[int, ...]
 # most faces its closure can hold: torus_grid(48, 48) needs 32,256, and one
 # 30-vertex simplex would need 2^30 - 1.
 MAX_CLOSURE_FACES = 100_000
-
-
-class PsdContractError(ValueError):
-    """Kronecker-sum kernel counting requires positive-semidefinite inputs."""
 
 
 @dataclass(frozen=True)
@@ -256,27 +253,27 @@ def hodge_decomposition_dims(K: SimplicialComplex) -> tuple[tuple[int, int, int]
     return tuple(out)
 
 
-def kron_sum_kernel_dim(A: Matrix, B: Matrix) -> tuple[int, int]:
-    """(computed, predicted) kernel dimensions of the Kronecker sum of A, B.
+def kron_sum_kernel_dim(F: Matrix, G: Matrix) -> tuple[int, int]:
+    """(computed, predicted) kernel dimensions of F^T F (x) I + I (x) G^T G.
 
-    A and B are square symmetric int matrices given by rows.  computed is the
-    exact nullity of K = A (x) I + I (x) B; predicted is nullity(A) *
-    nullity(B), which matches whenever both matrices are positive
-    semidefinite; ``psd_rank`` ranks all three.  A non-square or
-    non-symmetric input raises ValueError, a non-int entry TypeError, and a
-    non-PSD one PsdContractError, since the prediction is not claimed there; a
-    K that is not PSD, though A and B are, raises InvariantError.
+    F and G are int matrices given by rows, with p and q columns.  computed is
+    pq - rank M for M = [F (x) I_q ; I_p (x) G], index (a, j) at column a*q + j,
+    since M^T M is that Kronecker sum; predicted is (p - rank F) * (q - rank G),
+    Kunneth's count.  A PSD pair (A, B) passed as factors gets the kernels of A
+    and B, as ker A^2 = ker A.  ``rank`` gives all three and raises TypeError
+    on an entry that is not exactly an int; a ragged row raises ValueError.
     """
-    nullities = []
-    for name, M in (("A", A), ("B", B)):
-        r = psd_rank(M)
-        if r is None:
-            raise PsdContractError(f"matrix {name} is not positive semidefinite")
-        nullities.append(len(M) - r)
-    sum_rank = psd_rank(kron_sum(A, B))
-    if sum_rank is None:
-        raise InvariantError("the Kronecker sum of two PSD matrices is not positive semidefinite")
-    return len(A) * len(B) - sum_rank, nullities[0] * nullities[1]
+    p, q = (len(M[0]) if M else 0 for M in (F, G))
+    for name, M, width in (("F", F, p), ("G", G, q)):
+        for i, row in enumerate(M):
+            if len(row) != width:
+                raise ValueError(f"matrix {name} row {i} has {len(row)} entries, not {width}")
+    f_rows = [dict(enumerate(row)) for row in F]
+    g_rows = [dict(enumerate(row)) for row in G]
+    predicted = (p - rank(f_rows)) * (q - rank(g_rows))  # type-checks every entry, so M drops 0s
+    stacked = [{a * q + j: e for a, e in row.items() if e} for row in f_rows for j in range(q)]
+    stacked += [{a * q + j: e for j, e in row.items() if e} for a in range(p) for row in g_rows]
+    return p * q - rank(stacked), predicted
 
 
 def torus_grid(a: int, b: int) -> SimplicialComplex:

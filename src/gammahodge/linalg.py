@@ -1,15 +1,15 @@
-"""Exact integer linear algebra: the ranks and Grams behind every Hodge reply.
+"""Exact integer linear algebra: the one rank every request runs, and its references.
 
-The two rank kernels take what the commands build and nothing else, and raise
-TypeError on any value that is not exactly an int (a bool, a numpy integer, a
-Fraction or a float).  ``rank`` takes sparse ``{column: int}`` rows, the
-boundaries' format, and is one sparse fraction-free elimination with Markowitz
-pivots, so its cost follows the nonzeros, not the matrix area.  ``psd_rank``
-gives a dense symmetric int matrix, a Gram of integer factors or a Kronecker
-sum of two, its PSD verdict and rank from one fraction-free symmetric
-elimination.  ``gram``, the one G^T G kernel, takes dense or sparse rows of
-any exact numbers, and its cost also follows the nonzeros.  Kronecker sums are
-assembled entrywise.  No floating point.
+``rank``, the kernel every request runs, takes sparse ``{column: int}`` rows,
+the boundaries' format, and is one sparse fraction-free elimination with
+Markowitz pivots, so its cost follows the nonzeros, not the matrix area; a
+value that is not exactly an int (a bool, a numpy integer, a Fraction or a
+float) raises TypeError.  The other five are the tests' references, kept
+unchanged as the names the benchmark's tracer wraps: ``psd_rank`` (the PSD
+verdict and rank of a dense symmetric int matrix, by one fraction-free
+symmetric elimination) and ``is_psd``, ``kron_sum`` (A (x) I + I (x) B,
+entrywise), and ``gram`` and ``outer_gram`` (G^T G and G G^T of dense or
+sparse rows of exact numbers; ``hodge_laplacian`` is a ``gram``).
 """
 
 from __future__ import annotations

@@ -17,11 +17,13 @@ np.all and np.sum along axis 1, the oracle for its bits; rref_rank is a plain
 Fraction Gauss-Jordan rank, the one oracle for linalg.rank and linalg.psd_rank,
 and nullity is column count minus it; is_psd_by_fractions is the symmetric
 Fraction elimination that linalg.is_psd ran before psd_rank, the oracle for
-psd_rank's verdict; sparse_rows turns a dense int matrix into the
-{column: int} rows that linalg.rank takes; catalog is the five small complexes
-of known homology that the Hodge tests and the acceptance suite rank, and
-algebra_space the graded space whose symmetric algebra a Betti vector's b_n
-counts.
+psd_rank's verdict.  No request runs psd_rank, kron_sum or gram any more:
+with rref_rank they are the references for kron_sum_kernel_dim, which ranks
+a Kronecker probe's factors, never their Grams.  sparse_rows turns a dense
+int matrix into the {column: int} rows that linalg.rank takes; catalog is the
+five small complexes of known homology that the Hodge tests and the
+acceptance suite rank, and algebra_space the graded space whose symmetric
+algebra a Betti vector's b_n counts.
 """
 
 import itertools

@@ -18,7 +18,7 @@ import pytest
 
 import formula_oracles
 import gammahodge
-from gammahodge import betti, cli, graded_algebra, hodge_discrete, poisson_mc
+from gammahodge import betti, cli, graded_algebra, hodge_discrete, linalg, poisson_mc
 from gammahodge.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -387,17 +387,38 @@ def test_simplicial_kron_probes_deterministic(capsys):
         assert row["computed"] == row["predicted"]
 
 
-def test_an_off_by_one_psd_rank_makes_the_kron_probes_exit_1(capsys, monkeypatch):
-    original = hodge_discrete.psd_rank
+def test_an_off_by_one_rank_makes_the_kron_probes_exit_1(capsys, monkeypatch):
+    # a lone vertex's own ranks are all union-find, so only the probes see the patch
+    calls = []
+    original = hodge_discrete.rank
 
-    def off_by_one(matrix):
-        r = original(matrix)
-        return None if r is None else r + 1
+    def off_by_one(rows):
+        calls.append(rows)
+        return original(rows) + 1
 
-    monkeypatch.setattr(hodge_discrete, "psd_rank", off_by_one)
-    code, out, _ = run(capsys, "simplicial", "--input", HOLLOW, "--kron-probes", "5", "--seed", "3")
-    assert code == EXIT_INVARIANT
+    monkeypatch.setattr(hodge_discrete, "rank", off_by_one)
+    argv = ("simplicial", "--input", '{"maximal": [[0]]}', "--kron-probes", "5", "--seed", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_INVARIANT and len(calls) == 5 * 3
     assert any(row["computed"] != row["predicted"] for row in json.loads(out)["kron_probes"])
+
+
+def test_kron_probes_without_the_identity_by_g_block_exit_1_on_the_nonzero_kernel_pin(
+        capsys, monkeypatch):
+    # Leaving out I_p (x) G ranks F (x) I_q alone, as if G were zero: computed becomes
+    # nullity(F) * q.  That differs from the prediction only where ker F is nonzero and
+    # G is not, which no probe of the torus pin draws: the pin with a nonzero kernel is
+    # what serves this mutant an exit 1.
+    original = hodge_discrete.kron_sum_kernel_dim
+
+    def without_g_block(F, G):
+        q = len(G[0])
+        return original(F, [[0] * q])[0], original(F, G)[1]
+
+    monkeypatch.setattr(hodge_discrete, "kron_sum_kernel_dim", without_g_block)
+    assert run(capsys, *REPLY_CASES["simplicial_hollow_probes"])[0] == EXIT_INVARIANT
+    code, out, _ = run(capsys, *REPLY_CASES["simplicial_torus_6x6_probes"])
+    assert (code, out) == (EXIT_OK, (REPLIES / "simplicial_torus_6x6_probes.json").read_text())
 
 
 def test_a_negative_betti_number_of_a_pipeline_factor_exits_1(capsys, monkeypatch):
@@ -416,14 +437,6 @@ def test_a_negative_betti_number_of_a_pipeline_factor_exits_1(capsys, monkeypatc
     assert (code, out) == (EXIT_INVARIANT, "")
     assert err == ("internal invariant violated: "
                    "the boundary ranks give negative Betti numbers [0, -1, 0, 1]\n")
-
-
-def test_a_kronecker_sum_that_is_not_psd_exits_1_with_one_stderr_line(capsys, monkeypatch):
-    monkeypatch.setattr(hodge_discrete, "kron_sum", lambda a, b: [[1, 2], [2, 1]])
-    code, out, err = run(capsys, "simplicial", "--input", HOLLOW, "--kron-probes", "1")
-    assert (code, out) == (EXIT_INVARIANT, "")
-    assert err.count("\n") == 1
-    assert err.startswith("internal invariant violated: ") and "Kronecker sum" in err
 
 
 def test_simplicial_invalid_complex_exits_2(capsys):
@@ -1212,6 +1225,11 @@ REPLY_CASES = {
     "simplicial_disconnected_probes": (
         "simplicial", "--input", DISCONNECTED, "--kron-probes", "3", "--seed", "5",
     ),
+    # Recorded while the probes still ranked dense Gram matrices: probe 11 (sizes 1 and 3)
+    # is the one pinned probe whose kernel is nonzero, computed = predicted = 1.
+    "simplicial_hollow_probes": (
+        "simplicial", "--input", HOLLOW, "--kron-probes", "12", "--seed", "522",
+    ),
     "pipeline_disconnected_infinite_volume": (
         "pipeline", "--input", DISCONNECTED, "--infinite-volume", "--n-max", "4",
     ),
@@ -1295,6 +1313,36 @@ def test_reply_text_is_unchanged(capsys, monkeypatch, name):
         # replies span two blocks, 1,000 bytes a slice: 62 at volume 2 in 1-D, 13 at 3 in 3-D
         monkeypatch.setattr(poisson_mc, "SLICE_TARGET_BYTES", 2000)
         assert run(capsys, *REPLY_CASES[name]) == (code, out, "")
+
+
+def test_hodge_requests_rank_through_linalg_rank_alone(capsys, monkeypatch):
+    # psd_rank, kron_sum, gram, is_psd and outer_gram are the tests' references: patched to
+    # raise wherever a gammahodge module binds them, every recorded reply still comes out
+    originals = {name: getattr(linalg, name)
+                 for name in ("psd_rank", "kron_sum", "gram", "is_psd", "outer_gram")}
+
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"a request called linalg.{name}")
+        return refused
+
+    patched = set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "gammahodge" or module_name.startswith("gammahodge."):
+            for key, value in list(vars(module).items()):
+                for name, original in originals.items():
+                    if value is original:
+                        monkeypatch.setattr(module, key, refuse(name))
+                        patched.add(f"{module_name}.{key}")
+    assert {"gammahodge.linalg.psd_rank", "gammahodge.hodge_discrete.gram"} <= patched
+    names = [name for name, argv in REPLY_CASES.items() if argv[0] in ("simplicial", "pipeline")]
+    assert {"simplicial_torus_6x6_probes", "simplicial_disconnected_probes",
+            "simplicial_hollow_probes"} <= set(names)
+    for name in names:
+        warns = name in WARNING_REPLIES
+        with pytest.warns(betti.InfiniteVolumeWarning) if warns else contextlib.nullcontext():
+            code, out, _ = run(capsys, *REPLY_CASES[name])
+        assert (code, out) == (EXIT_OK, (REPLIES / f"{name}.json").read_text()), name
 
 
 # The recorded algebra_check grid stops at m = 1.  This one reaches m = 5 over
@@ -1386,7 +1434,7 @@ def test_recorded_betti_replies_pass_the_smallest_digit_limit(name):
 
 PUBLIC_NAMES = {
     "BettiVector", "EnumerationCapError", "GradedSpace", "InfiniteVolumeWarning",
-    "InvariantError", "PsdContractError", "ResourceError", "SimplicialComplex", "betti",
+    "InvariantError", "ResourceError", "SimplicialComplex", "betti",
     "betti_numbers", "betti_report", "config_betti_series", "errors", "graded_algebra",
     "hodge_decomposition_dims", "hodge_discrete", "kron_sum_kernel_dim", "kunneth_product",
     "linalg", "load_complex", "sphere_boundary", "sym_component_dims", "torus_grid",

@@ -12,11 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formula_oracles import catalog, rref_rank, sparse_rows
+from formula_oracles import catalog, nullity, rref_rank, sparse_rows
 from gammahodge import hodge_discrete
 from gammahodge.errors import InvariantError, ResourceError
 from gammahodge.hodge_discrete import (
-    PsdContractError,
     betti_numbers,
     boundary_matrix,
     from_maximal,
@@ -27,7 +26,7 @@ from gammahodge.hodge_discrete import (
     sphere_boundary,
     torus_grid,
 )
-from gammahodge.linalg import gram, is_psd, kron_sum, rank
+from gammahodge.linalg import gram, is_psd, kron_sum, psd_rank, rank
 
 
 def betti_oracle(K):
@@ -441,13 +440,44 @@ def test_kron_kernel_zero_matrices():
     assert kron_sum_kernel_dim(A, B) == (6, 6)
 
 
-def test_kron_kernel_rejects_non_psd():
-    A = [[-1]]
-    B = [[1]]
-    with pytest.raises(PsdContractError):
-        kron_sum_kernel_dim(A, B)
-    with pytest.raises(PsdContractError):
-        kron_sum_kernel_dim(B, [[0, 1], [1, 0]])
+def test_kron_kernel_takes_any_int_factors():
+    # factors need not be square or PSD: each is the F of its Gram F^T F
+    assert kron_sum_kernel_dim([[-1]], [[1]]) == (0, 0)
+    assert kron_sum_kernel_dim([[1]], [[0, 1], [1, 0]]) == (0, 0)
+    assert kron_sum_kernel_dim([[1, -1]], [[2, 2]]) == (1, 1)
+
+
+@st.composite
+def int_factors(draw):
+    """1-7 rows by 1-6 columns of -2..2; zeroed and repeated rows and columns, drawn
+    often, give the Gram a positive nullity."""
+    cols = draw(st.integers(1, 6))
+    m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                      min_size=1, max_size=7))
+    for edit in draw(st.lists(st.sampled_from(["zero", "repeat", "zero col", "repeat col"]),
+                              max_size=3)):
+        i, j = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m) - 1))
+        a, b = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+        if edit == "zero":
+            m[i] = [0] * cols
+        elif edit == "repeat":
+            m[i] = list(m[j])
+        else:
+            for row in m:
+                row[a] = 0 if edit == "zero col" else row[b]
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(F=st.one_of(st.just([]), int_factors()), G=st.one_of(st.just([]), int_factors()))
+def test_kron_kernel_of_factors_matches_the_dense_kronecker_sum_of_their_grams(F, G):
+    p, q = (len(M[0]) if M else 0 for M in (F, G))
+    A, B = gram(F, p), gram(G, q)
+    K = kron_sum(A, B)
+    computed, predicted = kron_sum_kernel_dim(F, G)
+    assert computed == p * q - psd_rank(K) == p * q - rref_rank(K)
+    assert predicted == (p - psd_rank(A)) * (q - psd_rank(B)) == nullity(A) * nullity(B)
+    assert computed == predicted
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,16 +494,16 @@ def test_kron_kernel_matches_from_scratch_nullity(fa, fb):
     assert computed == (len(ks) - rref_rank(ks))
 
 
-def test_sym_matrix_validation():
-    with pytest.raises(ValueError, match="not symmetric"):
-        kron_sum_kernel_dim([[1, 2], [3, 4]], [[1]])
-    with pytest.raises(ValueError, match="not square"):
-        kron_sum_kernel_dim([[1]], [[1, 2]])
+def test_kron_kernel_refuses_a_ragged_row():
+    with pytest.raises(ValueError, match="matrix F row 1 has 1 entries, not 2"):
+        kron_sum_kernel_dim([[1, 2], [3]], [[1]])
+    with pytest.raises(ValueError, match="matrix G row 2 has 3 entries, not 2"):
+        kron_sum_kernel_dim([[1]], [[1, 2], [0, 1], [1, 1, 0]])
 
 
 def test_kron_kernel_refuses_a_fraction_matrix():
     half = Fraction(1, 2)
-    with pytest.raises(TypeError, match="not an int"):
+    with pytest.raises(TypeError, match=r"is not a \{column: int\} dict"):
         kron_sum_kernel_dim([[half, 0], [0, 1]], [[1]])
-    with pytest.raises(TypeError, match="not an int"):
+    with pytest.raises(TypeError, match=r"is not a \{column: int\} dict"):
         kron_sum_kernel_dim([[1]], [[1, half], [half, 1]])
