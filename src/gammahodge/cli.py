@@ -7,12 +7,14 @@ codes: 0 success, 1 internal invariant violation, 2 input error (a ValueError),
 ``warning:`` line on stderr.  ``--seed`` and ``--samples`` hand their text to
 the value's one reader.  Exact integers are emitted as decimal strings;
 Monte Carlo values as floats.  Replies are the text of json.dumps with
-indent=2, written by ``_dumps`` in one C-encoder call per container or per
-batch of 64 row dicts, nested children stood in by a marker string (a fresh
-one if the payload holds it).  Output files are written atomically (temp file
-+ rename) onto the regular file --output resolves to, checked before the command
-runs.  The argument parser is
-built once per process, by the first ``main`` call, and reused; ``main`` is
+indent=2, written by ``_dumps`` in one C-encoder call per container, nested
+children stood in by a marker string (a fresh one if the payload holds it).
+``algebra-check`` returns its reply as text, joined once from pieces that
+``_dumps`` renders once each: a head per space or Betti vector, a tail per
+distinct ok cell, and each skipped or mismatching row whole.  Output files are
+written atomically (temp file + rename) onto the regular file --output
+resolves to, checked before the command runs.  The argument parser is built
+once per process, by the first ``main`` call, and reused; ``main`` is
 reentrant, and every call parses afresh from the parser's defaults.
 """
 
@@ -87,19 +89,18 @@ def _read_json_source(source: str) -> dict:
 
 _NESTED = (list, tuple, dict)
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-# the stand-in of a nested child in the C encoder's text, and the row dicts per C call
-_MARKER, _BATCH = "@gammahodge-child@", 64
+# the stand-in of a nested child in the C encoder's text
+_MARKER = "@gammahodge-child@"
 # indent level -> _level's tuple, built on first use
 _LEVELS: dict = {}
 
 
 def _level(level: int) -> tuple:
-    """(encoder, item separator, closing pad, joint, joint's rendering) at one indent level.
+    """(encoder, item separator, closing pad) at one indent level.
 
     The encoder writes a container's items one per line at level + 1's indent:
     its item separator carries the newline and indent, which is all that an indent
-    of 2 puts between items; the C encoder, which ignores indent, honours it.  The
-    joint "}" + separator + "{" can only lie between two dicts of a list.
+    of 2 puts between items; the C encoder, which ignores indent, honours it.
     """
     found = _LEVELS.get(level)
     if found is None:
@@ -107,8 +108,7 @@ def _level(level: int) -> tuple:
         encoder = (json.JSONEncoder(separators=(separator, ": ")).iterencode if c_make_encoder is None
                    else c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
                                        None, ": ", separator, False, False, True))
-        found = _LEVELS[level] = (encoder, separator, close, "}" + separator + "{",
-                                  f"{close}}},{close}{{{separator[1:]}")
+        found = _LEVELS[level] = (encoder, separator, close)
     return found
 
 
@@ -116,65 +116,43 @@ def _dumps(payload) -> str:
     """The JSON text of payload with an indent of 2, as json.dumps gives it byte for byte.
 
     A container with no nested child is one C call plus its opening and closing
-    pads.  Any other container, or a batch of _BATCH dicts from a list of non-empty
-    dicts such as a reply's rows, is encoded in one C call with each nested child
-    stood in by _MARKER; split on the marker's encoded form, that text gives the pieces
-    around each child's rendering.  More pieces than stand-ins mean that a key or
-    string of the payload holds the marker: the text is encoded again with a fresh
-    one.  Parts go into one list, joined once, so no subtree's text is copied
-    level by level.  Each rendering's parts are memoised by (id, level), with the
-    object so that no id is reused, and a shared subtree is rendered once a level.
+    pads.  Any other container is encoded in one C call with each nested child
+    stood in by _MARKER; split on the marker's encoded form, that text gives the
+    pieces around each child's rendering.  More pieces than stand-ins mean that a
+    key or string of the payload holds the marker: the text is encoded again with
+    a fresh one.  Parts go into one list, joined once, so no subtree's text is
+    copied level by level.
     """
-    out, memo = [], {}
+    out = []
 
-    def splice(batch, level: int, lead: str = "") -> None:
-        """Write lead, then batch's containers at level as items of one list, children in place."""
-        encode, separator, close, joint, rendered = _LEVELS.get(level) or _level(level)
+    def render(obj, level: int) -> None:
+        encode, separator, close = _LEVELS.get(level) or _level(level)
+        if _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj)):
+            text = "".join(encode(obj, 0))  # no child to stand in: no marker
+            out.append(f"{text[0]}{separator[1:]}{text[1:-1]}{close}{text[-1]}"
+                       if len(text) > 2 else text)
+            return
+        shell = dict(obj) if isinstance(obj, dict) else [*obj]
+        # the exact scalar types, nearly every value, skip the slower isinstance
+        children = [(key, value) for key, value in
+                    (obj.items() if isinstance(obj, dict) else enumerate(obj))
+                    if type(value) not in _SCALARS and isinstance(value, _NESTED)]
         marker = _MARKER
         while True:
-            shells, children = [], []
-            for obj in batch:
-                shell = dict(obj) if isinstance(obj, dict) else [*obj]
-                for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
-                    # the exact scalar types, nearly every value, skip the slower isinstance
-                    if type(value) not in _SCALARS and isinstance(value, _NESTED):
-                        shell[key] = marker
-                        children.append(value)
-                shells.append(shell)
-            text = "".join(encode(shells, 0))[1:-1]
-            pieces = text.replace(joint, rendered).split(f'"{marker}"')
+            for key, _ in children:
+                shell[key] = marker
+            text = "".join(encode(shell, 0))
+            pieces = text.split(f'"{marker}"')
             if len(pieces) == len(children) + 1:
                 break
             marker += "+"
-        if len(text) > 2:  # an empty container keeps its two brackets
-            pieces[0] = text[0] + separator[1:] + pieces[0][1:]
-            pieces[-1] = f"{pieces[-1][:-1]}{close}{text[-1]}"
-        out.append(lead + pieces[0])
-        for i, child in enumerate(children, 1):
+        # the container holds a child, so it is not empty
+        pieces[0] = text[0] + separator[1:] + pieces[0][1:]
+        pieces[-1] = f"{pieces[-1][:-1]}{close}{text[-1]}"
+        out.append(pieces[0])
+        for (_, child), piece in zip(children, pieces[1:]):
             render(child, level + 1)
-            out.append(pieces[i])
-
-    def render(obj, level: int) -> None:
-        span = memo.get((id(obj), level))
-        if span is not None:
-            out.extend(out[span[0]:span[1]])
-            return
-        start = len(out)
-        if (isinstance(obj, dict) or not obj or not isinstance(obj[0], dict)
-                or not all(isinstance(row, dict) and row for row in obj)):
-            encode, separator, close = (_LEVELS.get(level) or _level(level))[:3]
-            if _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj)):
-                text = "".join(encode(obj, 0))  # no child to stand in: no marker
-                out.append(f"{text[0]}{separator[1:]}{text[1:-1]}{close}{text[-1]}"
-                           if len(text) > 2 else text)
-            else:
-                splice((obj,), level)
-        else:
-            separator, close = (_LEVELS.get(level) or _level(level))[1:3]
-            for i in range(0, len(obj), _BATCH):
-                splice(obj[i:i + _BATCH], level + 1, separator if i else "[" + separator[1:])
-            out.append(close + "]")
-        memo[id(obj), level] = (start, len(out), obj)
+            out.append(piece)
 
     if not isinstance(payload, _NESTED):
         return "".join(_level(0)[0](payload, 0))
@@ -182,8 +160,9 @@ def _dumps(payload) -> str:
     return "".join(out)
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = _dumps(payload)
+def _emit(payload: dict | str, output: str | None) -> None:
+    """Write a reply: a payload as _dumps renders it, or a reply's text as it is."""
+    text = payload if isinstance(payload, str) else _dumps(payload)
     if output is None:
         try:
             print(text, flush=True)
@@ -281,7 +260,21 @@ def _compare(row: dict, expected: int, brute) -> dict:
     return row
 
 
-def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
+def _row_item(row: dict) -> str:
+    """row as an item after the first of a reply's rows: a comma, then its text moved to level 2.
+
+    The move is exact: JSON text never holds a raw newline, since a string
+    escapes it, so each newline of _dumps's text starts a line and gains the indent.
+    """
+    return ",\n    " + _dumps(row).replace("\n", "\n    ")
+
+
+def _ok_tail(cells: dict) -> str:
+    """An ok row's item after its head: its cells from "m" or "n" on, then "status": "ok"}."""
+    return "," + _row_item({**cells, "status": "ok"}).removeprefix(",\n    {")
+
+
+def cmd_algebra_check(args: argparse.Namespace) -> tuple[str, int]:
     grid = dict(_DEFAULT_GRID)
     overrides = fields(_read_json_source(args.grid), "grid", optional=grid) if args.grid else {}
     for key, value in overrides.items():
@@ -300,25 +293,34 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
     # beta_1 = 1 skips row n_max over the permutation budget with n_max! in its reason
     if grid["betti_beta_max"]:
         betti_mod._refuse_digits(factorial(n_max), betti_mod._digit_limit())
-    rows = []
     verdicts: dict[tuple, bool] = {}  # one brute-force memo: shapes do not depend on the space
+    # The reply's text is joined once from pieces rendered once each: parts[0] becomes
+    # its opening, with the summary, once the rows are counted; each row is a head
+    # per space or Betti vector and a tail per distinct ok cell, or is whole.
+    parts, tails, missed = [""], {}, Counter()
+
+    def whole(row: dict, expected: int, brute) -> None:
+        """A row that is not ok, whole: _compare fills it and writes its stderr line."""
+        missed[_compare(row, expected, brute)["status"]] += 1
+        parts.append(_row_item(row))
 
     for space in _grid_spaces(grid):
-        # one list per space, shared by its rows, so the reply writer renders it once
         components = [[p, d] for p, d in space.components]
+        head = _row_item({"kind": "dims", "space": components}).removesuffix("\n    }")
         closed_rows = ga.sym_component_dims(space, grid["m_max"], grid["n_max"])
         brute_rows = ga.sym_component_rows_bruteforce(
             space, grid["m_max"], grid["n_max"], verdicts)
         for m, (closed_row, brute_row) in enumerate(zip(closed_rows, brute_rows)):
             for n, (closed, brute) in enumerate(zip(closed_row, brute_row)):
-                row = {
-                    "kind": "dims",
-                    "space": components,
-                    "m": str(m),
-                    "n": str(n),
-                    "closed": str(closed),
-                }
-                rows.append(_compare(row, closed, brute))
+                if brute != closed:  # a mismatch, or a skip: an EnumerationCapError is no count
+                    whole({"kind": "dims", "space": components, "m": str(m), "n": str(n),
+                           "closed": str(closed)}, closed, brute)
+                    continue
+                tail = tails.get(("dims", m, n, closed))
+                if tail is None:
+                    tail = tails["dims", m, n, closed] = _ok_tail(
+                        {"m": str(m), "n": str(n), "closed": str(closed), "brute": str(brute)})
+                parts += head, tail
 
     d_max = grid["betti_d_max"]
     betas = product(range(grid["betti_beta_max"] + 1), repeat=d_max)
@@ -335,20 +337,23 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
                 else:
                     sums[n] += dim
         beta = list(vector.beta)
+        head = _row_item({"kind": "betti", "beta": beta}).removesuffix("\n    }")
         for n, formula in enumerate(betti_mod.config_betti_series(vector, n_max)):
-            row = {
-                "kind": "betti",
-                "beta": beta,
-                "n": str(n),
-                "formula": str(formula),
-            }
-            rows.append(_compare(row, formula, capped[n] or sums[n]))
+            if capped[n] or sums[n] != formula:
+                whole({"kind": "betti", "beta": beta, "n": str(n), "formula": str(formula)},
+                      formula, capped[n] or sums[n])
+                continue
+            tail = tails.get(("betti", n, formula))
+            if tail is None:
+                tail = tails["betti", n, formula] = _ok_tail(
+                    {"n": str(n), "formula": str(formula), "brute": str(formula)})
+            parts += head, tail
 
-    statuses = Counter(row["status"] for row in rows)
-    mismatches, skipped = statuses["mismatch"], statuses["skipped"]
+    mismatches, skipped = missed["mismatch"], missed["skipped"]
+    ok = (len(parts) - 1 - mismatches - skipped) // 2  # a head and a tail each
     summary = {
-        "instances": str(len(rows)),
-        "ok": str(statuses["ok"]),
+        "instances": str(ok + mismatches + skipped),
+        "ok": str(ok),
         "mismatches": str(mismatches),
         "skipped": str(skipped),
         "word_cap": str(ga.MAX_WORDS),
@@ -358,12 +363,16 @@ def cmd_algebra_check(args: argparse.Namespace) -> tuple[dict, int]:
         f"{mismatches} mismatches, {skipped} skipped",
         file=sys.stderr,
     )
-    payload = {"summary": summary, "rows": rows}
+    # every grid has a row, n = 0 of its first Betti vector; the first drops its comma
+    parts[0], closing = _dumps({"summary": summary, "rows": [None]}).split("\n    null")
+    parts[1] = parts[1][1:]
+    parts.append(closing)
+    text = "".join(parts)
     if mismatches:
-        return payload, EXIT_INVARIANT
+        return text, EXIT_INVARIANT
     if skipped:
-        return payload, EXIT_PARTIAL
-    return payload, EXIT_OK
+        return text, EXIT_PARTIAL
+    return text, EXIT_OK
 
 
 def _kron_probe_rows(probes: int, seed: int) -> tuple[list[dict], bool]:

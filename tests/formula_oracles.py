@@ -23,10 +23,13 @@ a Kronecker probe's factors, never their Grams.  sparse_rows turns a dense
 int matrix into the {column: int} rows that linalg.rank takes; catalog is the
 five small complexes of known homology that the Hodge tests and the
 acceptance suite rank, and algebra_space the graded space whose symmetric
-algebra a Betti vector's b_n counts.
+algebra a Betti vector's b_n counts.  algebra_check_payload builds
+algebra-check's reply one dict per row, each through cli._compare, the oracle
+for the text that cmd_algebra_check joins from once-rendered pieces.
 """
 
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -34,7 +37,10 @@ from typing import Sequence
 
 import numpy as np
 
+from gammahodge import betti as betti_mod
+from gammahodge import graded_algebra as ga
 from gammahodge.betti import BettiVector, truncated_product
+from gammahodge.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARTIAL, _compare, _grid_spaces
 from gammahodge.graded_algebra import GradedSpace, Word, enumerate_words, project
 from gammahodge.hodge_discrete import SimplicialComplex, from_maximal
 from gammahodge.linalg import Matrix
@@ -285,3 +291,75 @@ def catalog() -> dict[str, SimplicialComplex]:
 def algebra_space(vector: BettiVector) -> GradedSpace:
     """beta_k generators of degree k for k = 1..d: the space whose algebra b_n counts."""
     return GradedSpace(tuple((k, vector.beta[k]) for k in range(1, vector.d + 1)))
+
+
+def algebra_check_payload(grid: dict) -> tuple[dict, int]:
+    """algebra-check's payload and exit code on a full grid, one row dict at a time.
+
+    Its text is json.dumps(payload, indent=2).  cli._compare writes the stderr
+    line of each row that is not ok, in row order, and the summary line follows.
+    """
+    n_max = grid["betti_n_max"]
+    rows = []
+    verdicts: dict[tuple, bool] = {}  # one brute-force memo: shapes do not depend on the space
+
+    for space in _grid_spaces(grid):
+        components = [[p, d] for p, d in space.components]
+        closed_rows = ga.sym_component_dims(space, grid["m_max"], grid["n_max"])
+        brute_rows = ga.sym_component_rows_bruteforce(
+            space, grid["m_max"], grid["n_max"], verdicts)
+        for m, (closed_row, brute_row) in enumerate(zip(closed_rows, brute_rows)):
+            for n, (closed, brute) in enumerate(zip(closed_row, brute_row)):
+                row = {
+                    "kind": "dims",
+                    "space": components,
+                    "m": str(m),
+                    "n": str(n),
+                    "closed": str(closed),
+                }
+                rows.append(_compare(row, closed, brute))
+
+    d_max = grid["betti_d_max"]
+    betas = itertools.product(range(grid["betti_beta_max"] + 1), repeat=d_max)
+    for beta_tail in betas:
+        vector = betti_mod.BettiVector(d=d_max, beta=(0, *beta_tail))
+        space = ga.GradedSpace(tuple((k, vector.beta[k]) for k in range(1, d_max + 1)))
+        # cells with m > n are 0, so row n sums column n; its first cap in m is its reason
+        sums, capped = [0] * (n_max + 1), [None] * (n_max + 1)
+        for table_row in ga.sym_component_rows_bruteforce(space, n_max, n_max, verdicts):
+            for n in itertools.compress(range(n_max + 1), table_row):  # the nonzero and capped cells
+                dim = table_row[n]
+                if isinstance(dim, ga.EnumerationCapError):
+                    capped[n] = capped[n] or dim
+                else:
+                    sums[n] += dim
+        beta = list(vector.beta)
+        for n, formula in enumerate(betti_mod.config_betti_series(vector, n_max)):
+            row = {
+                "kind": "betti",
+                "beta": beta,
+                "n": str(n),
+                "formula": str(formula),
+            }
+            rows.append(_compare(row, formula, capped[n] or sums[n]))
+
+    statuses = Counter(row["status"] for row in rows)
+    mismatches, skipped = statuses["mismatch"], statuses["skipped"]
+    summary = {
+        "instances": str(len(rows)),
+        "ok": str(statuses["ok"]),
+        "mismatches": str(mismatches),
+        "skipped": str(skipped),
+        "word_cap": str(ga.MAX_WORDS),
+    }
+    print(
+        f"algebra-check: {summary['ok']}/{summary['instances']} ok, "
+        f"{mismatches} mismatches, {skipped} skipped",
+        file=sys.stderr,
+    )
+    payload = {"summary": summary, "rows": rows}
+    if mismatches:
+        return payload, EXIT_INVARIANT
+    if skipped:
+        return payload, EXIT_PARTIAL
+    return payload, EXIT_OK

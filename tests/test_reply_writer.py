@@ -1,6 +1,7 @@
 """The reply writer cli._dumps against its oracle, json.dumps(obj, indent=2)."""
 
 import argparse
+import itertools
 import json
 import math
 import tracemalloc
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammahodge import cli
+from formula_oracles import algebra_check_payload
+from gammahodge import betti, cli, graded_algebra
 
 # characters that JSON text gives a meaning to, escapes, control and non-ASCII text
 TRICKY = '[]{},: "\\\n\r\t\x00\x1f\x7fé €\U0001f600'
@@ -102,7 +104,7 @@ class Row(dict):
     """A dict subclass, which json.dumps writes as a dict."""
 
 
-# texts near the row joint "}" + separator + "{" that a batch of rows replaces
+# texts that look like the text between two rows, "}" + separator + "{"
 ROW_TEXTS = ["}", "{", "},", '"}, {"', "},\n  {", ""]
 row_texts = st.text(alphabet=st.sampled_from(TRICKY), max_size=6) | st.sampled_from(ROW_TEXTS)
 row_scalars = st.none() | st.booleans() | st.integers() | row_texts
@@ -110,11 +112,11 @@ row_scalars = st.none() | st.booleans() | st.integers() | row_texts
 
 @st.composite
 def row_lists(draw):
-    """1-300 non-empty dicts, so that batches of rows split at every offset.
+    """1-300 non-empty dicts, such as the rows of a reply.
 
     The rows are drawn from a pool of dicts and dict subclasses, and their
-    nested children from a pool that the rows share, as the rows of an
-    algebra-check reply share one space or Betti vector.
+    nested children from a pool that the rows share, as rows that name one
+    space or Betti vector could.
     """
     shared = draw(st.lists(containers(trees), min_size=1, max_size=3))
     values = row_scalars | st.sampled_from(shared)
@@ -168,15 +170,133 @@ def test_a_payload_string_or_key_equal_to_the_marker_gives_the_same_text(obj):
         assert_same_text(obj)
 
 
-def test_writer_peak_memory_on_the_default_grid_is_near_the_reply_length():
-    # a rendering copied at every level, or a level's whole text held twice, reads 3x or more
+def default_grid_reply() -> str:
     with redirect_stderr(StringIO()):
-        payload, _ = cli.cmd_algebra_check(argparse.Namespace(grid=None))
-    cli._dumps(payload)  # build every level's encoder before tracing
+        return cli.cmd_algebra_check(argparse.Namespace(grid=None))[0]
+
+
+def traced_peak(call):
+    """(call's result, the peak of the memory that tracemalloc saw it allocate)."""
     tracemalloc.start()
     try:
-        text = cli._dumps(payload)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * len(text)
+
+
+def test_writer_peak_memory_on_the_default_grid_is_near_the_reply_length():
+    # 5,929 rows of 1.6 MB with no subtree shared, as json.loads gives them: the
+    # writer's parts list and the joined text read 4.0x the text.  A level's whole
+    # text held twice adds 1x; a writer that kept a memo entry per container read
+    # 5.8x, and one that encoded rows 64 to a C call 6.6x
+    payload = json.loads(default_grid_reply())
+    cli._dumps(payload)  # build every level's encoder before tracing
+    text, peak = traced_peak(lambda: cli._dumps(payload))
+    assert text == json.dumps(payload, indent=2)
+    assert peak <= 4.5 * len(text)
+
+
+def test_algebra_check_peak_memory_on_the_default_grid_is_near_the_reply_length():
+    # the sweep and its reply read 1.17x the reply's length; building one dict
+    # per row and writing them read 3.87x
+    default_grid_reply()
+    text, peak = traced_peak(default_grid_reply)
+    assert peak <= 1.5 * len(text)
+
+
+# The nine grids of the benchmark's algebra workload: each word-dimension part
+# (l_max, degree_max, dim_max, m_max, n_max) with each Betti part
+# (betti_d_max, betti_beta_max, betti_n_max).
+DIMS_CLASSES = ((2, 3, 2, 4, 6), (2, 4, 2, 4, 6), (3, 3, 2, 3, 5))
+BETTI_GRID_CLASSES = ((2, 2, 4), (2, 2, 5), (3, 2, 5))
+DIMS_KEYS = ("l_max", "degree_max", "dim_max", "m_max", "n_max")
+BETTI_KEYS = ("betti_d_max", "betti_beta_max", "betti_n_max")
+WORKLOAD_GRIDS = [{**dict(zip(DIMS_KEYS, dims_part)), **dict(zip(BETTI_KEYS, betti_part))}
+                  for dims_part, betti_part in itertools.product(DIMS_CLASSES, BETTI_GRID_CLASSES)]
+
+
+def assert_reply_is_the_row_dicts_text(grid: dict) -> tuple[int, dict]:
+    """cmd_algebra_check's text, stderr and exit code against the row-dict oracle's."""
+    got_err, want_err = StringIO(), StringIO()
+    with redirect_stderr(got_err):
+        text, code = cli.cmd_algebra_check(argparse.Namespace(grid=json.dumps(grid)))
+    with redirect_stderr(want_err):
+        payload, want_code = algebra_check_payload({**cli._DEFAULT_GRID, **grid})
+    assert text == json.dumps(payload, indent=2)
+    assert got_err.getvalue() == want_err.getvalue()
+    assert code == want_code
+    return code, payload["summary"]
+
+
+@pytest.mark.parametrize("grid", WORKLOAD_GRIDS, ids=lambda grid: json.dumps(list(grid.values())))
+def test_algebra_check_reply_on_the_workload_grids_is_the_row_dicts_text(grid):
+    assert assert_reply_is_the_row_dicts_text(grid)[0] == cli.EXIT_OK
+
+
+small_grids = st.fixed_dictionaries({
+    "l_max": st.integers(0, 2), "degree_max": st.integers(0, 3), "dim_max": st.integers(0, 2),
+    "m_max": st.integers(0, 4), "n_max": st.integers(0, 5),
+    "betti_d_max": st.integers(1, 3), "betti_beta_max": st.integers(0, 2),
+    "betti_n_max": st.integers(0, 6),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_grids)
+def test_algebra_check_reply_on_small_grids_is_the_row_dicts_text(grid):
+    assert_reply_is_the_row_dicts_text(grid)
+
+
+@pytest.mark.parametrize("budget, value, grid", [
+    ("MAX_WORDS", 2, {"l_max": 1, "degree_max": 1, "dim_max": 2, "m_max": 2, "n_max": 2,
+                      "betti_d_max": 1, "betti_beta_max": 1, "betti_n_max": 2}),
+    ("MAX_WORDS", 40, {"l_max": 2, "degree_max": 2, "dim_max": 2, "m_max": 4, "n_max": 5,
+                       "betti_d_max": 2, "betti_beta_max": 2, "betti_n_max": 5}),
+    ("MAX_PERMUTATIONS", 2, {"l_max": 0, "betti_d_max": 2, "betti_beta_max": 1,
+                             "betti_n_max": 5}),
+    ("MAX_PERMUTATIONS", 6, {"l_max": 2, "degree_max": 2, "dim_max": 2, "m_max": 4,
+                             "n_max": 5, "betti_d_max": 2, "betti_beta_max": 2,
+                             "betti_n_max": 5}),
+])
+def test_algebra_check_reply_with_skipped_rows_is_the_row_dicts_text(monkeypatch, budget, value,
+                                                                      grid):
+    monkeypatch.setattr(graded_algebra, budget, value)
+    code, summary = assert_reply_is_the_row_dicts_text(grid)
+    assert code == cli.EXIT_PARTIAL and summary["skipped"] != "0"
+
+
+def bumped(function, cell):
+    """function with 1 added to one cell of its result: cell picks the list and the index."""
+    def wrong(*args):
+        result = function(*args)
+        target, index = cell(result)
+        target[index] += 1
+        return result
+    return wrong
+
+
+@pytest.mark.parametrize("closed_cell, series_cell, permutations, grid", [
+    # the first row of every space, the reply's first row among them, and Betti rows n = 3
+    (lambda dims: (dims[0], 0), lambda b: (b, 3), None,
+     {"l_max": 2, "degree_max": 2, "dim_max": 1, "m_max": 3, "n_max": 4,
+      "betti_d_max": 2, "betti_beta_max": 1, "betti_n_max": 3}),
+    # the first row of a reply with no dims rows, a Betti row
+    (None, lambda b: (b, 0), None,
+     {"l_max": 0, "betti_d_max": 2, "betti_beta_max": 2, "betti_n_max": 4}),
+    # mismatches among rows skipped over a permutation budget of 6: exit 1 all the same
+    (lambda dims: (dims[1], 2), lambda b: (b, 1), 6,
+     {"l_max": 2, "degree_max": 2, "dim_max": 2, "m_max": 4, "n_max": 5,
+      "betti_d_max": 2, "betti_beta_max": 2, "betti_n_max": 5}),
+])
+def test_algebra_check_reply_with_mismatching_rows_is_the_row_dicts_text(
+        monkeypatch, closed_cell, series_cell, permutations, grid):
+    if closed_cell is not None:
+        monkeypatch.setattr(graded_algebra, "sym_component_dims",
+                            bumped(graded_algebra.sym_component_dims, closed_cell))
+    monkeypatch.setattr(betti, "config_betti_series", bumped(betti.config_betti_series, series_cell))
+    if permutations is not None:
+        monkeypatch.setattr(graded_algebra, "MAX_PERMUTATIONS", permutations)
+    code, summary = assert_reply_is_the_row_dicts_text(grid)
+    assert code == cli.EXIT_INVARIANT and summary["mismatches"] != "0"
+    assert (summary["skipped"] != "0") == (permutations is not None)
