@@ -7,8 +7,8 @@ codes: 0 success, 1 internal invariant violation, 2 input error (a ValueError),
 ``warning:`` line on stderr.  ``--seed`` and ``--samples`` hand their text to
 the value's one reader.  Exact integers are emitted as decimal strings;
 Monte Carlo values as floats.  Replies are the text of json.dumps with
-indent=2, written by ``_dumps`` in one C-encoder call per container, nested
-children stood in by a marker string (a fresh one if the payload holds it).
+indent=2, written by ``_dumps``, which recurses through containers and hands
+scalars other than strings and ints to the stdlib encoder.
 ``algebra-check`` returns its reply as text, joined once from pieces that
 ``_dumps`` renders once each: a head per space or Betti vector, a tail per
 distinct ok cell, and each skipped or mismatching row whole.  Output files are
@@ -28,7 +28,7 @@ import tempfile
 import warnings
 from collections import Counter
 from itertools import combinations_with_replacement, compress, product
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from math import comb, factorial
 
 from . import betti as betti_mod
@@ -87,77 +87,31 @@ def _read_json_source(source: str) -> dict:
     return doc
 
 
-_NESTED = (list, tuple, dict)
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-# the stand-in of a nested child in the C encoder's text
-_MARKER = "@gammahodge-child@"
-# indent level -> _level's tuple, built on first use
-_LEVELS: dict = {}
+def _dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2)'s text, byte for byte, with each line after the first
+    opening with pad: a newline and the indent of the level obj sits at.
 
-
-def _level(level: int) -> tuple:
-    """(encoder, item separator, closing pad) at one indent level.
-
-    The encoder writes a container's items one per line at level + 1's indent:
-    its item separator carries the newline and indent, which is all that an indent
-    of 2 puts between items; the C encoder, which ignores indent, honours it.
+    Strings and exact ints are written as json.dumps writes them; a dict, list or
+    tuple (subclasses too) joins its items' texts at one indent more, and every other
+    value, with the TypeError of one that is not serialisable, is the stdlib
+    encoder's.  A dict key must be a str: any other raises TypeError.
     """
-    found = _LEVELS.get(level)
-    if found is None:
-        separator, close = ",\n" + "  " * (level + 1), "\n" + "  " * level
-        encoder = (json.JSONEncoder(separators=(separator, ": ")).iterencode if c_make_encoder is None
-                   else c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
-                                       None, ": ", separator, False, False, True))
-        found = _LEVELS[level] = (encoder, separator, close)
-    return found
-
-
-def _dumps(payload) -> str:
-    """The JSON text of payload with an indent of 2, as json.dumps gives it byte for byte.
-
-    A container with no nested child is one C call plus its opening and closing
-    pads.  Any other container is encoded in one C call with each nested child
-    stood in by _MARKER; split on the marker's encoded form, that text gives the
-    pieces around each child's rendering.  More pieces than stand-ins mean that a
-    key or string of the payload holds the marker: the text is encoded again with
-    a fresh one.  Parts go into one list, joined once, so no subtree's text is
-    copied level by level.
-    """
-    out = []
-
-    def render(obj, level: int) -> None:
-        encode, separator, close = _LEVELS.get(level) or _level(level)
-        if _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj)):
-            text = "".join(encode(obj, 0))  # no child to stand in: no marker
-            out.append(f"{text[0]}{separator[1:]}{text[1:-1]}{close}{text[-1]}"
-                       if len(text) > 2 else text)
-            return
-        shell = dict(obj) if isinstance(obj, dict) else [*obj]
-        # the exact scalar types, nearly every value, skip the slower isinstance
-        children = [(key, value) for key, value in
-                    (obj.items() if isinstance(obj, dict) else enumerate(obj))
-                    if type(value) not in _SCALARS and isinstance(value, _NESTED)]
-        marker = _MARKER
-        while True:
-            for key, _ in children:
-                shell[key] = marker
-            text = "".join(encode(shell, 0))
-            pieces = text.split(f'"{marker}"')
-            if len(pieces) == len(children) + 1:
-                break
-            marker += "+"
-        # the container holds a child, so it is not empty
-        pieces[0] = text[0] + separator[1:] + pieces[0][1:]
-        pieces[-1] = f"{pieces[-1][:-1]}{close}{text[-1]}"
-        out.append(pieces[0])
-        for (_, child), piece in zip(children, pieces[1:]):
-            render(child, level + 1)
-            out.append(piece)
-
-    if not isinstance(payload, _NESTED):
-        return "".join(_level(0)[0](payload, 0))
-    render(payload, 0)
-    return "".join(out)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_dumps(value, inner)}"
+                 for key, value in obj.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_dumps(item, inner) for item in obj])}{pad}]"
+    return json.dumps(obj)
 
 
 def _emit(payload: dict | str, output: str | None) -> None:
@@ -189,6 +143,8 @@ def _emit(payload: dict | str, output: str | None) -> None:
 def _check_output(output: str) -> str:
     """The path --output resolves to (a symlink's target), refused before any work unless
     it is a regular file or a missing one in an existing directory: never a FIFO or device."""
+    if not output:  # realpath('') is the working directory
+        raise ValueError("--output '' is an empty path")
     target = os.path.realpath(output)
     if os.path.exists(target) and not os.path.isfile(target):
         what = "a directory" if os.path.isdir(target) else "not a regular file"
@@ -261,12 +217,8 @@ def _compare(row: dict, expected: int, brute) -> dict:
 
 
 def _row_item(row: dict) -> str:
-    """row as an item after the first of a reply's rows: a comma, then its text moved to level 2.
-
-    The move is exact: JSON text never holds a raw newline, since a string
-    escapes it, so each newline of _dumps's text starts a line and gains the indent.
-    """
-    return ",\n    " + _dumps(row).replace("\n", "\n    ")
+    """row as an item after the first of a reply's rows: a comma, then its text at level 2."""
+    return ",\n    " + _dumps(row, "\n    ")
 
 
 def _ok_tail(cells: dict) -> str:

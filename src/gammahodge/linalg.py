@@ -4,12 +4,13 @@
 the boundaries' format, and is one sparse fraction-free elimination with
 Markowitz pivots, so its cost follows the nonzeros, not the matrix area; a
 value that is not exactly an int (a bool, a numpy integer, a Fraction or a
-float) raises TypeError.  The other five are the tests' references, kept
-unchanged as the names the benchmark's tracer wraps: ``psd_rank`` (the PSD
-verdict and rank of a dense symmetric int matrix, by one fraction-free
-symmetric elimination) and ``is_psd``, ``kron_sum`` (A (x) I + I (x) B,
-entrywise), and ``gram`` and ``outer_gram`` (G^T G and G G^T of dense or
-sparse rows of exact numbers; ``hodge_laplacian`` is a ``gram``).
+float) raises TypeError.  The other five are the tests' references.  Four
+are kept unchanged as the names the benchmark's tracer wraps: ``is_psd``,
+``kron_sum`` (A (x) I + I (x) B, entrywise), and ``gram`` and ``outer_gram``
+(G^T G and G G^T of dense or sparse rows of exact numbers; ``hodge_laplacian``
+is a ``gram``).  ``psd_rank`` (the PSD verdict and rank of a dense symmetric
+int matrix, by one fraction-free symmetric elimination) is ``is_psd``'s body
+and the reference that ``kron_sum_kernel_dim``'s tests rank against.
 """
 
 from __future__ import annotations

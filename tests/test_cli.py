@@ -181,6 +181,12 @@ def test_output_onto_a_directory_exits_2_before_any_work(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_empty_output_path_exits_2_by_name(capsys):
+    code, out, err = run(capsys, "betti", "--input", '{"d":1,"beta":[0,2]}', "--output", "")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: --output '' is an empty path\n"
+
+
 def test_output_onto_a_fifo_exits_2_and_leaves_the_fifo(capsys, tmp_path):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
