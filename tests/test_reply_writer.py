@@ -5,7 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
-from contextlib import redirect_stderr
+from contextlib import contextmanager, redirect_stderr
 from io import StringIO
 
 import pytest
@@ -54,6 +54,17 @@ def assert_same_text(obj):
     assert cli._dumps(obj) == json.dumps(obj, indent=2)
 
 
+@contextmanager
+def without_c_encoder():
+    """The writer as on interpreters without _json: strings go through the pure-Python encoder."""
+    saved = cli.encode_basestring_ascii
+    cli.encode_basestring_ascii = json.encoder.py_encode_basestring_ascii
+    try:
+        yield
+    finally:
+        cli.encode_basestring_ascii = saved
+
+
 @settings(max_examples=300, deadline=None)
 @given(trees)
 def test_writer_matches_json_dumps_indent_2(obj):
@@ -83,6 +94,13 @@ def test_unserialisable_values_raise_the_same_type_error(obj):
     with pytest.raises(TypeError) as got:
         cli._dumps(obj)
     assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_trees())
+def test_writer_without_the_c_encoder_gives_the_same_text(obj):
+    with without_c_encoder():
+        assert_same_text(obj)
 
 
 @pytest.mark.parametrize("key", [1, 2.5, True, None, (1, 2)])
@@ -139,6 +157,35 @@ def row_payloads(draw):
 @given(row_payloads())
 def test_writer_matches_json_dumps_on_lists_of_rows(obj):
     assert_same_text(obj)
+
+
+@settings(max_examples=50, deadline=None)
+@given(row_payloads())
+def test_writer_without_the_c_encoder_matches_json_dumps_on_lists_of_rows(obj):
+    with without_c_encoder():
+        assert_same_text(obj)
+
+
+# a string that a writer splicing each child's text in at a stand-in could take
+# for a child; the recursive writer gives it no meaning
+MARKER = "@gammahodge-child@"
+
+
+@pytest.mark.parametrize("obj", [
+    {"rows": [{"a": MARKER, "space": [1, 2]}]},
+    {"rows": [{MARKER: "1", "space": [1, 2]}]},
+    {"rows": [{"a": "0", "space": [1]}] * 70 + [{"a": MARKER, "space": [1]}]},
+    [{"a": MARKER}, {"b": "2"}],
+    {"a": MARKER, "b": [1, {"c": [MARKER]}]},
+    {MARKER: [1], "b": {MARKER: {}}},
+    [MARKER, MARKER + "+", MARKER + "++", [2]],
+    [{"a": 'x"' + MARKER, "b": [3]}],
+    [[MARKER], {'"' + MARKER + '"': []}],
+])
+def test_a_payload_string_or_key_equal_to_the_marker_gives_the_same_text(obj):
+    assert_same_text(obj)
+    with without_c_encoder():
+        assert_same_text(obj)
 
 
 def default_grid_reply() -> str:
